@@ -7,7 +7,9 @@ uniqueness, exactness, semigroup oracle cross-checks) with seeded
 randomness.  Machine-readable reports are JSON with sorted keys and no
 timestamps, so a fixed seed reproduces them byte for byte.
 
-Exit codes: 0 pass, 1 usage or parse error, 2 verification failure.
+Exit codes: 0 pass, 1 usage or parse error, 2 verification failure or an
+internal inconsistency (a bug; the message carries the command that
+replays it).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import shlex
 import sys
 
 from . import __version__
@@ -39,18 +42,46 @@ class UsageError(Exception):
 
 # === input loading ===
 
+def _read_text(path: str, what: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, ValueError) as e:  # ValueError: undecodable bytes, NUL in the path
+        raise UsageError(f"cannot read {what} {path!r}: {e}") from e
+
+
 def _read_json(path_or_inline: str, what: str):
     text = path_or_inline
     if not text.lstrip().startswith(("{", "[")):
-        try:
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as e:
-            raise UsageError(f"cannot read {what} {path_or_inline!r}: {e}") from e
+        text = _read_text(text, what)
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise UsageError(f"{what}: line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except (ValueError, RecursionError) as e:  # int digit limit, nesting depth
+        raise UsageError(f"{what}: {e}") from e
+
+
+def _pruefer_from_json(vals) -> P.PrueferModel:
+    if not isinstance(vals, list) or not vals:
+        raise ValueError("kind 'pruefer_fc' wants a nonempty 'valuations' list")
+    groups = []
+    for i, v in enumerate(vals):
+        try:
+            groups.append(value_group_from_json(v))
+        except (ValueError, TypeError) as e:
+            raise ValueError(f"valuations[{i}]: {e}") from e
+    return P.PrueferModel(tuple(groups))
+
+
+# kind -> (spec field, parser of that field, echo of the parsed model)
+KINDS = {
+    "valuation": ("group", value_group_from_json, value_group_to_json),
+    "pruefer_fc": ("valuations", _pruefer_from_json,
+                   lambda m: [value_group_to_json(g) for g in m.valuations]),
+    "poly_ext": ("base", lambda obj: X.PolyExtModel(value_group_from_json(obj)),
+                 lambda m: value_group_to_json(m.base)),
+}
 
 
 def load_model(path: str):
@@ -58,41 +89,22 @@ def load_model(path: str):
     if not isinstance(data, dict) or "kind" not in data:
         raise UsageError("spec file: top level must be an object with a 'kind' field")
     kind = data["kind"]
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise UsageError(
+            f"spec file: unknown kind {kind!r} (expected valuation, pruefer_fc, or poly_ext)"
+        )
+    field, parse, _ = KINDS[kind]
+    if field not in data:
+        raise UsageError(f"spec file: kind {kind!r} wants a {field!r} field")
     try:
-        if kind == "valuation":
-            if "group" not in data:
-                raise UsageError("spec file: kind 'valuation' wants a 'group' field")
-            return kind, value_group_from_json(data["group"])
-        if kind == "pruefer_fc":
-            vals = data.get("valuations")
-            if not isinstance(vals, list) or not vals:
-                raise UsageError("spec file: kind 'pruefer_fc' wants a nonempty 'valuations' list")
-            groups = []
-            for i, v in enumerate(vals):
-                try:
-                    groups.append(value_group_from_json(v))
-                except (ValueError, TypeError) as e:
-                    raise UsageError(f"spec file: valuations[{i}]: {e}") from e
-            return kind, P.PrueferModel(tuple(groups))
-        if kind == "poly_ext":
-            if "base" not in data:
-                raise UsageError("spec file: kind 'poly_ext' wants a 'base' field")
-            return kind, X.PolyExtModel(value_group_from_json(data["base"]))
-    except UsageError:
-        raise
+        return kind, parse(data[field])
     except (ValueError, TypeError) as e:
         raise UsageError(f"spec file: {e}") from e
-    raise UsageError(
-        f"spec file: unknown kind {kind!r} (expected valuation, pruefer_fc, or poly_ext)"
-    )
 
 
 def model_echo(kind: str, model) -> dict:
-    if kind == "valuation":
-        return {"kind": kind, "group": value_group_to_json(model)}
-    if kind == "pruefer_fc":
-        return {"kind": kind, "valuations": [value_group_to_json(g) for g in model.valuations]}
-    return {"kind": kind, "base": value_group_to_json(model.base)}
+    field, _, echo = KINDS[kind]
+    return {"kind": kind, field: echo(model)}
 
 
 # === report fragments ===
@@ -118,12 +130,6 @@ def _poly_idem_json(idem) -> dict:
     if isinstance(idem, X.TLinkedOverring):
         return {"variant": "overring", "level": idem.prime_level}
     return {"variant": "idempotent_max_class", "level": idem.prime_level}
-
-
-def _poly_idem_text(idem) -> str:
-    if isinstance(idem, X.TLinkedOverring):
-        return f"V_p[X] for the prime at level {idem.prime_level}"
-    return f"p[X]-type idempotent class at level {idem.prime_level}"
 
 
 def _regularity_json(w: C.RegularityWitness) -> dict:
@@ -191,39 +197,32 @@ def _render_classify(report: dict) -> list[str]:
 
 def _valuation_idempotent_entries(g: ValueGroup) -> list[dict]:
     entries = []
-    for lvl in range(1, g.rank + 1):
-        entries.append({
-            "idempotent": C.cut_to_json(C.ring_cut(g, lvl)),
-            "kind": "overring",
-            "level": lvl,
-            "group": "trivial (canonical closed classes are principal)",
-        })
-        comp = g.components[lvl - 1]
-        if comp.dense:
-            entries.append({
-                "idempotent": C.cut_to_json(C.prime_cut(g, lvl)),
-                "kind": "idempotent_prime",
-                "level": lvl,
-                "group": f"classes of rationals modulo {describe_component(comp)} "
-                         "(representable part)",
-            })
+    for form in C.idempotent_forms(g):
+        level = form.overring.levels[0]
+        entry = {"idempotent": C.cut_to_json(C.form_cut(g, form)), "level": level}
+        if form.open_components:
+            comp = describe_component(g.components[level - 1])
+            entry.update(kind="idempotent_prime",
+                         group=f"classes of rationals modulo {comp} (representable part)")
+        else:
+            entry.update(kind="overring",
+                         group="trivial (canonical closed classes are principal)")
+        entries.append(entry)
     return entries
+
+
+def _form_order(form: C.IdempotentForm):
+    return form.overring.levels, sorted(form.open_components)
 
 
 def cmd_decompose(kind: str, model) -> dict:
     report = {"command": "decompose", "model": model_echo(kind, model)}
     if kind == "valuation":
         entries = _valuation_idempotent_entries(model)
-        report["idempotents"] = entries
-        report["idempotent_count"] = len(entries)
         report["strongly_discrete"] = is_strongly_discrete(model)
     elif kind == "pruefer_fc":
-        forms = sorted(
-            P.enumerate_idempotent_forms(model),
-            key=lambda f: (f.overring.levels, sorted(f.open_components)),
-        )
         entries = []
-        for f in forms:
+        for f in sorted(P.enumerate_idempotent_forms(model), key=_form_order):
             localized = [
                 f"component {i + 1}: classes of rationals modulo "
                 f"{describe_component(model.valuations[i].components[f.overring.levels[i] - 1])}"
@@ -234,21 +233,17 @@ def cmd_decompose(kind: str, model) -> dict:
                 "class_group": "trivial (computed with principality certificate)",
                 "localized_groups": localized,
             })
-        report["idempotents"] = entries
-        report["idempotent_count"] = len(entries)
     else:
         dec = X.decompose(model)
-        entries = []
-        for idem, grp in zip(dec.idempotents, dec.groups):
-            entries.append({
-                "idempotent": _poly_idem_json(idem),
-                "group": grp.description,
-                "group_trivial": grp.trivial,
-            })
-        report["idempotents"] = entries
-        report["idempotent_count"] = len(entries)
+        entries = [
+            {"idempotent": _poly_idem_json(idem), "group": grp.description,
+             "group_trivial": grp.trivial}
+            for idem, grp in zip(dec.idempotents, dec.groups)
+        ]
         report["scope"] = dec.scope
         report["strongly_discrete"] = is_strongly_discrete(model.base)
+    report["idempotents"] = entries
+    report["idempotent_count"] = len(entries)
     return report
 
 
@@ -286,18 +281,7 @@ def _check(name: str, instances: int, failures: list) -> dict:
     }
 
 
-def _valuation_idempotent_cuts(g: ValueGroup) -> list[C.Cut]:
-    out = []
-    for lvl in range(1, g.rank + 1):
-        out.append(C.ring_cut(g, lvl))
-        if g.components[lvl - 1].dense:
-            out.append(C.prime_cut(g, lvl))
-    return out
-
-
-def _verify_valuation(g: ValueGroup, samples: int, rng: random.Random) -> list[dict]:
-    checks = []
-
+def _cut_regularity(g: ValueGroup, samples: int, rng: random.Random) -> dict:
     failures = []
     for _ in range(samples):
         a = S.random_cut(rng, g)
@@ -305,9 +289,27 @@ def _verify_valuation(g: ValueGroup, samples: int, rng: random.Random) -> list[d
             C.is_regular(g, a)
         except C.InternalInconsistencyError as e:
             failures.append(f"{C.format_cut(a)}: {e}")
-    checks.append(_check("regularity", samples, failures))
+    return _check("regularity", samples, failures)
 
-    idems = _valuation_idempotent_cuts(g)
+
+def _semigroup_cross_check(adapter, draw_seeds) -> dict:
+    """Three sampled closures, each seeded with the classes of the ideals
+    `draw_seeds()` returns, against the Cayley-table oracle."""
+    failures = []
+    for _ in range(3):
+        seeds = [adapter.class_of(a) for a in draw_seeds()]
+        closure = SG.sample_closure(adapter, seeds, 256)
+        if not closure.saturated:
+            failures.append("sampled closure did not saturate within budget 256")
+            continue
+        failures.extend(SG.cross_check(closure, adapter).mismatches)
+    return _check("semigroup_cross_check", 3, failures)
+
+
+def _verify_valuation(g: ValueGroup, samples: int, rng: random.Random) -> list[dict]:
+    checks = [_cut_regularity(g, samples, rng)]
+
+    idems = [C.form_cut(g, f) for f in C.idempotent_forms(g)]
     failures = []
     for _ in range(samples):
         a = S.random_cut(rng, g)
@@ -331,17 +333,8 @@ def _verify_valuation(g: ValueGroup, samples: int, rng: random.Random) -> list[d
                             f" vs {C.format_cut(base)}")
     checks.append(_check("overring_transfer", samples, failures))
 
-    vm = C.ValuationClassModel(g)
-    failures = []
-    for _ in range(3):
-        seeds = [vm.class_of(S.random_cut(rng, g)) for _ in range(5)]
-        closure = SG.sample_closure(vm, seeds, 256)
-        if not closure.saturated:
-            failures.append("sampled closure did not saturate within budget 256")
-            continue
-        rep = SG.cross_check(closure, vm)
-        failures.extend(rep.mismatches)
-    checks.append(_check("semigroup_cross_check", 3, failures))
+    checks.append(_semigroup_cross_check(
+        C.ValuationClassModel(g), lambda: [S.random_cut(rng, g) for _ in range(5)]))
     return checks
 
 
@@ -377,38 +370,20 @@ def _verify_pruefer(model: P.PrueferModel, samples: int, rng: random.Random) -> 
 
     failures = []
     total = 0
-    for form in sorted(forms, key=lambda f: (f.overring.levels, sorted(f.open_components))):
+    for form in sorted(forms, key=_form_order):
         rep = P.verify_exact_sequence(model, form, samples, rng)
         total += samples
         failures.extend(f"{format_form(form)}: {msg}" for msg in rep.failures)
     checks.append(_check("exact_sequence", total, failures))
 
-    pm = P.PrueferClassModel(model)
-    failures = []
-    for _ in range(3):
-        seeds = [pm.class_of(_random_tuple(rng, model)) for _ in range(4)]
-        closure = SG.sample_closure(pm, seeds, 256)
-        if not closure.saturated:
-            failures.append("sampled closure did not saturate within budget 256")
-            continue
-        rep = SG.cross_check(closure, pm)
-        failures.extend(rep.mismatches)
-    checks.append(_check("semigroup_cross_check", 3, failures))
+    checks.append(_semigroup_cross_check(
+        P.PrueferClassModel(model), lambda: [_random_tuple(rng, model) for _ in range(4)]))
     return checks
 
 
 def _verify_polyext(model: X.PolyExtModel, samples: int, rng: random.Random) -> list[dict]:
-    checks = []
     g = model.base
-
-    failures = []
-    for _ in range(samples):
-        a = S.random_cut(rng, g)
-        try:
-            C.is_regular(g, a)
-        except C.InternalInconsistencyError as e:
-            failures.append(f"{C.format_cut(a)}: {e}")
-    checks.append(_check("regularity", samples, failures))
+    checks = [_cut_regularity(g, samples, rng)]
 
     dec = X.decompose(model)
     failures = []
@@ -422,17 +397,9 @@ def _verify_polyext(model: X.PolyExtModel, samples: int, rng: random.Random) -> 
     checks.append(_check("strongly_discrete_detector", 1,
                          [] if detector_ok else ["detector disagrees with component density"]))
 
-    pm = X.PolyClassModel(model)
-    failures = []
-    for _ in range(3):
-        seeds = [pm.class_of(X.extended_class(model, S.random_cut(rng, g))) for _ in range(5)]
-        closure = SG.sample_closure(pm, seeds, 256)
-        if not closure.saturated:
-            failures.append("sampled closure did not saturate within budget 256")
-            continue
-        rep = SG.cross_check(closure, pm)
-        failures.extend(rep.mismatches)
-    checks.append(_check("semigroup_cross_check", 3, failures))
+    checks.append(_semigroup_cross_check(
+        X.PolyClassModel(model),
+        lambda: [X.extended_class(model, S.random_cut(rng, g)) for _ in range(5)]))
     return checks
 
 
@@ -459,12 +426,7 @@ def cmd_verify(kind: str, model, samples: int, seed: int, fixture: str | None) -
     else:
         checks = _verify_polyext(model, samples, rng)
     if fixture is not None:
-        try:
-            with open(fixture, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as e:
-            raise UsageError(f"cannot read fixture {fixture!r}: {e}") from e
-        checks.append(_check_fixture(text))
+        checks.append(_check_fixture(_read_text(fixture, "fixture")))
     return {
         "command": "verify",
         "model": model_echo(kind, model),
@@ -527,8 +489,24 @@ def _emit(report: dict, json_out: str | None, lines: list[str]) -> None:
         print(line)
     if json_out:
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-        with open(json_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(json_out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except (OSError, ValueError) as e:  # ValueError: NUL in the path
+            raise UsageError(f"cannot write report {json_out!r}: {e}") from e
+
+
+def _replay(args) -> str:
+    """The command line that reruns `args`, on one line (a raw newline is
+    insignificant whitespace in inline JSON)."""
+    words = [args.command, args.spec]
+    if args.command == "classify":
+        words += ["--ideal", args.ideal]
+    elif args.command == "verify":
+        words += ["--samples", str(args.samples), "--seed", str(args.seed)]
+        if args.fixture is not None:
+            words += ["--fixture", args.fixture]
+    return "tclass " + " ".join(shlex.quote(w.replace("\n", " ")) for w in words)
 
 
 def main(argv=None) -> int:
@@ -552,6 +530,10 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except C.InternalInconsistencyError as e:
+        print(f"error: internal inconsistency: {e}; replay with: {_replay(args)}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

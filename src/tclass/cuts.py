@@ -20,6 +20,7 @@ to the unique canonical representative of the same upper set.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -348,6 +349,19 @@ def form_cut(g: ValueGroup, form: IdempotentForm) -> Cut:
     return ring_cut(g, level)
 
 
+def idempotent_forms(g: ValueGroup) -> list[IdempotentForm]:
+    """Every idempotent of the valuation domain as a rank-1 form, by level:
+    the overring at the level, then its maximal ideal when the level's
+    component is dense (an idempotent prime)."""
+    forms = []
+    for level in range(1, g.rank + 1):
+        overring = OverringSpec((level,))
+        forms.append(IdempotentForm(overring, frozenset()))
+        if g.components[level - 1].dense:
+            forms.append(IdempotentForm(overring, frozenset({0})))
+    return forms
+
+
 @dataclass(frozen=True)
 class RegularityWitness:
     idempotent: Cut
@@ -473,16 +487,38 @@ def cut_to_json(a: Cut):
     }
 
 
+# Size limits on a boundary coordinate, checked before Fraction() reads it:
+# "1e1000000000" is twelve characters but denotes a billion-digit integer.
+MAX_COORDINATE_CHARS = 100
+MAX_EXPONENT = 100
+_EXPONENT = re.compile(r"[eE][+-]?(\d+(?:_\d+)*)")  # as Fraction() reads it
+
+
+def _coordinate(c) -> Fraction:
+    if isinstance(c, bool) or not isinstance(c, (int, float, str)):
+        raise MalformedCutError(f"a boundary coordinate is a rational or a string, got {c!r}")
+    text = str(c)
+    exp = _EXPONENT.search(text)
+    if len(text) > MAX_COORDINATE_CHARS or (exp and int(exp.group(1)) > MAX_EXPONENT):
+        raise MalformedCutError(
+            f"boundary coordinate {text[:24]!r} exceeds the literal limits "
+            f"({MAX_COORDINATE_CHARS} characters, exponent at most {MAX_EXPONENT})"
+        )
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as e:
+        raise MalformedCutError(f"bad boundary coordinate {text!r}: {e}") from None
+
+
 def cut_from_json(obj) -> Cut:
     if not isinstance(obj, dict) or set(obj) != {"level", "boundary", "side"}:
         raise MalformedCutError(f"a cut literal has keys level/boundary/side, got {obj!r}")
-    try:
-        boundary = tuple(Fraction(str(c)) for c in obj["boundary"])
-    except (ValueError, ZeroDivisionError) as e:
-        raise MalformedCutError(f"bad boundary {obj['boundary']!r}: {e}") from None
-    if not isinstance(obj["level"], int):
-        raise MalformedCutError(f"level must be an integer, got {obj['level']!r}")
-    return Cut(obj["level"], boundary, obj["side"])
+    level, boundary = obj["level"], obj["boundary"]
+    if isinstance(level, bool) or not isinstance(level, int):
+        raise MalformedCutError(f"level must be an integer, got {level!r}")
+    if not isinstance(boundary, list):
+        raise MalformedCutError(f"boundary must be a list of rationals, got {boundary!r}")
+    return Cut(level, tuple(_coordinate(c) for c in boundary), obj["side"])
 
 
 def format_cut(a: Cut) -> str:
@@ -504,9 +540,6 @@ class ValuationClassModel:
 
     def mul(self, x: CutClass, y: CutClass) -> CutClass:
         return self.class_of(mul(self.group, x.rep, y.rep))
-
-    def is_idempotent_class(self, x: CutClass) -> bool:
-        return self.mul(x, x) == x
 
     def idempotent_of(self, x: CutClass) -> CutClass:
         return self.class_of(idempotent_cut(self.group, x.rep))

@@ -26,14 +26,36 @@ class UndefinedQuotientError(ValueError):
     pass
 
 
+# Deterministic Miller-Rabin: the prime bases 2..37 decide every n below
+# PRIMALITY_BOUND (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIMALITY_BOUND = 318665857834031151167461
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    if p >= PRIMALITY_BOUND:
+        raise ValueError(
+            f"{p} is not below {PRIMALITY_BOUND}, the limit of the exact primality test"
+        )
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -117,27 +139,6 @@ class ValueGroup:
         return (Fraction(0),) * self.rank
 
 
-def add(g: ValueGroup, a, b):
-    if len(a) != g.rank or len(b) != g.rank:
-        raise MalformedElementError("rank mismatch")
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def neg(g: ValueGroup, a):
-    return tuple(-x for x in a)
-
-
-def compare(g: ValueGroup, a, b) -> int:
-    """Lexicographic order, most significant coordinate first: -1, 0 or 1."""
-    ta, tb = tuple(a), tuple(b)
-    return (ta > tb) - (ta < tb)
-
-
-def convex_subgroups(g: ValueGroup) -> range:
-    """Indices i of the convex subgroups H_i, from H_0 = G down to H_n = 0."""
-    return range(g.rank + 1)
-
-
 def quotient_has_least_positive(g: ValueGroup, index: int) -> bool:
     """Does G/H_index have a least positive element?
 
@@ -173,7 +174,9 @@ def component_from_json(obj) -> ArchComponent:
         return Q
     if isinstance(obj, dict) and set(obj) == {"Zloc"}:
         primes = obj["Zloc"]
-        if not isinstance(primes, list) or not all(isinstance(p, int) for p in primes):
+        if not isinstance(primes, list) or not all(
+            isinstance(p, int) and not isinstance(p, bool) for p in primes
+        ):
             raise ValueError(f"Zloc wants a list of primes, got {primes!r}")
         return Zloc(*primes)
     raise ValueError(f"unknown component descriptor {obj!r}")

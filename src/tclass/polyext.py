@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import ValueGroup, describe_component, is_strongly_discrete
+from .groups import ValueGroup, describe_component
 from . import cuts as C
 from .cuts import Cut, CutClass, IdempotentForm
 
@@ -88,15 +88,16 @@ def enumerate_t_linked_overrings(m: PolyExtModel) -> list[TLinkedOverring]:
     return [TLinkedOverring(i) for i in range(1, m.base.rank + 1)]
 
 
+def _idempotent(form: IdempotentForm):
+    level = form.overring.levels[0]
+    return IdempotentMaxClass(level) if form.open_components else TLinkedOverring(level)
+
+
 def classify(m: PolyExtModel, s: SymIdealClass):
     """Lift the coefficient classification through the extension: the
     stabilizer of f.B[X] is (B:B)[X], so the idempotent is V_p[X] for a
     side-closed coefficient and the p[X]-type class for a side-open one."""
-    form: IdempotentForm = C.classify_idempotent(m.base, s.coeff.rep)
-    level = form.overring.levels[0]
-    if form.open_components:
-        return IdempotentMaxClass(level)
-    return TLinkedOverring(level)
+    return _idempotent(C.classify_idempotent(m.base, s.coeff.rep))
 
 
 def _group_for(m: PolyExtModel, idem) -> GroupDescriptor:
@@ -123,11 +124,10 @@ def decompose(m: PolyExtModel) -> StDecomposition:
     groups.  Dense levels add one idempotent maximal class each, whose
     group is the coefficient constituent group over representable classes.
     """
-    idems: list = list(enumerate_t_linked_overrings(m))
-    if not is_strongly_discrete(m.base):
-        idems.extend(IdempotentMaxClass(i) for i in t_idempotent_primes(m))
-    groups = tuple(_group_for(m, e) for e in idems)
-    return StDecomposition(tuple(idems), groups)
+    # Overrings first, then the idempotent maximal classes, each by level.
+    forms = sorted(C.idempotent_forms(m.base), key=lambda f: bool(f.open_components))
+    idems = tuple(_idempotent(f) for f in forms)
+    return StDecomposition(idems, tuple(_group_for(m, e) for e in idems))
 
 
 def sym_to_json(s: SymIdealClass) -> dict:
@@ -155,9 +155,6 @@ class PolyClassModel:
 
     def mul(self, x: SymIdealClass, y: SymIdealClass) -> SymIdealClass:
         return SymIdealClass(self._inner.mul(x.coeff, y.coeff))
-
-    def is_idempotent_class(self, x: SymIdealClass) -> bool:
-        return self.mul(x, x) == x
 
     def idempotent_of(self, x: SymIdealClass) -> SymIdealClass:
         return SymIdealClass(self._inner.idempotent_of(x.coeff))

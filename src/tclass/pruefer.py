@@ -12,6 +12,7 @@ componentwise localization classes project out.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -158,19 +159,6 @@ def tmax_containing(model: PrueferModel, a: IdealTuple) -> frozenset[int]:
         if C.is_subset(g, c, C.max_ideal_cut(g)):
             out.add(i)
     return frozenset(out)
-
-
-def wedge(model: PrueferModel, i: int, j: int) -> None:
-    """Largest common prime of the i-th and j-th maximal ideals.
-
-    Independence means there is none; the return value None encodes the
-    zero ideal.  Asking about a component against itself is a caller bug.
-    """
-    if not (0 <= i < model.k and 0 <= j < model.k):
-        raise DomainMismatchError("component index out of range")
-    if i == j:
-        raise ValueError("wedge wants two distinct components")
-    return None
 
 
 # === classes and groups ===
@@ -407,28 +395,16 @@ def verify_exact_sequence(model: PrueferModel, form: IdempotentForm,
 
 def enumerate_idempotent_forms(model: PrueferModel) -> list[IdempotentForm]:
     """All canonical idempotent tuples of the model, as forms: each
-    component picks a level and, when dense there, optionally its
-    idempotent maximal ideal."""
-    per_component = []
-    for g in model.valuations:
-        opts = []
-        for lvl in range(1, g.rank + 1):
-            opts.append((lvl, False))
-            if g.components[lvl - 1].dense:
-                opts.append((lvl, True))
-        per_component.append(opts)
-
-    forms = []
-
-    def rec(i, levels, opens):
-        if i == model.k:
-            forms.append(IdempotentForm(OverringSpec(tuple(levels)), frozenset(opens)))
-            return
-        for lvl, is_open in per_component[i]:
-            rec(i + 1, levels + [lvl], opens | ({i} if is_open else set()))
-
-    rec(0, [], set())
-    return forms
+    component picks one of its rank-1 forms (a level and, when dense there,
+    optionally its idempotent maximal ideal), the first component varying
+    slowest."""
+    return [
+        IdempotentForm(
+            OverringSpec(tuple(f.overring.levels[0] for f in picks)),
+            frozenset(i for i, f in enumerate(picks) if f.open_components),
+        )
+        for picks in itertools.product(*(C.idempotent_forms(g) for g in model.valuations))
+    ]
 
 
 # === JSON and adapters ===
@@ -467,9 +443,6 @@ class PrueferClassModel:
         prod = t_closure(self.model, mul(
             self.model, tuple_of_class(self.model, x), tuple_of_class(self.model, y)))
         return class_of(self.model, prod)
-
-    def is_idempotent_class(self, x: TupleClass) -> bool:
-        return self.mul(x, x) == x
 
     def idempotent_of(self, x: TupleClass) -> TupleClass:
         a = tuple_of_class(self.model, x)

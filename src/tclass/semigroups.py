@@ -4,8 +4,10 @@ This is the package's second opinion: Cayley tables built by multiplying
 sampled ideal classes, analyzed purely by the definitions (idempotents,
 Clifford regularity, constituent groups) with exhaustive search.  Nothing
 here imports the exact models; they are reached only through a duck-typed
-handle exposing class_of/mul/is_idempotent_class/idempotent_of, so the two
-sides can disagree and the disagreement means a bug.
+handle exposing class_of/mul/idempotent_of/describe.  The table comes from
+`mul` and the model's side of every comparison from `idempotent_of`, the
+model's own classification, so the two sides can disagree and the
+disagreement means a bug.
 """
 
 from __future__ import annotations
@@ -201,24 +203,25 @@ def cross_check(closure: SampleClosure, model) -> CrossCheckReport:
     elements: same idempotents, same assignment of elements to constituent
     groups, Clifford on the oracle side."""
     rep = CrossCheckReport()
+    elems = closure.elements
+    idem_of = [model.idempotent_of(x) for x in elems]
     if not closure.saturated:
         rep.warnings.append("closure not saturated; checks restricted to the sampled set")
         rep.clifford = True
         rep.idempotents_match = True
         rep.groups_match = True
-        for x in closure.elements:
-            if model.is_idempotent_class(x) and model.mul(x, x) != x:
+        for x, e in zip(elems, idem_of):
+            if (e == x) != (model.mul(x, x) == x):
                 rep.mismatches.append(f"inconsistent idempotence at {model.describe(x)}")
         return rep
     s = closure.semigroup
-    elems = closure.elements
 
     rep.clifford = is_clifford(s)
     if not rep.clifford:
         rep.mismatches.append("oracle table is not Clifford")
 
     oracle_idems = idempotents(s)
-    model_idems = frozenset(i for i, x in enumerate(elems) if model.is_idempotent_class(x))
+    model_idems = frozenset(i for i, (x, e) in enumerate(zip(elems, idem_of)) if e == x)
     rep.idempotents_match = oracle_idems == model_idems
     if not rep.idempotents_match:
         rep.mismatches.append(
@@ -228,10 +231,7 @@ def cross_check(closure: SampleClosure, model) -> CrossCheckReport:
     rep.groups_match = True
     for e in sorted(oracle_idems):
         grp = constituent_group(s, e)
-        model_members = frozenset(
-            i for i, x in enumerate(elems)
-            if model.idempotent_of(x) == elems[e]
-        )
+        model_members = frozenset(i for i, f in enumerate(idem_of) if f == elems[e])
         if frozenset(grp.members) != model_members:
             rep.groups_match = False
             rep.mismatches.append(

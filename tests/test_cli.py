@@ -1,9 +1,15 @@
 """Command-line behavior: reports, determinism, exit codes."""
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tclass import cuts
 from tclass.cli import main
 
 C3_TEXT = "3\n2 0 1\n0 1 2\n1 2 0\n"
@@ -279,3 +285,204 @@ def test_missing_fixture_file_is_usage_error(tmp_path, capsys):
     assert main(["verify", spec, "--samples", "0",
                  "--fixture", str(tmp_path / "nope.txt")]) == 1
     assert "fixture" in capsys.readouterr().err
+
+
+# -- malformed input: exit 1, one `error:` line, no traceback -----------------
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("literal", [
+    cut_lit(True, [1], "closed"),
+    {"level": 2, "boundary": "12", "side": "closed"},
+    {"level": 1, "boundary": {"3": 1}, "side": "closed"},
+    cut_lit(1, ["1e100000"], "closed"),
+    cut_lit(1, ["1e1000000000"], "closed"),
+    cut_lit(1, ["1e-1000000000"], "closed"),
+    cut_lit(1, ["1e1_000_000_000"], "closed"),
+    cut_lit(1, ["7" * 5000], "closed"),
+    {"level": 1, "boundary": [True], "side": "closed"},
+    {"level": 1, "boundary": [None], "side": "closed"},
+], ids=["bool-level", "string-boundary", "dict-boundary", "1e100000", "1e1000000000",
+        "1e-1000000000", "underscored-exponent", "5000-digit-string", "bool-coordinate",
+        "null-coordinate"])
+def test_malformed_cut_literal_is_usage_error(tmp_path, capsys, literal):
+    spec = valuation_spec(tmp_path, group=("Z", "Q"))
+    assert main(["classify", spec, "--ideal", json.dumps(literal)]) == 1
+    assert "ideal literal" in one_error_line(capsys)
+
+
+def test_huge_json_integer_is_usage_error(tmp_path, capsys):
+    spec = valuation_spec(tmp_path)
+    text = '{"level": 1, "boundary": [' + "7" * 5000 + '], "side": "closed"}'
+    assert main(["classify", spec, "--ideal", text]) == 1
+    one_error_line(capsys)
+
+
+def test_deeply_nested_json_is_usage_error(tmp_path, capsys):
+    deep = "[" * 200_000 + "]" * 200_000
+    spec = write(tmp_path, "deep.json", deep)
+    assert main(["decompose", spec]) == 1
+    one_error_line(capsys)
+    assert main(["classify", valuation_spec(tmp_path), "--ideal", deep]) == 1
+    one_error_line(capsys)
+
+
+def test_non_utf8_files_are_usage_errors(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"kind": "valuation"}')
+    assert main(["decompose", str(bad)]) == 1
+    one_error_line(capsys)
+    spec = valuation_spec(tmp_path)
+    assert main(["classify", spec, "--ideal", str(bad)]) == 1
+    one_error_line(capsys)
+    assert main(["verify", spec, "--samples", "0", "--fixture", str(bad)]) == 1
+    assert "fixture" in one_error_line(capsys)
+
+
+def test_path_with_nul_byte_is_usage_error(tmp_path, capsys):
+    assert main(["decompose", "spec\0.json"]) == 1
+    one_error_line(capsys)
+
+
+def test_unwritable_report_path_is_usage_error(tmp_path, capsys):
+    spec = valuation_spec(tmp_path)
+    assert main(["decompose", spec, "--json", str(tmp_path / "no" / "such" / "r.json")]) == 1
+    assert "cannot write report" in one_error_line(capsys)
+
+
+def test_unhashable_kind_is_usage_error(tmp_path, capsys):
+    spec = write(tmp_path, "spec.json", {"kind": ["valuation"], "group": ["Z"]})
+    assert main(["decompose", spec]) == 1
+    assert "unknown kind" in one_error_line(capsys)
+
+
+def test_large_zloc_prime_is_fast(tmp_path, capsys):
+    spec = write(tmp_path, "spec.json",
+                 {"kind": "valuation", "group": [{"Zloc": [1000000000000000003]}]})
+    assert main(["decompose", spec]) == 0
+    assert "Z[1/1000000000000000003]" in capsys.readouterr().out
+
+
+def test_zloc_beyond_primality_bound_is_usage_error(tmp_path, capsys):
+    # 2^89 - 1 is a Mersenne prime above the deterministic Miller-Rabin bound
+    spec = write(tmp_path, "spec.json",
+                 {"kind": "valuation", "group": [{"Zloc": [2 ** 89 - 1]}]})
+    assert main(["decompose", spec]) == 1
+    assert "primality" in one_error_line(capsys)
+
+
+# -- exit code 2: internal inconsistencies ------------------------------------
+
+
+def planted(*args):
+    raise cuts.InternalInconsistencyError("planted")
+
+
+def test_internal_inconsistency_in_classify_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cuts, "classify_idempotent", planted)
+    spec = valuation_spec(tmp_path)
+    literal = json.dumps(cut_lit(1, [3], "closed"), indent=1)
+    assert main(["classify", spec, "--ideal", literal]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "planted" in err
+    assert "classify" in err and spec in err and '"boundary":' in err
+
+
+def test_internal_inconsistency_in_verify_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cuts, "idempotent_cut", planted)
+    spec = valuation_spec(tmp_path)
+    assert main(["verify", spec, "--samples", "3", "--seed", "11"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "planted" in err
+    assert "verify" in err and spec in err and "--seed 11" in err
+
+
+# -- fuzz: any JSON, any literal, every command ends in exit 0, 1 or 2 --------
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+NUMBERS = st.sampled_from([
+    "0", "1/3", "-2/4", "1/0", "12", "1e100000", "1e-100000", "1e1000000000", "0.5",
+    "1e1_0", "1e1_000_000_000",
+    "nan", "inf", " 1 ", "1_0", "", "x",
+]) | st.integers() | st.floats() | st.booleans() | st.none()
+CUT = st.fixed_dictionaries({
+    "level": st.integers(-1, 4) | st.booleans() | st.floats() | st.text(max_size=2),
+    "boundary": st.lists(NUMBERS, max_size=4) | NUMBERS | st.dictionaries(
+        st.text(max_size=2), NUMBERS, max_size=2),
+    "side": st.sampled_from(["open", "closed", "Open", "", 1, None]),
+})
+LITERAL = CUT | st.fixed_dictionaries({"cuts": st.lists(CUT, max_size=3)}) \
+    | st.fixed_dictionaries({"coeff": CUT}) | JSON
+COMPONENT = st.sampled_from(["Z", "Q", "R", 0, None]) | st.fixed_dictionaries(
+    {"Zloc": st.lists(st.sampled_from([2, 3, 4, 1, 0, -3, True, 10 ** 12 + 39, 2 ** 89 - 1])
+                      | st.integers(), max_size=2)})
+GROUP = st.lists(COMPONENT, max_size=2) | JSON
+SPEC = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("valuation"), "group": GROUP}),
+    st.fixed_dictionaries({"kind": st.just("pruefer_fc"),
+                           "valuations": st.lists(GROUP, max_size=2) | JSON}),
+    st.fixed_dictionaries({"kind": st.just("poly_ext"), "base": GROUP}),
+    st.fixed_dictionaries({"kind": JSON}),
+    JSON,
+)
+VALID_SPEC = st.sampled_from([
+    {"kind": "valuation", "group": ["Z", "Q"]},
+    {"kind": "valuation", "group": [{"Zloc": [3]}]},
+    {"kind": "pruefer_fc", "valuations": [[{"Zloc": [2]}], ["Z"]]},
+    {"kind": "poly_ext", "base": ["Q"]},
+])
+
+
+def run_fuzzed(command, spec, literal=None):
+    """Run one command with the spec as a file and the literal inline (or as
+    a file when it is not an object or array); any escaping exception fails
+    the test."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = Path(tmp) / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        argv = [command, str(spec_path)]
+        if command == "classify":
+            text = json.dumps(literal)
+            if not text.startswith(("{", "[")):
+                lit_path = Path(tmp) / "ideal.json"
+                lit_path.write_text(text)
+                text = str(lit_path)
+            argv += ["--ideal", text]
+        elif command == "verify":
+            argv += ["--samples", "1"]
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    assert len(lines) <= 1 and all(line.startswith("error: ") for line in lines), lines
+    if code == 1:
+        assert lines, "exit 1 without a message"
+
+
+@settings(max_examples=200)
+@given(spec=SPEC | VALID_SPEC, literal=LITERAL)
+def test_fuzz_classify(spec, literal):
+    run_fuzzed("classify", spec, literal)
+
+
+@settings(max_examples=100)
+@given(spec=SPEC | VALID_SPEC)
+def test_fuzz_decompose(spec):
+    run_fuzzed("decompose", spec)
+
+
+@settings(max_examples=50)
+@given(spec=SPEC | VALID_SPEC)
+def test_fuzz_verify(spec):
+    run_fuzzed("verify", spec)

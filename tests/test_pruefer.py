@@ -162,15 +162,6 @@ def test_tmax_matches_direct_subset_test(model, rng):
             assert (i in got) == C.is_subset(g, cut, C.max_ideal_cut(g))
 
 
-def test_wedge_independence():
-    assert P.wedge(M_DD, 0, 1) is None
-    assert P.wedge(M_DD, 1, 0) is None
-    with pytest.raises(ValueError):
-        P.wedge(M_DD, 1, 1)
-    with pytest.raises(C.DomainMismatchError):
-        P.wedge(M_DD, 0, 2)
-
-
 def test_class_group_trivial_with_certificate(model, rng):
     t = P.stabilizer(model, random_tuple(rng, model))
     grp = P.class_group(model, t)
@@ -290,7 +281,6 @@ def test_pruefer_class_model_adapter(rng):
     sq = adapter.mul(x, x)
     assert sq == adapter.class_of(tup(Cut(1, (F(2, 3),), OPEN), Cut(1, (F(0),), OPEN)))
     j = adapter.idempotent_of(x)
-    assert adapter.is_idempotent_class(j)
     assert adapter.mul(j, j) == j
     assert isinstance(adapter.describe(x), str)
 

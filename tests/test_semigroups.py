@@ -203,6 +203,24 @@ def test_cross_check_catches_misassigned_idempotent():
     assert any("idempotent sets differ" in msg for msg in rep.mismatches)
 
 
+class SelfClassified(ValuationClassModel):
+    """Right products, wrong classification: every class claims to be its
+    own idempotent."""
+
+    def idempotent_of(self, x):
+        return x
+
+
+def test_cross_check_takes_model_idempotents_from_classification():
+    m = SelfClassified(ValueGroup((Zloc(2),)))
+    seeds = [m.class_of(Cut(1, (F(1, 3),), OPEN)), m.class_of(Cut(1, (F(0),), OPEN))]
+    rep = cross_check(sample_closure(m, seeds, 256), m)
+    assert not rep.idempotents_match
+    assert any("idempotent sets differ" in msg for msg in rep.mismatches)
+    unsaturated = cross_check(sample_closure(m, seeds, 2), m)
+    assert any("inconsistent idempotence" in msg for msg in unsaturated.mismatches)
+
+
 def test_fixture_round_trip():
     s = FiniteCommSemigroup(C3_ROWS)
     assert from_fixture(to_fixture(s)) == s
