@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import shlex
 import sys
@@ -485,8 +486,16 @@ def _build_parser() -> _Parser:
 
 
 def _emit(report: dict, json_out: str | None, lines: list[str]) -> None:
-    for line in lines:
-        print(line)
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed standard output early (`tclass ... | head`).  The
+        # rest of the text has nowhere to go; point the descriptor at the
+        # null device so the exit-time flush stays quiet, and still write
+        # the --json report.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if json_out:
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         try:

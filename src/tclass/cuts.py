@@ -33,6 +33,7 @@ from .groups import (
 
 CLOSED = "closed"
 OPEN = "open"
+_ZERO = Fraction(0)
 
 
 class MalformedCutError(ValueError):
@@ -62,7 +63,11 @@ class Cut:
     side: str
 
     def __post_init__(self):
-        object.__setattr__(self, "boundary", tuple(Fraction(c) for c in self.boundary))
+        # Parsers, samplers and the kernel already hand in tuples of
+        # Fractions; anything else (ints, strings, lists) is coerced once.
+        b = self.boundary
+        if type(b) is not tuple or not all(type(c) is Fraction for c in b):
+            object.__setattr__(self, "boundary", tuple(Fraction(c) for c in b))
         if self.side not in (CLOSED, OPEN):
             raise MalformedCutError(f"side must be {CLOSED!r} or {OPEN!r}, got {self.side!r}")
         if self.level < 1:
@@ -105,26 +110,27 @@ def normalize(g: ValueGroup, a: Cut) -> Cut:
     Canonical cuts therefore have member coordinates below the top, and at
     the top: closed cuts have a member boundary; open cuts exist only at
     dense components.  Distinct canonical cuts denote distinct upper sets;
-    the box oracle arbitrates this in the tests.
+    the box oracle arbitrates this in the tests.  A canonical argument is
+    returned as it is.
     """
     validate_cut(g, a)
-    level, boundary, side = a.level, list(a.boundary), a.side
+    level, boundary, side = a.level, a.boundary, a.side
     for j in range(level - 1):
         if not is_member(g.components[j], boundary[j]):
-            level, boundary, side = j + 1, boundary[: j + 1], OPEN
+            level, side = j + 1, OPEN
             break
     comp = g.components[level - 1]
     last = boundary[level - 1]
     if is_member(comp, last):
         if side == OPEN and not comp.dense:
-            boundary[level - 1] = last + 1
-            side = CLOSED
+            last, side = last + 1, CLOSED
     elif comp.dense:
         side = OPEN
     else:
-        boundary[level - 1] = Fraction(math.ceil(last))
-        side = CLOSED
-    return Cut(level, tuple(boundary), side)
+        last, side = Fraction(math.ceil(last)), CLOSED
+    if level == a.level and side == a.side and last is boundary[-1]:
+        return a
+    return Cut(level, boundary[: level - 1] + (last,), side)
 
 
 def member(g: ValueGroup, a: Cut, x) -> bool:
@@ -166,7 +172,11 @@ def mul(g: ValueGroup, a: Cut, b: Cut) -> Cut:
     either side is open (a lower-level operand absorbs the other's side: its
     boundary fiber is reachable through the deeper coordinates).
     """
-    a, b = normalize(g, a), normalize(g, b)
+    return _mul(g, normalize(g, a), normalize(g, b))
+
+
+def _mul(g: ValueGroup, a: Cut, b: Cut) -> Cut:
+    # `mul` of canonical operands.
     level = min(a.level, b.level)
     boundary = tuple(x + y for x, y in zip(a.boundary, b.boundary))
     if a.level == b.level:
@@ -186,7 +196,11 @@ def quotient(g: ValueGroup, a: Cut, b: Cut) -> Cut:
     result to B's level.  An open divisor makes the infimum unattained and
     the residual closes.
     """
-    a, b = normalize(g, a), normalize(g, b)
+    return _quotient(g, normalize(g, a), normalize(g, b))
+
+
+def _quotient(g: ValueGroup, a: Cut, b: Cut) -> Cut:
+    # `quotient` of canonical operands.
     if b.level >= a.level:
         level = a.level
         c = b.boundary[: level]
@@ -204,24 +218,16 @@ def ring_cut(g: ValueGroup, level: Optional[int] = None) -> Cut:
     """The cut of V (full level) or of the localization at the height-`level` prime."""
     if level is None:
         level = g.rank
-    return Cut(level, (Fraction(0),) * level, CLOSED)
+    return Cut(level, (_ZERO,) * level, CLOSED)
 
 
 def prime_cut(g: ValueGroup, level: int) -> Cut:
     """Canonical cut of the height-`level` prime ideal."""
-    return normalize(g, Cut(level, (Fraction(0),) * level, OPEN))
-
-
-def max_ideal_cut(g: ValueGroup) -> Cut:
-    return prime_cut(g, g.rank)
+    return normalize(g, Cut(level, (_ZERO,) * level, OPEN))
 
 
 def inverse(g: ValueGroup, a: Cut) -> Cut:
     return quotient(g, ring_cut(g), a)
-
-
-def v_closure(g: ValueGroup, a: Cut) -> Cut:
-    return quotient(g, ring_cut(g), inverse(g, a))
 
 
 def _probe_point(g: ValueGroup, a: Cut):
@@ -229,8 +235,8 @@ def _probe_point(g: ValueGroup, a: Cut):
     coords = []
     for j in range(a.level - 1):
         coords.append(a.boundary[j])
-    coords.append(Fraction(math.ceil(a.boundary[a.level - 1])) + 1)
-    coords.extend(Fraction(0) for _ in range(g.rank - a.level))
+    coords.append(Fraction(math.ceil(a.boundary[a.level - 1]) + 1))
+    coords.extend(_ZERO for _ in range(g.rank - a.level))
     return g.element(coords)
 
 
@@ -253,7 +259,7 @@ def stabilizer(g: ValueGroup, a: Cut) -> Cut:
     """(I : I), the cut of the overring where the ideal lives; a ring cut."""
     a = normalize(g, a)
     out = ring_cut(g, a.level)
-    if quotient(g, a, a) != out:
+    if _quotient(g, a, a) != out:
         raise InternalInconsistencyError("stabilizer disagrees with (I : I)")
     return out
 
@@ -266,11 +272,9 @@ def t_closure_over(g: ValueGroup, level: int, a: Cut) -> Cut:
     the base; callers assert that equality."""
     a = normalize(g, a)
     t = ring_cut(g, level)
-    if mul(g, a, t) != a:
+    if _mul(g, a, t) != a:
         raise DomainMismatchError("not an ideal of the overring at this level")
-    gt = truncate(g, level)
-    ct = t_closure(gt, Cut(a.level, a.boundary, a.side))
-    return normalize(g, Cut(ct.level, ct.boundary, ct.side))
+    return normalize(g, t_closure(truncate(g, level), a))
 
 
 def translate(g: ValueGroup, a: Cut, shift) -> Cut:
@@ -283,14 +287,14 @@ def translate(g: ValueGroup, a: Cut, shift) -> Cut:
 
 def is_idempotent(g: ValueGroup, a: Cut) -> bool:
     a = normalize(g, a)
-    return mul(g, a, a) == a
+    return _mul(g, a, a) == a
 
 
 def idempotent_cut(g: ValueGroup, a: Cut) -> Cut:
     """The canonical idempotent attached to a's class: (I (T:I))_t with T = (I:I)."""
     a = normalize(g, a)
     t = stabilizer(g, a)
-    return t_closure(g, mul(g, a, quotient(g, t, a)))
+    return t_closure(g, _mul(g, a, _quotient(g, t, a)))
 
 
 @dataclass(frozen=True)
@@ -374,8 +378,8 @@ def is_regular(g: ValueGroup, a: Cut) -> RegularityWitness:
     value of a scalar q with (I^2)_t = qI.  A non-member boundary has no such
     scalar among representable shifts; the shift is None then."""
     a = normalize(g, a)
-    sq = mul(g, a, a)
-    back = t_closure(g, mul(g, sq, quotient(g, a, sq)))
+    sq = _mul(g, a, a)
+    back = t_closure(g, _mul(g, sq, _quotient(g, a, sq)))
     if back != a:
         raise InternalInconsistencyError("regularity identity I = (I^2 (I:I^2))_t failed")
     shift: Optional[tuple[Fraction, ...]] = None
@@ -392,7 +396,7 @@ def is_regular(g: ValueGroup, a: Cut) -> RegularityWitness:
 def _coset_rep(comp, q: Fraction) -> Fraction:
     # Canonical representative of q + C in Q/C, inside [0, 1).
     if comp.kind == "Q":
-        return Fraction(0)
+        return _ZERO
     if comp.kind == "Z":
         return q - math.floor(q)
     d = q.denominator
@@ -402,7 +406,7 @@ def _coset_rep(comp, q: Fraction) -> Fraction:
             d //= p
             s_part *= p
     if d == 1:
-        return Fraction(0)
+        return _ZERO
     inv = pow(s_part, -1, d)
     return Fraction(q.numerator * inv % d, d)
 
@@ -417,7 +421,7 @@ class CutClass:
 
 def class_of(g: ValueGroup, a: Cut) -> CutClass:
     a = normalize(g, a)
-    boundary = [Fraction(0)] * (a.level - 1)
+    boundary = [_ZERO] * (a.level - 1)
     boundary.append(_coset_rep(g.components[a.level - 1], a.boundary[-1]))
     return CutClass(Cut(a.level, tuple(boundary), a.side))
 
@@ -429,13 +433,13 @@ def residual_membership(g: ValueGroup, L: Cut, J: Cut) -> bool:
     L, J = normalize(g, L), normalize(g, J)
     if stabilizer(g, L) != stabilizer(g, J):
         return False
-    r = quotient(g, L, mul(g, L, L))
-    lr = t_closure(g, mul(g, L, r))
+    r = _quotient(g, L, _mul(g, L, L))
+    lr = t_closure(g, _mul(g, L, r))
     if lr != J:
         return False
-    if t_closure(g, mul(g, J, lr)) != J:
+    if t_closure(g, _mul(g, J, lr)) != J:
         return False
-    return t_closure(g, mul(g, L, quotient(g, J, L))) == J
+    return t_closure(g, _mul(g, L, _quotient(g, J, L))) == J
 
 
 def group_membership(g: ValueGroup, L: Cut, J: Cut) -> bool:

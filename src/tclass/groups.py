@@ -123,7 +123,7 @@ class ValueGroup:
 
     def element(self, coords) -> tuple[Fraction, ...]:
         """Validated element constructor: one member coordinate per component."""
-        xs = tuple(Fraction(c) for c in coords)
+        xs = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
         if len(xs) != self.rank:
             raise MalformedElementError(
                 f"expected {self.rank} coordinates, got {len(xs)}"

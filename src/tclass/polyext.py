@@ -83,11 +83,6 @@ def t_idempotent_primes(m: PolyExtModel) -> list[int]:
     return [i for i in range(1, m.base.rank + 1) if m.base.components[i - 1].dense]
 
 
-def enumerate_t_linked_overrings(m: PolyExtModel) -> list[TLinkedOverring]:
-    """One fractional t-linked overring per nonzero prime of V."""
-    return [TLinkedOverring(i) for i in range(1, m.base.rank + 1)]
-
-
 def _idempotent(form: IdempotentForm):
     level = form.overring.levels[0]
     return IdempotentMaxClass(level) if form.open_components else TLinkedOverring(level)

@@ -32,6 +32,12 @@ from .cuts import (
 )
 
 
+# The idempotent forms are a product over the valuations: each valuation
+# multiplies their number by its own count of rank-1 forms (at least 2 when
+# it has a dense level), and `decompose` and `verify` enumerate them all.
+MAX_IDEMPOTENT_FORMS = 4096
+
+
 @dataclass(frozen=True)
 class PrueferModel:
     """k independent valuations presented by their value groups."""
@@ -42,6 +48,14 @@ class PrueferModel:
         object.__setattr__(self, "valuations", tuple(self.valuations))
         if not self.valuations:
             raise ValueError("need at least one valuation")
+        count = 1
+        for g in self.valuations:
+            count *= len(C.idempotent_forms(g))
+            if count > MAX_IDEMPOTENT_FORMS:
+                raise ValueError(
+                    f"the valuations have more than {MAX_IDEMPOTENT_FORMS} idempotent forms "
+                    f"(the product over valuations of their rank-1 forms)"
+                )
 
     @property
     def k(self) -> int:
@@ -144,21 +158,6 @@ def classify_idempotent(model: PrueferModel, a: IdealTuple) -> IdempotentForm:
     if witness != form_tuple(model, form):
         raise InternalInconsistencyError("witness idempotent disagrees with tuple classification")
     return form
-
-
-def is_idempotent_tuple(model: PrueferModel, a: IdealTuple) -> bool:
-    a = normalize_tuple(model, a)
-    return mul(model, a, a) == a
-
-
-def tmax_containing(model: PrueferModel, a: IdealTuple) -> frozenset[int]:
-    """Indices of the t-maximal ideals of R containing the tuple (0-based)."""
-    a = normalize_tuple(model, a)
-    out = set()
-    for i, (g, c) in enumerate(zip(model.valuations, a.cuts)):
-        if C.is_subset(g, c, C.max_ideal_cut(g)):
-            out.add(i)
-    return frozenset(out)
 
 
 # === classes and groups ===
@@ -264,9 +263,15 @@ def class_group(model: PrueferModel, t: OverringSpec) -> TrivialClassGroup:
 def psi_localize(model: PrueferModel, a: IdealTuple, form: IdempotentForm) -> tuple[CutClass, ...]:
     """Project a group member to its localization classes, one per side-open
     component, each read in the value group truncated at that component's
-    level (the value group of the localization)."""
+    level (the value group of the localization).
+
+    Membership is the operative test, the class's idempotent being the
+    form's; `classify_idempotent` checks its witness on the way.  The
+    residual-arithmetic audit of `group_membership` is not repeated here:
+    it runs in the `idempotent_uniqueness` check of `verify` and on every
+    operand of `cuts.group_mul`."""
     a = normalize_tuple(model, a)
-    if not group_membership(model, a, form):
+    if classify_idempotent(model, a) != form:
         raise NotInGroupError("tuple class lies outside the constituent group")
     out = []
     for i in sorted(form.open_components):
@@ -300,30 +305,25 @@ def _random_group_member(rng: random.Random, model: PrueferModel,
     return IdealTuple(tuple(cuts))
 
 
-def _random_target(rng: random.Random, model: PrueferModel,
-                   form: IdempotentForm) -> tuple[CutClass, ...]:
+def _random_target(rng: random.Random, local: list) -> tuple[CutClass, ...]:
     from .sampling import random_rational
 
     out = []
-    for i in sorted(form.open_components):
-        g = model.valuations[i]
-        lvl = form.overring.levels[i]
-        gt = truncate(g, lvl)
+    for _, gt, _ in local:
+        lvl = gt.rank
         boundary = [Fraction(0)] * (lvl - 1)
-        boundary.append(random_rational(rng, g.components[lvl - 1]))
+        boundary.append(random_rational(rng, gt.components[lvl - 1]))
         out.append(C.class_of(gt, Cut(lvl, tuple(boundary), OPEN)))
     return tuple(out)
 
 
-def _lift_target(model: PrueferModel, form: IdempotentForm,
+def _lift_target(model: PrueferModel, j: IdealTuple, local: list,
                  target: tuple[CutClass, ...]) -> IdealTuple:
     """Componentwise preimage: plant each target representative at its
-    component, keep the idempotent elsewhere."""
-    j = form_tuple(model, form)
+    component, keep the idempotent `j` elsewhere."""
     cuts = list(j.cuts)
-    for r, i in zip(target, sorted(form.open_components)):
-        g = model.valuations[i]
-        cuts[i] = C.normalize(g, Cut(r.rep.level, r.rep.boundary, r.rep.side))
+    for r, (i, _, _) in zip(target, local):
+        cuts[i] = C.normalize(model.valuations[i], r.rep)
     return IdealTuple(tuple(cuts))
 
 
@@ -354,10 +354,20 @@ def verify_exact_sequence(model: PrueferModel, form: IdempotentForm,
     """
     rep = ExactnessReport(form=form, samples=samples)
     cl = class_group(model, form.overring)
-    ident = psi_localize(model, form_tuple(model, form), form)
+    # Per-form constants: the idempotent, its class, and for each side-open
+    # component the value group of its localization with that group's
+    # idempotent maximal ideal.
+    j = form_tuple(model, form)
+    identity = group_identity(model, form)
+    local = []
+    for i in sorted(form.open_components):
+        level = form.overring.levels[i]
+        gt = truncate(model.valuations[i], level)
+        local.append((i, gt, C.prime_cut(gt, level)))
+    ident = psi_localize(model, j, form)
 
     embedded = phi_embed(model, cl.identity(model), form)
-    if embedded != group_identity(model, form):
+    if embedded != identity:
         rep.failures.append(f"embedding of Cl(T) identity missed the group identity: {embedded}")
 
     for _ in range(samples):
@@ -366,26 +376,20 @@ def verify_exact_sequence(model: PrueferModel, form: IdempotentForm,
         ab = t_closure(model, mul(model, a, b))
 
         pa, pb, pab = (psi_localize(model, x, form) for x in (a, b, ab))
-        want = tuple(
-            C.group_mul(truncate(model.valuations[i], form.overring.levels[i]),
-                        x, y,
-                        C.prime_cut(truncate(model.valuations[i], form.overring.levels[i]),
-                                    form.overring.levels[i]))
-            for x, y, i in zip(pa, pb, sorted(form.open_components))
-        )
+        want = tuple(C.group_mul(gt, x, y, m) for x, y, (_, gt, m) in zip(pa, pb, local))
         rep.homomorphism_checks += 1
         if pab != want:
             rep.failures.append(f"projection not multiplicative at {a} * {b}")
 
         rep.kernel_checks += 1
-        if pa == ident and class_of(model, a) != group_identity(model, form):
+        if pa == ident and class_of(model, a) != identity:
             rep.failures.append(f"kernel element outside the embedded image: {a}")
         rep.injectivity_checks += 1
         if pa == pb and class_of(model, a) != class_of(model, b):
             rep.failures.append(f"projection identified distinct classes: {a} vs {b}")
 
-        target = _random_target(rng, model, form)
-        lift = _lift_target(model, form, target)
+        target = _random_target(rng, local)
+        lift = _lift_target(model, j, local, target)
         rep.surjectivity_checks += 1
         if psi_localize(model, lift, form) != target:
             rep.failures.append(f"constructed preimage missed its target {target}")

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tclass
 from tclass import cuts
 from tclass.cli import main
 
@@ -374,6 +378,34 @@ def test_zloc_beyond_primality_bound_is_usage_error(tmp_path, capsys):
                  {"kind": "valuation", "group": [{"Zloc": [2 ** 89 - 1]}]})
     assert main(["decompose", spec]) == 1
     assert "primality" in one_error_line(capsys)
+
+
+def test_too_many_idempotent_forms_is_usage_error(tmp_path, capsys):
+    # 16 dense valuations would have 2^16 idempotent forms
+    spec = write(tmp_path, "spec.json", {"kind": "pruefer_fc", "valuations": [["Q"]] * 16})
+    for argv in (["decompose", spec], ["verify", spec, "--samples", "0"]):
+        assert main(argv) == 1
+        assert "4096 idempotent forms" in one_error_line(capsys)
+    at_limit = write(tmp_path, "limit.json", {"kind": "pruefer_fc", "valuations": [["Q"]] * 12})
+    assert main(["decompose", at_limit]) == 0
+    assert "idempotents: 4096" in capsys.readouterr().out
+
+
+def test_closed_stdout_ends_quietly_and_still_writes_json(tmp_path):
+    # 1024 idempotent forms print about 330 kB, far more than a pipe holds,
+    # so the reader's early close reaches the writer mid-output.
+    spec = write(tmp_path, "spec.json", {"kind": "pruefer_fc", "valuations": [["Q"]] * 10})
+    out = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(tclass.__file__).parent.parent))
+    proc = subprocess.Popen([sys.executable, "-m", "tclass", "decompose", spec, "--json", str(out)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"model: ")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == ""
+    assert json.loads(out.read_text())["idempotent_count"] == 1024
 
 
 # -- exit code 2: internal inconsistencies ------------------------------------

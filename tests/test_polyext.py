@@ -30,15 +30,6 @@ def test_t_idempotent_primes_empty_iff_strongly_discrete(group):
     assert (X.t_idempotent_primes(m) == []) == is_strongly_discrete(group)
 
 
-def test_enumerate_t_linked_overrings_counts():
-    assert len(X.enumerate_t_linked_overrings(model(Z, Z, Z))) == 3
-    assert len(X.enumerate_t_linked_overrings(model(Z))) == 1
-    assert X.enumerate_t_linked_overrings(model(Z, Q)) == [
-        X.TLinkedOverring(1),
-        X.TLinkedOverring(2),
-    ]
-
-
 def test_classify_examples():
     mq = X.PolyExtModel(QQ)
     assert X.classify(mq, X.extended_class(mq, Cut(1, (F(0),), OPEN))) == X.IdempotentMaxClass(1)

@@ -118,7 +118,7 @@ def test_form_tuple_components_match_open_set(model, rng):
         a = random_tuple(rng, model)
         form = P.classify_idempotent(model, a)
         j = P.form_tuple(model, form)
-        assert P.is_idempotent_tuple(model, j)
+        assert P.mul(model, j, j) == j
         for i, (g, cut) in enumerate(zip(model.valuations, j.cuts)):
             if i in form.open_components:
                 assert cut.side == OPEN
@@ -144,22 +144,17 @@ def test_regularity_componentwise(model, rng):
 
 
 def test_tmax_containing():
-    # the ring itself sits inside no maximal ideal; strictly positive or
-    # open-at-zero components are inside theirs; negative excluded
-    ring = tup(Cut(1, (F(0),), CLOSED), Cut(1, (F(0),), CLOSED))
-    assert P.tmax_containing(M_DD, ring) == frozenset()
-    both = tup(Cut(1, (F(1, 2),), CLOSED), Cut(1, (F(0),), OPEN))
-    assert P.tmax_containing(M_DD, both) == frozenset({0, 1})
-    neg = tup(Cut(1, (F(-1, 2),), CLOSED), Cut(1, (F(0),), OPEN))
-    assert P.tmax_containing(M_DD, neg) == frozenset({1})
+    # the t-maximal ideals of R containing a tuple are those of the
+    # components whose cut lies inside the component's maximal ideal: the
+    # ring itself sits inside none; strictly positive or open-at-zero
+    # components are inside theirs; negative excluded
+    def tmax(a):
+        return {i for i, (g, c) in enumerate(zip(M_DD.valuations, a.cuts))
+                if C.is_subset(g, c, C.prime_cut(g, g.rank))}
 
-
-def test_tmax_matches_direct_subset_test(model, rng):
-    for _ in range(20):
-        a = random_tuple(rng, model)
-        got = P.tmax_containing(model, a)
-        for i, (g, cut) in enumerate(zip(model.valuations, a.cuts)):
-            assert (i in got) == C.is_subset(g, cut, C.max_ideal_cut(g))
+    assert tmax(tup(Cut(1, (F(0),), CLOSED), Cut(1, (F(0),), CLOSED))) == set()
+    assert tmax(tup(Cut(1, (F(1, 2),), CLOSED), Cut(1, (F(0),), OPEN))) == {0, 1}
+    assert tmax(tup(Cut(1, (F(-1, 2),), CLOSED), Cut(1, (F(0),), OPEN))) == {1}
 
 
 def test_class_group_trivial_with_certificate(model, rng):
