@@ -127,10 +127,13 @@ def format_form(form: C.IdempotentForm) -> str:
             f"components {{{comps}}}")
 
 
-def _poly_idem_json(idem) -> dict:
-    if isinstance(idem, X.TLinkedOverring):
-        return {"variant": "overring", "level": idem.prime_level}
-    return {"variant": "idempotent_max_class", "level": idem.prime_level}
+# The poly_ext reports name V_p[X] and p[X] after the ring and maximal
+# ideal forms of the base.
+_POLY_VARIANTS = {"ring": "overring", "max_ideals": "idempotent_max_class"}
+
+
+def _poly_idem_json(form: C.IdempotentForm) -> dict:
+    return {"variant": _POLY_VARIANTS[form.variant], "level": form.overring.levels[0]}
 
 
 def _regularity_json(w: C.RegularityWitness) -> dict:
@@ -167,11 +170,10 @@ def cmd_classify(kind: str, model, ideal_arg: str) -> dict:
             ]
         else:
             s = X.sym_from_json(model, data)
-            idem = X.classify(model, s)
             report["ideal"] = X.sym_to_json(s)
-            report["idempotent_form"] = _poly_idem_json(idem)
-            report["scope"] = "extended classes"
-            report["regularity"] = _regularity_json(C.is_regular(model.base, s.coeff.rep))
+            report["idempotent_form"] = _poly_idem_json(X.classify(model, s))
+            report["scope"] = X.SCOPE
+            report["regularity"] = _regularity_json(C.is_regular(model.base, s.rep))
     except (C.MalformedCutError, MalformedElementError) as e:
         raise UsageError(f"ideal literal: {e}") from e
     return report
@@ -235,13 +237,12 @@ def cmd_decompose(kind: str, model) -> dict:
                 "localized_groups": localized,
             })
     else:
-        dec = X.decompose(model)
         entries = [
-            {"idempotent": _poly_idem_json(idem), "group": grp.description,
-             "group_trivial": grp.trivial}
-            for idem, grp in zip(dec.idempotents, dec.groups)
+            {"idempotent": _poly_idem_json(f), "group": X.group_description(model, f),
+             "group_trivial": not f.open_components}
+            for f in X.decompose(model)
         ]
-        report["scope"] = dec.scope
+        report["scope"] = X.SCOPE
         report["strongly_discrete"] = is_strongly_discrete(model.base)
     report["idempotents"] = entries
     report["idempotent_count"] = len(entries)
@@ -260,7 +261,7 @@ def _render_decompose(report: dict) -> list[str]:
             lines.append(head)
             for loc in e["localized_groups"]:
                 lines.append(f"    {loc}")
-        elif "idempotent" in e and isinstance(e["idempotent"], dict) and "variant" in e["idempotent"]:
+        elif "variant" in e["idempotent"]:
             lines.append(f"  {e['idempotent']['variant']} at level {e['idempotent']['level']}"
                          f": {e['group']}")
         else:
@@ -282,14 +283,18 @@ def _check(name: str, instances: int, failures: list) -> dict:
     }
 
 
-def _cut_regularity(g: ValueGroup, samples: int, rng: random.Random) -> dict:
+def _cut_regularity(groups, samples: int, rng: random.Random) -> dict:
+    """Each sample is one cut per group (a tuple when there are several):
+    regularity is componentwise, so `cuts.is_regular` checks
+    I = (I^2 (I:I^2))_t on every cut."""
     failures = []
     for _ in range(samples):
-        a = S.random_cut(rng, g)
-        try:
-            C.is_regular(g, a)
-        except C.InternalInconsistencyError as e:
-            failures.append(f"{C.format_cut(a)}: {e}")
+        for g in groups:
+            a = S.random_cut(rng, g)
+            try:
+                C.is_regular(g, a)
+            except C.InternalInconsistencyError as e:
+                failures.append(f"{C.format_cut(a)}: {e}")
     return _check("regularity", samples, failures)
 
 
@@ -308,7 +313,7 @@ def _semigroup_cross_check(adapter, draw_seeds) -> dict:
 
 
 def _verify_valuation(g: ValueGroup, samples: int, rng: random.Random) -> list[dict]:
-    checks = [_cut_regularity(g, samples, rng)]
+    checks = [_cut_regularity((g,), samples, rng)]
 
     idems = [C.form_cut(g, f) for f in C.idempotent_forms(g)]
     failures = []
@@ -344,21 +349,7 @@ def _random_tuple(rng: random.Random, model: P.PrueferModel) -> P.IdealTuple:
 
 
 def _verify_pruefer(model: P.PrueferModel, samples: int, rng: random.Random) -> list[dict]:
-    checks = []
-
-    failures = []
-    for _ in range(samples):
-        a = _random_tuple(rng, model)
-        sq = P.mul(model, a, a)
-        back = P.t_closure(model, P.mul(model, sq, P.quotient(model, a, sq)))
-        if back != a:
-            failures.append(f"tuple regularity failed at {P.tuple_to_json(a)}")
-        for g, c in zip(model.valuations, a.cuts):
-            try:
-                C.is_regular(g, c)
-            except C.InternalInconsistencyError as e:
-                failures.append(f"{C.format_cut(c)}: {e}")
-    checks.append(_check("regularity", samples, failures))
+    checks = [_cut_regularity(model.valuations, samples, rng)]
 
     forms = P.enumerate_idempotent_forms(model)
     failures = []
@@ -384,13 +375,13 @@ def _verify_pruefer(model: P.PrueferModel, samples: int, rng: random.Random) -> 
 
 def _verify_polyext(model: X.PolyExtModel, samples: int, rng: random.Random) -> list[dict]:
     g = model.base
-    checks = [_cut_regularity(g, samples, rng)]
+    checks = [_cut_regularity((g,), samples, rng)]
 
-    dec = X.decompose(model)
+    forms = X.decompose(model)
     failures = []
     for _ in range(samples):
         s = X.extended_class(model, S.random_cut(rng, g))
-        if X.classify(model, s) not in dec.idempotents:
+        if X.classify(model, s) not in forms:
             failures.append(f"classification of {X.sym_to_json(s)} missing from decomposition")
     checks.append(_check("classification_consistency", samples, failures))
 
@@ -399,8 +390,7 @@ def _verify_polyext(model: X.PolyExtModel, samples: int, rng: random.Random) -> 
                          [] if detector_ok else ["detector disagrees with component density"]))
 
     checks.append(_semigroup_cross_check(
-        X.PolyClassModel(model),
-        lambda: [X.extended_class(model, S.random_cut(rng, g)) for _ in range(5)]))
+        X.PolyClassModel(g), lambda: [S.random_cut(rng, g) for _ in range(5)]))
     return checks
 
 
@@ -539,7 +529,9 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except C.InternalInconsistencyError as e:
+    except (C.InternalInconsistencyError, C.NotIdempotentError, C.NotInGroupError) as e:
+        # Past parsing, a non-idempotent J or a class outside its group can
+        # only come from wrong arithmetic: a bug, like a failed guard.
         print(f"error: internal inconsistency: {e}; replay with: {_replay(args)}",
               file=sys.stderr)
         return 2

@@ -463,10 +463,6 @@ def _require_member(g: ValueGroup, x: CutClass, J: Cut) -> None:
         raise NotInGroupError(f"{format_cut(x.rep)} is not in the group at {format_cut(J)}")
 
 
-def group_identity(g: ValueGroup, J: Cut) -> CutClass:
-    return class_of(g, J)
-
-
 def group_mul(g: ValueGroup, x: CutClass, y: CutClass, J: Cut) -> CutClass:
     _require_member(g, x, J)
     _require_member(g, y, J)

@@ -106,58 +106,43 @@ def t_closure(model: PrueferModel, a: IdealTuple) -> IdealTuple:
     return IdealTuple(tuple(C.t_closure(g, c) for g, c in zip(model.valuations, a.cuts)))
 
 
-def principal(model: PrueferModel, a: IdealTuple) -> bool:
-    """Principal iff every component is a closed member-boundary cut of full
-    level; the approximation theorem then realizes the value tuple."""
-    a = normalize_tuple(model, a)
-    for g, c in zip(model.valuations, a.cuts):
-        if c.side != CLOSED or c.level != g.rank:
-            return False
-        if not all(is_member(comp, q) for comp, q in zip(g.components, c.boundary)):
-            return False
-    return True
-
-
-def stabilizer(model: PrueferModel, a: IdealTuple) -> OverringSpec:
-    """T = (A : A), recorded by its localization level in each component."""
-    a = normalize_tuple(model, a)
-    levels = []
-    for g, c in zip(model.valuations, a.cuts):
-        s = C.stabilizer(g, c)
-        if s != C.ring_cut(g, c.level):
-            raise InternalInconsistencyError("component stabilizer disagrees with its level")
-        levels.append(c.level)
-    return OverringSpec(tuple(levels))
-
-
 def ring_tuple(model: PrueferModel, t: OverringSpec) -> IdealTuple:
     if len(t.levels) != model.k:
         raise DomainMismatchError("overring has wrong number of components")
     return IdealTuple(tuple(C.ring_cut(g, l) for g, l in zip(model.valuations, t.levels)))
 
 
+def _join(forms) -> IdempotentForm:
+    """The product form of one rank-1 form per component."""
+    return IdempotentForm(
+        OverringSpec(tuple(f.overring.levels[0] for f in forms)),
+        frozenset(i for i, f in enumerate(forms) if f.open_components),
+    )
+
+
+def _split(form: IdempotentForm) -> list[IdempotentForm]:
+    """The rank-1 form of each component of a product form."""
+    return [
+        IdempotentForm(OverringSpec((l,)), frozenset({0} if i in form.open_components else ()))
+        for i, l in enumerate(form.overring.levels)
+    ]
+
+
 def form_tuple(model: PrueferModel, form: IdempotentForm) -> IdealTuple:
     """The canonical idempotent tuple a form names."""
-    cuts = []
-    for i, (g, l) in enumerate(zip(model.valuations, form.overring.levels)):
-        cuts.append(C.prime_cut(g, l) if i in form.open_components else C.ring_cut(g, l))
-    return IdealTuple(tuple(cuts))
+    if len(form.overring.levels) != model.k:
+        raise DomainMismatchError(
+            f"form has {len(form.overring.levels)} components, model has {model.k}")
+    return IdealTuple(tuple(C.form_cut(g, f) for g, f in zip(model.valuations, _split(form))))
 
 
 def classify_idempotent(model: PrueferModel, a: IdealTuple) -> IdempotentForm:
-    """The unique idempotent whose constituent group holds a's class:
-    the stabilizer overring when every component is side-closed, otherwise
-    the intersection of that overring's idempotent maximal ideals at the
-    side-open components.  Cross-checked against the construction
-    (A (T:A))_t computed componentwise."""
-    a = normalize_tuple(model, a)
-    t = stabilizer(model, a)
-    opens = frozenset(i for i, c in enumerate(a.cuts) if c.side == OPEN)
-    form = IdempotentForm(t, opens)
-    witness = t_closure(model, mul(model, a, quotient(model, ring_tuple(model, t), a)))
-    if witness != form_tuple(model, form):
-        raise InternalInconsistencyError("witness idempotent disagrees with tuple classification")
-    return form
+    """The unique idempotent whose constituent group holds a's class: the
+    product of the component classifications, since idempotence, the
+    stabilizer and the witness (A (T:A))_t are all componentwise.  Each
+    component checks its own witness."""
+    _check(model, a)
+    return _join([C.classify_idempotent(g, c) for g, c in zip(model.valuations, a.cuts)])
 
 
 # === classes and groups ===
@@ -402,13 +387,8 @@ def enumerate_idempotent_forms(model: PrueferModel) -> list[IdempotentForm]:
     component picks one of its rank-1 forms (a level and, when dense there,
     optionally its idempotent maximal ideal), the first component varying
     slowest."""
-    return [
-        IdempotentForm(
-            OverringSpec(tuple(f.overring.levels[0] for f in picks)),
-            frozenset(i for i, f in enumerate(picks) if f.open_components),
-        )
-        for picks in itertools.product(*(C.idempotent_forms(g) for g in model.valuations))
-    ]
+    return [_join(picks) for picks in
+            itertools.product(*(C.idempotent_forms(g) for g in model.valuations))]
 
 
 # === JSON and adapters ===

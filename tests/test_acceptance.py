@@ -15,7 +15,7 @@ from tclass import cuts as C
 from tclass import polyext as X
 from tclass import pruefer as P
 from tclass import semigroups as SG
-from tclass.cli import cmd_verify
+from tclass.cli import cmd_decompose, cmd_verify
 from tclass.cuts import ValuationClassModel
 from tclass.pruefer import PrueferClassModel
 from tclass.sampling import random_cut
@@ -48,12 +48,12 @@ def test_criterion_1_strongly_discrete_towers(capsys):
     failures = []
     t0 = time.perf_counter()
     for n in (1, 2, 3, 5):
-        dec = X.decompose(X.PolyExtModel(ValueGroup((Z,) * n)))
-        if len(dec.idempotents) != n:
-            failures.append(f"n={n}: {len(dec.idempotents)} idempotents")
-        if not all(isinstance(i, X.TLinkedOverring) for i in dec.idempotents):
+        dec = cmd_decompose("poly_ext", X.PolyExtModel(ValueGroup((Z,) * n)))["idempotents"]
+        if len(dec) != n:
+            failures.append(f"n={n}: {len(dec)} idempotents")
+        if not all(e["idempotent"]["variant"] == "overring" for e in dec):
             failures.append(f"n={n}: non-overring idempotent in a discrete tower")
-        if not all(g.trivial for g in dec.groups):
+        if not all(e["group_trivial"] for e in dec):
             failures.append(f"n={n}: nontrivial constituent group")
     finish(capsys, 1, "discrete towers split into n overrings",
            failures, time.perf_counter() - t0, budget=1.0)
@@ -63,20 +63,20 @@ def test_criterion_2_dense_rank_one(capsys):
     failures = []
     t0 = time.perf_counter()
     for comp in (Q, Zloc(2)):
-        m = X.PolyExtModel(ValueGroup((comp,)))
-        dec = X.decompose(m)
-        kinds = sorted(type(i).__name__ for i in dec.idempotents)
-        if kinds != ["IdempotentMaxClass", "TLinkedOverring"]:
+        dec = cmd_decompose("poly_ext", X.PolyExtModel(ValueGroup((comp,))))["idempotents"]
+        kinds = sorted(e["idempotent"]["variant"] for e in dec)
+        if kinds != ["idempotent_max_class", "overring"]:
             failures.append(f"{comp}: forms {kinds}")
-        by_kind = {type(i).__name__: g for i, g in zip(dec.idempotents, dec.groups)}
-        if not by_kind["TLinkedOverring"].trivial:
+            continue
+        by_kind = {e["idempotent"]["variant"]: e["group_trivial"] for e in dec}
+        if not by_kind["overring"]:
             failures.append(f"{comp}: overring group not trivial")
-        if by_kind["IdempotentMaxClass"].trivial:
+        if by_kind["idempotent_max_class"]:
             failures.append(f"{comp}: max-class group reported trivial")
 
     # group law in the representable part over the dyadics
     m = X.PolyExtModel(ValueGroup((Zloc(2),)))
-    pm = X.PolyClassModel(m)
+    pm = X.PolyClassModel(m.base)
     third = X.extended_class(m, Cut(1, (F(1, 3),), OPEN))
     two_thirds = X.extended_class(m, Cut(1, (F(2, 3),), OPEN))
     identity = X.extended_class(m, Cut(1, (F(0),), OPEN))
@@ -151,7 +151,7 @@ def test_criterion_5_idempotent_uniqueness(capsys):
             if len(hits) != 1:
                 failures.append(f"{a}: {len(hits)} admitting forms")
                 continue
-            t = P.ring_tuple(m, P.stabilizer(m, a))
+            t = P.IdealTuple(tuple(C.stabilizer(g, c) for g, c in zip(m.valuations, a.cuts)))
             j = P.t_closure(m, P.mul(m, a, P.quotient(m, t, a)))
             if P.form_tuple(m, hits[0]) != j:
                 failures.append(f"{a}: form tuple differs from (I(T:I))_t")
@@ -200,7 +200,8 @@ def test_criterion_8_semigroup_cross_check(capsys):
     dy = ValuationClassModel(ValueGroup((Zloc(2),)))
     dd = PrueferClassModel(P.PrueferModel((ValueGroup((Zloc(2),)),
                                            ValueGroup((Zloc(3),)))))
-    px = X.PolyClassModel(X.PolyExtModel(ValueGroup((Zloc(2),))))
+    pxm = X.PolyExtModel(ValueGroup((Zloc(2),)))
+    px = X.PolyClassModel(pxm.base)
 
     def vc(num, den, side=OPEN):
         return dy.class_of(Cut(1, (F(num, den),), side))
@@ -209,7 +210,7 @@ def test_criterion_8_semigroup_cross_check(capsys):
         return dd.class_of(P.IdealTuple((c1, c2)))
 
     def xc(num, den):
-        return X.extended_class(px.model, Cut(1, (F(num, den),), OPEN))
+        return X.extended_class(pxm, Cut(1, (F(num, den),), OPEN))
 
     m_cut = Cut(1, (F(0),), OPEN)
     seed_sets = [

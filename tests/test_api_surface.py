@@ -1,0 +1,101 @@
+"""No dead public API: every public module-level function or class of
+`src/tclass` has a reference in `src/` or `bench/` outside its own
+definition, or an entry in ALLOWED saying why tests alone may call it.
+
+References are resolved per module: `C.mul` with `from . import cuts as C`
+counts for `cuts.mul` only, `from .cuts import Cut` for `cuts.Cut`, and a
+bare name for the module that defines it.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "tclass"
+
+ALLOWED = {
+    "cuts.inverse": "the inverse (V : I), checked against the box oracle by tests",
+    "cuts.is_subset": "containment of cuts, the order the box-oracle tests compare against",
+    "groups.quotient_has_least_positive": "the discreteness criterion the density flags restate",
+    "sampling.random_element": "group elements for the principal-shift tests",
+    "sampling.random_raw_cut": "non-canonical cut literals for the normalize tests",
+    "semigroups.to_fixture": "writes the table format `from_fixture` reads, for round trips",
+}
+
+
+def _module_of(node: ast.ImportFrom):
+    """The tclass module an import reads from, or None for anything else."""
+    if node.level:
+        return node.module or "tclass"
+    if node.module == "tclass" or (node.module or "").startswith("tclass."):
+        return node.module
+    return None
+
+
+def _short(module: str) -> str:
+    return module.rsplit(".", 1)[-1]
+
+
+def definitions() -> dict:
+    """module -> public module-level function and class names."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        out[path.stem] = {
+            n.name for n in tree.body
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")
+        }
+    return out
+
+
+def references(path: Path) -> set:
+    """(module, name) pairs a source file refers to, skipping a module's
+    references to a name inside that name's own top-level definition."""
+    here = path.stem if path.parent == PACKAGE else None
+    tree = ast.parse(path.read_text())
+    aliases, refs = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (mod := _module_of(node)):
+            for a in node.names:
+                if mod == "tclass":
+                    aliases[a.asname or a.name] = a.name
+                else:
+                    refs.add((_short(mod), a.name))
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("tclass.") and a.asname:
+                    aliases[a.asname] = _short(a.name)
+
+    def visit(node, inside):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in aliases:
+                refs.add((aliases[node.value.id], node.attr))
+        elif isinstance(node, ast.Name) and here and node.id != inside:
+            refs.add((here, node.id))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for top in tree.body:
+        own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        visit(top, own)
+    return refs
+
+
+def unreferenced() -> set:
+    refs = set()
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "bench").glob("*.py")]:
+        refs |= references(path)
+    return {f"{mod}.{name}" for mod, names in definitions().items()
+            for name in names if (mod, name) not in refs}
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    missing = unreferenced() - set(ALLOWED)
+    assert not missing, f"public names only tests call (delete them or allow them): {sorted(missing)}"
+
+
+def test_allowlist_is_current():
+    defined = {f"{mod}.{name}" for mod, names in definitions().items() for name in names}
+    assert set(ALLOWED) <= defined, f"allowed names that no longer exist: {set(ALLOWED) - defined}"
+    stale = set(ALLOWED) - unreferenced()
+    assert not stale, f"allowed names that now have a caller: {sorted(stale)}"

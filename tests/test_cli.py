@@ -434,6 +434,18 @@ def test_internal_inconsistency_in_verify_exits_2(tmp_path, capsys, monkeypatch)
     assert "verify" in err and spec in err and "--seed 11" in err
 
 
+def test_escaped_group_error_in_verify_exits_2(tmp_path, capsys, monkeypatch):
+    # Over Z the cut <1; (1); closed> holds the values >= 1 and its square
+    # the values >= 2: not idempotent, so `group_membership` raises
+    # NotIdempotentError when it is planted as J.
+    monkeypatch.setattr(cuts, "form_cut", lambda g, form: cuts.Cut(1, (1,), cuts.CLOSED))
+    spec = valuation_spec(tmp_path)
+    assert main(["verify", spec, "--samples", "3", "--seed", "11"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "is not idempotent" in err
+    assert "verify" in err and spec in err and "--seed 11" in err
+
+
 # -- fuzz: any JSON, any literal, every command ends in exit 0, 1 or 2 --------
 
 JSON = st.recursive(

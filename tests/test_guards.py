@@ -1,9 +1,10 @@
 """The audits `psi_localize` no longer repeats still trip where they run.
 
-`psi_localize` decides membership by `classify_idempotent`, whose witness
-guard it keeps.  The residual-arithmetic audit of `group_membership` runs
-in the `idempotent_uniqueness` check of `verify` and on the operands of
-`cuts.group_mul`.
+`psi_localize` decides membership by `pruefer.classify_idempotent`, the
+product of the component classifications of `cuts.classify_idempotent`,
+whose witness guard it keeps on every component.  The residual-arithmetic
+audit of `group_membership` runs in the `idempotent_uniqueness` check of
+`verify` and on the operands of `cuts.group_mul`.
 """
 
 import json
@@ -73,23 +74,26 @@ def test_psi_localize_rejects_tuples_outside_the_group(rng):
 
 
 def test_classify_witness_guard_trips_on_a_wrong_form_tuple(tmp_path, capsys, monkeypatch):
-    real = P.form_tuple
+    real = C.form_cut
+    form = open_forms()[0]
+    j = P.form_tuple(MODEL, form)
 
-    def swapped(model, form):
-        # Still idempotent, but the wrong one: the first component (dense,
-        # rank 1) trades its ring cut for its maximal ideal or back.
-        j = real(model, form)
-        g = model.valuations[0]
-        first = C.ring_cut(g, 1) if 0 in form.open_components else C.prime_cut(g, 1)
-        return P.IdealTuple((first,) + j.cuts[1:])
+    def swapped(g, f):
+        # Still idempotent, but the wrong one: at a dense level the ring cut
+        # and the maximal ideal trade places.
+        level = f.overring.levels[0]
+        if not g.components[level - 1].dense:
+            return real(g, f)
+        return C.ring_cut(g, level) if f.open_components else C.prime_cut(g, level)
 
-    monkeypatch.setattr(P, "form_tuple", swapped)
+    monkeypatch.setattr(C, "form_cut", swapped)
+    # The first component (dense, rank 1) trips the witness guard of
+    # `cuts.classify_idempotent` in every product classification.
     a = random_tuple(random.Random(3))
     with pytest.raises(C.InternalInconsistencyError, match="witness idempotent"):
         P.classify_idempotent(MODEL, a)
-    form = open_forms()[0]
     with pytest.raises(C.InternalInconsistencyError, match="witness idempotent"):
-        P.psi_localize(MODEL, real(MODEL, form), form)
+        P.psi_localize(MODEL, j, form)
 
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(SPEC))

@@ -19,6 +19,20 @@ def model(*comps):
     return X.PolyExtModel(ValueGroup(comps))
 
 
+def overring(level):
+    """The form of V_p[X], p the prime at `level`."""
+    return C.IdempotentForm(C.OverringSpec((level,)), frozenset())
+
+
+def max_class(level):
+    """The form of p[X], p the idempotent prime at `level`."""
+    return C.IdempotentForm(C.OverringSpec((level,)), frozenset({0}))
+
+
+def trivial(m, form):
+    return X.group_description(m, form).startswith("trivial")
+
+
 def test_t_idempotent_primes_frozen_examples():
     assert X.t_idempotent_primes(model(Z, Z, Z)) == []
     assert X.t_idempotent_primes(X.PolyExtModel(QQ)) == [1]
@@ -32,25 +46,19 @@ def test_t_idempotent_primes_empty_iff_strongly_discrete(group):
 
 def test_classify_examples():
     mq = X.PolyExtModel(QQ)
-    assert X.classify(mq, X.extended_class(mq, Cut(1, (F(0),), OPEN))) == X.IdempotentMaxClass(1)
+    assert X.classify(mq, X.extended_class(mq, Cut(1, (F(0),), OPEN))) == max_class(1)
     mzz = model(Z, Z)
     principal = X.extended_class(mzz, Cut(2, (F(1), F(2)), CLOSED))
-    assert X.classify(mzz, principal) == X.TLinkedOverring(2)
+    assert X.classify(mzz, principal) == overring(2)
     height_one = X.extended_class(mzz, Cut(1, (F(1),), CLOSED))
-    assert X.classify(mzz, height_one) == X.TLinkedOverring(1)
+    assert X.classify(mzz, height_one) == overring(1)
 
 
 def test_classify_commutes_with_base_classification(group, rng):
     m = X.PolyExtModel(group)
     for _ in range(30):
         a = random_cut(rng, group)
-        form = C.classify_idempotent(group, a)
-        lifted = X.classify(m, X.extended_class(m, a))
-        assert lifted.prime_level == form.overring.levels[0]
-        if form.variant == "max_ideals":
-            assert isinstance(lifted, X.IdempotentMaxClass)
-        else:
-            assert isinstance(lifted, X.TLinkedOverring)
+        assert X.classify(m, X.extended_class(m, a)) == C.classify_idempotent(group, a)
 
 
 def test_extended_class_mod_principal_shifts(group, rng):
@@ -63,32 +71,28 @@ def test_extended_class_mod_principal_shifts(group, rng):
 
 def test_decompose_strongly_discrete_counts():
     for n in (1, 2, 3):
-        d = X.decompose(model(*([Z] * n)))
-        assert len(d.idempotents) == n
-        assert all(g.trivial for g in d.groups)
-        assert d.scope == "extended classes"
+        m = model(*([Z] * n))
+        d = X.decompose(m)
+        assert d == [overring(level) for level in range(1, n + 1)]
+        assert all(trivial(m, f) for f in d)
+    assert X.SCOPE == "extended classes"
 
 
 def test_decompose_dense_rank_one():
-    d = X.decompose(X.PolyExtModel(QQ))
-    assert len(d.idempotents) == 2
-    assert X.TLinkedOverring(1) in d.idempotents
-    assert X.IdempotentMaxClass(1) in d.idempotents
-    by_idem = dict(zip(d.idempotents, d.groups))
-    assert by_idem[X.TLinkedOverring(1)].trivial
-    assert not by_idem[X.IdempotentMaxClass(1)].trivial
-    assert all(g.scope == "extended classes" for g in d.groups)
+    m = X.PolyExtModel(QQ)
+    assert X.decompose(m) == [overring(1), max_class(1)]
+    assert trivial(m, overring(1))
+    assert not trivial(m, max_class(1))
 
 
 def test_decompose_mixed_tower():
     d = X.decompose(model(Z, Zloc(3)))
-    assert len(d.idempotents) == 3
-    assert X.IdempotentMaxClass(2) in d.idempotents
+    assert d == [overring(1), overring(2), max_class(2)]
 
 
 def test_group_law_representable_part():
     m = X.PolyExtModel(DY)
-    pm = X.PolyClassModel(m)
+    pm = X.PolyClassModel(m.base)
     third = X.extended_class(m, Cut(1, (F(1, 3),), OPEN))
     two_thirds = X.extended_class(m, Cut(1, (F(2, 3),), OPEN))
     identity = X.extended_class(m, Cut(1, (F(0),), OPEN))
@@ -120,7 +124,7 @@ def test_sym_json_diagnostics():
 
 def test_poly_class_model_describe():
     m = X.PolyExtModel(QQ)
-    pm = X.PolyClassModel(m)
+    pm = X.PolyClassModel(m.base)
     s = X.extended_class(m, Cut(1, (F(0),), OPEN))
-    assert isinstance(pm.describe(s), str)
-    assert pm.class_of(s) == s
+    assert pm.describe(s) == "[<1; (0); open>][X]"
+    assert pm.class_of(s.rep) == s

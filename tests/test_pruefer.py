@@ -50,9 +50,32 @@ def test_model_requires_at_least_one_valuation():
         P.PrueferModel(())
 
 
-def test_tuple_arity_checked():
+RING_DD = C.IdempotentForm(C.OverringSpec((1, 1)), frozenset())
+
+
+# Each call gets a tuple one cut short of M_DD's two components; zipping it
+# against the valuations would silently drop the second one.
+@pytest.mark.parametrize("call", [
+    lambda a: P.mul(M_DD, a, P.ring_tuple(M_DD, RING_DD.overring)),
+    lambda a: P.classify_idempotent(M_DD, a),
+    lambda a: P.group_membership(M_DD, a, RING_DD),
+    lambda a: P.psi_localize(M_DD, a, RING_DD),
+], ids=["mul", "classify_idempotent", "group_membership", "psi_localize"])
+def test_tuple_arity_checked(call):
     with pytest.raises(C.DomainMismatchError):
-        P.mul(M_DD, tup(Cut(1, (F(0),), CLOSED)), P.ring_tuple(M_DD, P.stabilizer(M_DD, tup(Cut(1, (F(0),), CLOSED), Cut(1, (F(0),), CLOSED)))))
+        call(tup(Cut(1, (F(0),), CLOSED)))
+
+
+def test_form_arity_checked():
+    # A form one component short would otherwise be compared on the first
+    # component alone: (0, open at 0) is in no group of a one-level form.
+    short = C.IdempotentForm(C.OverringSpec((1,)), frozenset())
+    a = tup(Cut(1, (F(0),), CLOSED), Cut(1, (F(0),), OPEN))
+    for call in (P.form_tuple, P.group_identity):
+        with pytest.raises(C.DomainMismatchError):
+            call(M_DD, short)
+    with pytest.raises(C.DomainMismatchError):
+        P.group_membership(M_DD, a, short)
 
 
 def test_mul_componentwise_principal():
@@ -76,21 +99,21 @@ def test_quotient_and_t_closure_componentwise(rng):
         assert P.t_closure(M_DD, a) == P.normalize_tuple(M_DD, a)
 
 
-def test_principal_detection():
-    assert P.principal(M_DD, tup(Cut(1, (F(1, 2),), CLOSED), Cut(1, (F(2),), CLOSED)))
-    assert not P.principal(M_DD, tup(Cut(1, (F(1, 2),), OPEN), Cut(1, (F(2),), CLOSED)))
-    assert not P.principal(M_DD, tup(Cut(1, (F(1, 3),), CLOSED), Cut(1, (F(2),), CLOSED)))
+def stabilizer_tuple(model, a):
+    """T = (A : A), componentwise."""
+    return tup(*(C.stabilizer(g, c) for g, c in zip(model.valuations, a.cuts)))
 
 
 def test_stabilizer_examples():
-    a = tup(Cut(1, (F(1, 2),), CLOSED), Cut(1, (F(5),), CLOSED))
-    assert P.stabilizer(M_DD, a) == C.OverringSpec((1, 1))
-    b = tup(Cut(1, (F(1),), CLOSED), Cut(1, (F(2),), CLOSED))
-    assert P.stabilizer(M_RANK2, b) == C.OverringSpec((1, 1))
-    c = tup(Cut(2, (F(1), F(0)), CLOSED), Cut(1, (F(2),), CLOSED))
-    assert P.stabilizer(M_RANK2, c) == C.OverringSpec((2, 1))
-    m = tup(Cut(1, (F(0),), OPEN), Cut(1, (F(0),), CLOSED))
-    assert P.stabilizer(M_QQZ, m) == C.OverringSpec((1, 1))
+    for model, a, levels in (
+        (M_DD, tup(Cut(1, (F(1, 2),), CLOSED), Cut(1, (F(5),), CLOSED)), (1, 1)),
+        (M_RANK2, tup(Cut(1, (F(1),), CLOSED), Cut(1, (F(2),), CLOSED)), (1, 1)),
+        (M_RANK2, tup(Cut(2, (F(1), F(0)), CLOSED), Cut(1, (F(2),), CLOSED)), (2, 1)),
+        (M_QQZ, tup(Cut(1, (F(0),), OPEN), Cut(1, (F(0),), CLOSED)), (1, 1)),
+    ):
+        spec = C.OverringSpec(levels)
+        assert P.classify_idempotent(model, a).overring == spec
+        assert stabilizer_tuple(model, a) == P.ring_tuple(model, spec)
 
 
 def test_classify_all_principal_is_ring():
@@ -130,7 +153,7 @@ def test_form_tuple_components_match_open_set(model, rng):
 def test_classified_idempotent_equals_existence_construction(model, rng):
     for _ in range(25):
         a = random_tuple(rng, model)
-        t = P.ring_tuple(model, P.stabilizer(model, a))
+        t = stabilizer_tuple(model, a)
         j = P.t_closure(model, P.mul(model, a, P.quotient(model, t, a)))
         assert j == P.form_tuple(model, P.classify_idempotent(model, a))
 
@@ -158,7 +181,7 @@ def test_tmax_containing():
 
 
 def test_class_group_trivial_with_certificate(model, rng):
-    t = P.stabilizer(model, random_tuple(rng, model))
+    t = P.classify_idempotent(model, random_tuple(rng, model)).overring
     grp = P.class_group(model, t)
     e = grp.identity(model)
     assert grp.op(model, e, e) == e
