@@ -150,9 +150,7 @@ def cmd_classify(kind: str, model, ideal_arg: str) -> dict:
     report = {"command": "classify", "model": model_echo(kind, model)}
     try:
         if kind == "valuation":
-            cut = C.cut_from_json(data)
-            C.validate_cut(model, cut)
-            canon = C.normalize(model, cut)
+            canon = C.cut_from_json(model, data)
             form = C.classify_idempotent(model, canon)
             report["ideal"] = C.cut_to_json(canon)
             report["idempotent_form"] = form_json(form)
@@ -273,6 +271,10 @@ def _render_decompose(report: dict) -> list[str]:
 
 # === verify ===
 
+def _literal(data) -> str:
+    return json.dumps(data, sort_keys=True)
+
+
 def _check(name: str, instances: int, failures: list) -> dict:
     return {
         "name": name,
@@ -289,12 +291,12 @@ def _cut_regularity(groups, samples: int, rng: random.Random) -> dict:
     I = (I^2 (I:I^2))_t on every cut."""
     failures = []
     for _ in range(samples):
-        for g in groups:
+        for i, g in enumerate(groups):
             a = S.random_cut(rng, g)
             try:
                 C.is_regular(g, a)
             except C.InternalInconsistencyError as e:
-                failures.append(f"{C.format_cut(a)}: {e}")
+                failures.append(f"component {i + 1}: {_literal(C.cut_to_json(a))}: {e}")
     return _check("regularity", samples, failures)
 
 
@@ -322,10 +324,9 @@ def _verify_valuation(g: ValueGroup, samples: int, rng: random.Random) -> list[d
         hits = [j for j in idems if C.group_membership(g, a, j)]
         want = C.idempotent_cut(g, a)
         if hits != [want]:
-            failures.append(
-                f"{C.format_cut(a)}: memberships {[C.format_cut(h) for h in hits]}, "
-                f"construction {C.format_cut(want)}"
-            )
+            failures.append(f"{_literal(C.cut_to_json(a))}: memberships "
+                            f"{_literal([C.cut_to_json(h) for h in hits])}, "
+                            f"construction {_literal(C.cut_to_json(want))}")
     checks.append(_check("idempotent_uniqueness", samples, failures))
 
     failures = []
@@ -335,8 +336,8 @@ def _verify_valuation(g: ValueGroup, samples: int, rng: random.Random) -> list[d
         over = C.t_closure_over(g, lvl, a)
         base = C.t_closure(g, a)
         if over != base:
-            failures.append(f"{C.format_cut(a)} at level {lvl}: {C.format_cut(over)}"
-                            f" vs {C.format_cut(base)}")
+            failures.append(f"{_literal(C.cut_to_json(a))} at level {lvl}: "
+                            f"{_literal(C.cut_to_json(over))} vs {_literal(C.cut_to_json(base))}")
     checks.append(_check("overring_transfer", samples, failures))
 
     checks.append(_semigroup_cross_check(
@@ -357,7 +358,7 @@ def _verify_pruefer(model: P.PrueferModel, samples: int, rng: random.Random) -> 
         a = _random_tuple(rng, model)
         hits = [f for f in forms if P.group_membership(model, a, f)]
         if hits != [P.classify_idempotent(model, a)]:
-            failures.append(f"membership not unique at {P.tuple_to_json(a)}")
+            failures.append(f"membership not unique at {_literal(P.tuple_to_json(a))}")
     checks.append(_check("idempotent_uniqueness", samples, failures))
 
     failures = []
@@ -382,7 +383,8 @@ def _verify_polyext(model: X.PolyExtModel, samples: int, rng: random.Random) -> 
     for _ in range(samples):
         s = X.extended_class(model, S.random_cut(rng, g))
         if X.classify(model, s) not in forms:
-            failures.append(f"classification of {X.sym_to_json(s)} missing from decomposition")
+            failures.append(f"classification of {_literal(X.sym_to_json(s))} "
+                            "missing from decomposition")
     checks.append(_check("classification_consistency", samples, failures))
 
     detector_ok = (not X.t_idempotent_primes(model)) == is_strongly_discrete(g)

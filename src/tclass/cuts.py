@@ -13,8 +13,10 @@ boundary vector b drawn from the divisible hull (any rationals).  Cuts of
 level i < rank are exactly the ideals whose stabilizer is the localization
 of V at the height-i prime; the ring cut <rank; 0; closed> is V itself.
 
-Everything below works on canonical cuts; `normalize` maps any cut literal
-to the unique canonical representative of the same upper set.
+Every operation below takes canonical cuts of `g` and returns canonical
+cuts, normalising nothing it is handed; a level above the rank raises
+MalformedCutError.  Cuts enter canonical through `normalize` (any literal,
+hand-built ones too), `cut_from_json`, `ring_cut`, `prime_cut`, the samplers.
 """
 
 from __future__ import annotations
@@ -172,11 +174,8 @@ def mul(g: ValueGroup, a: Cut, b: Cut) -> Cut:
     either side is open (a lower-level operand absorbs the other's side: its
     boundary fiber is reachable through the deeper coordinates).
     """
-    return _mul(g, normalize(g, a), normalize(g, b))
-
-
-def _mul(g: ValueGroup, a: Cut, b: Cut) -> Cut:
-    # `mul` of canonical operands.
+    validate_cut(g, a)
+    validate_cut(g, b)
     level = min(a.level, b.level)
     boundary = tuple(x + y for x, y in zip(a.boundary, b.boundary))
     if a.level == b.level:
@@ -196,11 +195,8 @@ def quotient(g: ValueGroup, a: Cut, b: Cut) -> Cut:
     result to B's level.  An open divisor makes the infimum unattained and
     the residual closes.
     """
-    return _quotient(g, normalize(g, a), normalize(g, b))
-
-
-def _quotient(g: ValueGroup, a: Cut, b: Cut) -> Cut:
-    # `quotient` of canonical operands.
+    validate_cut(g, a)
+    validate_cut(g, b)
     if b.level >= a.level:
         level = a.level
         c = b.boundary[: level]
@@ -249,17 +245,16 @@ def t_closure(g: ValueGroup, a: Cut) -> Cut:
     out where the star operation acts; a cheap containment probe guards the
     identity claim.
     """
-    c = normalize(g, a)
-    if not member(g, c, _probe_point(g, c)):
+    validate_cut(g, a)
+    if not member(g, a, _probe_point(g, a)):
         raise InternalInconsistencyError("t-closure probe escaped its own cut")
-    return c
+    return a
 
 
 def stabilizer(g: ValueGroup, a: Cut) -> Cut:
     """(I : I), the cut of the overring where the ideal lives; a ring cut."""
-    a = normalize(g, a)
     out = ring_cut(g, a.level)
-    if _quotient(g, a, a) != out:
+    if quotient(g, a, a) != out:
         raise InternalInconsistencyError("stabilizer disagrees with (I : I)")
     return out
 
@@ -270,31 +265,28 @@ def t_closure_over(g: ValueGroup, level: int, a: Cut) -> Cut:
     overring's value group (the prefix of the tower), closed there, and
     lifted back.  For common ideals this must agree with the closure over
     the base; callers assert that equality."""
-    a = normalize(g, a)
     t = ring_cut(g, level)
-    if _mul(g, a, t) != a:
+    if mul(g, a, t) != a:
         raise DomainMismatchError("not an ideal of the overring at this level")
-    return normalize(g, t_closure(truncate(g, level), a))
+    return t_closure(truncate(g, level), a)
 
 
 def translate(g: ValueGroup, a: Cut, shift) -> Cut:
     """The cut of the principal multiple with value `shift` (a group element)."""
-    a = normalize(g, a)
+    validate_cut(g, a)
     shift = g.element(shift)
     boundary = tuple(x + y for x, y in zip(a.boundary, shift))
     return Cut(a.level, boundary, a.side)
 
 
 def is_idempotent(g: ValueGroup, a: Cut) -> bool:
-    a = normalize(g, a)
-    return _mul(g, a, a) == a
+    return mul(g, a, a) == a
 
 
 def idempotent_cut(g: ValueGroup, a: Cut) -> Cut:
     """The canonical idempotent attached to a's class: (I (T:I))_t with T = (I:I)."""
-    a = normalize(g, a)
     t = stabilizer(g, a)
-    return t_closure(g, _mul(g, a, _quotient(g, t, a)))
+    return t_closure(g, mul(g, a, quotient(g, t, a)))
 
 
 @dataclass(frozen=True)
@@ -333,7 +325,6 @@ def classify_idempotent(g: ValueGroup, a: Cut) -> IdempotentForm:
     overring.  The witness construction (I (T:I))_t is checked against the
     claimed form.
     """
-    a = normalize(g, a)
     form = IdempotentForm(
         OverringSpec((a.level,)),
         frozenset() if a.side == CLOSED else frozenset({0}),
@@ -377,9 +368,8 @@ def is_regular(g: ValueGroup, a: Cut) -> RegularityWitness:
     back the attached idempotent plus, when the boundary is realizable, the
     value of a scalar q with (I^2)_t = qI.  A non-member boundary has no such
     scalar among representable shifts; the shift is None then."""
-    a = normalize(g, a)
-    sq = _mul(g, a, a)
-    back = t_closure(g, _mul(g, sq, _quotient(g, a, sq)))
+    sq = mul(g, a, a)
+    back = t_closure(g, mul(g, sq, quotient(g, a, sq)))
     if back != a:
         raise InternalInconsistencyError("regularity identity I = (I^2 (I:I^2))_t failed")
     shift: Optional[tuple[Fraction, ...]] = None
@@ -420,7 +410,7 @@ class CutClass:
 
 
 def class_of(g: ValueGroup, a: Cut) -> CutClass:
-    a = normalize(g, a)
+    validate_cut(g, a)
     boundary = [_ZERO] * (a.level - 1)
     boundary.append(_coset_rep(g.components[a.level - 1], a.boundary[-1]))
     return CutClass(Cut(a.level, tuple(boundary), a.side))
@@ -430,16 +420,15 @@ def residual_membership(g: ValueGroup, L: Cut, J: Cut) -> bool:
     """Constituent-group membership by residual arithmetic alone: the
     stabilizers agree and the three t-products (J L (L:L^2))_t,
     (L (L:L^2))_t, (L (J:L))_t all return J."""
-    L, J = normalize(g, L), normalize(g, J)
     if stabilizer(g, L) != stabilizer(g, J):
         return False
-    r = _quotient(g, L, _mul(g, L, L))
-    lr = t_closure(g, _mul(g, L, r))
+    r = quotient(g, L, mul(g, L, L))
+    lr = t_closure(g, mul(g, L, r))
     if lr != J:
         return False
-    if t_closure(g, _mul(g, J, lr)) != J:
+    if t_closure(g, mul(g, J, lr)) != J:
         return False
-    return t_closure(g, _mul(g, L, _quotient(g, J, L))) == J
+    return t_closure(g, mul(g, L, quotient(g, J, L))) == J
 
 
 def group_membership(g: ValueGroup, L: Cut, J: Cut) -> bool:
@@ -449,7 +438,6 @@ def group_membership(g: ValueGroup, L: Cut, J: Cut) -> bool:
     residual-arithmetic conditions must agree with it, and a divergence is
     an arithmetic bug worth crashing on.
     """
-    J = normalize(g, J)
     if not is_idempotent(g, J):
         raise NotIdempotentError(f"{format_cut(J)} is not idempotent")
     operative = idempotent_cut(g, L) == J
@@ -510,7 +498,8 @@ def _coordinate(c) -> Fraction:
         raise MalformedCutError(f"bad boundary coordinate {text!r}: {e}") from None
 
 
-def cut_from_json(obj) -> Cut:
+def cut_from_json(g: ValueGroup, obj) -> Cut:
+    """Parse a cut literal of `g`, check its level and return its canonical cut."""
     if not isinstance(obj, dict) or set(obj) != {"level", "boundary", "side"}:
         raise MalformedCutError(f"a cut literal has keys level/boundary/side, got {obj!r}")
     level, boundary = obj["level"], obj["boundary"]
@@ -518,7 +507,7 @@ def cut_from_json(obj) -> Cut:
         raise MalformedCutError(f"level must be an integer, got {level!r}")
     if not isinstance(boundary, list):
         raise MalformedCutError(f"boundary must be a list of rationals, got {boundary!r}")
-    return Cut(level, tuple(_coordinate(c) for c in boundary), obj["side"])
+    return normalize(g, Cut(level, tuple(_coordinate(c) for c in boundary), obj["side"]))
 
 
 def format_cut(a: Cut) -> str:

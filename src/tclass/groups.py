@@ -135,9 +135,6 @@ class ValueGroup:
                 )
         return xs
 
-    def zero(self) -> tuple[Fraction, ...]:
-        return (Fraction(0),) * self.rank
-
 
 def quotient_has_least_positive(g: ValueGroup, index: int) -> bool:
     """Does G/H_index have a least positive element?

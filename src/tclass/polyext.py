@@ -90,9 +90,7 @@ def sym_to_json(s: CutClass) -> dict:
 def sym_from_json(m: PolyExtModel, data) -> CutClass:
     if not isinstance(data, dict) or set(data) != {"coeff"}:
         raise C.MalformedCutError("symbolic ideal literal wants exactly the key 'coeff'")
-    cut = C.cut_from_json(data["coeff"])
-    C.validate_cut(m.base, cut)
-    return extended_class(m, cut)
+    return extended_class(m, C.cut_from_json(m.base, data["coeff"]))
 
 
 class PolyClassModel(C.ValuationClassModel):

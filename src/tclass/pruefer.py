@@ -13,6 +13,7 @@ componentwise localization classes project out.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -69,18 +70,10 @@ class IdealTuple:
 
     cuts: tuple[Cut, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "cuts", tuple(self.cuts))
-
 
 def _check(model: PrueferModel, a: IdealTuple) -> None:
     if len(a.cuts) != model.k:
         raise DomainMismatchError(f"tuple has {len(a.cuts)} components, model has {model.k}")
-
-
-def normalize_tuple(model: PrueferModel, a: IdealTuple) -> IdealTuple:
-    _check(model, a)
-    return IdealTuple(tuple(C.normalize(g, c) for g, c in zip(model.valuations, a.cuts)))
 
 
 def mul(model: PrueferModel, a: IdealTuple, b: IdealTuple) -> IdealTuple:
@@ -165,7 +158,7 @@ def tuple_of_class(model: PrueferModel, x: TupleClass) -> IdealTuple:
 
 
 def group_membership(model: PrueferModel, a: IdealTuple, form: IdempotentForm) -> bool:
-    a = normalize_tuple(model, a)
+    _check(model, a)
     j = form_tuple(model, form)
     return all(
         C.group_membership(g, x, y)
@@ -219,7 +212,7 @@ class TrivialClassGroup:
     def show_principal(self, model: PrueferModel, a: IdealTuple) -> tuple:
         """Realizing shift vector for a t-invertible tuple over T; raises if
         the tuple is not invertible (some component open or off the group)."""
-        a = normalize_tuple(model, a)
+        _check(model, a)
         t = ring_tuple(model, self.overring)
         inv = quotient(model, t, a)
         if t_closure(model, mul(model, a, inv)) != t:
@@ -255,7 +248,7 @@ def psi_localize(model: PrueferModel, a: IdealTuple, form: IdempotentForm) -> tu
     residual-arithmetic audit of `group_membership` is not repeated here:
     it runs in the `idempotent_uniqueness` check of `verify` and on every
     operand of `cuts.group_mul`."""
-    a = normalize_tuple(model, a)
+    _check(model, a)
     if classify_idempotent(model, a) != form:
         raise NotInGroupError("tuple class lies outside the constituent group")
     out = []
@@ -282,11 +275,11 @@ def _random_group_member(rng: random.Random, model: PrueferModel,
     for i, (g, lvl) in enumerate(zip(model.valuations, form.overring.levels)):
         boundary = [random_member(rng, g.components[k]) for k in range(lvl - 1)]
         if i in form.open_components:
-            boundary.append(random_rational(rng, g.components[lvl - 1]))
-            cuts.append(C.normalize(g, Cut(lvl, tuple(boundary), OPEN)))
+            top, side = random_rational, OPEN
         else:
-            boundary.append(random_member(rng, g.components[lvl - 1]))
-            cuts.append(C.normalize(g, Cut(lvl, tuple(boundary), CLOSED)))
+            top, side = random_member, CLOSED
+        boundary.append(top(rng, g.components[lvl - 1]))
+        cuts.append(C.normalize(g, Cut(lvl, tuple(boundary), side)))
     return IdealTuple(tuple(cuts))
 
 
@@ -304,11 +297,11 @@ def _random_target(rng: random.Random, local: list) -> tuple[CutClass, ...]:
 
 def _lift_target(model: PrueferModel, j: IdealTuple, local: list,
                  target: tuple[CutClass, ...]) -> IdealTuple:
-    """Componentwise preimage: plant each target representative at its
-    component, keep the idempotent `j` elsewhere."""
+    """Componentwise preimage: plant each (canonical) class representative
+    at its component, keep the idempotent `j` elsewhere."""
     cuts = list(j.cuts)
     for r, (i, _, _) in zip(target, local):
-        cuts[i] = C.normalize(model.valuations[i], r.rep)
+        cuts[i] = r.rep
     return IdealTuple(tuple(cuts))
 
 
@@ -334,10 +327,15 @@ def verify_exact_sequence(model: PrueferModel, form: IdempotentForm,
     Cl(T) is computed trivial, so exactness amounts to: the embedded class
     is the identity and is the whole kernel (injectivity of the projection),
     the projection is a homomorphism, and every sampled target vector lifts.
-    Failures carry the offending tuples; they indicate arithmetic bugs and
-    are never swallowed.
+    Failures name the offending tuples by the literals `tclass classify
+    --ideal` reads; they indicate arithmetic bugs and are never swallowed.
     """
     rep = ExactnessReport(form=form, samples=samples)
+
+    def fail(message: str, *tuples: IdealTuple) -> None:
+        rep.failures.append(message.format(
+            *(json.dumps(tuple_to_json(a), sort_keys=True) for a in tuples)))
+
     cl = class_group(model, form.overring)
     # Per-form constants: the idempotent, its class, and for each side-open
     # component the value group of its localization with that group's
@@ -353,7 +351,8 @@ def verify_exact_sequence(model: PrueferModel, form: IdempotentForm,
 
     embedded = phi_embed(model, cl.identity(model), form)
     if embedded != identity:
-        rep.failures.append(f"embedding of Cl(T) identity missed the group identity: {embedded}")
+        fail("embedding of Cl(T) identity missed the group identity: {}",
+             tuple_of_class(model, embedded))
 
     for _ in range(samples):
         a = _random_group_member(rng, model, form)
@@ -364,20 +363,20 @@ def verify_exact_sequence(model: PrueferModel, form: IdempotentForm,
         want = tuple(C.group_mul(gt, x, y, m) for x, y, (_, gt, m) in zip(pa, pb, local))
         rep.homomorphism_checks += 1
         if pab != want:
-            rep.failures.append(f"projection not multiplicative at {a} * {b}")
+            fail("projection not multiplicative at {} * {}", a, b)
 
         rep.kernel_checks += 1
         if pa == ident and class_of(model, a) != identity:
-            rep.failures.append(f"kernel element outside the embedded image: {a}")
+            fail("kernel element outside the embedded image: {}", a)
         rep.injectivity_checks += 1
         if pa == pb and class_of(model, a) != class_of(model, b):
-            rep.failures.append(f"projection identified distinct classes: {a} vs {b}")
+            fail("projection identified distinct classes: {} vs {}", a, b)
 
         target = _random_target(rng, local)
         lift = _lift_target(model, j, local, target)
         rep.surjectivity_checks += 1
         if psi_localize(model, lift, form) != target:
-            rep.failures.append(f"constructed preimage missed its target {target}")
+            fail("constructed preimage {} missed its target", lift)
 
     return rep
 
@@ -406,11 +405,9 @@ def tuple_from_json(model: PrueferModel, data) -> IdealTuple:
     out = []
     for i, (g, item) in enumerate(zip(model.valuations, cuts)):
         try:
-            c = C.cut_from_json(item)
-            C.validate_cut(g, c)
+            out.append(C.cut_from_json(g, item))
         except Exception as e:
             raise C.MalformedCutError(f"component {i + 1}: {e}") from e
-        out.append(C.normalize(g, c))
     return IdealTuple(tuple(out))
 
 

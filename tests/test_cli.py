@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import tclass
 from tclass import cuts
-from tclass.cli import main
+from tclass import pruefer as P
+from tclass.cli import load_model, main
 
 C3_TEXT = "3\n2 0 1\n0 1 2\n1 2 0\n"
 
@@ -444,6 +446,28 @@ def test_escaped_group_error_in_verify_exits_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "is not idempotent" in err
     assert "verify" in err and spec in err and "--seed 11" in err
+
+
+def test_exact_sequence_counterexamples_are_replayable_literals(tmp_path, monkeypatch):
+    # A group law that squares its first operand breaks the projection's
+    # multiplicativity; every tuple a failure names must read back as an
+    # ideal literal of the model, as `tclass classify --ideal` reads it.
+    group_mul = cuts.group_mul
+    monkeypatch.setattr(cuts, "group_mul", lambda g, x, y, j: group_mul(g, x, x, j))
+    spec = write(tmp_path, "spec.json",
+                 {"kind": "pruefer_fc", "valuations": [[{"Zloc": [2]}], ["Z", "Q"]]})
+    out = tmp_path / "report.json"
+    assert main(["verify", spec, "--samples", "3", "--seed", "1", "--json", str(out)]) == 2
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    failures = checks["exact_sequence"]["failures"]
+    assert failures
+    _, model = load_model(spec)
+    for msg in failures:
+        starts = [m.start() for m in re.finditer(r'\{"cuts"', msg)]
+        assert starts, msg
+        for start in starts:
+            literal, _ = json.JSONDecoder().raw_decode(msg, start)
+            assert P.tuple_to_json(P.tuple_from_json(model, literal)) == literal
 
 
 # -- fuzz: any JSON, any literal, every command ends in exit 0, 1 or 2 --------

@@ -136,6 +136,27 @@ def test_mul_rejects_cut_from_wider_tower():
         C.mul(ZZ, Cut(1, (F(0),), CLOSED), Cut(2, (F(0), F(0)), CLOSED))
 
 
+# The kernel takes canonical cuts without normalising them, yet every public
+# operation still checks a cut's level against the rank, directly or through
+# an operation it calls.
+WIDE = Cut(2, (F(0), F(0)), CLOSED)
+
+
+@pytest.mark.parametrize("op", [
+    lambda: C.quotient(ZZ, C.ring_cut(ZZ), WIDE),
+    lambda: C.class_of(ZZ, WIDE),
+    lambda: C.translate(ZZ, WIDE, (F(1),)),
+    lambda: C.t_closure(ZZ, WIDE),
+    lambda: C.classify_idempotent(ZZ, WIDE),
+    lambda: C.is_regular(ZZ, WIDE),
+    lambda: C.group_membership(ZZ, WIDE, C.ring_cut(ZZ)),
+], ids=["quotient", "class_of", "translate", "t_closure", "classify_idempotent",
+        "is_regular", "group_membership"])
+def test_kernel_rejects_cut_from_wider_tower(op):
+    with pytest.raises(C.MalformedCutError):
+        op()
+
+
 @given(group_names, seeds)
 def test_mul_commutative_associative(name, seed):
     g = GROUPS[name]
@@ -151,6 +172,29 @@ def test_ring_cut_is_identity_on_its_ideals(name, seed):
     r = random.Random(seed)
     a = random_cut(r, g, level=g.rank)
     assert C.mul(g, a, C.ring_cut(g)) == a
+
+
+@given(group_names, seeds)
+def test_kernel_outputs_are_canonical(name, seed):
+    # The contract the kernel rests on: canonical cuts in, canonical cuts out.
+    g = GROUPS[name]
+    r = random.Random(seed)
+    a, b = random_cut(r, g), random_cut(r, g)
+    outs = [
+        C.mul(g, a, b),
+        C.quotient(g, a, b),
+        C.stabilizer(g, a),
+        C.idempotent_cut(g, a),
+        C.t_closure(g, a),
+        C.t_closure_over(g, r.randint(a.level, g.rank), a),
+        C.translate(g, a, random_element(r, g)),
+        C.inverse(g, a),
+        C.class_of(g, a).rep,
+        C.is_regular(g, a).idempotent,
+        *(C.form_cut(g, f) for f in C.idempotent_forms(g)),
+    ]
+    for out in outs:
+        assert C.normalize(g, out) == out, C.format_cut(out)
 
 
 def test_mul_random_against_box(group, rng):
@@ -485,16 +529,16 @@ def test_t_closure_over_rejects_non_ideals():
 def test_cut_json_round_trip(group, rng):
     for _ in range(20):
         a = random_cut(rng, group)
-        assert C.cut_from_json(C.cut_to_json(a)) == a
+        assert C.cut_from_json(group, C.cut_to_json(a)) == a
 
 
 def test_cut_from_json_diagnostics():
     with pytest.raises(C.MalformedCutError):
-        C.cut_from_json({"level": 1, "boundary": ["x"], "side": "closed"})
+        C.cut_from_json(ZZ, {"level": 1, "boundary": ["x"], "side": "closed"})
     with pytest.raises(C.MalformedCutError):
-        C.cut_from_json({"level": 1, "boundary": ["0"], "side": "ajar"})
+        C.cut_from_json(ZZ, {"level": 1, "boundary": ["0"], "side": "ajar"})
     with pytest.raises(C.MalformedCutError):
-        C.cut_from_json({"boundary": ["0"], "side": "open"})
+        C.cut_from_json(ZZ, {"boundary": ["0"], "side": "open"})
 
 
 def test_format_cut():
