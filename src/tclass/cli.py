@@ -2,7 +2,7 @@
 
 Three commands over a JSON model spec: `classify` an ideal literal to its
 idempotent form, `decompose` a model into idempotents and constituent
-groups, and `verify` the property suites (regularity, idempotent
+groups, and `verify` the property checks (regularity, idempotent
 uniqueness, exactness, semigroup oracle cross-checks) with seeded
 randomness.  Machine-readable reports are JSON with sorted keys and no
 timestamps, so a fixed seed reproduces them byte for byte.
@@ -15,11 +15,14 @@ replays it).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import random
 import shlex
 import sys
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .groups import (
@@ -63,6 +66,12 @@ def _read_json(path_or_inline: str, what: str):
         raise UsageError(f"{what}: {e}") from e
 
 
+# A pruefer_fc spec's idempotent forms are a product over its valuations,
+# each contributing its count of rank-1 forms (at least 2 with a dense
+# level), and `decompose` and `verify` enumerate them all.
+MAX_IDEMPOTENT_FORMS = 4096
+
+
 def _pruefer_from_json(vals) -> P.PrueferModel:
     if not isinstance(vals, list) or not vals:
         raise ValueError("kind 'pruefer_fc' wants a nonempty 'valuations' list")
@@ -72,17 +81,10 @@ def _pruefer_from_json(vals) -> P.PrueferModel:
             groups.append(value_group_from_json(v))
         except (ValueError, TypeError) as e:
             raise ValueError(f"valuations[{i}]: {e}") from e
+    if math.prod(len(C.idempotent_forms(g)) for g in groups) > MAX_IDEMPOTENT_FORMS:
+        raise ValueError(f"the valuations have more than {MAX_IDEMPOTENT_FORMS} idempotent "
+                         "forms (the product over valuations of their rank-1 forms)")
     return P.PrueferModel(tuple(groups))
-
-
-# kind -> (spec field, parser of that field, echo of the parsed model)
-KINDS = {
-    "valuation": ("group", value_group_from_json, value_group_to_json),
-    "pruefer_fc": ("valuations", _pruefer_from_json,
-                   lambda m: [value_group_to_json(g) for g in m.valuations]),
-    "poly_ext": ("base", lambda obj: X.PolyExtModel(value_group_from_json(obj)),
-                 lambda m: value_group_to_json(m.base)),
-}
 
 
 def load_model(path: str):
@@ -94,18 +96,18 @@ def load_model(path: str):
         raise UsageError(
             f"spec file: unknown kind {kind!r} (expected valuation, pruefer_fc, or poly_ext)"
         )
-    field, parse, _ = KINDS[kind]
-    if field not in data:
-        raise UsageError(f"spec file: kind {kind!r} wants a {field!r} field")
+    spec = KINDS[kind]
+    if spec.field not in data:
+        raise UsageError(f"spec file: kind {kind!r} wants a {spec.field!r} field")
     try:
-        return kind, parse(data[field])
+        return kind, spec.parse(data[spec.field])
     except (ValueError, TypeError) as e:
         raise UsageError(f"spec file: {e}") from e
 
 
 def model_echo(kind: str, model) -> dict:
-    field, _, echo = KINDS[kind]
-    return {"kind": kind, field: echo(model)}
+    spec = KINDS[kind]
+    return {"kind": kind, spec.field: spec.echo(model)}
 
 
 # === report fragments ===
@@ -270,6 +272,11 @@ def _render_decompose(report: dict) -> list[str]:
 
 
 # === verify ===
+# Every kind runs as k independent valuations, a `pruefer.PrueferModel` m:
+# a valuation domain is k = 1, and so is V[X], whose extended classes are
+# the coefficient classes of its base.  Each check is called as
+# check(m, samples, rng, write), `write` being the kind's literal writer,
+# and draws one cut per valuation per sample, in order.
 
 def _literal(data) -> str:
     return json.dumps(data, sort_keys=True)
@@ -285,28 +292,93 @@ def _check(name: str, instances: int, failures: list) -> dict:
     }
 
 
-def _cut_regularity(groups, samples: int, rng: random.Random) -> dict:
-    """Each sample is one cut per group (a tuple when there are several):
-    regularity is componentwise, so `cuts.is_regular` checks
-    I = (I^2 (I:I^2))_t on every cut."""
+def _random_tuple(rng: random.Random, m: P.PrueferModel) -> P.IdealTuple:
+    return P.IdealTuple(tuple(S.random_cut(rng, g) for g in m.valuations))
+
+
+def _regularity(m, samples, rng, write) -> dict:
+    """Regularity is componentwise, so `cuts.is_regular` checks
+    I = (I^2 (I:I^2))_t on every cut of the sampled tuple."""
     failures = []
     for _ in range(samples):
-        for i, g in enumerate(groups):
-            a = S.random_cut(rng, g)
+        a = _random_tuple(rng, m)
+        for i, (g, c) in enumerate(zip(m.valuations, a.cuts)):
             try:
-                C.is_regular(g, a)
+                C.is_regular(g, c)
             except C.InternalInconsistencyError as e:
-                failures.append(f"component {i + 1}: {_literal(C.cut_to_json(a))}: {e}")
+                failures.append(f"{_literal(write(a))}, component {i + 1}: {e}")
     return _check("regularity", samples, failures)
 
 
-def _semigroup_cross_check(adapter, draw_seeds) -> dict:
-    """Three sampled closures, each seeded with the classes of the ideals
-    `draw_seeds()` returns, against the Cayley-table oracle."""
+def _idempotent_uniqueness(m, samples, rng, write) -> dict:
+    """Exactly one idempotent admits each sampled tuple, by the residual
+    audit of `group_membership`, and it is the one classification names."""
+    idems = [(f, P.form_tuple(m, f)) for f in P.enumerate_idempotent_forms(m)]
+    failures = []
+    for _ in range(samples):
+        a = _random_tuple(rng, m)
+        hits = [f for f, j in idems if P.group_membership(m, a, j)]
+        if hits != [P.classify_idempotent(m, a)]:
+            failures.append(f"membership not unique at {_literal(write(a))}")
+    return _check("idempotent_uniqueness", samples, failures)
+
+
+def _overring_transfer(m, samples, rng, write) -> dict:
+    """A cut's t-closure over an overring it is an ideal of (a random level
+    at or above its own) is its closure over the base."""
+    failures = []
+    for _ in range(samples):
+        a = _random_tuple(rng, m)
+        for i, (g, c) in enumerate(zip(m.valuations, a.cuts)):
+            lvl = rng.randint(c.level, g.rank)
+            over, base = C.t_closure_over(g, lvl, c), C.t_closure(g, c)
+            if over != base:
+                failures.append(f"{_literal(write(a))}, component {i + 1} at level {lvl}: "
+                                f"{_literal(C.cut_to_json(over))} vs "
+                                f"{_literal(C.cut_to_json(base))}")
+    return _check("overring_transfer", samples, failures)
+
+
+def _exact_sequence(m, samples, rng, write) -> dict:
+    """`pruefer.verify_exact_sequence` at every form, in report order."""
+    forms = sorted(P.enumerate_idempotent_forms(m), key=_form_order)
+    failures = []
+    for form in forms:
+        rep = P.verify_exact_sequence(m, form, samples, rng)
+        failures.extend(f"{format_form(form)}: {msg}" for msg in rep.failures)
+    return _check("exact_sequence", samples * len(forms), failures)
+
+
+def _classification_consistency(m, samples, rng, write) -> dict:
+    """Every sampled extended class lands on an idempotent `decompose` lists."""
+    px = X.PolyExtModel(*m.valuations)
+    forms = X.decompose(px)
+    failures = []
+    for _ in range(samples):
+        s = X.extended_class(px, _random_tuple(rng, m).cuts[0])
+        if X.classify(px, s) not in forms:
+            failures.append(f"classification of {_literal(X.sym_to_json(s))} "
+                            "missing from decomposition")
+    return _check("classification_consistency", samples, failures)
+
+
+def _strongly_discrete_detector(m, samples, rng, write) -> dict:
+    """V[X] has no t-idempotent t-prime p[X] (no maximal-ideal form in its
+    decomposition) exactly when the base is strongly discrete."""
+    px = X.PolyExtModel(*m.valuations)
+    ok = (not any(f.open_components for f in X.decompose(px))) == is_strongly_discrete(px.base)
+    return _check("strongly_discrete_detector", 1,
+                  [] if ok else ["detector disagrees with component density"])
+
+
+def _semigroup_cross_check(m, samples, rng, write, seeds: int) -> dict:
+    """Three sampled closures, each seeded with the classes of `seeds`
+    sampled tuples, against the Cayley-table oracle."""
+    adapter = P.PrueferClassModel(m, write)
     failures = []
     for _ in range(3):
-        seeds = [adapter.class_of(a) for a in draw_seeds()]
-        closure = SG.sample_closure(adapter, seeds, 256)
+        drawn = [_random_tuple(rng, m) for _ in range(seeds)]
+        closure = SG.sample_closure(adapter, [adapter.class_of(a) for a in drawn], 256)
         if not closure.saturated:
             failures.append("sampled closure did not saturate within budget 256")
             continue
@@ -314,86 +386,37 @@ def _semigroup_cross_check(adapter, draw_seeds) -> dict:
     return _check("semigroup_cross_check", 3, failures)
 
 
-def _verify_valuation(g: ValueGroup, samples: int, rng: random.Random) -> list[dict]:
-    checks = [_cut_regularity((g,), samples, rng)]
-
-    idems = [C.form_cut(g, f) for f in C.idempotent_forms(g)]
-    failures = []
-    for _ in range(samples):
-        a = S.random_cut(rng, g)
-        hits = [j for j in idems if C.group_membership(g, a, j)]
-        want = C.idempotent_cut(g, a)
-        if hits != [want]:
-            failures.append(f"{_literal(C.cut_to_json(a))}: memberships "
-                            f"{_literal([C.cut_to_json(h) for h in hits])}, "
-                            f"construction {_literal(C.cut_to_json(want))}")
-    checks.append(_check("idempotent_uniqueness", samples, failures))
-
-    failures = []
-    for _ in range(samples):
-        a = S.random_cut(rng, g)
-        lvl = rng.randint(a.level, g.rank)
-        over = C.t_closure_over(g, lvl, a)
-        base = C.t_closure(g, a)
-        if over != base:
-            failures.append(f"{_literal(C.cut_to_json(a))} at level {lvl}: "
-                            f"{_literal(C.cut_to_json(over))} vs {_literal(C.cut_to_json(base))}")
-    checks.append(_check("overring_transfer", samples, failures))
-
-    checks.append(_semigroup_cross_check(
-        C.ValuationClassModel(g), lambda: [S.random_cut(rng, g) for _ in range(5)]))
-    return checks
+class Kind(NamedTuple):
+    field: str  # the spec field holding the model
+    parse: Callable  # that field -> the model
+    echo: Callable  # the model -> that field
+    as_pruefer: Callable  # the model -> the k valuations `verify` runs on
+    write: Callable  # a tuple of the k valuations -> the kind's ideal literal
+    checks: tuple  # `verify`'s checks, in report order
 
 
-def _random_tuple(rng: random.Random, model: P.PrueferModel) -> P.IdealTuple:
-    return P.IdealTuple(tuple(S.random_cut(rng, g) for g in model.valuations))
-
-
-def _verify_pruefer(model: P.PrueferModel, samples: int, rng: random.Random) -> list[dict]:
-    checks = [_cut_regularity(model.valuations, samples, rng)]
-
-    forms = P.enumerate_idempotent_forms(model)
-    failures = []
-    for _ in range(samples):
-        a = _random_tuple(rng, model)
-        hits = [f for f in forms if P.group_membership(model, a, f)]
-        if hits != [P.classify_idempotent(model, a)]:
-            failures.append(f"membership not unique at {_literal(P.tuple_to_json(a))}")
-    checks.append(_check("idempotent_uniqueness", samples, failures))
-
-    failures = []
-    total = 0
-    for form in sorted(forms, key=_form_order):
-        rep = P.verify_exact_sequence(model, form, samples, rng)
-        total += samples
-        failures.extend(f"{format_form(form)}: {msg}" for msg in rep.failures)
-    checks.append(_check("exact_sequence", total, failures))
-
-    checks.append(_semigroup_cross_check(
-        P.PrueferClassModel(model), lambda: [_random_tuple(rng, model) for _ in range(4)]))
-    return checks
-
-
-def _verify_polyext(model: X.PolyExtModel, samples: int, rng: random.Random) -> list[dict]:
-    g = model.base
-    checks = [_cut_regularity((g,), samples, rng)]
-
-    forms = X.decompose(model)
-    failures = []
-    for _ in range(samples):
-        s = X.extended_class(model, S.random_cut(rng, g))
-        if X.classify(model, s) not in forms:
-            failures.append(f"classification of {_literal(X.sym_to_json(s))} "
-                            "missing from decomposition")
-    checks.append(_check("classification_consistency", samples, failures))
-
-    detector_ok = (not X.t_idempotent_primes(model)) == is_strongly_discrete(g)
-    checks.append(_check("strongly_discrete_detector", 1,
-                         [] if detector_ok else ["detector disagrees with component density"]))
-
-    checks.append(_semigroup_cross_check(
-        X.PolyClassModel(g), lambda: [S.random_cut(rng, g) for _ in range(5)]))
-    return checks
+KINDS = {
+    "valuation": Kind(
+        "group", value_group_from_json, value_group_to_json,
+        lambda g: P.PrueferModel((g,)),
+        lambda a: C.cut_to_json(a.cuts[0]),
+        (_regularity, _idempotent_uniqueness, _overring_transfer,
+         functools.partial(_semigroup_cross_check, seeds=5))),
+    "pruefer_fc": Kind(
+        "valuations", _pruefer_from_json,
+        lambda m: [value_group_to_json(g) for g in m.valuations],
+        lambda m: m,
+        P.tuple_to_json,
+        (_regularity, _idempotent_uniqueness, _exact_sequence,
+         functools.partial(_semigroup_cross_check, seeds=4))),
+    "poly_ext": Kind(
+        "base", lambda obj: X.PolyExtModel(value_group_from_json(obj)),
+        lambda m: value_group_to_json(m.base),
+        lambda m: P.PrueferModel((m.base,)),
+        lambda a: {"coeff": C.cut_to_json(a.cuts[0])},
+        (_regularity, _classification_consistency, _strongly_discrete_detector,
+         functools.partial(_semigroup_cross_check, seeds=5))),
+}
 
 
 def _check_fixture(text: str) -> dict:
@@ -412,12 +435,9 @@ def _check_fixture(text: str) -> dict:
 
 def cmd_verify(kind: str, model, samples: int, seed: int, fixture: str | None) -> dict:
     rng = random.Random(seed)
-    if kind == "valuation":
-        checks = _verify_valuation(model, samples, rng)
-    elif kind == "pruefer_fc":
-        checks = _verify_pruefer(model, samples, rng)
-    else:
-        checks = _verify_polyext(model, samples, rng)
+    spec = KINDS[kind]
+    m = spec.as_pruefer(model)
+    checks = [check(m, samples, rng, spec.write) for check in spec.checks]
     if fixture is not None:
         checks.append(_check_fixture(_read_text(fixture, "fixture")))
     return {

@@ -151,18 +151,14 @@ def _key(a: Cut, pos: int):
     return math.inf if a.side == OPEN else -math.inf
 
 
-def compare_edges(a: Cut, b: Cut) -> int:
-    """Order of the lower edges of two cuts; 0 only for identical canonicals."""
+def is_subset(g: ValueGroup, a: Cut, b: Cut) -> bool:
+    """Upper sets are nested exactly as their lower edges are ordered (two
+    canonical cuts have the same edge only when they are equal)."""
     for pos in range(max(a.level, b.level) + 1):
         ka, kb = _key(a, pos), _key(b, pos)
         if ka != kb:
-            return 1 if ka > kb else -1
-    return 0
-
-
-def is_subset(g: ValueGroup, a: Cut, b: Cut) -> bool:
-    """Upper sets are nested exactly as their lower edges are ordered."""
-    return compare_edges(a, b) >= 0
+            return ka > kb
+    return True
 
 
 def mul(g: ValueGroup, a: Cut, b: Cut) -> Cut:

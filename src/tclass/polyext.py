@@ -48,12 +48,6 @@ def extended_class(m: PolyExtModel, coefficient_cut: Cut) -> CutClass:
     return C.class_of(m.base, coefficient_cut)
 
 
-def t_idempotent_primes(m: PolyExtModel) -> list[int]:
-    """Levels whose prime extends to a t-idempotent t-prime of V[X]: exactly
-    the levels where the base quotient has no least positive element."""
-    return [i for i in range(1, m.base.rank + 1) if m.base.components[i - 1].dense]
-
-
 def classify(m: PolyExtModel, s: CutClass) -> IdempotentForm:
     """Lift the coefficient classification through the extension: the
     stabilizer of f.B[X] is (B:B)[X], so the idempotent is V_p[X] (the ring
@@ -92,10 +86,3 @@ def sym_from_json(m: PolyExtModel, data) -> CutClass:
         raise C.MalformedCutError("symbolic ideal literal wants exactly the key 'coeff'")
     return extended_class(m, C.cut_from_json(m.base, data["coeff"]))
 
-
-class PolyClassModel(C.ValuationClassModel):
-    """Handle for the semigroup oracle over the base value group:
-    multiplication of extended classes is coefficient-class multiplication."""
-
-    def describe(self, x: CutClass) -> str:
-        return f"[{C.format_cut(x.rep)}][X]"

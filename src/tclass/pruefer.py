@@ -33,12 +33,6 @@ from .cuts import (
 )
 
 
-# The idempotent forms are a product over the valuations: each valuation
-# multiplies their number by its own count of rank-1 forms (at least 2 when
-# it has a dense level), and `decompose` and `verify` enumerate them all.
-MAX_IDEMPOTENT_FORMS = 4096
-
-
 @dataclass(frozen=True)
 class PrueferModel:
     """k independent valuations presented by their value groups."""
@@ -49,14 +43,6 @@ class PrueferModel:
         object.__setattr__(self, "valuations", tuple(self.valuations))
         if not self.valuations:
             raise ValueError("need at least one valuation")
-        count = 1
-        for g in self.valuations:
-            count *= len(C.idempotent_forms(g))
-            if count > MAX_IDEMPOTENT_FORMS:
-                raise ValueError(
-                    f"the valuations have more than {MAX_IDEMPOTENT_FORMS} idempotent forms "
-                    f"(the product over valuations of their rank-1 forms)"
-                )
 
     @property
     def k(self) -> int:
@@ -157,29 +143,15 @@ def tuple_of_class(model: PrueferModel, x: TupleClass) -> IdealTuple:
     return IdealTuple(tuple(r.rep for r in x.reps))
 
 
-def group_membership(model: PrueferModel, a: IdealTuple, form: IdempotentForm) -> bool:
+def group_membership(model: PrueferModel, a: IdealTuple, j: IdealTuple) -> bool:
+    """Does the class of a lie in the constituent group at the idempotent
+    tuple j?  Componentwise `cuts.group_membership`, audit included."""
     _check(model, a)
-    j = form_tuple(model, form)
+    _check(model, j)
     return all(
         C.group_membership(g, x, y)
         for g, x, y in zip(model.valuations, a.cuts, j.cuts)
     )
-
-
-def group_mul(model: PrueferModel, x: TupleClass, y: TupleClass,
-              form: IdempotentForm) -> TupleClass:
-    j = form_tuple(model, form)
-    return TupleClass(tuple(
-        C.group_mul(g, a, b, c)
-        for g, a, b, c in zip(model.valuations, x.reps, y.reps, j.cuts)
-    ))
-
-
-def group_inv(model: PrueferModel, x: TupleClass, form: IdempotentForm) -> TupleClass:
-    j = form_tuple(model, form)
-    return TupleClass(tuple(
-        C.group_inv(g, a, c) for g, a, c in zip(model.valuations, x.reps, j.cuts)
-    ))
 
 
 def group_identity(model: PrueferModel, form: IdempotentForm) -> TupleClass:
@@ -192,22 +164,13 @@ class TrivialClassGroup:
 
     The certificate is operational: hand any t-invertible tuple over T to
     `show_principal` and get back the realizing component shifts.  The
-    group interface (identity, op, inv on tuple classes over T) stays
-    available so the embedding arrow runs against a live group.
+    identity is the class the embedding arrow starts from.
     """
 
     overring: OverringSpec
 
     def identity(self, model: PrueferModel) -> TupleClass:
         return class_of(model, ring_tuple(model, self.overring))
-
-    def op(self, model: PrueferModel, x: TupleClass, y: TupleClass) -> TupleClass:
-        form = IdempotentForm(self.overring, frozenset())
-        return group_mul(model, x, y, form)
-
-    def inv(self, model: PrueferModel, x: TupleClass) -> TupleClass:
-        form = IdempotentForm(self.overring, frozenset())
-        return group_inv(model, x, form)
 
     def show_principal(self, model: PrueferModel, a: IdealTuple) -> tuple:
         """Realizing shift vector for a t-invertible tuple over T; raises if
@@ -412,10 +375,12 @@ def tuple_from_json(model: PrueferModel, data) -> IdealTuple:
 
 
 class PrueferClassModel:
-    """Duck-typed handle the semigroup oracle multiplies through."""
+    """Duck-typed handle the semigroup oracle multiplies through; `describe`
+    names a class by the literal `write` gives its representative tuple."""
 
-    def __init__(self, model: PrueferModel):
+    def __init__(self, model: PrueferModel, write):
         self.model = model
+        self.write = write
 
     def class_of(self, a: IdealTuple) -> TupleClass:
         return class_of(self.model, a)
@@ -430,4 +395,4 @@ class PrueferClassModel:
         return class_of(self.model, form_tuple(self.model, classify_idempotent(self.model, a)))
 
     def describe(self, x: TupleClass) -> str:
-        return "(" + ", ".join(C.format_cut(r.rep) for r in x.reps) + ")"
+        return json.dumps(self.write(tuple_of_class(self.model, x)), sort_keys=True)

@@ -41,10 +41,6 @@ def random_member(rng: random.Random, comp: ArchComponent, span: int = 2) -> Fra
     return Fraction(rng.randint(-span * d, span * d), d)
 
 
-def random_element(rng: random.Random, g: ValueGroup, span: int = 2) -> tuple:
-    return g.element([random_member(rng, c, span) for c in g.components])
-
-
 def random_cut(rng: random.Random, g: ValueGroup, level: int | None = None) -> Cut:
     """A canonical cut with member coordinates below the top."""
     if level is None:

@@ -241,12 +241,6 @@ def cross_check(closure: SampleClosure, model) -> CrossCheckReport:
     return rep
 
 
-def to_fixture(s: FiniteCommSemigroup) -> str:
-    lines = [str(s.size)]
-    lines.extend(" ".join(str(x) for x in row) for row in s.table)
-    return "\n".join(lines) + "\n"
-
-
 def from_fixture(text: str) -> FiniteCommSemigroup:
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines:

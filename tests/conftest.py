@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from tclass import Q, Z, ValueGroup, Zloc
+from tclass.sampling import random_member
 
 settings.register_profile(
     "suite",
@@ -26,6 +27,11 @@ GROUPS = {
     "Zhalf": ValueGroup((Zloc(2),)),
     "Z_Zthird": ValueGroup((Z, Zloc(3))),
 }
+
+
+def random_element(rng, g, span=2):
+    """A group element with small coordinates, for principal shifts."""
+    return g.element([random_member(rng, c, span) for c in g.components])
 
 
 @pytest.fixture

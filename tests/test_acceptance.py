@@ -76,7 +76,7 @@ def test_criterion_2_dense_rank_one(capsys):
 
     # group law in the representable part over the dyadics
     m = X.PolyExtModel(ValueGroup((Zloc(2),)))
-    pm = X.PolyClassModel(m.base)
+    pm = ValuationClassModel(m.base)
     third = X.extended_class(m, Cut(1, (F(1, 3),), OPEN))
     two_thirds = X.extended_class(m, Cut(1, (F(2, 3),), OPEN))
     identity = X.extended_class(m, Cut(1, (F(0),), OPEN))
@@ -147,7 +147,7 @@ def test_criterion_5_idempotent_uniqueness(capsys):
         forms = P.enumerate_idempotent_forms(m)
         for _ in range(100):
             a = P.IdealTuple(tuple(random_cut(rng, g) for g in m.valuations))
-            hits = [f for f in forms if P.group_membership(m, a, f)]
+            hits = [f for f in forms if P.group_membership(m, a, P.form_tuple(m, f))]
             if len(hits) != 1:
                 failures.append(f"{a}: {len(hits)} admitting forms")
                 continue
@@ -199,9 +199,9 @@ def test_criterion_8_semigroup_cross_check(capsys):
 
     dy = ValuationClassModel(ValueGroup((Zloc(2),)))
     dd = PrueferClassModel(P.PrueferModel((ValueGroup((Zloc(2),)),
-                                           ValueGroup((Zloc(3),)))))
+                                           ValueGroup((Zloc(3),)))), P.tuple_to_json)
     pxm = X.PolyExtModel(ValueGroup((Zloc(2),)))
-    px = X.PolyClassModel(pxm.base)
+    px = ValuationClassModel(pxm.base)
 
     def vc(num, den, side=OPEN):
         return dy.class_of(Cut(1, (F(num, den),), side))

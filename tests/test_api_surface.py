@@ -8,6 +8,8 @@ References to module-level names are resolved per module: `C.mul` with
 Cut` for `cuts.Cut`, and a bare name for the module that defines it.
 Methods and properties are matched by attribute name alone (`x.mul` counts
 for every method called `mul`), since the type behind `x` is not known.
+A reference made inside an allowlisted definition does not count: what
+only a test-only name calls is test-only too.
 """
 
 import ast
@@ -17,14 +19,15 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tclass"
 
 ALLOWED = {
+    "cuts.group_inv": "the group inverse, so that the group-axiom tests run a whole group",
     "cuts.inverse": "the inverse (V : I), checked against the box oracle by tests",
     "cuts.is_subset": "containment of cuts, the order the box-oracle tests compare against",
+    "groups.UndefinedQuotientError":
+        "what `quotient_has_least_positive` raises for the zero quotient G/H_0",
     "groups.quotient_has_least_positive": "the discreteness criterion the density flags restate",
-    "sampling.random_element": "group elements for the principal-shift tests",
     "sampling.random_raw_cut": "non-canonical cut literals for the normalize tests",
-    "semigroups.to_fixture": "writes the table format `from_fixture` reads, for round trips",
-    "pruefer.TrivialClassGroup.inv":
-        "the group inverse, so that the class group tests run a whole group",
+    "pruefer.quotient":
+        "the tuple residual, behind `show_principal` and the componentwise arithmetic tests",
     "pruefer.TrivialClassGroup.show_principal":
         "the principality certificate behind the trivial class group the reports state",
 }
@@ -66,6 +69,21 @@ def methods() -> set:
     return out
 
 
+def source(path: Path) -> ast.Module:
+    """The parsed file, without the allowlisted definitions."""
+    tree = ast.parse(path.read_text())
+
+    def kept(node, prefix):
+        return f"{prefix}.{getattr(node, 'name', '')}" not in ALLOWED
+
+    if path.parent == PACKAGE:
+        tree.body = [n for n in tree.body if kept(n, path.stem)]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                cls.body = [n for n in cls.body if kept(n, f"{path.stem}.{cls.name}")]
+    return tree
+
+
 def attributes(path: Path) -> set:
     """Attribute names a source file reads, skipping a method's references
     to its own name inside its own body."""
@@ -78,7 +96,7 @@ def attributes(path: Path) -> set:
             method = isinstance(node, ast.ClassDef) and isinstance(child, ast.FunctionDef)
             visit(child, child.name if method else own)
 
-    visit(ast.parse(path.read_text()), None)
+    visit(source(path), None)
     return names
 
 
@@ -86,7 +104,7 @@ def references(path: Path) -> set:
     """(module, name) pairs a source file refers to, skipping a module's
     references to a name inside that name's own top-level definition."""
     here = path.stem if path.parent == PACKAGE else None
-    tree = ast.parse(path.read_text())
+    tree = source(path)
     aliases, refs = {}, set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (mod := _module_of(node)):

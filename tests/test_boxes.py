@@ -11,12 +11,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import GROUPS
+from conftest import GROUPS, random_element
 from tclass import CLOSED, OPEN, Cut, Q, ValueGroup, Z, Zloc
 from tclass import boxes
 from tclass.cuts import member, mul, translate
 from tclass.groups import is_member
-from tclass.sampling import random_cut, random_element
+from tclass.sampling import random_cut
 
 ZZ = GROUPS["Z"]
 DY = GROUPS["Zhalf"]

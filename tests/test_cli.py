@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import tclass
 from tclass import cuts
 from tclass import pruefer as P
-from tclass.cli import load_model, main
+from tclass.cli import cmd_classify, load_model, main
 
 C3_TEXT = "3\n2 0 1\n0 1 2\n1 2 0\n"
 
@@ -393,6 +393,14 @@ def test_too_many_idempotent_forms_is_usage_error(tmp_path, capsys):
     assert "idempotents: 4096" in capsys.readouterr().out
 
 
+def test_form_bound_is_a_pruefer_fc_input_limit(tmp_path):
+    # One valuation of 2100 dense levels has 4200 rank-1 forms; `verify`
+    # runs valuation and poly_ext specs as that one valuation, unbounded.
+    for kind, field in (("valuation", "group"), ("poly_ext", "base")):
+        spec = write(tmp_path, f"{kind}.json", {"kind": kind, field: ["Q"] * 2100})
+        assert main(["verify", spec, "--samples", "0"]) == 0
+
+
 def test_closed_stdout_ends_quietly_and_still_writes_json(tmp_path):
     # 1024 idempotent forms print about 330 kB, far more than a pipe holds,
     # so the reader's early close reaches the writer mid-output.
@@ -446,6 +454,34 @@ def test_escaped_group_error_in_verify_exits_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "is not idempotent" in err
     assert "verify" in err and spec in err and "--seed 11" in err
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "valuation", "group": ["Z", {"Zloc": [2]}]},
+    {"kind": "pruefer_fc", "valuations": [[{"Zloc": [2]}], ["Z", "Q"]]},
+    {"kind": "poly_ext", "base": [{"Zloc": [2]}]},
+], ids=["valuation", "pruefer_fc", "poly_ext"])
+def test_shared_check_counterexamples_replay_through_classify(spec, tmp_path, monkeypatch):
+    # A failing regularity audit, and an oracle handle that calls every class
+    # its own idempotent: each literal the two checks print must read back
+    # through `classify` as an ideal of the spec's kind.
+    monkeypatch.setattr(cuts, "is_regular", planted)
+    monkeypatch.setattr(P.PrueferClassModel, "idempotent_of", lambda self, x: x)
+    path = write(tmp_path, "spec.json", spec)
+    out = tmp_path / "report.json"
+    assert main(["verify", path, "--samples", "2", "--seed", "1", "--json", str(out)]) == 2
+    checks = {c["name"]: c["failures"] for c in json.loads(out.read_text())["checks"]}
+    samples = [json.JSONDecoder().raw_decode(msg)[0] for msg in checks["regularity"]]
+    classes = [json.JSONDecoder().raw_decode(msg, len("group at "))[0]
+               for msg in checks["semigroup_cross_check"] if msg.startswith("group at ")]
+    assert samples and classes
+    monkeypatch.undo()
+    kind, model = load_model(path)
+    for literal in samples:
+        cmd_classify(kind, model, json.dumps(literal))
+    # the oracle names a class by its representative, which `classify` keeps
+    for literal in classes:
+        assert cmd_classify(kind, model, json.dumps(literal))["ideal"] == literal
 
 
 def test_exact_sequence_counterexamples_are_replayable_literals(tmp_path, monkeypatch):

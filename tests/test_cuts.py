@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import GROUPS
+from conftest import GROUPS, random_element
 from tclass import CLOSED, OPEN, Cut, Q, ValueGroup, Z, Zloc
 from tclass import boxes
 from tclass import cuts as C
 from tclass.groups import is_member, truncate
-from tclass.sampling import random_cut, random_element, random_raw_cut
+from tclass.sampling import random_cut, random_raw_cut
 
 ZZ = GROUPS["Z"]
 Z2 = GROUPS["Z2"]

@@ -64,7 +64,7 @@ def test_psi_localize_rejects_tuples_outside_the_group(rng):
     for _ in range(20):
         a = random_tuple(rng)
         for form in forms:
-            if P.group_membership(MODEL, a, form):
+            if P.group_membership(MODEL, a, P.form_tuple(MODEL, form)):
                 assert len(P.psi_localize(MODEL, a, form)) == len(form.open_components)
             else:
                 outside += 1

@@ -4,12 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import GROUPS
+from conftest import GROUPS, random_element
 from tclass import CLOSED, OPEN, Cut, Q, ValueGroup, Z, Zloc
 from tclass import cuts as C
 from tclass import polyext as X
 from tclass.groups import is_strongly_discrete
-from tclass.sampling import random_cut, random_element
+from tclass.sampling import random_cut
 
 QQ = ValueGroup((Q,))
 DY = GROUPS["Zhalf"]
@@ -33,15 +33,20 @@ def trivial(m, form):
     return X.group_description(m, form).startswith("trivial")
 
 
+def t_idempotent_primes(m):
+    """Levels of the p[X] in the decomposition: its maximal ideal forms."""
+    return [f.overring.levels[0] for f in X.decompose(m) if f.open_components]
+
+
 def test_t_idempotent_primes_frozen_examples():
-    assert X.t_idempotent_primes(model(Z, Z, Z)) == []
-    assert X.t_idempotent_primes(X.PolyExtModel(QQ)) == [1]
-    assert X.t_idempotent_primes(model(Z, Zloc(2))) == [2]
+    assert t_idempotent_primes(model(Z, Z, Z)) == []
+    assert t_idempotent_primes(X.PolyExtModel(QQ)) == [1]
+    assert t_idempotent_primes(model(Z, Zloc(2))) == [2]
 
 
 def test_t_idempotent_primes_empty_iff_strongly_discrete(group):
     m = X.PolyExtModel(group)
-    assert (X.t_idempotent_primes(m) == []) == is_strongly_discrete(group)
+    assert (t_idempotent_primes(m) == []) == is_strongly_discrete(group)
 
 
 def test_classify_examples():
@@ -92,7 +97,7 @@ def test_decompose_mixed_tower():
 
 def test_group_law_representable_part():
     m = X.PolyExtModel(DY)
-    pm = X.PolyClassModel(m.base)
+    pm = C.ValuationClassModel(m.base)
     third = X.extended_class(m, Cut(1, (F(1, 3),), OPEN))
     two_thirds = X.extended_class(m, Cut(1, (F(2, 3),), OPEN))
     identity = X.extended_class(m, Cut(1, (F(0),), OPEN))
@@ -120,11 +125,3 @@ def test_sym_json_diagnostics():
         X.sym_from_json(m, {"ideal": {}})
     with pytest.raises(C.MalformedCutError):
         X.sym_from_json(m, {"coeff": {"level": 2, "boundary": ["0", "0"], "side": "open"}})
-
-
-def test_poly_class_model_describe():
-    m = X.PolyExtModel(QQ)
-    pm = X.PolyClassModel(m.base)
-    s = X.extended_class(m, Cut(1, (F(0),), OPEN))
-    assert pm.describe(s) == "[<1; (0); open>][X]"
-    assert pm.class_of(s.rep) == s

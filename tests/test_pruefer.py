@@ -1,6 +1,7 @@
 """Finite intersections of independent valuations: tuple ideals, the
 idempotent classification, and the exact-sequence verification."""
 
+import json
 import random
 from fractions import Fraction as F
 
@@ -58,7 +59,7 @@ RING_DD = C.IdempotentForm(C.OverringSpec((1, 1)), frozenset())
 @pytest.mark.parametrize("call", [
     lambda a: P.mul(M_DD, a, P.ring_tuple(M_DD, RING_DD.overring)),
     lambda a: P.classify_idempotent(M_DD, a),
-    lambda a: P.group_membership(M_DD, a, RING_DD),
+    lambda a: P.group_membership(M_DD, a, P.ring_tuple(M_DD, RING_DD.overring)),
     lambda a: P.psi_localize(M_DD, a, RING_DD),
 ], ids=["mul", "classify_idempotent", "group_membership", "psi_localize"])
 def test_tuple_arity_checked(call):
@@ -67,15 +68,16 @@ def test_tuple_arity_checked(call):
 
 
 def test_form_arity_checked():
-    # A form one component short would otherwise be compared on the first
-    # component alone: (0, open at 0) is in no group of a one-level form.
+    # A form or idempotent one component short would otherwise be compared
+    # on the first component alone: (0, open at 0) is in no group of a
+    # one-level form.
     short = C.IdempotentForm(C.OverringSpec((1,)), frozenset())
     a = tup(Cut(1, (F(0),), CLOSED), Cut(1, (F(0),), OPEN))
     for call in (P.form_tuple, P.group_identity):
         with pytest.raises(C.DomainMismatchError):
             call(M_DD, short)
     with pytest.raises(C.DomainMismatchError):
-        P.group_membership(M_DD, a, short)
+        P.group_membership(M_DD, a, tup(Cut(1, (F(0),), CLOSED)))
 
 
 def test_mul_componentwise_principal():
@@ -184,8 +186,10 @@ def test_class_group_trivial_with_certificate(model, rng):
     t = P.classify_idempotent(model, random_tuple(rng, model)).overring
     grp = P.class_group(model, t)
     e = grp.identity(model)
-    assert grp.op(model, e, e) == e
-    assert grp.inv(model, e) == e
+    # the identity is its own square and inverse in every component's group
+    for g, x, j in zip(model.valuations, e.reps, P.ring_tuple(model, t).cuts):
+        assert C.group_mul(g, x, x, j) == x
+        assert C.group_inv(g, x, j) == x
     # certificate: invertible tuples are shown principal by realizing shifts
     for _ in range(10):
         shifts = [
@@ -230,11 +234,14 @@ def test_group_membership_and_ops(model, rng):
     for _ in range(15):
         a = random_tuple(rng, model)
         form = P.classify_idempotent(model, a)
-        assert P.group_membership(model, a, form)
+        j = P.form_tuple(model, form)
+        assert P.group_membership(model, a, j)
         x = P.class_of(model, a)
         e = P.group_identity(model, form)
-        assert P.group_mul(model, x, e, form) == x
-        assert P.group_mul(model, x, P.group_inv(model, x, form), form) == e
+        # the group law is componentwise
+        for g, xi, ei, ji in zip(model.valuations, x.reps, e.reps, j.cuts):
+            assert C.group_mul(g, xi, ei, ji) == xi
+            assert C.group_mul(g, xi, C.group_inv(g, xi, ji), ji) == ei
 
 
 def test_enumerate_idempotent_forms_counts():
@@ -291,14 +298,15 @@ def test_tuple_json_diagnostics():
 
 
 def test_pruefer_class_model_adapter(rng):
-    adapter = P.PrueferClassModel(M_DD)
+    adapter = P.PrueferClassModel(M_DD, P.tuple_to_json)
     a = tup(Cut(1, (F(1, 3),), OPEN), Cut(1, (F(0),), OPEN))
     x = adapter.class_of(a)
     sq = adapter.mul(x, x)
     assert sq == adapter.class_of(tup(Cut(1, (F(2, 3),), OPEN), Cut(1, (F(0),), OPEN)))
     j = adapter.idempotent_of(x)
     assert adapter.mul(j, j) == j
-    assert isinstance(adapter.describe(x), str)
+    # classes are named by the literal of their representative tuple
+    assert P.tuple_from_json(M_DD, json.loads(adapter.describe(x))) == P.tuple_of_class(M_DD, x)
 
 
 @given(st.sampled_from(sorted(MODELS)), seeds)

@@ -18,8 +18,14 @@ from tclass.semigroups import (
     idempotents,
     is_clifford,
     sample_closure,
-    to_fixture,
 )
+
+def to_fixture(s: FiniteCommSemigroup) -> str:
+    """The table in the format `from_fixture` reads."""
+    lines = [str(s.size)]
+    lines.extend(" ".join(str(x) for x in row) for row in s.table)
+    return "\n".join(lines) + "\n"
+
 
 # C3 with identity at index 1, as produced by the Z[1/2] closure below.
 C3_TEXT = "3\n2 0 1\n0 1 2\n1 2 0\n"
