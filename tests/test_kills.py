@@ -100,7 +100,7 @@ FAULTS = {
 
 # fault -> outcome per spec, in SPECS order
 KILLS = {
-    "form_cut swaps ring and prime": (2, 2, 0, 2, 2, 2, 2),
+    "form_cut swaps ring and prime": (2, 2, 2, 2, 2, 2, 2),
     "residual_membership negated": (2, 2, 2, 2, 2, 0, 0),
     "mul takes the deeper side": (0, 0, "MalformedTableError", 0, 0, 0, 0),
     "_coset_rep drops the inverse": (0, 0, 0, 2, 0, 0, 0),
