@@ -373,16 +373,20 @@ def _strongly_discrete_detector(m, samples, rng, write) -> dict:
 
 def _semigroup_cross_check(m, samples, rng, write, seeds: int) -> dict:
     """Three sampled closures, each seeded with the classes of `seeds`
-    sampled tuples, against the Cayley-table oracle."""
+    sampled tuples, against the Cayley-table oracle.  A table the oracle
+    rejects (not associative, say) fails this check."""
     adapter = P.PrueferClassModel(m, write)
     failures = []
     for _ in range(3):
         drawn = [_random_tuple(rng, m) for _ in range(seeds)]
-        closure = SG.sample_closure(adapter, [adapter.class_of(a) for a in drawn], 256)
-        if not closure.saturated:
-            failures.append("sampled closure did not saturate within budget 256")
-            continue
-        failures.extend(SG.cross_check(closure, adapter).mismatches)
+        try:
+            closure = SG.sample_closure(adapter, [adapter.class_of(a) for a in drawn], 256)
+            if not closure.saturated:
+                failures.append("sampled closure did not saturate within budget 256")
+                continue
+            failures.extend(SG.cross_check(closure, adapter).mismatches)
+        except SG.MalformedTableError as e:
+            failures.append(f"closure of {_literal([write(a) for a in drawn])}: {e}")
     return _check("semigroup_cross_check", 3, failures)
 
 
@@ -551,9 +555,11 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (C.InternalInconsistencyError, C.NotIdempotentError, C.NotInGroupError) as e:
-        # Past parsing, a non-idempotent J or a class outside its group can
-        # only come from wrong arithmetic: a bug, like a failed guard.
+    except (C.InternalInconsistencyError, C.NotIdempotentError, C.NotInGroupError,
+            C.DomainMismatchError) as e:
+        # Past parsing, a non-idempotent J, a class outside its group or an
+        # ideal that is not one of its overring can only come from wrong
+        # arithmetic: a bug, like a failed guard.
         print(f"error: internal inconsistency: {e}; replay with: {_replay(args)}",
               file=sys.stderr)
         return 2

@@ -17,6 +17,7 @@ import tclass
 from tclass import cuts
 from tclass import pruefer as P
 from tclass.cli import cmd_classify, load_model, main
+from test_kills import FAULTS
 
 C3_TEXT = "3\n2 0 1\n0 1 2\n1 2 0\n"
 
@@ -454,6 +455,41 @@ def test_escaped_group_error_in_verify_exits_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "is not idempotent" in err
     assert "verify" in err and spec in err and "--seed 11" in err
+
+
+TOWER = {"kind": "valuation", "group": ["Q", "Z", {"Zloc": [2]}]}
+
+
+def plant_deeper_side_mul(monkeypatch):
+    name, plant = FAULTS["mul takes the deeper side"]
+    monkeypatch.setattr(cuts, name, plant(getattr(cuts, name)))
+
+
+def test_rejected_closure_table_fails_the_cross_check(tmp_path, monkeypatch):
+    # A wrong `mul` makes the sampled closure non-associative; the oracle's
+    # rejection is a failure that names the seed ideals by literals.
+    plant_deeper_side_mul(monkeypatch)
+    spec = write(tmp_path, "spec.json", TOWER)
+    out = tmp_path / "report.json"
+    assert main(["verify", spec, "--samples", "10", "--seed", "1", "--json", str(out)]) == 2
+    check = json.loads(out.read_text())["checks"][-1]
+    assert check["name"] == "semigroup_cross_check" and check["failures"]
+    _, g = load_model(spec)
+    for msg in check["failures"]:
+        assert "not associative" in msg
+        literals, _ = json.JSONDecoder().raw_decode(msg, msg.index("["))
+        assert [cuts.cut_to_json(cuts.cut_from_json(g, lit)) for lit in literals] == literals
+
+
+def test_escaped_domain_mismatch_in_verify_exits_2(tmp_path, capsys, monkeypatch):
+    # At 30 samples the same fault denies a cut its own overring, and
+    # `t_closure_over` raises DomainMismatchError.
+    plant_deeper_side_mul(monkeypatch)
+    spec = write(tmp_path, "spec.json", TOWER)
+    assert main(["verify", spec, "--samples", "30", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not an ideal of the overring" in err
+    assert "verify" in err and spec in err and "--samples 30 --seed 1" in err
 
 
 @pytest.mark.parametrize("spec", [
