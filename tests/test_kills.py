@@ -102,7 +102,7 @@ FAULTS = {
 KILLS = {
     "form_cut swaps ring and prime": (2, 2, 2, 2, 2, 2, 2),
     "residual_membership negated": (2, 2, 2, 2, 2, 0, 0),
-    "mul takes the deeper side": (0, 0, "MalformedTableError", 0, 0, 0, 0),
+    "mul takes the deeper side": (0, 0, 2, 0, 0, 0, 0),
     "_coset_rep drops the inverse": (0, 0, 0, 2, 0, 0, 0),
     "class_of unreduced": (2, 2, 2, 2, 2, 2, 2),
     "idempotent_cut is the ring cut": (2, 2, 2, 2, 2, 2, 2),
