@@ -17,6 +17,14 @@ Every operation below takes canonical cuts of `g` and returns canonical
 cuts, normalising nothing it is handed; a level above the rank raises
 MalformedCutError.  Cuts enter canonical through `normalize` (any literal,
 hand-built ones too), `cut_from_json`, `ring_cut`, `prime_cut`, the samplers.
+
+Classification and group membership are O(1) reads of a canonical cut's
+level and side.  The theory behind those reads is audited where a check
+already visits every cut: `is_regular` rebuilds the witness idempotent
+(I (T:I))_t, with the (I : I) recheck of `stabilizer`, compares it with the
+classified form and probes the cut behind `t_closure` being the identity;
+`group_membership` keeps the residual-arithmetic audit.  A failed audit
+raises InternalInconsistencyError.
 """
 
 from __future__ import annotations
@@ -169,6 +177,11 @@ def mul(g: ValueGroup, a: Cut, b: Cut) -> Cut:
     boundaries truncated to that level, side open iff the levels agree and
     either side is open (a lower-level operand absorbs the other's side: its
     boundary fiber is reachable through the deeper coordinates).
+
+    The result is canonical as built: below the top, member plus member is
+    a member; at the top a lower-level operand's side and membership carry
+    over, and equal levels give a closed member sum or an open cut at a
+    level where an operand is already open (a dense one).
     """
     validate_cut(g, a)
     validate_cut(g, b)
@@ -178,7 +191,7 @@ def mul(g: ValueGroup, a: Cut, b: Cut) -> Cut:
         side = OPEN if OPEN in (a.side, b.side) else CLOSED
     else:
         side = a.side if a.level < b.level else b.side
-    return normalize(g, Cut(level, boundary, side))
+    return Cut(level, boundary, side)
 
 
 def quotient(g: ValueGroup, a: Cut, b: Cut) -> Cut:
@@ -238,12 +251,10 @@ def t_closure(g: ValueGroup, a: Cut) -> Cut:
     Every nonzero fractional ideal of a valuation domain is a t-ideal:
     finitely generated subideals are principal, hence divisorial, and their
     union returns the ideal.  Kept as an explicit step so that callers spell
-    out where the star operation acts; a cheap containment probe guards the
-    identity claim.
+    out where the star operation acts; the containment probe that guards the
+    identity claim runs once per cut, in `is_regular`.
     """
     validate_cut(g, a)
-    if not member(g, a, _probe_point(g, a)):
-        raise InternalInconsistencyError("t-closure probe escaped its own cut")
     return a
 
 
@@ -313,21 +324,20 @@ class IdempotentForm:
 
 
 def classify_idempotent(g: ValueGroup, a: Cut) -> IdempotentForm:
-    """The unique idempotent whose constituent group contains a's class.
+    """The unique idempotent whose constituent group contains a's class, read
+    off the canonical cut's level and side.
 
     Side closed means the class carries a representative that is a ring
     multiple, so the idempotent is the stabilizer overring itself; side open
     (dense top component) lands on the idempotent maximal ideal of that
-    overring.  The witness construction (I (T:I))_t is checked against the
-    claimed form.
+    overring.  `is_regular` checks the witness construction (I (T:I))_t
+    against this form.
     """
-    form = IdempotentForm(
+    validate_cut(g, a)
+    return IdempotentForm(
         OverringSpec((a.level,)),
         frozenset() if a.side == CLOSED else frozenset({0}),
     )
-    if idempotent_cut(g, a) != form_cut(g, form):
-        raise InternalInconsistencyError("witness idempotent disagrees with classification")
-    return form
 
 
 def form_cut(g: ValueGroup, form: IdempotentForm) -> Cut:
@@ -363,7 +373,12 @@ def is_regular(g: ValueGroup, a: Cut) -> RegularityWitness:
     """Von Neumann regularity witness: checks I = (I^2 (I : I^2))_t and hands
     back the attached idempotent plus, when the boundary is realizable, the
     value of a scalar q with (I^2)_t = qI.  A non-member boundary has no such
-    scalar among representable shifts; the shift is None then."""
+    scalar among representable shifts; the shift is None then.
+
+    This is where the audits of one cut run, once: the witness idempotent
+    (I (T:I))_t must be the one `classify_idempotent` names, and a point
+    strictly inside the cut must lie in it (the probe behind the claim that
+    `t_closure` is the identity)."""
     sq = mul(g, a, a)
     back = t_closure(g, mul(g, sq, quotient(g, a, sq)))
     if back != a:
@@ -374,7 +389,12 @@ def is_regular(g: ValueGroup, a: Cut) -> RegularityWitness:
         shift = g.element(lift)
         if translate(g, a, shift) != sq:
             raise InternalInconsistencyError("witness shift does not realize the square")
-    return RegularityWitness(idempotent_cut(g, a), shift)
+    idempotent = idempotent_cut(g, a)
+    if idempotent != form_cut(g, classify_idempotent(g, a)):
+        raise InternalInconsistencyError("witness idempotent disagrees with classification")
+    if not member(g, a, _probe_point(g, a)):
+        raise InternalInconsistencyError("t-closure probe escaped its own cut")
+    return RegularityWitness(idempotent, shift)
 
 
 # === classes modulo principal ideals ===
@@ -430,9 +450,12 @@ def residual_membership(g: ValueGroup, L: Cut, J: Cut) -> bool:
 def group_membership(g: ValueGroup, L: Cut, J: Cut) -> bool:
     """Does the class of L lie in the constituent group at J?
 
-    The operative test asks whether L's attached idempotent is J; the
-    residual-arithmetic conditions must agree with it, and a divergence is
-    an arithmetic bug worth crashing on.
+    The audited test: the operative answer asks whether L's witness
+    idempotent (I (T:I))_t is J; the residual-arithmetic conditions must
+    agree with it, and a divergence is an arithmetic bug worth crashing on.
+    `verify` runs it for every sample and idempotent in
+    `idempotent_uniqueness`; the group operations decide membership in O(1)
+    by classification instead.
     """
     if not is_idempotent(g, J):
         raise NotIdempotentError(f"{format_cut(J)} is not idempotent")
@@ -443,7 +466,7 @@ def group_membership(g: ValueGroup, L: Cut, J: Cut) -> bool:
 
 
 def _require_member(g: ValueGroup, x: CutClass, J: Cut) -> None:
-    if not group_membership(g, x.rep, J):
+    if form_cut(g, classify_idempotent(g, x.rep)) != J:
         raise NotInGroupError(f"{format_cut(x.rep)} is not in the group at {format_cut(J)}")
 
 

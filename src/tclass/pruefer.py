@@ -119,7 +119,8 @@ def classify_idempotent(model: PrueferModel, a: IdealTuple) -> IdempotentForm:
     """The unique idempotent whose constituent group holds a's class: the
     product of the component classifications, since idempotence, the
     stabilizer and the witness (A (T:A))_t are all componentwise.  Each
-    component checks its own witness."""
+    component's form is read off its cut's level and side; `cuts.is_regular`
+    checks the witness against it, once per cut."""
     _check(model, a)
     return _join([C.classify_idempotent(g, c) for g, c in zip(model.valuations, a.cuts)])
 
@@ -206,11 +207,11 @@ def psi_localize(model: PrueferModel, a: IdealTuple, form: IdempotentForm) -> tu
     component, each read in the value group truncated at that component's
     level (the value group of the localization).
 
-    Membership is the operative test, the class's idempotent being the
-    form's; `classify_idempotent` checks its witness on the way.  The
-    residual-arithmetic audit of `group_membership` is not repeated here:
-    it runs in the `idempotent_uniqueness` check of `verify` and on every
-    operand of `cuts.group_mul`."""
+    Membership is an O(1) test: the class's idempotent, read off level and
+    side by `classify_idempotent`, must be the form's.  No audit runs here.
+    The witness (A (T:A))_t is checked in `cuts.is_regular`, which `verify`
+    runs on every sampled cut in `regularity`, and the residual-arithmetic
+    audit of `group_membership` in `idempotent_uniqueness`."""
     _check(model, a)
     if classify_idempotent(model, a) != form:
         raise NotInGroupError("tuple class lies outside the constituent group")

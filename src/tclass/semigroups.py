@@ -151,7 +151,14 @@ class SampleClosure:
 
 def sample_closure(model, seeds, budget: int) -> SampleClosure:
     """Multiply sampled classes pairwise until nothing new appears or the
-    budget (maximum element count) is hit."""
+    budget (maximum element count) is hit.
+
+    Each growth pass multiplies only the pairs i <= j that hold an element
+    new since the last pass, and records the index of every such product;
+    the table reads its upper triangle from that record and computes the
+    lower one afresh, so a saturated closure of m classes costs m^2
+    products and the commutativity check still compares two independent
+    products for every pair."""
     elems: list = []
     index: dict = {}
     for x in seeds:
@@ -160,13 +167,13 @@ def sample_closure(model, seeds, budget: int) -> SampleClosure:
             elems.append(x)
     if len(elems) > budget:
         raise ValueError("budget smaller than the seed set")
+    upper: dict = {}  # (i, j) with i <= j -> index of elems[i] * elems[j]
     saturated = True
-    grown = True
-    while grown and saturated:
-        grown = False
+    done = 0  # elems[:done] have all their products with each other recorded
+    while done < len(elems) and saturated:
         snapshot = len(elems)
         for i in range(snapshot):
-            for j in range(i, snapshot):
+            for j in range(max(i, done), snapshot):
                 p = model.mul(elems[i], elems[j])
                 if p not in index:
                     if len(elems) >= budget:
@@ -174,12 +181,15 @@ def sample_closure(model, seeds, budget: int) -> SampleClosure:
                         break
                     index[p] = len(elems)
                     elems.append(p)
-                    grown = True
+                upper[i, j] = index[p]
             if not saturated:
                 break
+        done = snapshot
     semigroup = None
     if saturated:
-        rows = [[index[model.mul(x, y)] for y in elems] for x in elems]
+        m = len(elems)
+        rows = [[upper[i, j] if i <= j else index[model.mul(elems[i], elems[j])]
+                 for j in range(m)] for i in range(m)]
         semigroup = FiniteCommSemigroup(rows)
     return SampleClosure(index, semigroup, saturated)
 

@@ -1,14 +1,29 @@
-"""The audits `psi_localize` no longer repeats still trip where they run.
+"""Where each `InternalInconsistencyError` guard runs, and a planted fault
+that trips it there.
 
-`psi_localize` decides membership by `pruefer.classify_idempotent`, the
-product of the component classifications of `cuts.classify_idempotent`,
-whose witness guard it keeps on every component.  The residual-arithmetic
-audit of `group_membership` runs in the `idempotent_uniqueness` check of
-`verify` and on the operands of `cuts.group_mul`.
+`src/tclass` holds seven raise sites.  Five audit one cut and run in
+`cuts.is_regular`, once per cut: the regularity identity, the witness
+shift, the `(I : I)` recheck of `stabilizer` (through `idempotent_cut`),
+the witness idempotent (I (T:I))_t against the form `classify_idempotent`
+reads off the cut, and the containment probe behind `t_closure` being the
+identity.  `is_regular` runs on every component of every sample in
+`verify`'s first check, `regularity`, and in `classify` for every kind, so
+`classify` ends in exit 2 with one stderr line naming the guard.  `verify`
+ends in exit 2 too; `regularity` lists the guard as a counterexample,
+unless the fault also breaks a later check that stops the run.  The
+residual audit of `cuts.group_membership` runs in `idempotent_uniqueness`.
+The guard of `pruefer.TrivialClassGroup.show_principal` runs where its
+certificate is asked for, which no command does.
+
+Classification, `psi_localize` and the group operations decide membership
+in O(1) from a canonical cut's level and side, and audit nothing.
 """
 
+import ast
 import json
 import random
+from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +33,11 @@ from tclass import pruefer as P
 from tclass.cli import main
 from tclass.sampling import random_cut
 
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tclass"
 SPEC = {"kind": "pruefer_fc", "valuations": [[{"Zloc": [2]}], ["Z", "Q"]]}
 MODEL = P.PrueferModel((GROUPS["Zhalf"], GROUPS["Z_Q"]))
+Z_Q = json.dumps({"kind": "valuation", "group": ["Z", "Q"]})
+PRINCIPAL = json.dumps({"level": 1, "boundary": ["3"], "side": "closed"})
 
 
 def open_forms():
@@ -40,6 +58,72 @@ def unreachable(*args):
     raise AssertionError("the exact-sequence check ran")
 
 
+def _form_cut_swapped(real):
+    # Still idempotent, but the wrong one: at a dense level the ring cut and
+    # the maximal ideal trade places.
+    def form_cut(g, f):
+        level = f.overring.levels[0]
+        if not g.components[level - 1].dense:
+            return real(g, f)
+        return C.ring_cut(g, level) if f.open_components else C.prime_cut(g, level)
+    return form_cut
+
+
+def _self_residual_prime(real):
+    return lambda g, a, b: C.prime_cut(g, a.level) if a == b else real(g, a, b)
+
+
+# The guards of `cuts.is_regular`: message -> (name in `cuts`, wrapper of
+# the real function, a `valuation [Z, Q]` literal that trips it).
+REGULAR_GUARDS = {
+    "regularity identity I = (I^2 (I:I^2))_t failed":
+        ("t_closure", lambda real: lambda g, a: C.ring_cut(g, a.level), PRINCIPAL),
+    "witness shift does not realize the square":
+        ("translate", lambda real: lambda g, a, shift: a, PRINCIPAL),
+    "stabilizer disagrees with (I : I)":
+        ("quotient", _self_residual_prime, PRINCIPAL),
+    "witness idempotent disagrees with classification":
+        ("form_cut", _form_cut_swapped,
+         json.dumps({"level": 2, "boundary": ["0", "1/2"], "side": "open"})),
+    "t-closure probe escaped its own cut":
+        ("_probe_point", lambda real: lambda g, a: g.element([F(-100)] * g.rank), PRINCIPAL),
+}
+RESIDUAL = "membership tests diverged"
+CERTIFICATE = "invertible tuple with a non-realizable component boundary"
+
+
+def raise_sites() -> list:
+    """(module, message) of every `raise InternalInconsistencyError(...)`."""
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                fn = node.exc.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if name == "InternalInconsistencyError":
+                    sites.append((path.stem, node.exc.args[0].value))
+    return sites
+
+
+def test_seven_guards_each_tripped_below():
+    sites = raise_sites()
+    assert len(sites) == 7, sites
+    assert sorted(msg for _, msg in sites) == sorted([*REGULAR_GUARDS, RESIDUAL, CERTIFICATE])
+
+
+@pytest.mark.parametrize("message", sorted(REGULAR_GUARDS), ids=lambda m: REGULAR_GUARDS[m][0])
+def test_regular_guard_trips_in_classify_and_verify(message, monkeypatch, capsys):
+    name, plant, literal = REGULAR_GUARDS[message]
+    monkeypatch.setattr(C, name, plant(getattr(C, name)))
+    assert main(["classify", Z_Q, "--ideal", literal]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err, err
+
+    assert main(["verify", Z_Q, "--samples", "10", "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert message in out + err
+
+
 def test_residual_divergence_fails_verify_in_idempotent_uniqueness(
         tmp_path, capsys, monkeypatch, diverging_residual):
     spec = tmp_path / "spec.json"
@@ -49,13 +133,25 @@ def test_residual_divergence_fails_verify_in_idempotent_uniqueness(
     monkeypatch.setattr(P, "verify_exact_sequence", unreachable)
     assert main(["verify", str(spec), "--samples", "2", "--seed", "1"]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "membership tests diverged" in err
+    assert err.count("\n") == 1 and RESIDUAL in err
 
 
-def test_residual_divergence_trips_in_exact_sequence_group_mul(diverging_residual):
+def test_exact_sequence_runs_no_residual_audit(diverging_residual):
+    # `psi_localize`, `group_mul` and `group_inv` decide membership by
+    # classification, so the planted divergence passes through unseen.
     for form in open_forms():
-        with pytest.raises(C.InternalInconsistencyError, match="membership tests diverged"):
-            P.verify_exact_sequence(MODEL, form, 1, random.Random(1))
+        assert P.verify_exact_sequence(MODEL, form, 2, random.Random(1)).passed
+
+
+def test_show_principal_guard_trips_on_a_planted_invertibility(monkeypatch):
+    grp = P.class_group(MODEL, C.OverringSpec((1, 2)))
+    t = P.ring_tuple(MODEL, grp.overring)
+    # Every product is the overring, so the open first component passes as
+    # t-invertible and reaches the realizability guard.
+    monkeypatch.setattr(P, "mul", lambda model, a, b: t)
+    a = P.IdealTuple((C.Cut(1, (F(1, 3),), C.OPEN), t.cuts[1]))
+    with pytest.raises(C.InternalInconsistencyError, match=CERTIFICATE):
+        grp.show_principal(MODEL, a)
 
 
 def test_psi_localize_rejects_tuples_outside_the_group(rng):
@@ -71,31 +167,3 @@ def test_psi_localize_rejects_tuples_outside_the_group(rng):
                 with pytest.raises(C.NotInGroupError):
                     P.psi_localize(MODEL, a, form)
     assert outside
-
-
-def test_classify_witness_guard_trips_on_a_wrong_form_tuple(tmp_path, capsys, monkeypatch):
-    real = C.form_cut
-    form = open_forms()[0]
-    j = P.form_tuple(MODEL, form)
-
-    def swapped(g, f):
-        # Still idempotent, but the wrong one: at a dense level the ring cut
-        # and the maximal ideal trade places.
-        level = f.overring.levels[0]
-        if not g.components[level - 1].dense:
-            return real(g, f)
-        return C.ring_cut(g, level) if f.open_components else C.prime_cut(g, level)
-
-    monkeypatch.setattr(C, "form_cut", swapped)
-    # The first component (dense, rank 1) trips the witness guard of
-    # `cuts.classify_idempotent` in every product classification.
-    a = random_tuple(random.Random(3))
-    with pytest.raises(C.InternalInconsistencyError, match="witness idempotent"):
-        P.classify_idempotent(MODEL, a)
-    with pytest.raises(C.InternalInconsistencyError, match="witness idempotent"):
-        P.psi_localize(MODEL, j, form)
-
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(SPEC))
-    assert main(["verify", str(spec), "--samples", "2", "--seed", "1"]) == 2
-    assert "witness idempotent" in capsys.readouterr().err

@@ -2,47 +2,57 @@
 
 Counts depend only on the spec, the sample count and the seed, never on
 the host, so a regression in how often the cut kernel rebuilds cuts,
-normalises cuts that are already canonical or re-runs the constituent-group
-audit fails here without timing anything.
+normalises cuts that are already canonical, re-runs the constituent-group
+audit or rebuilds a witness idempotent, or in how often the Cayley-table
+oracle multiplies a pair, fails here without timing anything.
 """
 
 import json
 
 from tclass import cuts as C
+from tclass import pruefer as P
+from tclass import semigroups as SG
 from tclass.cli import cmd_verify, load_model
 
 SPEC = json.dumps({"kind": "pruefer_fc", "valuations": [[{"Zloc": [2]}], ["Z", "Q"]]})
 
-# The same run when every `Cut` re-wrapped its coordinates, `normalize`
-# always built a new cut and `psi_localize` ran `group_membership` on every
-# component: 18328 `Cut` constructions and 213 `cuts.group_membership`
-# calls.  The budget is half of each.
-CUTS_BEFORE = 18328
-MEMBERSHIPS_BEFORE = 213
-# And when every kernel operation normalised the canonical cuts it was
-# handed: 5131 `cuts.normalize` calls.  The budget is half.
-NORMALIZE_BEFORE = 5131
+# The same run when `classify_idempotent` rebuilt the witness (I (T:I))_t on
+# every call, `group_mul` re-audited both operands, `mul` normalised its
+# result and each closure pass multiplied every pair again: 2982 `Cut`
+# constructions, 57 `cuts.group_membership` calls, 1799 `cuts.normalize`
+# calls and 255 `cuts.idempotent_cut` calls.  The budget is half of each of
+# the first three (earlier caps: 9164, 106 and 2565) and a quarter of the
+# last.
+CUTS_BEFORE = 2982
+MEMBERSHIPS_BEFORE = 57
+NORMALIZE_BEFORE = 1799
+IDEMPOTENT_CUTS_BEFORE = 255
 
 
 def test_verify_pruefer_stays_within_operation_budget(monkeypatch):
-    counts = {"cuts": 0, "memberships": 0, "normalize": 0}
-    post_init, membership, normalize = C.Cut.__post_init__, C.group_membership, C.normalize
+    counts = {"cuts": 0, "memberships": 0, "normalize": 0, "idempotent_cuts": 0,
+              "model_mul": 0}
+    closures = []
 
-    def counted_post_init(self):
-        counts["cuts"] += 1
-        post_init(self)
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
 
-    def counted_membership(*args):
-        counts["memberships"] += 1
-        return membership(*args)
+    def recorded_closure(*args):
+        closure = sample_closure(*args)
+        closures.append(closure)
+        return closure
 
-    def counted_normalize(*args):
-        counts["normalize"] += 1
-        return normalize(*args)
-
-    monkeypatch.setattr(C.Cut, "__post_init__", counted_post_init)
-    monkeypatch.setattr(C, "group_membership", counted_membership)
-    monkeypatch.setattr(C, "normalize", counted_normalize)
+    sample_closure = SG.sample_closure
+    monkeypatch.setattr(C.Cut, "__post_init__", counted("cuts", C.Cut.__post_init__))
+    monkeypatch.setattr(C, "group_membership", counted("memberships", C.group_membership))
+    monkeypatch.setattr(C, "normalize", counted("normalize", C.normalize))
+    monkeypatch.setattr(C, "idempotent_cut", counted("idempotent_cuts", C.idempotent_cut))
+    monkeypatch.setattr(P.PrueferClassModel, "mul",
+                        counted("model_mul", P.PrueferClassModel.mul))
+    monkeypatch.setattr(SG, "sample_closure", recorded_closure)
     kind, model = load_model(SPEC)
     report = cmd_verify(kind, model, 3, 1, None)
 
@@ -52,3 +62,10 @@ def test_verify_pruefer_stays_within_operation_budget(monkeypatch):
     assert counts["cuts"] <= CUTS_BEFORE // 2, counts
     assert counts["memberships"] <= MEMBERSHIPS_BEFORE // 2, counts
     assert counts["normalize"] <= NORMALIZE_BEFORE // 2, counts
+    assert counts["idempotent_cuts"] <= IDEMPOTENT_CUTS_BEFORE // 4, counts
+    # Each saturated closure of m classes costs exactly m^2 products: the
+    # upper triangle once while it grows, the lower triangle once for the
+    # commutativity check.
+    sizes = [len(c.dictionary) for c in closures]
+    assert len(closures) == 3 and all(c.saturated for c in closures), sizes
+    assert counts["model_mul"] == sum(m * m for m in sizes), (counts, sizes)
