@@ -32,6 +32,7 @@ from tclass import cuts as C
 from tclass import pruefer as P
 from tclass.cli import main
 from tclass.sampling import random_cut
+from test_kills import _form_cut_swapped
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tclass"
 SPEC = {"kind": "pruefer_fc", "valuations": [[{"Zloc": [2]}], ["Z", "Q"]]}
@@ -56,17 +57,6 @@ def diverging_residual(monkeypatch):
 
 def unreachable(*args):
     raise AssertionError("the exact-sequence check ran")
-
-
-def _form_cut_swapped(real):
-    # Still idempotent, but the wrong one: at a dense level the ring cut and
-    # the maximal ideal trade places.
-    def form_cut(g, f):
-        level = f.overring.levels[0]
-        if not g.components[level - 1].dense:
-            return real(g, f)
-        return C.ring_cut(g, level) if f.open_components else C.prime_cut(g, level)
-    return form_cut
 
 
 def _self_residual_prime(real):

@@ -40,12 +40,13 @@ def test_verify_pruefer_stays_within_operation_budget(monkeypatch):
             return fn(*args)
         return wrapper
 
+    sample_closure = SG.sample_closure
+
     def recorded_closure(*args):
         closure = sample_closure(*args)
         closures.append(closure)
         return closure
 
-    sample_closure = SG.sample_closure
     monkeypatch.setattr(C.Cut, "__post_init__", counted("cuts", C.Cut.__post_init__))
     monkeypatch.setattr(C, "group_membership", counted("memberships", C.group_membership))
     monkeypatch.setattr(C, "normalize", counted("normalize", C.normalize))
