@@ -481,6 +481,22 @@ def test_rejected_closure_table_fails_the_cross_check(tmp_path, monkeypatch):
         assert [cuts.cut_to_json(cuts.cut_from_json(g, lit)) for lit in literals] == literals
 
 
+def test_lower_product_outside_the_closure_fails_the_cross_check(tmp_path, monkeypatch):
+    # A stand-in adapter whose y * x, for x < y, leaves the closure: the
+    # closure reports it as a failed check, not a KeyError traceback.
+    monkeypatch.setattr(P.PrueferClassModel, "class_of", lambda self, a: 1)
+    monkeypatch.setattr(P.PrueferClassModel, "mul",
+                        lambda self, x, y: min(x + y, 4) if x <= y else 99)
+    spec = write(tmp_path, "spec.json",
+                 {"kind": "pruefer_fc", "valuations": [[{"Zloc": [2]}], ["Z", "Q"]]})
+    out = tmp_path / "report.json"
+    assert main(["verify", spec, "--samples", "3", "--seed", "1", "--json", str(out)]) == 2
+    check = json.loads(out.read_text())["checks"][-1]
+    assert check["name"] == "semigroup_cross_check" and not check["passed"]
+    assert len(check["failures"]) == 3
+    assert all(msg.endswith("not commutative at (0, 1)") for msg in check["failures"])
+
+
 def test_escaped_domain_mismatch_in_verify_exits_2(tmp_path, capsys, monkeypatch):
     # At 30 samples the same fault denies a cut its own overring, and
     # `t_closure_over` raises DomainMismatchError.

@@ -3,16 +3,18 @@
 Counts depend only on the spec, the sample count and the seed, never on
 the host, so a regression in how often the cut kernel rebuilds cuts,
 normalises cuts that are already canonical, re-runs the constituent-group
-audit or rebuilds a witness idempotent, or in how often the Cayley-table
-oracle multiplies a pair, fails here without timing anything.
+audit or rebuilds a witness idempotent, in how often the Cayley-table
+oracle multiplies a pair, or in how many triples its associativity check
+reads, fails here without timing anything.
 """
 
 import json
+from fractions import Fraction as F
 
 from tclass import cuts as C
 from tclass import pruefer as P
 from tclass import semigroups as SG
-from tclass.cli import cmd_verify, load_model
+from tclass.cli import cmd_verify, load_model, value_group_from_json
 
 SPEC = json.dumps({"kind": "pruefer_fc", "valuations": [[{"Zloc": [2]}], ["Z", "Q"]]})
 
@@ -70,3 +72,31 @@ def test_verify_pruefer_stays_within_operation_budget(monkeypatch):
     sizes = [len(c.dictionary) for c in closures]
     assert len(closures) == 3 and all(c.saturated for c in closures), sizes
     assert counts["model_mul"] == sum(m * m for m in sizes), (counts, sizes)
+
+
+class CountedModel(C.ValuationClassModel):
+    calls = 0
+
+    def mul(self, x, y):
+        self.calls += 1
+        return super().mul(x, y)
+
+
+def test_large_closure_checks_associativity_on_few_generators():
+    # The benchmark's oracle closure: Z[1/2] seeded with open classes at
+    # n/3, n/5, n/7 and the ring class saturates at 1 + lcm(3, 5, 7) = 106.
+    model = CountedModel(value_group_from_json([{"Zloc": [2]}]))
+    seeds = [C.Cut(1, (F(n, q),), C.OPEN) for n, q in ((1, 3), (2, 5), (3, 7))]
+    seeds.append(C.Cut(1, (F(0),), C.CLOSED))
+    closure = SG.sample_closure(model, [model.class_of(c) for c in seeds], 256)
+    m = len(closure.dictionary)
+    assert closure.saturated and m == 106
+    assert model.calls == m * m
+    # Light's test compares g * m^2 triples for g generators; for m >= 104,
+    # g <= 4 keeps a check at or below 1/26 of the m^3 sweep.
+    s = closure.semigroup
+    group = max((SG.constituent_group(s, e).table for e in SG.idempotents(s)),
+                key=lambda t: t.size)
+    assert group.size == 105
+    for table in (s, group):
+        assert len(SG._generators(table.table)) <= 4

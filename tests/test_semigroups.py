@@ -1,5 +1,8 @@
 """Cayley-table oracle: validation, Clifford analysis, sampled closures."""
 
+import itertools
+import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +19,7 @@ from tclass.semigroups import (
     cross_check,
     from_fixture,
     idempotents,
+    _generators,
     is_clifford,
     sample_closure,
 )
@@ -68,6 +72,105 @@ def test_assoc_cap_refuses_rather_than_skips():
         FiniteCommSemigroup(C3_ROWS, assoc_cap=2)
     # raising the cap re-enables the check instead of bypassing it
     assert FiniteCommSemigroup(C3_ROWS, assoc_cap=3).size == 3
+
+
+def reference_failures(rows):
+    """Every (i, j, k) with (i j) k != i (j k): the O(m^3) sweep."""
+    m = len(rows)
+    return {(i, j, k) for i in range(m) for j in range(m) for k in range(m)
+            if rows[rows[i][j]][k] != rows[i][rows[j][k]]}
+
+
+def assert_matches_reference(rows):
+    """The constructor accepts exactly the tables the sweep accepts, and a
+    rejection names a triple that really fails."""
+    failures = reference_failures(rows)
+    if not failures:
+        assert FiniteCommSemigroup(rows).table == tuple(map(tuple, rows))
+        return
+    with pytest.raises(MalformedTableError, match="not associative") as exc:
+        FiniteCommSemigroup(rows)
+    triple = tuple(map(int, re.search(r"\((\d+), (\d+), (\d+)\)", str(exc.value)).groups()))
+    assert triple in failures
+
+
+def commutative_table(m, entries):
+    """The symmetric table whose upper triangle, row by row, is `entries`."""
+    rows = [[0] * m for _ in range(m)]
+    pairs = [(i, j) for i in range(m) for j in range(i, m)]
+    for (i, j), x in zip(pairs, entries):
+        rows[i][j] = rows[j][i] = x
+    return rows
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_associativity_check_matches_sweep_on_every_small_table(m):
+    accepted = 0
+    tables = list(itertools.product(range(m), repeat=m * (m + 1) // 2))
+    for entries in tables:
+        rows = commutative_table(m, entries)
+        assert_matches_reference(rows)
+        accepted += not reference_failures(rows)
+    assert 0 < accepted and (m == 1 or accepted < len(tables))
+
+
+@pytest.mark.parametrize("m", range(4, 9))
+def test_associativity_check_matches_sweep_on_random_tables(m):
+    rng = random.Random(m)
+    for _ in range(200):
+        assert_matches_reference(
+            commutative_table(m, [rng.randrange(m) for _ in range(m * (m + 1) // 2)]))
+
+
+def cyclic(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def chain(n, op):
+    return [[op(i, j) for j in range(n)] for i in range(n)]
+
+
+def product(a, b):
+    """The direct product, (x, y) at index x * len(b) + y."""
+    nb = len(b)
+    return [[a[i // nb][j // nb] * nb + b[i % nb][j % nb] for j in range(len(a) * nb)]
+            for i in range(len(a) * nb)]
+
+
+SEMIGROUPS = {
+    "C5": cyclic(5),
+    "C6": cyclic(6),
+    "min-chain": chain(5, min),
+    "max-chain": chain(5, max),
+    "nilpotent": NILPOTENT,
+    "C3xC2": product(cyclic(3), cyclic(2)),
+    "C2xsemilattice": product(cyclic(2), SEMILATTICE),
+    "C3xmax-chain": product(cyclic(3), chain(3, max)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEMIGROUPS))
+def test_associativity_check_matches_sweep_on_corrupted_semigroups(name):
+    rows = SEMIGROUPS[name]
+    m = len(rows)
+    assert not reference_failures(rows)
+    assert_matches_reference(rows)
+    for i in range(m):
+        for j in range(i, m):
+            for x in range(m):
+                if x != rows[i][j]:
+                    bad = [list(r) for r in rows]
+                    bad[i][j] = bad[j][i] = x
+                    assert_matches_reference(bad)
+
+
+def test_generators_are_greedy_and_can_be_every_element():
+    assert _generators(C3_ROWS) == [0]
+    assert _generators(cyclic(6)) == [0, 1]
+    assert _generators(product(cyclic(3), cyclic(2))) == [0, 1, 2]
+    # no element of a max-chain is a product of smaller ones: Light's test
+    # is the full m^3 sweep there
+    assert _generators(chain(5, max)) == [0, 1, 2, 3, 4]
 
 
 def test_table_equality_and_ops():
@@ -181,6 +284,18 @@ def test_closure_rejects_budget_below_seed_count():
     seeds = [m.class_of(Cut(1, (F(1, d),), OPEN)) for d in (3, 5, 7)]
     with pytest.raises(ValueError, match="budget"):
         sample_closure(m, seeds, 2)
+
+
+class LowerTriangleEscapes:
+    """A stand-in whose y * x, for x < y, is a class outside the closure."""
+
+    def mul(self, x, y):
+        return min(x + y, 4) if x <= y else 99
+
+
+def test_closure_reports_lower_product_outside_it_as_not_commutative():
+    with pytest.raises(MalformedTableError, match=r"not commutative at \(0, 1\)"):
+        sample_closure(LowerTriangleEscapes(), [0, 1], 16)
 
 
 def test_closure_deduplicates_seeds():
