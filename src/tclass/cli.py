@@ -344,8 +344,8 @@ def _exact_sequence(m, samples, rng, write) -> dict:
     forms = sorted(P.enumerate_idempotent_forms(m), key=_form_order)
     failures = []
     for form in forms:
-        rep = P.verify_exact_sequence(m, form, samples, rng)
-        failures.extend(f"{format_form(form)}: {msg}" for msg in rep.failures)
+        failures.extend(f"{format_form(form)}: {msg}"
+                        for msg in P.verify_exact_sequence(m, form, samples, rng))
     return _check("exact_sequence", samples * len(forms), failures)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import ValueGroup, is_member, truncate
@@ -155,49 +155,27 @@ def group_membership(model: PrueferModel, a: IdealTuple, j: IdealTuple) -> bool:
     )
 
 
-def group_identity(model: PrueferModel, form: IdempotentForm) -> TupleClass:
-    return class_of(model, form_tuple(model, form))
-
-
-@dataclass(frozen=True)
-class TrivialClassGroup:
-    """Cl(T) for a semilocal intersection: computed trivial, not assumed.
-
-    The certificate is operational: hand any t-invertible tuple over T to
-    `show_principal` and get back the realizing component shifts.  The
-    identity is the class the embedding arrow starts from.
-    """
-
-    overring: OverringSpec
-
-    def identity(self, model: PrueferModel) -> TupleClass:
-        return class_of(model, ring_tuple(model, self.overring))
-
-    def show_principal(self, model: PrueferModel, a: IdealTuple) -> tuple:
-        """Realizing shift vector for a t-invertible tuple over T; raises if
-        the tuple is not invertible (some component open or off the group)."""
-        _check(model, a)
-        t = ring_tuple(model, self.overring)
-        inv = quotient(model, t, a)
-        if t_closure(model, mul(model, a, inv)) != t:
-            raise NotInGroupError("tuple is not t-invertible over the overring")
-        shifts = []
-        for g, c in zip(model.valuations, a.cuts):
-            if c.side != CLOSED or not all(
-                is_member(comp, q) for comp, q in zip(g.components, c.boundary)
-            ):
-                raise InternalInconsistencyError(
-                    "invertible tuple with a non-realizable component boundary"
-                )
-            lift = list(c.boundary) + [Fraction(0)] * (g.rank - c.level)
-            shifts.append(g.element(lift))
-        return tuple(shifts)
-
-
-def class_group(model: PrueferModel, t: OverringSpec) -> TrivialClassGroup:
-    if len(t.levels) != model.k:
-        raise DomainMismatchError("overring has wrong number of components")
-    return TrivialClassGroup(t)
+def show_principal(model: PrueferModel, overring: OverringSpec, a: IdealTuple) -> tuple:
+    """The certificate that Cl(T) of a semilocal intersection is trivial:
+    the realizing shift vector of a tuple t-invertible over the overring T.
+    Raises if the tuple is not invertible (some component open or off the
+    group)."""
+    _check(model, a)
+    t = ring_tuple(model, overring)
+    inv = quotient(model, t, a)
+    if t_closure(model, mul(model, a, inv)) != t:
+        raise NotInGroupError("tuple is not t-invertible over the overring")
+    shifts = []
+    for g, c in zip(model.valuations, a.cuts):
+        if c.side != CLOSED or not all(
+            is_member(comp, q) for comp, q in zip(g.components, c.boundary)
+        ):
+            raise InternalInconsistencyError(
+                "invertible tuple with a non-realizable component boundary"
+            )
+        lift = list(c.boundary) + [Fraction(0)] * (g.rank - c.level)
+        shifts.append(g.element(lift))
+    return tuple(shifts)
 
 
 # === the exact sequence 0 -> Cl(T) -> G -> prod of localized groups -> 0 ===
@@ -221,14 +199,6 @@ def psi_localize(model: PrueferModel, a: IdealTuple, form: IdempotentForm) -> tu
         gt = truncate(g, form.overring.levels[i])
         out.append(C.class_of(gt, a.cuts[i]))
     return tuple(out)
-
-
-def phi_embed(model: PrueferModel, x: TupleClass, form: IdempotentForm) -> TupleClass:
-    """Push a class over T into the constituent group by multiplying into
-    the idempotent and t-closing."""
-    j = form_tuple(model, form)
-    prod = t_closure(model, mul(model, tuple_of_class(model, x), j))
-    return class_of(model, prod)
 
 
 def _random_group_member(rng: random.Random, model: PrueferModel,
@@ -269,43 +239,30 @@ def _lift_target(model: PrueferModel, j: IdealTuple, local: list,
     return IdealTuple(tuple(cuts))
 
 
-@dataclass
-class ExactnessReport:
-    form: IdempotentForm
-    samples: int
-    homomorphism_checks: int = 0
-    kernel_checks: int = 0
-    injectivity_checks: int = 0
-    surjectivity_checks: int = 0
-    failures: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
 def verify_exact_sequence(model: PrueferModel, form: IdempotentForm,
-                          samples: int, rng: random.Random) -> ExactnessReport:
-    """Sampled exactness of 0 -> Cl(T) -> G -> prod G_i -> 0.
+                          samples: int, rng: random.Random) -> list[str]:
+    """Sampled exactness of 0 -> Cl(T) -> G -> prod G_i -> 0; returns the
+    failures.
 
-    Cl(T) is computed trivial, so exactness amounts to: the embedded class
-    is the identity and is the whole kernel (injectivity of the projection),
-    the projection is a homomorphism, and every sampled target vector lifts.
-    Failures name the offending tuples by the literals `tclass classify
-    --ideal` reads; they indicate arithmetic bugs and are never swallowed.
+    Cl(T) is trivial (`show_principal` certifies it), so exactness amounts
+    to: the embedded class is the identity and is the whole kernel
+    (injectivity of the projection), the projection is a homomorphism, and
+    every sampled target vector lifts.  Failures name the offending tuples
+    by the literals `tclass classify --ideal` reads; they indicate
+    arithmetic bugs and are never swallowed.
     """
-    rep = ExactnessReport(form=form, samples=samples)
+    failures = []
 
     def fail(message: str, *tuples: IdealTuple) -> None:
-        rep.failures.append(message.format(
+        failures.append(message.format(
             *(json.dumps(tuple_to_json(a), sort_keys=True) for a in tuples)))
 
-    cl = class_group(model, form.overring)
-    # Per-form constants: the idempotent, its class, and for each side-open
-    # component the value group of its localization with that group's
-    # idempotent maximal ideal.
+    # Per-form constants: the overring, the idempotent, its class, and for
+    # each side-open component the value group of its localization with
+    # that group's idempotent maximal ideal.
+    t = ring_tuple(model, form.overring)
     j = form_tuple(model, form)
-    identity = group_identity(model, form)
+    identity = class_of(model, j)
     local = []
     for i in sorted(form.open_components):
         level = form.overring.levels[i]
@@ -313,7 +270,9 @@ def verify_exact_sequence(model: PrueferModel, form: IdempotentForm,
         local.append((i, gt, C.prime_cut(gt, level)))
     ident = psi_localize(model, j, form)
 
-    embedded = phi_embed(model, cl.identity(model), form)
+    # The embedding pushes a class over T into the group by multiplying
+    # into the idempotent and t-closing; the identity of Cl(T) is T's class.
+    embedded = class_of(model, t_closure(model, mul(model, t, j)))
     if embedded != identity:
         fail("embedding of Cl(T) identity missed the group identity: {}",
              tuple_of_class(model, embedded))
@@ -325,24 +284,19 @@ def verify_exact_sequence(model: PrueferModel, form: IdempotentForm,
 
         pa, pb, pab = (psi_localize(model, x, form) for x in (a, b, ab))
         want = tuple(C.group_mul(gt, x, y, m) for x, y, (_, gt, m) in zip(pa, pb, local))
-        rep.homomorphism_checks += 1
         if pab != want:
             fail("projection not multiplicative at {} * {}", a, b)
-
-        rep.kernel_checks += 1
         if pa == ident and class_of(model, a) != identity:
             fail("kernel element outside the embedded image: {}", a)
-        rep.injectivity_checks += 1
         if pa == pb and class_of(model, a) != class_of(model, b):
             fail("projection identified distinct classes: {} vs {}", a, b)
 
         target = _random_target(rng, local)
         lift = _lift_target(model, j, local, target)
-        rep.surjectivity_checks += 1
         if psi_localize(model, lift, form) != target:
             fail("constructed preimage {} missed its target", lift)
 
-    return rep
+    return failures
 
 
 def enumerate_idempotent_forms(model: PrueferModel) -> list[IdempotentForm]:

@@ -1,13 +1,16 @@
 """No dead public API: every public module-level function or class of
-`src/tclass`, and every public method or property of a public class, has a
-reference in `src/` or `bench/` outside its own definition, or an entry in
-ALLOWED saying why tests alone may call it.
+`src/tclass`, every public method or property of a public class, and every
+public annotated field of a public dataclass has a reference in `src/` or
+`bench/` outside its own definition, or an entry in ALLOWED saying why
+tests alone may call it.
 
 References to module-level names are resolved per module: `C.mul` with
 `from . import cuts as C` counts for `cuts.mul` only, `from .cuts import
 Cut` for `cuts.Cut`, and a bare name for the module that defines it.
-Methods and properties are matched by attribute name alone (`x.mul` counts
-for every method called `mul`), since the type behind `x` is not known.
+Methods, properties and fields are matched by name alone against the
+attributes a file reads (`x.mul` counts for every method called `mul`),
+since the type behind `x` is not known; assigning `x.f` does not read the
+field `f`.
 A reference made inside an allowlisted definition does not count: what
 only a test-only name calls is test-only too.
 """
@@ -28,8 +31,10 @@ ALLOWED = {
     "sampling.random_raw_cut": "non-canonical cut literals for the normalize tests",
     "pruefer.quotient":
         "the tuple residual, behind `show_principal` and the componentwise arithmetic tests",
-    "pruefer.TrivialClassGroup.show_principal":
+    "pruefer.show_principal":
         "the principality certificate behind the trivial class group the reports state",
+    "semigroups.ConstituentGroup.identity":
+        "the idempotent's position in the group, which the group-axiom tests read",
 }
 
 
@@ -58,14 +63,32 @@ def definitions() -> dict:
     return out
 
 
-def methods() -> set:
-    """module.Class.name for each public method and property of a public class."""
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _member_name(node, cls: ast.ClassDef):
+    """The name a class-body statement defines as a method, property or
+    (in a dataclass) annotated field, or None."""
+    if isinstance(node, ast.FunctionDef):
+        return node.name
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) \
+            and _is_dataclass(cls):
+        return node.target.id
+    return None
+
+
+def members() -> set:
+    """module.Class.name for each public method, property and dataclass
+    field of a public class."""
     out = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for cls in ast.parse(path.read_text()).body:
             if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
-                out |= {f"{path.stem}.{cls.name}.{n.name}" for n in cls.body
-                        if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")}
+                names = (_member_name(n, cls) for n in cls.body)
+                out |= {f"{path.stem}.{cls.name}.{n}" for n in names
+                        if n and not n.startswith("_")}
     return out
 
 
@@ -90,7 +113,8 @@ def attributes(path: Path) -> set:
     names = set()
 
     def visit(node, own):
-        if isinstance(node, ast.Attribute) and node.attr != own:
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
+                and node.attr != own:
             names.add(node.attr)
         for child in ast.iter_child_nodes(node):
             method = isinstance(node, ast.ClassDef) and isinstance(child, ast.FunctionDef)
@@ -134,7 +158,7 @@ def references(path: Path) -> set:
 
 
 def defined() -> set:
-    return {f"{mod}.{name}" for mod, names in definitions().items() for name in names} | methods()
+    return {f"{mod}.{name}" for mod, names in definitions().items() for name in names} | members()
 
 
 def unreferenced() -> set:
@@ -144,7 +168,7 @@ def unreferenced() -> set:
         attrs |= attributes(path)
     return ({f"{mod}.{name}" for mod, names in definitions().items()
              for name in names if (mod, name) not in refs}
-            | {m for m in methods() if m.rsplit(".", 1)[1] not in attrs})
+            | {m for m in members() if m.rsplit(".", 1)[1] not in attrs})
 
 
 def test_every_public_name_has_a_caller_or_a_reason():

@@ -12,7 +12,7 @@ identity.  `is_regular` runs on every component of every sample in
 ends in exit 2 too; `regularity` lists the guard as a counterexample,
 unless the fault also breaks a later check that stops the run.  The
 residual audit of `cuts.group_membership` runs in `idempotent_uniqueness`.
-The guard of `pruefer.TrivialClassGroup.show_principal` runs where its
+The guard of `pruefer.show_principal` runs where its
 certificate is asked for, which no command does.
 
 Classification, `psi_localize` and the group operations decide membership
@@ -130,18 +130,18 @@ def test_exact_sequence_runs_no_residual_audit(diverging_residual):
     # `psi_localize`, `group_mul` and `group_inv` decide membership by
     # classification, so the planted divergence passes through unseen.
     for form in open_forms():
-        assert P.verify_exact_sequence(MODEL, form, 2, random.Random(1)).passed
+        assert P.verify_exact_sequence(MODEL, form, 2, random.Random(1)) == []
 
 
 def test_show_principal_guard_trips_on_a_planted_invertibility(monkeypatch):
-    grp = P.class_group(MODEL, C.OverringSpec((1, 2)))
-    t = P.ring_tuple(MODEL, grp.overring)
+    overring = C.OverringSpec((1, 2))
+    t = P.ring_tuple(MODEL, overring)
     # Every product is the overring, so the open first component passes as
     # t-invertible and reaches the realizability guard.
     monkeypatch.setattr(P, "mul", lambda model, a, b: t)
     a = P.IdealTuple((C.Cut(1, (F(1, 3),), C.OPEN), t.cuts[1]))
     with pytest.raises(C.InternalInconsistencyError, match=CERTIFICATE):
-        grp.show_principal(MODEL, a)
+        P.show_principal(MODEL, overring, a)
 
 
 def test_psi_localize_rejects_tuples_outside_the_group(rng):

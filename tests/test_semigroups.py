@@ -247,8 +247,7 @@ def test_closure_saturates_to_c3_and_cross_checks():
     assert constituent_group(cl.semigroup, 1).members == (0, 1, 2)
     rep = cross_check(cl, m)
     assert rep.passed
-    assert rep.clifford and rep.idempotents_match and rep.groups_match
-    assert rep.mismatches == [] and rep.warnings == []
+    assert rep.mismatches == []
 
 
 def test_closure_of_single_idempotent_is_trivial():
@@ -274,9 +273,8 @@ def test_closure_budget_exhaustion_degrades_gracefully():
     assert not cl.saturated
     assert cl.semigroup is None
     assert len(cl.dictionary) == 2
-    rep = cross_check(cl, m)
-    assert rep.passed
-    assert any("not saturated" in w for w in rep.warnings)
+    with pytest.raises(ValueError, match="^cross_check needs a saturated closure$"):
+        cross_check(cl, m)
 
 
 def test_closure_rejects_budget_below_seed_count():
@@ -320,7 +318,6 @@ def test_cross_check_catches_misassigned_idempotent():
     )
     rep = cross_check(corrupted, m)
     assert not rep.passed
-    assert not rep.idempotents_match
     assert any("idempotent sets differ" in msg for msg in rep.mismatches)
 
 
@@ -336,10 +333,8 @@ def test_cross_check_takes_model_idempotents_from_classification():
     m = SelfClassified(ValueGroup((Zloc(2),)))
     seeds = [m.class_of(Cut(1, (F(1, 3),), OPEN)), m.class_of(Cut(1, (F(0),), OPEN))]
     rep = cross_check(sample_closure(m, seeds, 256), m)
-    assert not rep.idempotents_match
+    assert not rep.passed
     assert any("idempotent sets differ" in msg for msg in rep.mismatches)
-    unsaturated = cross_check(sample_closure(m, seeds, 2), m)
-    assert any("inconsistent idempotence" in msg for msg in unsaturated.mismatches)
 
 
 def test_fixture_round_trip():
