@@ -23,8 +23,10 @@ level and side.  The theory behind those reads is audited where a check
 already visits every cut: `is_regular` rebuilds the witness idempotent
 (I (T:I))_t, with the (I : I) recheck of `stabilizer`, compares it with the
 classified form and probes the cut behind `t_closure` being the identity;
-`group_membership` keeps the residual-arithmetic audit.  A failed audit
-raises InternalInconsistencyError.
+`group_membership` keeps the residual-arithmetic audit.  It takes the
+component's idempotents as `idempotents` builds them, each checked
+idempotent once with its stabilizer, and does a sample's own residual work
+once for all of them.  A failed audit raises InternalInconsistencyError.
 """
 
 from __future__ import annotations
@@ -432,35 +434,51 @@ def class_of(g: ValueGroup, a: Cut) -> CutClass:
     return CutClass(Cut(a.level, tuple(boundary), a.side))
 
 
-def residual_membership(g: ValueGroup, L: Cut, J: Cut) -> bool:
-    """Constituent-group membership by residual arithmetic alone: the
-    stabilizers agree and the three t-products (J L (L:L^2))_t,
-    (L (L:L^2))_t, (L (J:L))_t all return J."""
-    if stabilizer(g, L) != stabilizer(g, J):
-        return False
-    r = quotient(g, L, mul(g, L, L))
-    lr = t_closure(g, mul(g, L, r))
-    if lr != J:
-        return False
-    if t_closure(g, mul(g, J, lr)) != J:
-        return False
-    return t_closure(g, mul(g, L, quotient(g, J, L))) == J
+def idempotents(g: ValueGroup) -> list[tuple[IdempotentForm, Cut, Cut]]:
+    """(form, J, (J : J)) for each form of `idempotent_forms`, with J the
+    form's cut; raises NotIdempotentError when some J is not idempotent.
+    Built once per component and handed to `group_membership`."""
+    out = []
+    for form in idempotent_forms(g):
+        j = form_cut(g, form)
+        if not is_idempotent(g, j):
+            raise NotIdempotentError(f"{format_cut(j)} is not idempotent")
+        out.append((form, j, stabilizer(g, j)))
+    return out
 
 
-def group_membership(g: ValueGroup, L: Cut, J: Cut) -> bool:
-    """Does the class of L lie in the constituent group at J?
+def residual_membership(g: ValueGroup, L: Cut,
+                        idems: list[tuple[IdempotentForm, Cut, Cut]]) -> list[IdempotentForm]:
+    """The forms whose constituent group holds L's class by residual
+    arithmetic alone: the stabilizers agree and the three t-products
+    (L (L:L^2))_t, (J L (L:L^2))_t, (L (J:L))_t all return J.  L's
+    stabilizer and (L (L:L^2))_t are computed once for all of `idems`."""
+    t = stabilizer(g, L)
+    lr = t_closure(g, mul(g, L, quotient(g, L, mul(g, L, L))))
+    return [
+        form for form, j, tj in idems
+        if t == tj
+        and lr == j
+        and t_closure(g, mul(g, j, lr)) == j
+        and t_closure(g, mul(g, L, quotient(g, j, L))) == j
+    ]
 
-    The audited test: the operative answer asks whether L's witness
-    idempotent (I (T:I))_t is J; the residual-arithmetic conditions must
+
+def group_membership(g: ValueGroup, L: Cut,
+                     idems: list[tuple[IdempotentForm, Cut, Cut]]) -> list[IdempotentForm]:
+    """The forms among `idems` (as `idempotents` builds them) whose
+    constituent group holds the class of L.
+
+    The audited test: the operative answer keeps the forms whose J is L's
+    witness idempotent (I (T:I))_t; the residual-arithmetic answer must
     agree with it, and a divergence is an arithmetic bug worth crashing on.
-    `verify` runs it for every sample and idempotent in
+    `verify` runs it for every sample and component in
     `idempotent_uniqueness`; the group operations decide membership in O(1)
     by classification instead.
     """
-    if not is_idempotent(g, J):
-        raise NotIdempotentError(f"{format_cut(J)} is not idempotent")
-    operative = idempotent_cut(g, L) == J
-    if residual_membership(g, L, J) != operative:
+    witness = idempotent_cut(g, L)
+    operative = [form for form, j, _ in idems if j == witness]
+    if residual_membership(g, L, idems) != operative:
         raise InternalInconsistencyError("membership tests diverged")
     return operative
 

@@ -144,15 +144,19 @@ def tuple_of_class(model: PrueferModel, x: TupleClass) -> IdealTuple:
     return IdealTuple(tuple(r.rep for r in x.reps))
 
 
-def group_membership(model: PrueferModel, a: IdealTuple, j: IdealTuple) -> bool:
-    """Does the class of a lie in the constituent group at the idempotent
-    tuple j?  Componentwise `cuts.group_membership`, audit included."""
+def group_membership(model: PrueferModel, a: IdealTuple,
+                     idems: list[list[tuple[IdempotentForm, Cut, Cut]]]) -> list[IdempotentForm]:
+    """The forms whose constituent group holds the class of a, in
+    `enumerate_idempotent_forms` order: the product of the forms
+    `cuts.group_membership` admits per component, audit included, given
+    `idems[i] = cuts.idempotents(valuations[i])`.  Every component is
+    audited, even when an earlier one admits nothing."""
     _check(model, a)
-    _check(model, j)
-    return all(
-        C.group_membership(g, x, y)
-        for g, x, y in zip(model.valuations, a.cuts, j.cuts)
-    )
+    if len(idems) != model.k:
+        raise DomainMismatchError(
+            f"idempotents given for {len(idems)} components, model has {model.k}")
+    per = [C.group_membership(g, c, i) for g, c, i in zip(model.valuations, a.cuts, idems)]
+    return [_join(picks) for picks in itertools.product(*per)]
 
 
 def show_principal(model: PrueferModel, overring: OverringSpec, a: IdealTuple) -> tuple:
@@ -189,7 +193,9 @@ def psi_localize(model: PrueferModel, a: IdealTuple, form: IdempotentForm) -> tu
     side by `classify_idempotent`, must be the form's.  No audit runs here.
     The witness (A (T:A))_t is checked in `cuts.is_regular`, which `verify`
     runs on every sampled cut in `regularity`, and the residual-arithmetic
-    audit of `group_membership` in `idempotent_uniqueness`."""
+    audit of `group_membership` runs once per sample and component, against
+    idempotents built once by `cuts.idempotents`, in
+    `idempotent_uniqueness`."""
     _check(model, a)
     if classify_idempotent(model, a) != form:
         raise NotInGroupError("tuple class lies outside the constituent group")

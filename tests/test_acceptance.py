@@ -126,16 +126,14 @@ def test_criterion_5_idempotent_uniqueness(capsys):
 
     # 60 cuts per value group: 300 valuation instances
     for g in FIVE_GROUPS:
-        candidates = [C.ring_cut(g, l) for l in range(1, g.rank + 1)]
-        candidates += [C.prime_cut(g, l) for l in range(1, g.rank + 1)
-                       if g.components[l - 1].dense]
+        idems = C.idempotents(g)
         for _ in range(60):
             a = random_cut(rng, g)
-            hits = [j for j in candidates if C.group_membership(g, a, j)]
+            hits = C.group_membership(g, a, idems)
             if len(hits) != 1:
                 failures.append(f"{C.format_cut(a)}: {len(hits)} admitting idempotents")
                 continue
-            if hits[0] != C.idempotent_cut(g, a):
+            if C.form_cut(g, hits[0]) != C.idempotent_cut(g, a):
                 failures.append(f"{C.format_cut(a)}: J differs from (I(T:I))_t")
 
     # 100 tuples per model: 200 finite-character instances
@@ -144,10 +142,10 @@ def test_criterion_5_idempotent_uniqueness(capsys):
         P.PrueferModel((ValueGroup((Q,)), ValueGroup((Z, Zloc(3))))),
     )
     for m in models:
-        forms = P.enumerate_idempotent_forms(m)
+        idems = [C.idempotents(g) for g in m.valuations]
         for _ in range(100):
             a = P.IdealTuple(tuple(random_cut(rng, g) for g in m.valuations))
-            hits = [f for f in forms if P.group_membership(m, a, P.form_tuple(m, f))]
+            hits = P.group_membership(m, a, idems)
             if len(hits) != 1:
                 failures.append(f"{a}: {len(hits)} admitting forms")
                 continue

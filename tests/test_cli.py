@@ -447,7 +447,7 @@ def test_internal_inconsistency_in_verify_exits_2(tmp_path, capsys, monkeypatch)
 
 def test_escaped_group_error_in_verify_exits_2(tmp_path, capsys, monkeypatch):
     # Over Z the cut <1; (1); closed> holds the values >= 1 and its square
-    # the values >= 2: not idempotent, so `group_membership` raises
+    # the values >= 2: not idempotent, so `cuts.idempotents` raises
     # NotIdempotentError when it is planted as J.
     monkeypatch.setattr(cuts, "form_cut", lambda g, form: cuts.Cut(1, (1,), cuts.CLOSED))
     spec = valuation_spec(tmp_path)

@@ -149,7 +149,7 @@ WIDE = Cut(2, (F(0), F(0)), CLOSED)
     lambda: C.t_closure(ZZ, WIDE),
     lambda: C.classify_idempotent(ZZ, WIDE),
     lambda: C.is_regular(ZZ, WIDE),
-    lambda: C.group_membership(ZZ, WIDE, C.ring_cut(ZZ)),
+    lambda: C.group_membership(ZZ, WIDE, C.idempotents(ZZ)),
 ], ids=["quotient", "class_of", "translate", "t_closure", "classify_idempotent",
         "is_regular", "group_membership"])
 def test_kernel_rejects_cut_from_wider_tower(op):
@@ -342,9 +342,12 @@ def test_idempotent_cut_is_total_and_idempotent(group, rng):
         assert j == C.form_cut(group, C.classify_idempotent(group, a))
 
 
-def test_group_membership_requires_idempotent_j():
+def test_group_membership_requires_idempotent_j(monkeypatch):
+    # Over Z, <1; (1); closed> squares to <1; (2); closed>: planted as the
+    # cut of every form, it is refused where the idempotents are built.
+    monkeypatch.setattr(C, "form_cut", lambda g, form: Cut(1, (F(1),), CLOSED))
     with pytest.raises(C.NotIdempotentError):
-        C.group_membership(ZZ, C.ring_cut(ZZ), Cut(1, (F(1),), CLOSED))
+        C.idempotents(ZZ)
 
 
 # === regularity ===
@@ -442,21 +445,61 @@ def test_idempotent_uniqueness_small(group, rng):
         for i in range(1, group.rank + 1)
         if group.components[i - 1].dense
     ]
+    idems = C.idempotents(group)
+    assert len(idems) == len(candidates) and {j for _, j, _ in idems} == set(candidates)
     for _ in range(60):
         a = random_cut(rng, group)
-        hits = [j for j in candidates if C.group_membership(group, a, j)]
+        hits = [C.form_cut(group, f) for f in C.group_membership(group, a, idems)]
         assert len(hits) == 1
         assert hits[0] == C.form_cut(group, C.classify_idempotent(group, a))
+
+
+def _reference_residual_membership(g, L, J):
+    # The pairwise audit `cuts` ran before the idempotents were shared.
+    if C.stabilizer(g, L) != C.stabilizer(g, J):
+        return False
+    r = C.quotient(g, L, C.mul(g, L, L))
+    lr = C.t_closure(g, C.mul(g, L, r))
+    if lr != J:
+        return False
+    if C.t_closure(g, C.mul(g, J, lr)) != J:
+        return False
+    return C.t_closure(g, C.mul(g, L, C.quotient(g, J, L))) == J
+
+
+def _reference_group_membership(g, L, J):
+    if not C.is_idempotent(g, J):
+        raise C.NotIdempotentError(f"{C.format_cut(J)} is not idempotent")
+    operative = C.idempotent_cut(g, L) == J
+    if _reference_residual_membership(g, L, J) != operative:
+        raise C.InternalInconsistencyError("membership tests diverged")
+    return operative
+
+
+def test_shared_membership_matches_the_pairwise_audit(group, rng):
+    idems = C.idempotents(group)
+    forms = C.idempotent_forms(group)
+    for _ in range(60):
+        a = random_cut(rng, group)
+        want = [f for f in forms
+                if _reference_group_membership(group, a, C.form_cut(group, f))]
+        assert C.group_membership(group, a, idems) == want
+        assert C.residual_membership(group, a, idems) == want
 
 
 # === constituent group operations ===
 
 
+def admitted(g, L):
+    """The idempotent cuts whose constituent group holds L's class."""
+    return [C.form_cut(g, f) for f in C.group_membership(g, L, C.idempotents(g))]
+
+
 def test_group_membership_identity_and_example():
     j = Cut(1, (F(0),), OPEN)
-    assert C.group_membership(DY, j, j)
+    assert admitted(DY, j) == [j]
     L = Cut(1, (F(1, 3),), OPEN)
-    assert C.group_membership(DY, L, j)
+    assert admitted(DY, L) == [j]
     inv = C.group_inv(DY, C.class_of(DY, L), j)
     assert inv == C.class_of(DY, Cut(1, (F(-1, 3),), OPEN))
     prod = C.group_mul(DY, C.class_of(DY, L), inv, j)
@@ -468,8 +511,9 @@ def test_group_membership_rejects_principal_class_at_dense_idempotent():
     # the maximal ideal, even though the stabilizer condition matches
     j = Cut(1, (F(0),), OPEN)
     v = C.ring_cut(QQ)
-    assert not C.group_membership(QQ, v, j)
-    assert C.residual_membership(QQ, v, j) == C.group_membership(QQ, v, j)
+    assert j not in admitted(QQ, v)
+    idems = C.idempotents(QQ)
+    assert C.residual_membership(QQ, v, idems) == C.group_membership(QQ, v, idems)
 
 
 def test_group_ops_reject_non_members():

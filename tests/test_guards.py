@@ -12,8 +12,11 @@ identity.  `is_regular` runs on every component of every sample in
 ends in exit 2 too; `regularity` lists the guard as a counterexample,
 unless the fault also breaks a later check that stops the run.  The
 residual audit of `cuts.group_membership` runs in `idempotent_uniqueness`.
-The guard of `pruefer.show_principal` runs where its
-certificate is asked for, which no command does.
+It takes each
+component's idempotents from `cuts.idempotents`, built once before the
+sample loop, and audits each sample once per component.  The guard of
+`pruefer.show_principal` runs where its certificate is asked for, which no
+command does.
 
 Classification, `psi_localize` and the group operations decide membership
 in O(1) from a canonical cut's level and side, and audit nothing.
@@ -32,7 +35,7 @@ from tclass import cuts as C
 from tclass import pruefer as P
 from tclass.cli import main
 from tclass.sampling import random_cut
-from test_kills import _form_cut_swapped
+from test_kills import _form_cut_swapped, _residual_negated
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tclass"
 SPEC = {"kind": "pruefer_fc", "valuations": [[{"Zloc": [2]}], ["Z", "Q"]]}
@@ -51,8 +54,7 @@ def random_tuple(rng):
 
 @pytest.fixture
 def diverging_residual(monkeypatch):
-    real = C.residual_membership
-    monkeypatch.setattr(C, "residual_membership", lambda g, L, J: not real(g, L, J))
+    monkeypatch.setattr(C, "residual_membership", _residual_negated(C.residual_membership))
 
 
 def unreachable(*args):
@@ -146,11 +148,13 @@ def test_show_principal_guard_trips_on_a_planted_invertibility(monkeypatch):
 
 def test_psi_localize_rejects_tuples_outside_the_group(rng):
     forms = P.enumerate_idempotent_forms(MODEL)
+    idems = [C.idempotents(g) for g in MODEL.valuations]
     outside = 0
     for _ in range(20):
         a = random_tuple(rng)
+        hits = P.group_membership(MODEL, a, idems)
         for form in forms:
-            if P.group_membership(MODEL, a, P.form_tuple(MODEL, form)):
+            if form in hits:
                 assert len(P.psi_localize(MODEL, a, form)) == len(form.open_components)
             else:
                 outside += 1

@@ -44,7 +44,11 @@ def _form_cut_swapped(real):
 
 
 def _residual_negated(real):
-    return lambda g, L, J: not real(g, L, J)
+    # The residual audit admits exactly the idempotents it used to refuse.
+    def residual_membership(g, L, idems):
+        admitted = real(g, L, idems)
+        return [f for f, _, _ in idems if f not in admitted]
+    return residual_membership
 
 
 def _mul_deeper_side(real):

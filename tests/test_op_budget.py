@@ -30,10 +30,19 @@ MEMBERSHIPS_BEFORE = 57
 NORMALIZE_BEFORE = 1799
 IDEMPOTENT_CUTS_BEFORE = 255
 
+# The same run when `group_membership` took one (sample, idempotent) pair
+# and rebuilt both sides for it: 27 `cuts.group_membership` calls, each
+# re-checking `cuts.is_idempotent(J)`, and 87 `cuts.stabilizer` calls.
+# Now each of the 5 idempotents is checked once, each of the 3 samples is
+# audited once per component, and the stabilizers are at most halved.
+PAIR_MEMBERSHIPS_BEFORE = 27
+IS_IDEMPOTENT_BEFORE = 27
+STABILIZERS_BEFORE = 87
+
 
 def test_verify_pruefer_stays_within_operation_budget(monkeypatch):
     counts = {"cuts": 0, "memberships": 0, "normalize": 0, "idempotent_cuts": 0,
-              "model_mul": 0}
+              "is_idempotent": 0, "stabilizers": 0, "model_mul": 0}
     closures = []
 
     def counted(key, fn):
@@ -53,6 +62,8 @@ def test_verify_pruefer_stays_within_operation_budget(monkeypatch):
     monkeypatch.setattr(C, "group_membership", counted("memberships", C.group_membership))
     monkeypatch.setattr(C, "normalize", counted("normalize", C.normalize))
     monkeypatch.setattr(C, "idempotent_cut", counted("idempotent_cuts", C.idempotent_cut))
+    monkeypatch.setattr(C, "is_idempotent", counted("is_idempotent", C.is_idempotent))
+    monkeypatch.setattr(C, "stabilizer", counted("stabilizers", C.stabilizer))
     monkeypatch.setattr(P.PrueferClassModel, "mul",
                         counted("model_mul", P.PrueferClassModel.mul))
     monkeypatch.setattr(SG, "sample_closure", recorded_closure)
@@ -66,6 +77,12 @@ def test_verify_pruefer_stays_within_operation_budget(monkeypatch):
     assert counts["memberships"] <= MEMBERSHIPS_BEFORE // 2, counts
     assert counts["normalize"] <= NORMALIZE_BEFORE // 2, counts
     assert counts["idempotent_cuts"] <= IDEMPOTENT_CUTS_BEFORE // 4, counts
+    samples, k = 3, model.k
+    idempotents = sum(len(C.idempotent_forms(g)) for g in model.valuations)
+    assert idempotents == 5
+    assert counts["is_idempotent"] == idempotents < IS_IDEMPOTENT_BEFORE, counts
+    assert counts["memberships"] == samples * k < PAIR_MEMBERSHIPS_BEFORE, counts
+    assert counts["stabilizers"] <= STABILIZERS_BEFORE // 2, counts
     # Each saturated closure of m classes costs exactly m^2 products: the
     # upper triangle once while it grows, the lower triangle once for the
     # commutativity check.

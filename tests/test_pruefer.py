@@ -52,6 +52,7 @@ def test_model_requires_at_least_one_valuation():
 
 
 RING_DD = C.IdempotentForm(C.OverringSpec((1, 1)), frozenset())
+IDEMS_DD = [C.idempotents(g) for g in M_DD.valuations]
 
 
 # Each call gets a tuple one cut short of M_DD's two components; zipping it
@@ -59,7 +60,7 @@ RING_DD = C.IdempotentForm(C.OverringSpec((1, 1)), frozenset())
 @pytest.mark.parametrize("call", [
     lambda a: P.mul(M_DD, a, P.ring_tuple(M_DD, RING_DD.overring)),
     lambda a: P.classify_idempotent(M_DD, a),
-    lambda a: P.group_membership(M_DD, a, P.ring_tuple(M_DD, RING_DD.overring)),
+    lambda a: P.group_membership(M_DD, a, IDEMS_DD),
     lambda a: P.psi_localize(M_DD, a, RING_DD),
 ], ids=["mul", "classify_idempotent", "group_membership", "psi_localize"])
 def test_tuple_arity_checked(call):
@@ -68,15 +69,14 @@ def test_tuple_arity_checked(call):
 
 
 def test_form_arity_checked():
-    # A form or idempotent one component short would otherwise be compared
-    # on the first component alone: (0, open at 0) is in no group of a
-    # one-level form.
+    # A form or idempotent list one component short would otherwise be
+    # compared on the first component alone: zip drops the second.
     short = C.IdempotentForm(C.OverringSpec((1,)), frozenset())
     a = tup(Cut(1, (F(0),), CLOSED), Cut(1, (F(0),), OPEN))
     with pytest.raises(C.DomainMismatchError):
         P.form_tuple(M_DD, short)
     with pytest.raises(C.DomainMismatchError):
-        P.group_membership(M_DD, a, tup(Cut(1, (F(0),), CLOSED)))
+        P.group_membership(M_DD, a, IDEMS_DD[:1])
 
 
 def test_mul_componentwise_principal():
@@ -230,11 +230,12 @@ def test_phi_embeds_identity_to_jbar():
 
 
 def test_group_membership_and_ops(model, rng):
+    idems = [C.idempotents(g) for g in model.valuations]
     for _ in range(15):
         a = random_tuple(rng, model)
         form = P.classify_idempotent(model, a)
         j = P.form_tuple(model, form)
-        assert P.group_membership(model, a, j)
+        assert P.group_membership(model, a, idems) == [form]
         x = P.class_of(model, a)
         e = P.class_of(model, j)
         # the group law is componentwise
