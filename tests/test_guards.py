@@ -11,12 +11,10 @@ identity.  `is_regular` runs on every component of every sample in
 `classify` ends in exit 2 with one stderr line naming the guard.  `verify`
 ends in exit 2 too; `regularity` lists the guard as a counterexample,
 unless the fault also breaks a later check that stops the run.  The
-residual audit of `cuts.group_membership` runs in `idempotent_uniqueness`.
-It takes each
-component's idempotents from `cuts.idempotents`, built once before the
-sample loop, and audits each sample once per component.  The guard of
-`pruefer.show_principal` runs where its certificate is asked for, which no
-command does.
+residual audit of `cuts.group_membership` runs in `idempotent_uniqueness`,
+once per sample and component, against the idempotents `cuts.idempotents`
+builds before the sample loop.  The guard of `pruefer.show_principal` runs
+where its certificate is asked for, which no command does.
 
 Classification, `psi_localize` and the group operations decide membership
 in O(1) from a canonical cut's level and side, and audit nothing.
