@@ -188,7 +188,9 @@ def mul(g: ValueGroup, a: Cut, b: Cut) -> Cut:
     validate_cut(g, a)
     validate_cut(g, b)
     level = min(a.level, b.level)
-    boundary = tuple(x + y for x, y in zip(a.boundary, b.boundary))
+    # A zero term is skipped: ring and prime cuts have all-zero boundaries,
+    # and `idempotents` would otherwise pay O(rank) Fraction sums per form.
+    boundary = tuple(x + y if y else x for x, y in zip(a.boundary, b.boundary))
     if a.level == b.level:
         side = OPEN if OPEN in (a.side, b.side) else CLOSED
     else:
@@ -217,7 +219,7 @@ def quotient(g: ValueGroup, a: Cut, b: Cut) -> Cut:
         level = b.level
         c = b.boundary
         side = OPEN if b.side == CLOSED else CLOSED
-    boundary = tuple(x - y for x, y in zip(a.boundary, c))
+    boundary = tuple(x - y if y else x for x, y in zip(a.boundary, c))
     return normalize(g, Cut(level, boundary, side))
 
 
@@ -472,7 +474,7 @@ def group_membership(g: ValueGroup, L: Cut,
     The audited test: the operative answer keeps the forms whose J is L's
     witness idempotent (I (T:I))_t; the residual-arithmetic answer must
     agree with it, and a divergence is an arithmetic bug worth crashing on.
-    `verify` runs it for every sample and component in
+    `verify` runs it for every component of each distinct sampled tuple in
     `idempotent_uniqueness`; the group operations decide membership in O(1)
     by classification instead.
     """

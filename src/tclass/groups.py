@@ -110,16 +110,15 @@ def is_member(comp: ArchComponent, q: Fraction) -> bool:
 @dataclass(frozen=True)
 class ValueGroup:
     components: tuple[ArchComponent, ...]
+    # len(components), stored once: every kernel operation reads it.
+    rank: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         comps = tuple(self.components)
         if not comps:
             raise ValueError("a value group needs at least one component")
         object.__setattr__(self, "components", comps)
-
-    @property
-    def rank(self) -> int:
-        return len(self.components)
+        object.__setattr__(self, "rank", len(comps))
 
     def element(self, coords) -> tuple[Fraction, ...]:
         """Validated element constructor: one member coordinate per component."""

@@ -192,10 +192,10 @@ def psi_localize(model: PrueferModel, a: IdealTuple, form: IdempotentForm) -> tu
     Membership is an O(1) test: the class's idempotent, read off level and
     side by `classify_idempotent`, must be the form's.  No audit runs here.
     The witness (A (T:A))_t is checked in `cuts.is_regular`, which `verify`
-    runs on every sampled cut in `regularity`, and the residual-arithmetic
-    audit of `group_membership` runs once per sample and component, against
-    idempotents built once by `cuts.idempotents`, in
-    `idempotent_uniqueness`."""
+    runs once on every distinct sampled cut in `regularity`, and the
+    residual-arithmetic audit of `group_membership` runs once per distinct
+    sampled tuple and component, against idempotents built once by
+    `cuts.idempotents`, in `idempotent_uniqueness`."""
     _check(model, a)
     if classify_idempotent(model, a) != form:
         raise NotInGroupError("tuple class lies outside the constituent group")

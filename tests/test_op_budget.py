@@ -1,18 +1,23 @@
-"""Operation-count budget for `verify` on a pruefer_fc spec.
+"""Operation-count budget for `verify`.
 
 Counts depend only on the spec, the sample count and the seed, never on
 the host, so a regression in how often the cut kernel rebuilds cuts,
 normalises cuts that are already canonical, re-runs the constituent-group
 audit or rebuilds a witness idempotent, in how often the Cayley-table
-oracle multiplies a pair, or in how many triples its associativity check
-reads, fails here without timing anything.
+oracle multiplies a pair, in how many triples its associativity check
+reads, in how often a check re-audits an input it has already audited, or
+in how the idempotent build scales with the rank fails here without timing
+anything.
 """
 
 import json
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 from tclass import cuts as C
 from tclass import pruefer as P
+from tclass import sampling as S
 from tclass import semigroups as SG
 from tclass.cli import cmd_verify, load_model, value_group_from_json
 
@@ -117,3 +122,80 @@ def test_large_closure_checks_associativity_on_few_generators():
     assert group.size == 105
     for table in (s, group):
         assert len(SG._generators(table.table)) <= 4
+
+
+def counted_calls(monkeypatch, owner, name) -> list:
+    """Replace owner.name with a wrapper that records each call's arguments."""
+    calls = []
+    real = getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def replayed_draws(g, seed: int, samples: int) -> tuple[list, list]:
+    """The cuts that `regularity` and then `idempotent_uniqueness` draw on a
+    one-valuation spec: both checks share the report's generator, in order."""
+    rng = random.Random(seed)
+    regularity = [S.random_cut(rng, g) for _ in range(samples)]
+    uniqueness = [S.random_cut(rng, g) for _ in range(samples)]
+    return regularity, uniqueness
+
+
+def test_each_distinct_sampled_input_is_audited_once(monkeypatch):
+    regular = counted_calls(monkeypatch, C, "is_regular")
+    memberships = counted_calls(monkeypatch, C, "group_membership")
+    kind, model = load_model(json.dumps({"kind": "valuation", "group": ["Q", "Z", {"Zloc": [2]}]}))
+    samples = 200
+    report = cmd_verify(kind, model, samples, 1, None)
+
+    assert report["passed"]
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["regularity"]["instances"] == checks["idempotent_uniqueness"]["instances"] == samples
+    drawn_regular, drawn_unique = replayed_draws(model, 1, samples)
+    # The cache has something to save: both checks draw repeats.
+    assert len(set(drawn_regular)) < samples and len(set(drawn_unique)) < samples
+    # One call per distinct input, in the order of first draw.
+    assert [c for _, c in regular] == list(dict.fromkeys(drawn_regular))
+    assert [c for _, c, _ in memberships] == list(dict.fromkeys(drawn_unique))
+
+
+def test_a_repeated_failing_cut_fails_every_sample_that_draws_it(monkeypatch):
+    g = value_group_from_json(["Z"])
+    samples = 30
+    drawn, _ = replayed_draws(g, 1, samples)
+    target, hits = Counter(drawn).most_common(1)[0]
+    assert hits > 1
+    is_regular = C.is_regular
+    audited = []
+
+    def planted(g, c):
+        audited.append(c)
+        if c == target:
+            raise C.InternalInconsistencyError("planted")
+        return is_regular(g, c)
+    monkeypatch.setattr(C, "is_regular", planted)
+    report = cmd_verify("valuation", g, samples, 1, None)
+
+    regularity = report["checks"][0]
+    assert regularity["name"] == "regularity"
+    assert regularity["failure_count"] == hits
+    line = f"{json.dumps(C.cut_to_json(target), sort_keys=True)}, component 1: planted"
+    assert regularity["failures"] == [line] * min(hits, 10)
+    assert audited.count(target) == 1
+
+
+def test_idempotent_build_is_linear_in_the_rank(monkeypatch):
+    # Ring and prime cuts have all-zero boundaries, so building and
+    # checking the idempotents of 200 Q levels needs no coordinate sums at
+    # all.  When every product and residual summed its zero coordinates,
+    # the build took 40 200 additions and as many subtractions: O(rank^2).
+    g = value_group_from_json(["Q"] * 200)
+    added = counted_calls(monkeypatch, F, "__add__")
+    subtracted = counted_calls(monkeypatch, F, "__sub__")
+    forms = len(C.idempotents(g))
+    assert forms == 400
+    assert len(added) + len(subtracted) <= forms, (len(added), len(subtracted))
