@@ -18,15 +18,25 @@ an edge at 19/12 over the dyadics); points there are skipped, every other
 point gets an exact verdict.  The price is a budget: boundary coordinates
 up to |3|, check coordinates up to |4|, denominators capped at 64.  Callers
 stay inside those margins; the module raises rather than degrade silently.
+
+Each check runs on an integer lattice.  It fixes one scale per component,
+S_k = lcm(fine2[k], the denominator at k of every boundary it reads), and
+writes every coordinate it forms (lattice points, lex minima, the virtual
+infimum, formal sums and differences of boundaries) as the integer n that
+stands for n / S_k.  Every such denominator divides S_k, and S_k > 0 keeps
+the lex order, so each comparison is exact and decides as it would on
+`Fraction`s, only on int tuples.  A point turns back into `Fraction`s only
+to be named in a mismatch message.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, sub
 
 from .groups import DISCRETE, LOCALIZED, RATIONALS, ValueGroup
-from .cuts import CLOSED, Cut, member
+from .cuts import CLOSED, Cut
 
 LO, HI = -8, 8
 MAX_BOUNDARY = 3
@@ -90,8 +100,35 @@ def lattice_dens(g: ValueGroup, cuts, strict_discrete: bool = True):
     return fine, fine2
 
 
-def _floor_on(q: Fraction, d: int) -> Fraction:
-    return Fraction(math.floor(q * d), d)
+def lattice_scale(cuts, dens) -> tuple:
+    """Per-component integer scale S_k: the lcm of the lattice denominator
+    dens[k] and every boundary denominator of `cuts` at component k."""
+    return tuple(
+        math.lcm(d, *(c.boundary[k].denominator for c in cuts if c.level > k))
+        for k, d in enumerate(dens)
+    )
+
+
+def _scaled(q: Fraction, s: int) -> int:
+    return q.numerator * (s // q.denominator)
+
+
+def _scaled_cut(a: Cut, scale) -> tuple:
+    """(boundary on the integer lattice, closed?) of a cut."""
+    return tuple(map(_scaled, a.boundary, scale)), a.side == CLOSED
+
+
+def _inside(cut: tuple, x: tuple) -> bool:
+    """Is the scaled point x in the upper set of the scaled cut?"""
+    boundary, closed = cut
+    px = x[: len(boundary)]
+    if px != boundary:
+        return px > boundary
+    return closed
+
+
+def _unscaled(x: tuple, scale) -> tuple:
+    return tuple(map(Fraction, x, scale))
 
 
 def _assert_small_boundary(a: Cut) -> None:
@@ -99,65 +136,59 @@ def _assert_small_boundary(a: Cut) -> None:
         raise ValueError(f"box oracle wants |boundary| <= {MAX_BOUNDARY}")
 
 
-def lex_min(g: ValueGroup, a: Cut, dens) -> tuple:
-    """Lex-least member of the cut's upper set on the box lattice.
+def lex_min(g: ValueGroup, a: Cut, dens, scale) -> tuple:
+    """Lex-least member of the cut's upper set on the box lattice `dens`,
+    as a point on the integer lattice `scale`.
 
     Prefer agreeing with the boundary for as long as its coordinates sit on
     the lattice; the first off-lattice coordinate gets rounded up and frees
     the rest to drop to the box floor.
     """
     _assert_small_boundary(a)
+    coords = []
+    for k, q in enumerate(a.boundary):
+        step = scale[k] // dens[k]
+        n = _scaled(q, scale[k])
+        last = k == a.level - 1
+        if not last and n % step == 0:
+            coords.append(n)
+            continue
+        up = n // step + 1 if last and a.side != CLOSED else -(-n // step)
+        coords.append(up * step)
+        break
+    return tuple(coords) + tuple(LO * s for s in scale[len(coords):])
 
-    def go(k: int) -> list:
-        q, d = a.boundary[k], dens[k]
-        scaled = q * d
-        if k == a.level - 1:
-            n = math.ceil(scaled) if a.side == CLOSED else math.floor(scaled) + 1
-            return [Fraction(n, d)]
-        if scaled.denominator == 1:
-            return [q] + go(k + 1)
-        return [Fraction(math.ceil(scaled), d)] + [Fraction(LO)] * (a.level - 1 - k)
 
-    coords = go(0) + [Fraction(LO)] * (g.rank - a.level)
-    return tuple(coords)
-
-
-def _targets_for(g: ValueGroup, fine, prefix) -> list:
+def _targets_for(g: ValueGroup, steps, scale, prefix) -> list:
     m = len(prefix)
-    base = [_floor_on(prefix[k], fine[k]) for k in range(m)]
-    tails = (Fraction(0), Fraction(-2), Fraction(2))
+    base = [n // u * u for n, u in zip(prefix, steps)]
+    tails = [[t * s for s in scale[m:]] for t in (0, -2, 2)]
     out = []
     for dlast in range(-3, 4):
-        top = base[m - 1] + Fraction(dlast, fine[m - 1])
-        if abs(top) > HI:
+        top = base[m - 1] + dlast * steps[m - 1]
+        if abs(top) > HI * scale[m - 1]:
             continue
-        for t in tails:
-            out.append(tuple(base[: m - 1] + [top] + [t] * (g.rank - m)))
+        for tail in tails:
+            out.append(tuple(base[: m - 1] + [top] + tail))
     if m >= 2:
         for db in (-1, 1):
             coords = list(base)
-            coords[m - 2] += Fraction(db, fine[m - 2])
-            out.append(tuple(coords + [Fraction(0)] * (g.rank - m)))
+            coords[m - 2] += db * steps[m - 2]
+            out.append(tuple(coords + [0] * (g.rank - m)))
     return out
 
 
-def sample_points(g: ValueGroup, cuts, rng, n_random: int = 16, extra_prefixes=(),
-                  strict_discrete: bool = True) -> list:
-    """Member points that exercise the edges of the given cuts: lattice
-    neighborhoods of every boundary prefix plus seeded random lattice points."""
-    fine, _ = lattice_dens(g, cuts, strict_discrete=strict_discrete)
+def sample_points(g: ValueGroup, prefixes, rng, fine, scale, n_random: int = 16) -> list:
+    """Member points on the integer lattice `scale` that exercise the edges
+    of the given scaled boundary prefixes: `fine`-lattice neighborhoods of
+    every prefix plus seeded random lattice points."""
+    steps = [s // f for s, f in zip(scale, fine)]
     pts = set()
-    for c in cuts:
-        pts.update(_targets_for(g, fine, c.boundary))
-    for prefix in extra_prefixes:
-        if prefix:
-            pts.update(_targets_for(g, fine, tuple(prefix)))
+    for prefix in prefixes:
+        pts.update(_targets_for(g, steps, scale, prefix))
+    draws = [(MAX_COORD * dc, s // dc) for dc, s in zip(map(_check_den, g.components), scale)]
     for _ in range(n_random):
-        coords = []
-        for idx, comp in enumerate(g.components):
-            dc = _check_den(comp)
-            coords.append(Fraction(rng.randint(-MAX_COORD * dc, MAX_COORD * dc), dc))
-        pts.add(tuple(coords))
+        pts.add(tuple(rng.randint(-r, r) * u for r, u in draws))
     return sorted(pts)
 
 
@@ -171,20 +202,21 @@ def check_mul(g: ValueGroup, a: Cut, b: Cut, predicted: Cut, rng, n_random: int 
     the sub-resolution band between infimum and enumerated edge; points in
     that band are skipped, everywhere else the verdict is exact.
     """
-    _, fine2 = lattice_dens(g, (a, b, predicted))
-    ma = lex_min(g, a, fine2)
-    mb = lex_min(g, b, fine2)
-    edge = tuple(x + y for x, y in zip(ma, mb))
+    cuts = (a, b, predicted)
+    fine, fine2 = lattice_dens(g, cuts)
+    scale = lattice_scale(cuts, fine2)
+    edge = tuple(map(add, lex_min(g, a, fine2, scale), lex_min(g, b, fine2, scale)))
+    sa, sb, sp = (_scaled_cut(c, scale) for c in cuts)
     m = min(a.level, b.level)
-    formal = tuple(a.boundary[k] + b.boundary[k] for k in range(m))
+    formal = tuple(map(add, sa[0][:m], sb[0][:m]))
     mismatches = []
-    for x in sample_points(g, (a, b, predicted), rng, n_random, extra_prefixes=(formal,)):
+    for x in sample_points(g, (sa[0], sb[0], sp[0], formal), rng, fine, scale, n_random):
         got = x >= edge
         if not got and x[:m] > formal:
             continue
-        want = member(g, predicted, x)
+        want = _inside(sp, x)
         if got != want:
-            mismatches.append(f"at {x}: box says {got}, cut arithmetic says {want}")
+            mismatches.append(f"at {_unscaled(x, scale)}: box says {got}, cut arithmetic says {want}")
     return mismatches
 
 
@@ -198,30 +230,36 @@ def check_quotient(g: ValueGroup, a: Cut, b: Cut, predicted: Cut, rng, n_random:
     enumerated): where the two agree the verdict is exact, where they
     disagree the point lies in the sub-resolution band and is skipped.
     """
-    _, fine2 = lattice_dens(g, (a, b, predicted))
-    mb = lex_min(g, b, fine2)
-    virt = list(mb)
-    virt[b.level - 1] = b.boundary[b.level - 1]
+    cuts = (a, b, predicted)
+    fine, fine2 = lattice_dens(g, cuts)
+    scale = lattice_scale(cuts, fine2)
+    mb = lex_min(g, b, fine2, scale)
+    sa, sb, sp = (_scaled_cut(c, scale) for c in cuts)
+    k = b.level - 1
+    virt = mb[:k] + sb[0][k:] + mb[k + 1:]
     m = min(a.level, b.level)
-    ediff = tuple(a.boundary[k] - b.boundary[k] for k in range(m))
+    ediff = tuple(map(sub, sa[0][:m], sb[0][:m]))
     mismatches = []
-    for x in sample_points(g, (a, b, predicted), rng, n_random, extra_prefixes=(ediff,)):
-        got = member(g, a, tuple(c + d for c, d in zip(x, mb)))
-        low = member(g, a, tuple(c + d for c, d in zip(x, virt)))
+    for x in sample_points(g, (sa[0], sb[0], sp[0], ediff), rng, fine, scale, n_random):
+        got = _inside(sa, tuple(map(add, x, mb)))
+        low = _inside(sa, tuple(map(add, x, virt)))
         if got != low:
             continue
-        want = member(g, predicted, x)
+        want = _inside(sp, x)
         if got != want:
-            mismatches.append(f"at {x}: box says {got}, cut arithmetic says {want}")
+            mismatches.append(f"at {_unscaled(x, scale)}: box says {got}, cut arithmetic says {want}")
     return mismatches
 
 
 def check_same_set(g: ValueGroup, a: Cut, b: Cut, rng, n_random: int = 16) -> list:
     """Pointwise agreement of two cut literals as sets; used to validate
     normalization and canonical uniqueness without any formula in the loop."""
+    fine, fine2 = lattice_dens(g, (a, b), strict_discrete=False)
+    scale = lattice_scale((a, b), fine2)
+    sa, sb = _scaled_cut(a, scale), _scaled_cut(b, scale)
     mismatches = []
-    for x in sample_points(g, (a, b), rng, n_random, strict_discrete=False):
-        ina, inb = member(g, a, x), member(g, b, x)
+    for x in sample_points(g, (sa[0], sb[0]), rng, fine, scale, n_random):
+        ina, inb = _inside(sa, x), _inside(sb, x)
         if ina != inb:
-            mismatches.append(f"at {x}: {ina} vs {inb}")
+            mismatches.append(f"at {_unscaled(x, scale)}: {ina} vs {inb}")
     return mismatches

@@ -272,6 +272,15 @@ def _render_decompose(report: dict) -> list[str]:
 
 
 # === verify ===
+# Past parsing, a non-idempotent J, a class outside its group or an ideal
+# that is not one of its overring can only come from wrong arithmetic: a
+# bug, like a failed guard.  `idempotent_uniqueness` and `exact_sequence`
+# record one as a failure of the sample or form that raised it, so the
+# report keeps what the checks before them found; anywhere else `main`
+# ends in exit 2 with one stderr line.
+_MODEL_ERRORS = (C.InternalInconsistencyError, C.NotIdempotentError, C.NotInGroupError,
+                C.DomainMismatchError)
+
 # Every kind runs as k independent valuations, a `pruefer.PrueferModel` m:
 # a valuation domain is k = 1, and so is V[X], whose extended classes are
 # the coefficient classes of its base.  Each check is called as
@@ -329,7 +338,12 @@ def _idempotent_uniqueness(m, samples, rng, write) -> dict:
     failures = []
     for _ in range(samples):
         a = _random_tuple(rng, m)
-        if membership(a) != [P.classify_idempotent(m, a)]:
+        try:
+            unique = membership(a) == [P.classify_idempotent(m, a)]
+        except _MODEL_ERRORS as e:
+            failures.append(f"{_literal(write(a))}: {e}")
+            continue
+        if not unique:
             failures.append(f"membership not unique at {_literal(write(a))}")
     return _check("idempotent_uniqueness", samples, failures)
 
@@ -355,8 +369,11 @@ def _exact_sequence(m, samples, rng, write) -> dict:
     forms = sorted(P.enumerate_idempotent_forms(m), key=_form_order)
     failures = []
     for form in forms:
-        failures.extend(f"{format_form(form)}: {msg}"
-                        for msg in P.verify_exact_sequence(m, form, samples, rng))
+        try:
+            messages = P.verify_exact_sequence(m, form, samples, rng)
+        except _MODEL_ERRORS as e:
+            messages = [str(e)]
+        failures.extend(f"{format_form(form)}: {msg}" for msg in messages)
     return _check("exact_sequence", samples * len(forms), failures)
 
 
@@ -566,11 +583,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (C.InternalInconsistencyError, C.NotIdempotentError, C.NotInGroupError,
-            C.DomainMismatchError) as e:
-        # Past parsing, a non-idempotent J, a class outside its group or an
-        # ideal that is not one of its overring can only come from wrong
-        # arithmetic: a bug, like a failed guard.
+    except _MODEL_ERRORS as e:
         print(f"error: internal inconsistency: {e}; replay with: {_replay(args)}",
               file=sys.stderr)
         return 2

@@ -4,9 +4,16 @@ The box module arbitrates the frozen values asserted everywhere else, so it
 gets validated first and by the dumbest available means: exhaustive lattice
 enumeration, explicit pairwise sumsets, and deliberately wrong predictions
 that must be rejected.
+
+`lex_min` and `sample_points` return points on a check's integer lattice;
+the tests here unscale them to `Fraction`s before comparing them with the
+brute-force enumerations.
 """
 
 import itertools
+import random
+import sys
+from pathlib import Path
 from fractions import Fraction as F
 
 import pytest
@@ -14,13 +21,23 @@ import pytest
 from conftest import GROUPS, random_element
 from tclass import CLOSED, OPEN, Cut, Q, ValueGroup, Z, Zloc
 from tclass import boxes
-from tclass.cuts import member, mul, translate
+from tclass.cuts import member, mul, quotient, translate
 from tclass.groups import is_member
 from tclass.sampling import random_cut
 
 ZZ = GROUPS["Z"]
 DY = GROUPS["Zhalf"]
 QQ = ValueGroup((Q,))
+
+
+def scaled_lattice(g, cuts, strict_discrete=True):
+    """(fine, fine2, scale) of a check over `cuts`."""
+    fine, fine2 = boxes.lattice_dens(g, cuts, strict_discrete=strict_discrete)
+    return fine, fine2, boxes.lattice_scale(cuts, fine2)
+
+
+def unscaled(x, scale):
+    return tuple(F(n, s) for n, s in zip(x, scale))
 
 
 def box_lattice(g, dens):
@@ -34,16 +51,17 @@ def box_lattice(g, dens):
 def test_lex_min_matches_brute_minimum(group, rng):
     for _ in range(20):
         a = random_cut(rng, group)
-        _, fine2 = boxes.lattice_dens(group, (a,))
-        got = boxes.lex_min(group, a, fine2)
+        _, fine2, scale = scaled_lattice(group, (a,))
+        got = unscaled(boxes.lex_min(group, a, fine2, scale), scale)
         brute = min(x for x in box_lattice(group, fine2) if member(group, a, x))
         assert got == brute, f"{a}: lex_min {got} vs enumerated {brute}"
 
 
 def test_lex_min_rounds_offlattice_closed_boundary():
     # Closed at 1/3 over the dyadics: least lattice member is the next step up
-    _, fine2 = boxes.lattice_dens(DY, (Cut(1, (F(1, 3),), CLOSED),))
-    got = boxes.lex_min(DY, Cut(1, (F(1, 3),), CLOSED), fine2)
+    a = Cut(1, (F(1, 3),), CLOSED)
+    _, fine2, scale = scaled_lattice(DY, (a,))
+    got = unscaled(boxes.lex_min(DY, a, fine2, scale), scale)
     assert got[0] > F(1, 3)
     assert got[0] - F(1, 3) < F(1, fine2[0])
 
@@ -79,7 +97,7 @@ def test_lattice_dens_denominator_cap():
 def test_boundary_magnitude_cap():
     big = Cut(1, (F(4),), CLOSED)
     with pytest.raises(ValueError, match="boundary"):
-        boxes.lex_min(ZZ, big, [1])
+        boxes.lex_min(ZZ, big, [1], [1])
 
 
 def _shift(x, d):
@@ -114,14 +132,14 @@ def test_sumset_is_upper_set_at_minimum_sum(gname, rng):
     g = QQ if gname == "Q" else GROUPS[gname]
     for _ in range(6):
         a, b = random_cut(rng, g), random_cut(rng, g)
-        _, fine2 = boxes.lattice_dens(g, (a, b))
+        _, fine2, scale = scaled_lattice(g, (a, b))
         d = fine2[0]
         pts = [(F(k, d),) for k in range(boxes.LO * d, boxes.HI * d + 1)]
         ua = [x for x in pts if member(g, a, x)]
         ub = [x for x in pts if member(g, b, x)]
         ma, mb = min(ua), min(ub)
-        assert ma == boxes.lex_min(g, a, fine2)
-        assert mb == boxes.lex_min(g, b, fine2)
+        assert ma == unscaled(boxes.lex_min(g, a, fine2, scale), scale)
+        assert mb == unscaled(boxes.lex_min(g, b, fine2, scale), scale)
         sums = {x[0] + y[0] for x in ua for y in ub}
         edge = ma[0] + mb[0]
         for (v,) in pts:
@@ -186,17 +204,116 @@ def test_check_same_set_separates_and_identifies(rng):
 
 
 def test_sample_points_members_and_determinism(group):
-    import random
-
     a = Cut(1, (F(1),), CLOSED)
-    fine, _ = boxes.lattice_dens(group, (a,))
-    one = boxes.sample_points(group, (a,), random.Random(5))
-    two = boxes.sample_points(group, (a,), random.Random(5))
+    fine, fine2, scale = scaled_lattice(group, (a,))
+    prefix = (1 * scale[0],)
+    one = boxes.sample_points(group, (prefix,), random.Random(5), fine, scale)
+    two = boxes.sample_points(group, (prefix,), random.Random(5), fine, scale)
     assert one == two
     for x in one:
         assert len(x) == group.rank
-        for q, f, comp in zip(x, fine, group.components):
+        for q, comp in zip(unscaled(x, scale), group.components):
             assert abs(q) <= boxes.HI
             assert is_member(comp, q)
     snapped = tuple([F(1)] + [F(0)] * (group.rank - 1))
-    assert snapped in one
+    assert snapped in [unscaled(x, scale) for x in one]
+
+
+def test_lattice_scale_holds_every_boundary():
+    # 1/3 is no dyadic member, so the scale outgrows the lattice's 32
+    a, b = Cut(1, (F(4, 3),), OPEN), Cut(1, (F(-1, 4),), OPEN)
+    _, fine2, scale = scaled_lattice(DY, (a, b))
+    assert fine2 == [32] and scale == (96,)
+    g = GROUPS["Z_Q"]
+    _, fine2, scale = scaled_lattice(g, (Cut(2, (F(1), F(1, 3)), CLOSED),))
+    assert scale == (1, fine2[1]) and fine2[1] % 3 == 0
+
+
+# Mismatch messages of deliberately wrong predictions, byte for byte as
+# the box oracle wrote them when it ran on `Fraction` points.
+WRONG_MUL_Z = {
+    6: ["at (Fraction(5, 1),): box says True, cut arithmetic says False"],
+    4: ["at (Fraction(4, 1),): box says False, cut arithmetic says True"],
+}
+WRONG_QUOTIENT_Z_Q = [
+    f"at (Fraction(1, 1), Fraction({n}, {d})): box says True, cut arithmetic says False"
+    for n, d in ((7, 8), (11, 12), (23, 24), (1, 1), (25, 24), (13, 12))
+]
+
+
+def test_wrong_mul_messages_are_pinned():
+    a, b = Cut(1, (F(2),), CLOSED), Cut(1, (F(3),), CLOSED)
+    for top, lines in WRONG_MUL_Z.items():
+        wrong = Cut(1, (F(top),), CLOSED)
+        assert boxes.check_mul(ZZ, a, b, wrong, random.Random(1)) == lines
+
+
+def test_wrong_quotient_messages_are_pinned():
+    g = GROUPS["Z_Q"]
+    a, b = Cut(2, (F(1), F(1, 2)), OPEN), Cut(2, (F(0), F(-1, 3)), CLOSED)
+    right = quotient(g, a, b)
+    assert right == Cut(2, (F(1), F(5, 6)), OPEN)
+    assert boxes.check_quotient(g, a, b, right, random.Random(1)) == []
+    wrong = translate(g, right, (F(0), F(1, 4)))
+    assert boxes.check_quotient(g, a, b, wrong, random.Random(1)) == WRONG_QUOTIENT_Z_Q
+    closed = Cut(2, right.boundary, CLOSED)
+    assert boxes.check_quotient(g, a, b, closed, random.Random(1)) == [
+        "at (Fraction(1, 1), Fraction(5, 6)): box says False, cut arithmetic says True"]
+
+
+def recorded_points(monkeypatch) -> list:
+    """Replace `boxes.sample_points` with a wrapper that records how many
+    points each call returns."""
+    sizes = []
+    real = boxes.sample_points
+
+    def wrapper(*args, **kwargs):
+        pts = real(*args, **kwargs)
+        sizes.append(len(pts))
+        return pts
+    monkeypatch.setattr(boxes, "sample_points", wrapper)
+    return sizes
+
+
+# Points the seeded batch below sampled when the oracle ran on `Fraction`
+# points: the integer lattice must sample the very same set.
+BATCH_POINTS = 3596
+
+
+def test_each_check_samples_once_and_the_same_points(monkeypatch):
+    sizes = recorded_points(monkeypatch)
+    rng = random.Random(2024)
+    checks = 0
+    for name in sorted(GROUPS):
+        g = GROUPS[name]
+        for _ in range(8):
+            a, b = random_cut(rng, g), random_cut(rng, g)
+            assert boxes.check_mul(g, a, b, mul(g, a, b), rng) == []
+            assert boxes.check_quotient(g, a, b, quotient(g, a, b), rng) == []
+            assert boxes.check_same_set(g, a, a, rng) == []
+            checks += 3
+    assert len(sizes) == checks == 120
+    assert sum(sizes) == BATCH_POINTS
+
+
+def test_tracer_counts_the_points_a_check_samples(monkeypatch):
+    # The benchmark's `boxes.points` counter wraps `boxes.sample_points` by
+    # name; if the checks stopped calling it, the counter would read 0.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        from tracing import Tracer
+    finally:
+        sys.path.pop(0)
+    g = GROUPS["Z_Q"]
+    a, b = Cut(2, (F(1), F(1, 2)), OPEN), Cut(2, (F(0), F(-1, 3)), CLOSED)
+    predicted = mul(g, a, b)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert boxes.check_mul(g, a, b, predicted, random.Random(3)) == []
+    finally:
+        tracer.uninstall()
+    sizes = recorded_points(monkeypatch)
+    assert boxes.check_mul(g, a, b, predicted, random.Random(3)) == []
+    assert len(sizes) == 1 and sizes[0] > 0
+    assert tracer.box_points == sizes[0]

@@ -437,12 +437,28 @@ def test_internal_inconsistency_in_classify_exits_2(tmp_path, capsys, monkeypatc
 
 
 def test_internal_inconsistency_in_verify_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cuts, "idempotent_cut", planted)
+    # Raised before any sample is drawn, the error leaves no report to keep.
+    monkeypatch.setattr(cuts, "idempotents", planted)
     spec = valuation_spec(tmp_path)
     assert main(["verify", spec, "--samples", "3", "--seed", "11"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "planted" in err
     assert "verify" in err and spec in err and "--seed 11" in err
+
+
+def test_internal_inconsistency_in_a_sample_is_a_reported_failure(tmp_path, capsys, monkeypatch):
+    # Raised for each sample of `regularity` and `idempotent_uniqueness`,
+    # the error is a failure of that sample, and the later checks still run.
+    monkeypatch.setattr(cuts, "idempotent_cut", planted)
+    spec, out = valuation_spec(tmp_path), tmp_path / "report.json"
+    assert main(["verify", spec, "--samples", "3", "--seed", "11", "--json", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == ["regularity", "idempotent_uniqueness"]
+    uniqueness = checks[1]
+    assert uniqueness["failure_count"] == 3
+    assert all(line.startswith('{"boundary": ') and line.endswith("}: planted")
+               for line in uniqueness["failures"])
 
 
 def test_escaped_group_error_in_verify_exits_2(tmp_path, capsys, monkeypatch):

@@ -9,11 +9,12 @@ reads off the cut, and the containment probe behind `t_closure` being the
 identity.  `is_regular` runs on every component of every sample in
 `verify`'s first check, `regularity`, and in `classify` for every kind, so
 `classify` ends in exit 2 with one stderr line naming the guard.  `verify`
-ends in exit 2 too; `regularity` lists the guard as a counterexample,
-unless the fault also breaks a later check that stops the run.  The
-residual audit of `cuts.group_membership` runs in `idempotent_uniqueness`,
-once per sample and component, against the idempotents `cuts.idempotents`
-builds before the sample loop.  The guard of `pruefer.show_principal` runs
+ends in exit 2 too; `regularity` lists the guard as a counterexample, and
+the report keeps it when the fault makes a later sample or form raise,
+since `idempotent_uniqueness` and `exact_sequence` record such an error as
+a failure.  The residual audit of `cuts.group_membership` runs in
+`idempotent_uniqueness`, once per sample and component, against the
+idempotents `cuts.idempotents` builds before the sample loop.  The guard of `pruefer.show_principal` runs
 where its certificate is asked for, which no command does.
 
 Classification, `psi_localize` and the group operations decide membership
@@ -53,10 +54,6 @@ def random_tuple(rng):
 @pytest.fixture
 def diverging_residual(monkeypatch):
     monkeypatch.setattr(C, "residual_membership", _residual_negated(C.residual_membership))
-
-
-def unreachable(*args):
-    raise AssertionError("the exact-sequence check ran")
 
 
 def _self_residual_prime(real):
@@ -114,16 +111,42 @@ def test_regular_guard_trips_in_classify_and_verify(message, monkeypatch, capsys
     assert message in out + err
 
 
-def test_residual_divergence_fails_verify_in_idempotent_uniqueness(
-        tmp_path, capsys, monkeypatch, diverging_residual):
-    spec = tmp_path / "spec.json"
+def verify_report(tmp_path, capsys) -> dict:
+    """`verify` on SPEC, which must fail with a report and no stderr line."""
+    spec, out = tmp_path / "spec.json", tmp_path / "report.json"
     spec.write_text(json.dumps(SPEC))
-    # `idempotent_uniqueness` runs before the exact sequence; stopping there
-    # shows the audit trips in that check.
-    monkeypatch.setattr(P, "verify_exact_sequence", unreachable)
-    assert main(["verify", str(spec), "--samples", "2", "--seed", "1"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and RESIDUAL in err
+    assert main(["verify", str(spec), "--samples", "2", "--seed", "1", "--json", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    return {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+
+
+def test_residual_divergence_fails_verify_in_idempotent_uniqueness(
+        tmp_path, capsys, diverging_residual):
+    checks = verify_report(tmp_path, capsys)
+    # The exact sequence audits nothing, so only the uniqueness check fails,
+    # once per sample, each line naming the sampled tuple.
+    assert [n for n, c in checks.items() if not c["passed"]] == ["idempotent_uniqueness"]
+    failures = checks["idempotent_uniqueness"]["failures"]
+    assert len(failures) == 2
+    for line in failures:
+        literal, message = line.rsplit(": ", 1)
+        assert message == RESIDUAL
+        assert len(json.loads(literal)["cuts"]) == MODEL.k
+
+
+def test_regularity_guard_reaches_the_report_when_later_checks_raise(
+        tmp_path, capsys, monkeypatch):
+    # The swapped form cut makes `psi_localize` raise NotInGroupError inside
+    # `exact_sequence`; the report still carries what `regularity` found.
+    name, plant, _ = REGULAR_GUARDS["witness idempotent disagrees with classification"]
+    monkeypatch.setattr(C, name, plant(getattr(C, name)))
+    checks = verify_report(tmp_path, capsys)
+    found = checks["regularity"]["failures"]
+    assert found and all(line.startswith('{"cuts": [') and line.endswith(
+        "witness idempotent disagrees with classification") for line in found)
+    sequence = checks["exact_sequence"]["failures"]
+    assert any(line.endswith(": tuple class lies outside the constituent group")
+               for line in sequence)
 
 
 def test_exact_sequence_runs_no_residual_audit(diverging_residual):

@@ -1,12 +1,13 @@
-"""Operation-count budget for `verify`.
+"""Operation-count budget for `verify` and the oracles.
 
 Counts depend only on the spec, the sample count and the seed, never on
 the host, so a regression in how often the cut kernel rebuilds cuts,
 normalises cuts that are already canonical, re-runs the constituent-group
 audit or rebuilds a witness idempotent, in how often the Cayley-table
 oracle multiplies a pair, in how many triples its associativity check
-reads, in how often a check re-audits an input it has already audited, or
-in how the idempotent build scales with the rank fails here without timing
+reads, in how often a check re-audits an input it has already audited, in
+how the idempotent build scales with the rank, or in how many `Fraction`
+operations the box oracle runs per cut pair fails here without timing
 anything.
 """
 
@@ -15,6 +16,7 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 
+from tclass import boxes as B
 from tclass import cuts as C
 from tclass import pruefer as P
 from tclass import sampling as S
@@ -199,3 +201,40 @@ def test_idempotent_build_is_linear_in_the_rank(monkeypatch):
     forms = len(C.idempotents(g))
     assert forms == 400
     assert len(added) + len(subtracted) <= forms, (len(added), len(subtracted))
+
+
+# `Fraction` operators the box oracle used to run per point: sums of
+# coordinates, lex comparisons, sorting and hashing the point set, and
+# `cuts.member` on `Fraction` tuples.
+FRACTION_DUNDERS = ("__add__", "__sub__", "__mul__", "__eq__", "__lt__", "__le__",
+                    "__gt__", "__ge__", "__hash__")
+# On `Fraction` points one rank-3 pair cost 4 032 of those calls (1 707
+# `__eq__`, 715 `__lt__`, 631 `__hash__`, 514 `__add__`).  On the integer
+# lattice what is left is the boundary-size guard, a few per pair.
+BOX_FRACTION_CALLS_PER_PAIR = 64
+
+
+def test_box_checks_compare_integers_not_fractions(monkeypatch):
+    g = value_group_from_json(["Q", "Z", {"Zloc": [2]}])
+    rng = random.Random(7)
+    pairs = []
+    for _ in range(20):
+        a, b = S.random_cut(rng, g), S.random_cut(rng, g)
+        pairs.append((a, b, C.mul(g, a, b), C.quotient(g, a, b), rng.randrange(1 << 30)))
+    calls = []
+    for name in FRACTION_DUNDERS:
+        real = getattr(F, name)
+
+        def counted(*args, real=real):
+            calls.append(1)
+            return real(*args)
+        monkeypatch.setattr(F, name, counted)
+    per_pair = []
+    for a, b, product, residual, seed in pairs:
+        before = len(calls)
+        check_rng = random.Random(seed)
+        assert B.check_mul(g, a, b, product, check_rng) == []
+        assert B.check_quotient(g, a, b, residual, check_rng) == []
+        per_pair.append(len(calls) - before)
+    monkeypatch.undo()
+    assert max(per_pair) <= BOX_FRACTION_CALLS_PER_PAIR, per_pair
