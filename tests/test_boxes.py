@@ -13,8 +13,8 @@ brute-force enumerations.
 import itertools
 import random
 import sys
-from pathlib import Path
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -30,9 +30,9 @@ DY = GROUPS["Zhalf"]
 QQ = ValueGroup((Q,))
 
 
-def scaled_lattice(g, cuts, strict_discrete=True):
+def scaled_lattice(g, cuts):
     """(fine, fine2, scale) of a check over `cuts`."""
-    fine, fine2 = boxes.lattice_dens(g, cuts, strict_discrete=strict_discrete)
+    fine, fine2 = boxes.lattice_dens(g, cuts)
     return fine, fine2, boxes.lattice_scale(cuts, fine2)
 
 
