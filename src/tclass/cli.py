@@ -272,14 +272,10 @@ def _render_decompose(report: dict) -> list[str]:
 
 
 # === verify ===
-# Past parsing, a non-idempotent J, a class outside its group or an ideal
-# that is not one of its overring can only come from wrong arithmetic: a
-# bug, like a failed guard.  `idempotent_uniqueness` and `exact_sequence`
-# record one as a failure of the sample or form that raised it, so the
-# report keeps what the checks before them found; anywhere else `main`
-# ends in exit 2 with one stderr line.
-_MODEL_ERRORS = (C.InternalInconsistencyError, C.NotIdempotentError, C.NotInGroupError,
-                C.DomainMismatchError)
+# A model error (`cuts.MODEL_ERRORS`) can only come from wrong arithmetic.
+# `idempotent_uniqueness` and `exact_sequence` record one as a failure of
+# the sample that raised it, so the report keeps what the checks before
+# them found; anywhere else `main` ends in exit 2 with one stderr line.
 
 # Every kind runs as k independent valuations, a `pruefer.PrueferModel` m:
 # a valuation domain is k = 1, and so is V[X], whose extended classes are
@@ -340,7 +336,7 @@ def _idempotent_uniqueness(m, samples, rng, write) -> dict:
         a = _random_tuple(rng, m)
         try:
             unique = membership(a) == [P.classify_idempotent(m, a)]
-        except _MODEL_ERRORS as e:
+        except C.MODEL_ERRORS as e:
             failures.append(f"{_literal(write(a))}: {e}")
             continue
         if not unique:
@@ -371,7 +367,7 @@ def _exact_sequence(m, samples, rng, write) -> dict:
     for form in forms:
         try:
             messages = P.verify_exact_sequence(m, form, samples, rng)
-        except _MODEL_ERRORS as e:
+        except C.MODEL_ERRORS as e:
             messages = [str(e)]
         failures.extend(f"{format_form(form)}: {msg}" for msg in messages)
     return _check("exact_sequence", samples * len(forms), failures)
@@ -583,7 +579,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except _MODEL_ERRORS as e:
+    except C.MODEL_ERRORS as e:
         print(f"error: internal inconsistency: {e}; replay with: {_replay(args)}",
               file=sys.stderr)
         return 2

@@ -27,13 +27,20 @@ classified form and probes the cut behind `t_closure` being the identity;
 component's idempotents as `idempotents` builds them, each checked
 idempotent once with its stabilizer, and does a sample's own residual work
 once for all of them.  A failed audit raises InternalInconsistencyError.
+
+Classes modulo principal ideals (`CutClass`) compare and hash by an
+integer key, (level, side) and then numerator and denominator of each
+boundary coordinate of the class rep, so no `Fraction` is hashed or
+compared when the Cayley-table oracle indexes them.  `class_of` builds
+that key from the reduced top coordinate alone; the rep `Cut` is built on
+first read.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -66,6 +73,13 @@ class NotIdempotentError(ValueError):
 
 class InternalInconsistencyError(RuntimeError):
     """An arithmetic identity that must hold by theory failed; a bug, not bad input."""
+
+
+# Past parsing, a non-idempotent J, a class outside its group or an ideal
+# that is not one of its overring can only come from wrong arithmetic: a
+# bug, like a failed guard.
+MODEL_ERRORS = (InternalInconsistencyError, NotIdempotentError, NotInGroupError,
+                DomainMismatchError)
 
 
 @dataclass(frozen=True)
@@ -421,19 +435,73 @@ def _coset_rep(comp, q: Fraction) -> Fraction:
     return Fraction(q.numerator * inv % d, d)
 
 
-@dataclass(frozen=True)
 class CutClass:
-    """A cut modulo principal ideals; `rep` is the class-canonical cut:
-    zero boundary below the top, last coordinate reduced mod its component."""
+    """A cut modulo principal ideals, compared and hashed by an integer key.
 
-    rep: Cut
+    `rep` is the class-canonical cut: zero boundary below the top, last
+    coordinate reduced mod its component.  `class_of` keys the class by
+    that reduced coordinate and builds `rep` only when it is first read,
+    so a class that is only hashed and compared (a product found already
+    in a closure) costs no `Cut`.  `CutClass(cut)` wraps any cut as it is;
+    two classes are equal exactly when their reps are.
+    """
+
+    __slots__ = ("_key", "_top", "_rep")
+
+    def __init__(self, rep: Cut):
+        # (level, side, n1, d1, ..., nL, dL): equal exactly when the cuts are
+        key = [rep.level, rep.side]
+        for c in rep.boundary:
+            key += (c.numerator, c.denominator)
+        _set_key(self, tuple(key))
+        _set_rep(self, rep)
+
+    @property
+    def rep(self) -> Cut:
+        rep = self._rep
+        if rep is None:  # keyed by `class_of`, not yet built
+            level, side = self._key[:2]
+            rep = Cut(level, (_ZERO,) * (level - 1) + (self._top,), side)
+            _set_rep(self, rep)
+        return rep
+
+    def __eq__(self, other):
+        if not isinstance(other, CutClass):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"CutClass(rep={self.rep!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild the class from its rep
+        return CutClass, (self.rep,)
+
+
+# `CutClass` refuses assignment; its own slots are written through these.
+_set_key = CutClass._key.__set__
+_set_top = CutClass._top.__set__
+_set_rep = CutClass._rep.__set__
 
 
 def class_of(g: ValueGroup, a: Cut) -> CutClass:
     validate_cut(g, a)
-    boundary = [_ZERO] * (a.level - 1)
-    boundary.append(_coset_rep(g.components[a.level - 1], a.boundary[-1]))
-    return CutClass(Cut(a.level, tuple(boundary), a.side))
+    level = a.level
+    top = _coset_rep(g.components[level - 1], a.boundary[-1])
+    x = object.__new__(CutClass)
+    # the key `CutClass(rep)` gives the rep <level; (0, ..., 0, top); side>
+    _set_key(x, (level, a.side, *(0, 1) * (level - 1), top.numerator, top.denominator))
+    _set_top(x, top)
+    _set_rep(x, None)
+    return x
 
 
 def idempotents(g: ValueGroup) -> list[tuple[IdempotentForm, Cut, Cut]]:
@@ -567,7 +635,7 @@ class ValuationClassModel:
         return class_of(self.group, a)
 
     def mul(self, x: CutClass, y: CutClass) -> CutClass:
-        return self.class_of(mul(self.group, x.rep, y.rep))
+        return class_of(self.group, mul(self.group, x.rep, y.rep))
 
     def idempotent_of(self, x: CutClass) -> CutClass:
         return self.class_of(idempotent_cut(self.group, x.rep))

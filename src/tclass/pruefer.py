@@ -255,13 +255,16 @@ def verify_exact_sequence(model: PrueferModel, form: IdempotentForm,
     (injectivity of the projection), the projection is a homomorphism, and
     every sampled target vector lifts.  Failures name the offending tuples
     by the literals `tclass classify --ideal` reads; they indicate
-    arithmetic bugs and are never swallowed.
+    arithmetic bugs and are never swallowed.  A model error
+    (`cuts.MODEL_ERRORS`) is such a failure too: one raised by the form's
+    idempotent names that tuple and ends the form, one raised in a sample
+    names the sample's tuples and ends the sample.
     """
     failures = []
 
-    def fail(message: str, *tuples: IdealTuple) -> None:
-        failures.append(message.format(
-            *(json.dumps(tuple_to_json(a), sort_keys=True) for a in tuples)))
+    def fail(message: str, *tuples: IdealTuple, error: Exception | None = None) -> None:
+        line = message.format(*(json.dumps(tuple_to_json(a), sort_keys=True) for a in tuples))
+        failures.append(line if error is None else f"{line}: {error}")
 
     # Per-form constants: the overring, the idempotent, its class, and for
     # each side-open component the value group of its localization with
@@ -274,7 +277,11 @@ def verify_exact_sequence(model: PrueferModel, form: IdempotentForm,
         level = form.overring.levels[i]
         gt = truncate(model.valuations[i], level)
         local.append((i, gt, C.prime_cut(gt, level)))
-    ident = psi_localize(model, j, form)
+    try:
+        ident = psi_localize(model, j, form)
+    except C.MODEL_ERRORS as e:
+        fail("idempotent {}", j, error=e)
+        return failures
 
     # The embedding pushes a class over T into the group by multiplying
     # into the idempotent and t-closing; the identity of Cl(T) is T's class.
@@ -286,21 +293,22 @@ def verify_exact_sequence(model: PrueferModel, form: IdempotentForm,
     for _ in range(samples):
         a = _random_group_member(rng, model, form)
         b = _random_group_member(rng, model, form)
-        ab = t_closure(model, mul(model, a, b))
-
-        pa, pb, pab = (psi_localize(model, x, form) for x in (a, b, ab))
-        want = tuple(C.group_mul(gt, x, y, m) for x, y, (_, gt, m) in zip(pa, pb, local))
-        if pab != want:
-            fail("projection not multiplicative at {} * {}", a, b)
-        if pa == ident and class_of(model, a) != identity:
-            fail("kernel element outside the embedded image: {}", a)
-        if pa == pb and class_of(model, a) != class_of(model, b):
-            fail("projection identified distinct classes: {} vs {}", a, b)
-
         target = _random_target(rng, local)
         lift = _lift_target(model, j, local, target)
-        if psi_localize(model, lift, form) != target:
-            fail("constructed preimage {} missed its target", lift)
+        try:
+            ab = t_closure(model, mul(model, a, b))
+            pa, pb, pab = (psi_localize(model, x, form) for x in (a, b, ab))
+            want = tuple(C.group_mul(gt, x, y, m) for x, y, (_, gt, m) in zip(pa, pb, local))
+            if pab != want:
+                fail("projection not multiplicative at {} * {}", a, b)
+            if pa == ident and class_of(model, a) != identity:
+                fail("kernel element outside the embedded image: {}", a)
+            if pa == pb and class_of(model, a) != class_of(model, b):
+                fail("projection identified distinct classes: {} vs {}", a, b)
+            if psi_localize(model, lift, form) != target:
+                fail("constructed preimage {} missed its target", lift)
+        except C.MODEL_ERRORS as e:
+            fail("sample {} * {} with preimage {}", a, b, lift, error=e)
 
     return failures
 

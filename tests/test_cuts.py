@@ -5,6 +5,9 @@ the oracle call sits next to each frozen assertion so a regression in
 either side surfaces as a disagreement.
 """
 
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -548,6 +551,51 @@ def test_class_translation_invariance(group, rng):
         a = random_cut(rng, group)
         shift = random_element(rng, group)
         assert C.class_of(group, C.translate(group, a, shift)) == C.class_of(group, a)
+
+
+def class_rep(g, a):
+    """The class rep built from the cut: zeros below the top, the top
+    coordinate reduced by `_coset_rep`."""
+    top = C._coset_rep(g.components[a.level - 1], a.boundary[-1])
+    return Cut(a.level, (F(0),) * (a.level - 1) + (top,), a.side)
+
+
+@given(group_names, seeds)
+def test_cut_classes_are_equal_exactly_when_their_reps_are(name, seed):
+    g = GROUPS[name]
+    r = random.Random(seed)
+    # Raw, non-canonical cuts, and principal translates of some of them so
+    # that distinct cuts share classes.
+    cuts = [random_raw_cut(r, g) for _ in range(12)]
+    cuts += [C.translate(g, a, random_element(r, g)) for a in cuts[:6]]
+    # Compared and hashed before any rep is read, then against the reps.
+    classes = [C.class_of(g, a) for a in cuts]
+    wrapped = [C.CutClass(a) for a in cuts]
+    equal = [[x == y for y in classes] for x in classes]
+    for x, y, same in zip(classes, wrapped, equal):
+        assert [y == z for z in wrapped] == [y.rep == z.rep for z in wrapped]
+        assert all(hash(x) == hash(z) for z, s in zip(classes, same) if s)
+    for a, x, y, same in zip(cuts, classes, wrapped, equal):
+        assert x.rep == class_rep(g, a)
+        assert same == [x.rep == z.rep for z in classes]
+        assert y.rep is a
+        assert [y == z for z in wrapped] == [a == b for b in cuts]
+        # a class and the raw wrap of its rep are one class
+        assert C.CutClass(x.rep) == x and hash(C.CutClass(x.rep)) == hash(x)
+        assert [y == z for z in classes] == [a == z.rep for z in classes]
+
+
+def test_cut_class_repr_and_immutability():
+    x = C.class_of(DY, Cut(1, (F(4, 3),), OPEN))
+    assert repr(x) == "CutClass(rep=Cut(level=1, boundary=(Fraction(1, 3),), side='open'))"
+    assert repr(C.CutClass(Cut(1, (F(4, 3),), OPEN))) == \
+        "CutClass(rep=Cut(level=1, boundary=(Fraction(4, 3),), side='open'))"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.rep = Cut(1, (F(0),), OPEN)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del x.rep
+    assert x != x.rep and x == C.CutClass(x.rep)
+    assert pickle.loads(pickle.dumps(x)) == x == copy.deepcopy(x)
 
 
 # === transfer to overrings ===

@@ -32,7 +32,7 @@ import pytest
 from conftest import GROUPS
 from tclass import cuts as C
 from tclass import pruefer as P
-from tclass.cli import main
+from tclass.cli import format_form, main
 from tclass.sampling import random_cut
 from test_kills import _form_cut_swapped, _residual_negated
 
@@ -147,6 +147,58 @@ def test_regularity_guard_reaches_the_report_when_later_checks_raise(
     sequence = checks["exact_sequence"]["failures"]
     assert any(line.endswith(": tuple class lies outside the constituent group")
                for line in sequence)
+
+
+def tuple_literals(line: str) -> list:
+    """Every tuple literal a failure line names, in order."""
+    decoder, out, at = json.JSONDecoder(), [], line.find('{"cuts"')
+    while at >= 0:
+        literal, end = decoder.raw_decode(line, at)
+        out.append(literal)
+        at = line.find('{"cuts"', end)
+    return out
+
+
+def test_exact_sequence_failure_replays_through_classify(tmp_path, capsys, monkeypatch):
+    # The swapped form cut puts each form's idempotent tuple outside its
+    # own group; the failure names that tuple by a literal `classify` reads.
+    real = C.form_cut
+    monkeypatch.setattr(C, "form_cut", _form_cut_swapped(real))
+    spec, out = tmp_path / "spec.json", tmp_path / "report.json"
+    spec.write_text(json.dumps(SPEC))
+    assert main(["verify", str(spec), "--samples", "10", "--seed", "1", "--json", str(out)]) == 2
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    failures = checks["exact_sequence"]["failures"]
+    assert failures
+    for line in failures:
+        assert line.endswith(": tuple class lies outside the constituent group")
+        [literal] = tuple_literals(line)
+        ideal = json.dumps(literal)
+        # Under the fault the literal replays: `classify` trips the witness guard.
+        assert main(["classify", str(spec), "--ideal", ideal]) == 2
+        assert "witness idempotent disagrees with classification" in capsys.readouterr().err
+        # Without it, the literal classifies to another form than the line's.
+        with monkeypatch.context() as m:
+            m.setattr(C, "form_cut", real)
+            assert main(["classify", str(spec), "--ideal", ideal]) == 0
+        capsys.readouterr()
+        form = P.classify_idempotent(MODEL, P.tuple_from_json(MODEL, literal))
+        assert not line.startswith(format_form(form) + ": ")
+
+
+def test_exact_sequence_records_a_sample_error_with_its_tuples(monkeypatch):
+    def planted(g, x, y, j):
+        raise C.NotInGroupError("planted")
+    monkeypatch.setattr(C, "group_mul", planted)
+    for form in open_forms():
+        failures = P.verify_exact_sequence(MODEL, form, 2, random.Random(1))
+        assert len(failures) == 2
+        for line in failures:
+            assert line.startswith("sample ") and line.endswith(": planted")
+            tuples = [P.tuple_from_json(MODEL, t) for t in tuple_literals(line)]
+            # the sampled pair and the preimage, all in the form's group
+            assert len(tuples) == 3
+            assert all(P.classify_idempotent(MODEL, a) == form for a in tuples)
 
 
 def test_exact_sequence_runs_no_residual_audit(diverging_residual):

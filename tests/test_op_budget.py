@@ -6,9 +6,11 @@ normalises cuts that are already canonical, re-runs the constituent-group
 audit or rebuilds a witness idempotent, in how often the Cayley-table
 oracle multiplies a pair, in how many triples its associativity check
 reads, in how often a check re-audits an input it has already audited, in
-how the idempotent build scales with the rank, or in how many `Fraction`
-operations the box oracle runs per cut pair fails here without timing
-anything.
+how the idempotent build scales with the rank, in how many `Fraction`
+operations the box oracle runs per cut pair, or in what a Cayley-table
+closure of m classes builds and hashes (at most m^2 + m `Cut`s, none in
+`class_of`, and no `Fraction` hashed or compared: classes are keyed by
+integers) fails here without timing anything.
 """
 
 import json
@@ -106,13 +108,17 @@ class CountedModel(C.ValuationClassModel):
         return super().mul(x, y)
 
 
-def test_large_closure_checks_associativity_on_few_generators():
-    # The benchmark's oracle closure: Z[1/2] seeded with open classes at
-    # n/3, n/5, n/7 and the ring class saturates at 1 + lcm(3, 5, 7) = 106.
-    model = CountedModel(value_group_from_json([{"Zloc": [2]}]))
+def oracle_closure_seeds(model) -> list:
+    """The benchmark's oracle closure: Z[1/2] seeded with open classes at
+    n/3, n/5, n/7 and the ring class saturates at 1 + lcm(3, 5, 7) = 106."""
     seeds = [C.Cut(1, (F(n, q),), C.OPEN) for n, q in ((1, 3), (2, 5), (3, 7))]
     seeds.append(C.Cut(1, (F(0),), C.CLOSED))
-    closure = SG.sample_closure(model, [model.class_of(c) for c in seeds], 256)
+    return [model.class_of(c) for c in seeds]
+
+
+def test_large_closure_checks_associativity_on_few_generators():
+    model = CountedModel(value_group_from_json([{"Zloc": [2]}]))
+    closure = SG.sample_closure(model, oracle_closure_seeds(model), 256)
     m = len(closure.dictionary)
     assert closure.saturated and m == 106
     assert model.calls == m * m
@@ -124,6 +130,47 @@ def test_large_closure_checks_associativity_on_few_generators():
     assert group.size == 105
     for table in (s, group):
         assert len(SG._generators(table.table)) <= 4
+
+
+# The same closure when `class_of` built its rep `Cut` up front and classes
+# hashed and compared that cut: 22 472 `Cut` constructions (11 236 of them
+# in `class_of`), 11 346 `Fraction.__hash__` and 11 027 `Fraction.__eq__`
+# calls.
+CLOSURE_CUTS_BEFORE = 22472
+
+
+def test_closure_keys_classes_by_integers(monkeypatch):
+    model = C.ValuationClassModel(value_group_from_json([{"Zloc": [2]}]))
+    seeds = oracle_closure_seeds(model)
+    counts = Counter()
+    depth = [0]  # class_of frames on the stack
+
+    def counted(key, fn, inside=False):
+        def wrapper(*args):
+            counts[key] += 1
+            if depth[0]:
+                counts[key + " in class_of"] += 1
+            depth[0] += inside
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= inside
+        return wrapper
+
+    monkeypatch.setattr(C.Cut, "__post_init__", counted("cuts", C.Cut.__post_init__))
+    monkeypatch.setattr(C, "class_of", counted("class_of", C.class_of, inside=True))
+    for name in ("__hash__", "__eq__"):
+        monkeypatch.setattr(F, name, counted(name, getattr(F, name)))
+    closure = SG.sample_closure(model, seeds, 256)
+    monkeypatch.undo()
+
+    m = len(closure.dictionary)
+    assert closure.saturated and m == 106
+    # One `Cut` per product (`cuts.mul`), one rep per element on first read.
+    assert counts["cuts"] <= m * m + m < CLOSURE_CUTS_BEFORE, counts
+    assert counts["cuts in class_of"] == 0, counts
+    assert counts["__hash__"] == counts["__eq__"] == 0, counts
+    assert counts["class_of"] == m * m, counts
 
 
 def counted_calls(monkeypatch, owner, name) -> list:
