@@ -568,21 +568,23 @@ def test_cut_classes_are_equal_exactly_when_their_reps_are(name, seed):
     # that distinct cuts share classes.
     cuts = [random_raw_cut(r, g) for _ in range(12)]
     cuts += [C.translate(g, a, random_element(r, g)) for a in cuts[:6]]
-    # Compared and hashed before any rep is read, then against the reps.
+    # Compared and hashed before any rep is built, then against the reps.
     classes = [C.class_of(g, a) for a in cuts]
-    wrapped = [C.CutClass(a) for a in cuts]
     equal = [[x == y for y in classes] for x in classes]
-    for x, y, same in zip(classes, wrapped, equal):
-        assert [y == z for z in wrapped] == [y.rep == z.rep for z in wrapped]
+    for x, same in zip(classes, equal):
         assert all(hash(x) == hash(z) for z, s in zip(classes, same) if s)
-    for a, x, y, same in zip(cuts, classes, wrapped, equal):
+    for a, x, same in zip(cuts, classes, equal):
         assert x.rep == class_rep(g, a)
         assert same == [x.rep == z.rep for z in classes]
+        # A raw wrap is the cut as it is: equal to another wrap or a class
+        # exactly when the cuts are, and one class with the wrap of its rep.
+        y = C.CutClass(a)
         assert y.rep is a
-        assert [y == z for z in wrapped] == [a == b for b in cuts]
-        # a class and the raw wrap of its rep are one class
-        assert C.CutClass(x.rep) == x and hash(C.CutClass(x.rep)) == hash(x)
+        for b in cuts:
+            assert (y == C.CutClass(b)) == (a == b)
+            assert a != b or hash(y) == hash(C.CutClass(b))
         assert [y == z for z in classes] == [a == z.rep for z in classes]
+        assert C.CutClass(x.rep) == x and hash(C.CutClass(x.rep)) == hash(x)
 
 
 def test_cut_class_repr_and_immutability():
