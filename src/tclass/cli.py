@@ -7,6 +7,12 @@ uniqueness, exactness, semigroup oracle cross-checks) with seeded
 randomness.  Machine-readable reports are JSON with sorted keys and no
 timestamps, so a fixed seed reproduces them byte for byte.
 
+Every command runs on the k-valuation model, a `pruefer.PrueferModel`: a
+valuation domain is k = 1, and so is V[X], whose extended classes are the
+coefficient classes of its base.  What differs per kind is data in
+`KINDS`: its literal reader and writer, its form and `decompose` entry
+writers with their text, and the documented report differences.
+
 Exit codes: 0 pass, 1 usage or parse error, 2 verification failure or an
 internal inconsistency (a bug; the message carries the command that
 replays it).
@@ -26,7 +32,6 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .groups import (
-    MalformedElementError,
     ValueGroup,
     describe_component,
     is_strongly_discrete,
@@ -112,6 +117,10 @@ def model_echo(kind: str, model) -> dict:
 
 # === report fragments ===
 
+def _literal(data) -> str:
+    return json.dumps(data, sort_keys=True)
+
+
 def form_json(form: C.IdempotentForm) -> dict:
     return {
         "variant": form.variant,
@@ -129,13 +138,22 @@ def format_form(form: C.IdempotentForm) -> str:
             f"components {{{comps}}}")
 
 
-# The poly_ext reports name V_p[X] and p[X] after the ring and maximal
-# ideal forms of the base.
-_POLY_VARIANTS = {"ring": "overring", "max_ideals": "idempotent_max_class"}
+def _form_text(f: dict) -> str:
+    if f["variant"] == "ring":
+        return f"overring at levels {f['levels']}"
+    return (f"maximal ideals at components {f['max_ideal_components']} "
+            f"of the overring at levels {f['levels']}")
 
 
-def _poly_idem_json(form: C.IdempotentForm) -> dict:
-    return {"variant": _POLY_VARIANTS[form.variant], "level": form.overring.levels[0]}
+def _poly_form_json(form: C.IdempotentForm) -> dict:
+    # The poly_ext reports name V_p[X] and p[X] after the ring and maximal
+    # ideal forms of the base.
+    variant = "idempotent_max_class" if form.open_components else "overring"
+    return {"variant": variant, "level": form.overring.levels[0]}
+
+
+def _poly_form_text(f: dict) -> str:
+    return f"{f['variant']} at level {f['level']}"
 
 
 def _regularity_json(w: C.RegularityWitness) -> dict:
@@ -149,125 +167,92 @@ def _regularity_json(w: C.RegularityWitness) -> dict:
 
 def cmd_classify(kind: str, model, ideal_arg: str) -> dict:
     data = _read_json(ideal_arg, "ideal literal")
-    report = {"command": "classify", "model": model_echo(kind, model)}
+    spec = KINDS[kind]
+    m = spec.as_pruefer(model)
     try:
-        if kind == "valuation":
-            canon = C.cut_from_json(model, data)
-            form = C.classify_idempotent(model, canon)
-            report["ideal"] = C.cut_to_json(canon)
-            report["idempotent_form"] = form_json(form)
-            report["witness"] = C.cut_to_json(C.form_cut(model, form))
-            report["regularity"] = _regularity_json(C.is_regular(model, canon))
-        elif kind == "pruefer_fc":
-            a = P.tuple_from_json(model, data)
-            form = P.classify_idempotent(model, a)
-            report["ideal"] = P.tuple_to_json(a)
-            report["idempotent_form"] = form_json(form)
-            report["witness"] = P.tuple_to_json(P.form_tuple(model, form))
-            report["regularity"] = [
-                _regularity_json(C.is_regular(g, c))
-                for g, c in zip(model.valuations, a.cuts)
-            ]
-        else:
-            s = X.sym_from_json(model, data)
-            report["ideal"] = X.sym_to_json(s)
-            report["idempotent_form"] = _poly_idem_json(X.classify(model, s))
-            report["scope"] = X.SCOPE
-            report["regularity"] = _regularity_json(C.is_regular(model.base, s.rep))
-    except (C.MalformedCutError, MalformedElementError) as e:
+        a = spec.read(m, data)
+    except C.MalformedCutError as e:
         raise UsageError(f"ideal literal: {e}") from e
+    form = P.classify_idempotent(m, a)
+    report = {"command": "classify", "model": model_echo(kind, model),
+              "ideal": spec.write(a), "idempotent_form": spec.form(form)}
+    if spec.scope is None:
+        report["witness"] = spec.write(P.form_tuple(m, form))
+    else:
+        report["scope"] = spec.scope
+    regularity = [_regularity_json(C.is_regular(g, c)) for g, c in zip(m.valuations, a.cuts)]
+    report["regularity"] = regularity if spec.components else regularity[0]
     return report
 
 
 def _render_classify(report: dict) -> list[str]:
-    lines = [f"model: {json.dumps(report['model'], sort_keys=True)}"]
-    lines.append(f"canonical ideal: {json.dumps(report['ideal'], sort_keys=True)}")
-    f = report["idempotent_form"]
-    if "levels" in f:
-        if f["variant"] == "ring":
-            lines.append(f"idempotent: overring at levels {f['levels']}")
-        else:
-            lines.append(
-                f"idempotent: maximal ideals at components {f['max_ideal_components']} "
-                f"of the overring at levels {f['levels']}"
-            )
-    else:
-        lines.append(f"idempotent: {f['variant']} at level {f['level']}")
-    return lines
+    spec = KINDS[report["model"]["kind"]]
+    return [f"canonical ideal: {_literal(report['ideal'])}",
+            f"idempotent: {spec.form_text(report['idempotent_form'])}"]
 
 
 # === decompose ===
 
-def _valuation_idempotent_entries(g: ValueGroup) -> list[dict]:
-    entries = []
-    for form in C.idempotent_forms(g):
-        level = form.overring.levels[0]
-        entry = {"idempotent": C.cut_to_json(C.form_cut(g, form)), "level": level}
-        if form.open_components:
-            comp = describe_component(g.components[level - 1])
-            entry.update(kind="idempotent_prime",
-                         group=f"classes of rationals modulo {comp} (representable part)")
-        else:
-            entry.update(kind="overring",
-                         group="trivial (canonical closed classes are principal)")
-        entries.append(entry)
-    return entries
+def _valuation_entry(m: P.PrueferModel, form: C.IdempotentForm) -> dict:
+    g, level = m.valuations[0], form.overring.levels[0]
+    entry = {"idempotent": C.cut_to_json(C.form_cut(g, form)), "level": level}
+    if form.open_components:
+        comp = describe_component(g.components[level - 1])
+        entry.update(kind="idempotent_prime",
+                     group=f"classes of rationals modulo {comp} (representable part)")
+    else:
+        entry.update(kind="overring", group="trivial (canonical closed classes are principal)")
+    return entry
 
 
-def _form_order(form: C.IdempotentForm):
-    return form.overring.levels, sorted(form.open_components)
+def _pruefer_entry(m: P.PrueferModel, form: C.IdempotentForm) -> dict:
+    localized = [
+        f"component {i + 1}: classes of rationals modulo "
+        f"{describe_component(m.valuations[i].components[form.overring.levels[i] - 1])}"
+        for i in sorted(form.open_components)
+    ]
+    return {"form": form_json(form), "localized_groups": localized,
+            "class_group": "trivial (computed with principality certificate)"}
+
+
+def _pruefer_entry_text(e: dict) -> list[str]:
+    levels, comps = e["form"]["levels"], e["form"]["max_ideal_components"]
+    head = (f"  max ideals at components {comps}, overring levels {levels}" if comps
+            else f"  overring levels {levels}")
+    return [head, *(f"    {loc}" for loc in e["localized_groups"])]
+
+
+def _poly_entry(m: P.PrueferModel, form: C.IdempotentForm) -> dict:
+    return {"idempotent": _poly_form_json(form), "group_trivial": not form.open_components,
+            "group": X.group_description(X.PolyExtModel(*m.valuations), form)}
+
+
+def _forms(m: P.PrueferModel) -> list[C.IdempotentForm]:
+    """The idempotent forms by overring levels, then open components."""
+    return sorted(P.enumerate_idempotent_forms(m),
+                  key=lambda f: (f.overring.levels, sorted(f.open_components)))
 
 
 def cmd_decompose(kind: str, model) -> dict:
-    report = {"command": "decompose", "model": model_echo(kind, model)}
-    if kind == "valuation":
-        entries = _valuation_idempotent_entries(model)
-        report["strongly_discrete"] = is_strongly_discrete(model)
-    elif kind == "pruefer_fc":
-        entries = []
-        for f in sorted(P.enumerate_idempotent_forms(model), key=_form_order):
-            localized = [
-                f"component {i + 1}: classes of rationals modulo "
-                f"{describe_component(model.valuations[i].components[f.overring.levels[i] - 1])}"
-                for i in sorted(f.open_components)
-            ]
-            entries.append({
-                "form": form_json(f),
-                "class_group": "trivial (computed with principality certificate)",
-                "localized_groups": localized,
-            })
-    else:
-        entries = [
-            {"idempotent": _poly_idem_json(f), "group": X.group_description(model, f),
-             "group_trivial": not f.open_components}
-            for f in X.decompose(model)
-        ]
-        report["scope"] = X.SCOPE
-        report["strongly_discrete"] = is_strongly_discrete(model.base)
-    report["idempotents"] = entries
-    report["idempotent_count"] = len(entries)
+    spec = KINDS[kind]
+    m = spec.as_pruefer(model)
+    entries = [spec.entry(m, form) for form in spec.forms(m)]
+    report = {"command": "decompose", "model": model_echo(kind, model),
+              "idempotents": entries, "idempotent_count": len(entries)}
+    if not spec.components:
+        report["strongly_discrete"] = is_strongly_discrete(m.valuations[0])
+    if spec.scope is not None:
+        report["scope"] = spec.scope
     return report
 
 
 def _render_decompose(report: dict) -> list[str]:
-    lines = [f"model: {json.dumps(report['model'], sort_keys=True)}"]
-    lines.append(f"idempotents: {report['idempotent_count']}")
+    spec = KINDS[report["model"]["kind"]]
+    lines = [f"idempotents: {report['idempotent_count']}"]
     for e in report["idempotents"]:
-        if "form" in e:
-            levels = e["form"]["levels"]
-            comps = e["form"]["max_ideal_components"]
-            head = (f"  overring levels {levels}" if not comps
-                    else f"  max ideals at components {comps}, overring levels {levels}")
-            lines.append(head)
-            for loc in e["localized_groups"]:
-                lines.append(f"    {loc}")
-        elif "variant" in e["idempotent"]:
-            lines.append(f"  {e['idempotent']['variant']} at level {e['idempotent']['level']}"
-                         f": {e['group']}")
-        else:
-            lines.append(f"  level {e['level']} {e['kind']}: {e['group']}")
-    if "scope" in report:
-        lines.append(f"scope: {report['scope']}")
+        lines += spec.entry_text(e)
+    if spec.scope is not None:
+        lines.append(f"scope: {spec.scope}")
     return lines
 
 
@@ -277,15 +262,9 @@ def _render_decompose(report: dict) -> list[str]:
 # the sample that raised it, so the report keeps what the checks before
 # them found; anywhere else `main` ends in exit 2 with one stderr line.
 
-# Every kind runs as k independent valuations, a `pruefer.PrueferModel` m:
-# a valuation domain is k = 1, and so is V[X], whose extended classes are
-# the coefficient classes of its base.  Each check is called as
-# check(m, samples, rng, write), `write` being the kind's literal writer,
-# and draws one cut per valuation per sample, in order.
-
-def _literal(data) -> str:
-    return json.dumps(data, sort_keys=True)
-
+# Each check is called as check(m, samples, rng, write), m being the k
+# valuations and `write` the kind's literal writer, and draws one cut per
+# valuation per sample, in order.
 
 def _check(name: str, instances: int, failures: list) -> dict:
     return {
@@ -362,7 +341,7 @@ def _overring_transfer(m, samples, rng, write) -> dict:
 
 def _exact_sequence(m, samples, rng, write) -> dict:
     """`pruefer.verify_exact_sequence` at every form, in report order."""
-    forms = sorted(P.enumerate_idempotent_forms(m), key=_form_order)
+    forms = _forms(m)
     failures = []
     for form in forms:
         try:
@@ -381,7 +360,7 @@ def _classification_consistency(m, samples, rng, write) -> dict:
     for _ in range(samples):
         s = X.extended_class(px, _random_tuple(rng, m).cuts[0])
         if X.classify(px, s) not in forms:
-            failures.append(f"classification of {_literal(X.sym_to_json(s))} "
+            failures.append(f"classification of {_literal(X.sym_to_json(s.rep))} "
                             "missing from decomposition")
     return _check("classification_consistency", samples, failures)
 
@@ -418,8 +397,16 @@ class Kind(NamedTuple):
     field: str  # the spec field holding the model
     parse: Callable  # that field -> the model
     echo: Callable  # the model -> that field
-    as_pruefer: Callable  # the model -> the k valuations `verify` runs on
+    as_pruefer: Callable  # the model -> the k valuations every command runs on
+    read: Callable  # (the k valuations, the kind's ideal literal) -> its canonical tuple
     write: Callable  # a tuple of the k valuations -> the kind's ideal literal
+    form: Callable  # an idempotent form -> its `classify` report
+    form_text: Callable  # that report -> its text
+    forms: Callable  # the k valuations -> the idempotent forms `decompose` lists, in order
+    entry: Callable  # (the k valuations, a form) -> its `decompose` entry
+    entry_text: Callable  # that entry -> its text lines
+    scope: str | None  # the scope label, reported in place of `classify`'s witness
+    components: bool  # regularity reported per component, and no strong discreteness
     checks: tuple  # `verify`'s checks, in report order
 
 
@@ -427,23 +414,34 @@ KINDS = {
     "valuation": Kind(
         "group", value_group_from_json, value_group_to_json,
         lambda g: P.PrueferModel((g,)),
+        lambda m, data: P.IdealTuple((C.cut_from_json(m.valuations[0], data),)),
         lambda a: C.cut_to_json(a.cuts[0]),
-        (_regularity, _idempotent_uniqueness, _overring_transfer,
-         functools.partial(_semigroup_cross_check, seeds=5))),
+        form_json, _form_text, _forms,
+        _valuation_entry, lambda e: [f"  level {e['level']} {e['kind']}: {e['group']}"],
+        scope=None, components=False,
+        checks=(_regularity, _idempotent_uniqueness, _overring_transfer,
+                functools.partial(_semigroup_cross_check, seeds=5))),
     "pruefer_fc": Kind(
         "valuations", _pruefer_from_json,
         lambda m: [value_group_to_json(g) for g in m.valuations],
         lambda m: m,
-        P.tuple_to_json,
-        (_regularity, _idempotent_uniqueness, _exact_sequence,
-         functools.partial(_semigroup_cross_check, seeds=4))),
+        P.tuple_from_json, P.tuple_to_json,
+        form_json, _form_text, _forms,
+        _pruefer_entry, _pruefer_entry_text,
+        scope=None, components=True,
+        checks=(_regularity, _idempotent_uniqueness, _exact_sequence,
+                functools.partial(_semigroup_cross_check, seeds=4))),
     "poly_ext": Kind(
         "base", lambda obj: X.PolyExtModel(value_group_from_json(obj)),
         lambda m: value_group_to_json(m.base),
         lambda m: P.PrueferModel((m.base,)),
-        lambda a: {"coeff": C.cut_to_json(a.cuts[0])},
-        (_regularity, _classification_consistency, _strongly_discrete_detector,
-         functools.partial(_semigroup_cross_check, seeds=5))),
+        lambda m, data: P.IdealTuple((X.sym_from_json(m.valuations[0], data),)),
+        lambda a: X.sym_to_json(a.cuts[0]),
+        _poly_form_json, _poly_form_text, lambda m: X.decompose(X.PolyExtModel(*m.valuations)),
+        _poly_entry, lambda e: [f"  {_poly_form_text(e['idempotent'])}: {e['group']}"],
+        scope=X.SCOPE, components=False,
+        checks=(_regularity, _classification_consistency, _strongly_discrete_detector,
+                functools.partial(_semigroup_cross_check, seeds=5))),
 }
 
 
@@ -483,9 +481,8 @@ def cmd_verify(kind: str, model, samples: int, seed: int, fixture: str | None) -
 
 
 def _render_verify(report: dict) -> list[str]:
-    lines = [f"model: {json.dumps(report['model'], sort_keys=True)}"]
     prov = report["provenance"]
-    lines.append(f"seed: {prov['seed']}  samples: {prov['samples']}")
+    lines = [f"seed: {prov['seed']}  samples: {prov['samples']}"]
     for c in report["checks"]:
         status = "pass" if c["passed"] else "FAIL"
         lines.append(f"check {c['name']}: {status} ({c['instances']} instances)")
@@ -526,8 +523,9 @@ def _build_parser() -> _Parser:
 
 
 def _emit(report: dict, json_out: str | None, lines: list[str]) -> None:
+    """Print the report's model and then `lines`; write the --json report."""
     try:
-        for line in lines:
+        for line in [f"model: {_literal(report['model'])}", *lines]:
             print(line)
         sys.stdout.flush()
     except BrokenPipeError:

@@ -38,6 +38,7 @@ first read.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import FrozenInstanceError, dataclass
@@ -249,10 +250,6 @@ def prime_cut(g: ValueGroup, level: int) -> Cut:
     return normalize(g, Cut(level, (_ZERO,) * level, OPEN))
 
 
-def inverse(g: ValueGroup, a: Cut) -> Cut:
-    return quotient(g, ring_cut(g), a)
-
-
 def _probe_point(g: ValueGroup, a: Cut):
     # Some group element strictly inside the upper set.
     coords = []
@@ -341,6 +338,13 @@ class IdempotentForm:
         return "max_ideals" if self.open_components else "ring"
 
 
+@functools.cache
+def rank1_form(level: int, is_open: bool) -> IdempotentForm:
+    """The overring at `level`, or with `is_open` its maximal ideal, as a
+    rank-1 form; one shared object per argument pair."""
+    return IdempotentForm(OverringSpec((level,)), frozenset({0}) if is_open else frozenset())
+
+
 def classify_idempotent(g: ValueGroup, a: Cut) -> IdempotentForm:
     """The unique idempotent whose constituent group contains a's class, read
     off the canonical cut's level and side.
@@ -352,10 +356,7 @@ def classify_idempotent(g: ValueGroup, a: Cut) -> IdempotentForm:
     against this form.
     """
     validate_cut(g, a)
-    return IdempotentForm(
-        OverringSpec((a.level,)),
-        frozenset() if a.side == CLOSED else frozenset({0}),
-    )
+    return rank1_form(a.level, a.side == OPEN)
 
 
 def form_cut(g: ValueGroup, form: IdempotentForm) -> Cut:
@@ -374,10 +375,9 @@ def idempotent_forms(g: ValueGroup) -> list[IdempotentForm]:
     component is dense (an idempotent prime)."""
     forms = []
     for level in range(1, g.rank + 1):
-        overring = OverringSpec((level,))
-        forms.append(IdempotentForm(overring, frozenset()))
+        forms.append(rank1_form(level, False))
         if g.components[level - 1].dense:
-            forms.append(IdempotentForm(overring, frozenset({0})))
+            forms.append(rank1_form(level, True))
     return forms
 
 

@@ -77,12 +77,12 @@ def decompose(m: PolyExtModel) -> list[IdempotentForm]:
     return sorted(C.idempotent_forms(m.base), key=lambda f: bool(f.open_components))
 
 
-def sym_to_json(s: CutClass) -> dict:
-    return {"coeff": C.cut_to_json(s.rep)}
+def sym_to_json(rep: Cut) -> dict:
+    return {"coeff": C.cut_to_json(rep)}
 
 
-def sym_from_json(m: PolyExtModel, data) -> CutClass:
+def sym_from_json(base: ValueGroup, data) -> Cut:
+    """The coefficient class representative a symbolic literal names."""
     if not isinstance(data, dict) or set(data) != {"coeff"}:
         raise C.MalformedCutError("symbolic ideal literal wants exactly the key 'coeff'")
-    return extended_class(m, C.cut_from_json(m.base, data["coeff"]))
-
+    return C.class_of(base, C.cut_from_json(base, data["coeff"])).rep

@@ -12,6 +12,7 @@ componentwise localization classes project out.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import ValueGroup, is_member, truncate
+from .sampling import random_member, random_rational
 from . import cuts as C
 from .cuts import (
     CLOSED,
@@ -91,8 +93,10 @@ def ring_tuple(model: PrueferModel, t: OverringSpec) -> IdealTuple:
     return IdealTuple(tuple(C.ring_cut(g, l) for g, l in zip(model.valuations, t.levels)))
 
 
-def _join(forms) -> IdempotentForm:
-    """The product form of one rank-1 form per component."""
+@functools.cache
+def _join(forms: tuple[IdempotentForm, ...]) -> IdempotentForm:
+    """The product form of one rank-1 form per component; forms are
+    immutable and a model has few, so each product is built once."""
     return IdempotentForm(
         OverringSpec(tuple(f.overring.levels[0] for f in forms)),
         frozenset(i for i, f in enumerate(forms) if f.open_components),
@@ -101,10 +105,7 @@ def _join(forms) -> IdempotentForm:
 
 def _split(form: IdempotentForm) -> list[IdempotentForm]:
     """The rank-1 form of each component of a product form."""
-    return [
-        IdempotentForm(OverringSpec((l,)), frozenset({0} if i in form.open_components else ()))
-        for i, l in enumerate(form.overring.levels)
-    ]
+    return [C.rank1_form(l, i in form.open_components) for i, l in enumerate(form.overring.levels)]
 
 
 def form_tuple(model: PrueferModel, form: IdempotentForm) -> IdealTuple:
@@ -122,7 +123,7 @@ def classify_idempotent(model: PrueferModel, a: IdealTuple) -> IdempotentForm:
     component's form is read off its cut's level and side; `cuts.is_regular`
     checks the witness against it, once per cut."""
     _check(model, a)
-    return _join([C.classify_idempotent(g, c) for g, c in zip(model.valuations, a.cuts)])
+    return _join(tuple(C.classify_idempotent(g, c) for g, c in zip(model.valuations, a.cuts)))
 
 
 # === classes and groups ===
@@ -209,8 +210,6 @@ def psi_localize(model: PrueferModel, a: IdealTuple, form: IdempotentForm) -> tu
 
 def _random_group_member(rng: random.Random, model: PrueferModel,
                          form: IdempotentForm) -> IdealTuple:
-    from .sampling import random_member, random_rational
-
     cuts = []
     for i, (g, lvl) in enumerate(zip(model.valuations, form.overring.levels)):
         boundary = [random_member(rng, g.components[k]) for k in range(lvl - 1)]
@@ -224,8 +223,6 @@ def _random_group_member(rng: random.Random, model: PrueferModel,
 
 
 def _random_target(rng: random.Random, local: list) -> tuple[CutClass, ...]:
-    from .sampling import random_rational
-
     out = []
     for _, gt, _ in local:
         lvl = gt.rank
@@ -338,7 +335,7 @@ def tuple_from_json(model: PrueferModel, data) -> IdealTuple:
     for i, (g, item) in enumerate(zip(model.valuations, cuts)):
         try:
             out.append(C.cut_from_json(g, item))
-        except Exception as e:
+        except C.MalformedCutError as e:
             raise C.MalformedCutError(f"component {i + 1}: {e}") from e
     return IdealTuple(tuple(out))
 

@@ -23,7 +23,6 @@ PACKAGE = ROOT / "src" / "tclass"
 
 ALLOWED = {
     "cuts.group_inv": "the group inverse, so that the group-axiom tests run a whole group",
-    "cuts.inverse": "the inverse (V : I), checked against the box oracle by tests",
     "cuts.is_subset": "containment of cuts, the order the box-oracle tests compare against",
     "groups.UndefinedQuotientError":
         "what `quotient_has_least_positive` raises for the zero quotient G/H_0",

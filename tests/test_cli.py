@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -16,8 +17,9 @@ from hypothesis import given, settings, strategies as st
 import tclass
 from tclass import cuts
 from tclass import pruefer as P
-from tclass.cli import cmd_classify, load_model, main
-from test_kills import FAULTS
+from tclass.cli import cmd_classify, cmd_decompose, load_model, main
+from tclass.sampling import random_raw_cut
+from test_kills import plant
 
 C3_TEXT = "3\n2 0 1\n0 1 2\n1 2 0\n"
 
@@ -436,6 +438,23 @@ def test_internal_inconsistency_in_classify_exits_2(tmp_path, capsys, monkeypatc
     assert "classify" in err and spec in err and '"boundary":' in err
 
 
+@pytest.mark.parametrize("spec, literal", [
+    ({"kind": "valuation", "group": ["Z"]}, cut_lit(1, [3], "closed")),
+    ({"kind": "pruefer_fc", "valuations": [["Z"], ["Q"]]},
+     {"cuts": [cut_lit(1, [3], "closed"), cut_lit(1, [0], "open")]}),
+    ({"kind": "poly_ext", "base": ["Z"]}, {"coeff": cut_lit(1, [3], "closed")}),
+], ids=["valuation", "pruefer_fc", "poly_ext"])
+def test_internal_inconsistency_in_a_literal_reader_exits_2(spec, literal, tmp_path, capsys,
+                                                            monkeypatch):
+    # Every kind's reader lets a bug in `cut_from_json` through as a bug,
+    # not as a malformed literal.
+    monkeypatch.setattr(cuts, "cut_from_json", planted)
+    path = write(tmp_path, "spec.json", spec)
+    assert main(["classify", path, "--ideal", json.dumps(literal)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "planted" in err and "replay with: tclass classify" in err
+
+
 def test_internal_inconsistency_in_verify_exits_2(tmp_path, capsys, monkeypatch):
     # Raised before any sample is drawn, the error leaves no report to keep.
     monkeypatch.setattr(cuts, "idempotents", planted)
@@ -477,8 +496,7 @@ TOWER = {"kind": "valuation", "group": ["Q", "Z", {"Zloc": [2]}]}
 
 
 def plant_deeper_side_mul(monkeypatch):
-    name, plant = FAULTS["mul takes the deeper side"]
-    monkeypatch.setattr(cuts, name, plant(getattr(cuts, name)))
+    plant(monkeypatch, "mul takes the deeper side")
 
 
 def test_rejected_closure_table_fails_the_cross_check(tmp_path, monkeypatch):
@@ -572,6 +590,55 @@ def test_exact_sequence_counterexamples_are_replayable_literals(tmp_path, monkey
         for start in starts:
             literal, _ = json.JSONDecoder().raw_decode(msg, start)
             assert P.tuple_to_json(P.tuple_from_json(model, literal)) == literal
+
+
+# -- one model protocol: a cut reads alike as every kind's literal -------------
+
+ONE_GROUP = st.lists(st.sampled_from(["Z", "Q", {"Zloc": [2]}, {"Zloc": [3]}]),
+                     min_size=1, max_size=3)
+POLY_VARIANT = {"ring": "overring", "max_ideals": "idempotent_max_class"}
+
+
+@settings(max_examples=60)
+@given(group=ONE_GROUP, seed=st.integers(0, 2 ** 32))
+def test_kinds_agree_on_one_valuation(group, seed):
+    # A valuation domain V, the intersection of V alone and V[X] run on the
+    # same one valuation: a cut of V classifies alike as a `valuation`
+    # literal, a one-valuation `pruefer_fc` tuple and a `poly_ext`
+    # coefficient, the last compared on its class representative.
+    valuation = load_model(json.dumps({"kind": "valuation", "group": group}))
+    pruefer = load_model(json.dumps({"kind": "pruefer_fc", "valuations": [group]}))
+    poly = load_model(json.dumps({"kind": "poly_ext", "base": group}))
+    cut = cuts.cut_to_json(random_raw_cut(random.Random(seed), valuation[1]))
+    v = cmd_classify(*valuation, json.dumps(cut))
+    p = cmd_classify(*pruefer, json.dumps({"cuts": [cut]}))
+    x = cmd_classify(*poly, json.dumps({"coeff": cut}))
+    assert p["ideal"] == {"cuts": [v["ideal"]]} and p["witness"] == {"cuts": [v["witness"]]}
+    assert p["idempotent_form"] == v["idempotent_form"]
+    assert p["regularity"] == [v["regularity"]]
+    g = valuation[1]
+    coeff = cuts.cut_from_json(g, x["ideal"]["coeff"])
+    assert coeff == cuts.class_of(g, cuts.cut_from_json(g, v["ideal"])).rep
+    rep = cmd_classify(*valuation, json.dumps(x["ideal"]["coeff"]))
+    assert rep["ideal"] == x["ideal"]["coeff"]
+    assert rep["idempotent_form"] == v["idempotent_form"]
+    assert x["idempotent_form"] == {"variant": POLY_VARIANT[v["idempotent_form"]["variant"]],
+                                    "level": v["idempotent_form"]["levels"][0]}
+    assert x["regularity"] == rep["regularity"]
+    assert x["regularity"]["idempotent"] == v["regularity"]["idempotent"]
+
+    # decompose lists the same forms: by level, ring before maximal ideal,
+    # except that V[X] lists its overrings first
+    def forms(entries, level, is_max):
+        return [(level(e), is_max(e)) for e in entries]
+    dv, dp, dx = (cmd_decompose(*model)["idempotents"] for model in (valuation, pruefer, poly))
+    by_level = forms(dv, lambda e: e["level"], lambda e: e["kind"] == "idempotent_prime")
+    assert by_level == sorted(by_level)
+    assert forms(dp, lambda e: e["form"]["levels"][0],
+                 lambda e: e["form"]["max_ideal_components"] == [1]) == by_level
+    assert forms(dx, lambda e: e["idempotent"]["level"],
+                 lambda e: e["idempotent"]["variant"] == "idempotent_max_class") \
+        == sorted(by_level, key=lambda f: f[1])
 
 
 # -- fuzz: any JSON, any literal, every command ends in exit 0, 1 or 2 --------

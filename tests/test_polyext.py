@@ -113,15 +113,16 @@ def test_model_rejects_trivial_base():
 
 
 def test_sym_json_round_trip(group, rng):
+    # The literal names an extended class; it reads back as the class rep.
     m = X.PolyExtModel(group)
     for _ in range(10):
         s = X.extended_class(m, random_cut(rng, group))
-        assert X.sym_from_json(m, X.sym_to_json(s)) == s
+        assert X.sym_from_json(group, X.sym_to_json(s.rep)) == s.rep
+        assert X.extended_class(m, X.sym_from_json(group, X.sym_to_json(s.rep))) == s
 
 
 def test_sym_json_diagnostics():
-    m = X.PolyExtModel(QQ)
     with pytest.raises(C.MalformedCutError, match="coeff"):
-        X.sym_from_json(m, {"ideal": {}})
+        X.sym_from_json(QQ, {"ideal": {}})
     with pytest.raises(C.MalformedCutError):
-        X.sym_from_json(m, {"coeff": {"level": 2, "boundary": ["0", "0"], "side": "open"}})
+        X.sym_from_json(QQ, {"coeff": {"level": 2, "boundary": ["0", "0"], "side": "open"}})
