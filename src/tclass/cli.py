@@ -224,7 +224,7 @@ def _pruefer_entry_text(e: dict) -> list[str]:
 
 def _poly_entry(m: P.PrueferModel, form: C.IdempotentForm) -> dict:
     return {"idempotent": _poly_form_json(form), "group_trivial": not form.open_components,
-            "group": X.group_description(X.PolyExtModel(*m.valuations), form)}
+            "group": X.group_description(m.valuations[0], form)}
 
 
 def _forms(m: P.PrueferModel) -> list[C.IdempotentForm]:
@@ -354,12 +354,12 @@ def _exact_sequence(m, samples, rng, write) -> dict:
 
 def _classification_consistency(m, samples, rng, write) -> dict:
     """Every sampled extended class lands on an idempotent `decompose` lists."""
-    px = X.PolyExtModel(*m.valuations)
-    forms = X.decompose(px)
+    g = m.valuations[0]
+    forms = X.decompose(g)
     failures = []
     for _ in range(samples):
-        s = X.extended_class(px, _random_tuple(rng, m).cuts[0])
-        if X.classify(px, s) not in forms:
+        s = C.class_of(g, _random_tuple(rng, m).cuts[0])
+        if C.classify_idempotent(g, s.rep) not in forms:
             failures.append(f"classification of {_literal(X.sym_to_json(s.rep))} "
                             "missing from decomposition")
     return _check("classification_consistency", samples, failures)
@@ -368,8 +368,8 @@ def _classification_consistency(m, samples, rng, write) -> dict:
 def _strongly_discrete_detector(m, samples, rng, write) -> dict:
     """V[X] has no t-idempotent t-prime p[X] (no maximal-ideal form in its
     decomposition) exactly when the base is strongly discrete."""
-    px = X.PolyExtModel(*m.valuations)
-    ok = (not any(f.open_components for f in X.decompose(px))) == is_strongly_discrete(px.base)
+    g = m.valuations[0]
+    ok = (not any(f.open_components for f in X.decompose(g))) == is_strongly_discrete(g)
     return _check("strongly_discrete_detector", 1,
                   [] if ok else ["detector disagrees with component density"])
 
@@ -437,7 +437,7 @@ KINDS = {
         lambda m: P.PrueferModel((m.base,)),
         lambda m, data: P.IdealTuple((X.sym_from_json(m.valuations[0], data),)),
         lambda a: X.sym_to_json(a.cuts[0]),
-        _poly_form_json, _poly_form_text, lambda m: X.decompose(X.PolyExtModel(*m.valuations)),
+        _poly_form_json, _poly_form_text, lambda m: X.decompose(m.valuations[0]),
         _poly_entry, lambda e: [f"  {_poly_form_text(e['idempotent'])}: {e['group']}"],
         scope=X.SCOPE, components=False,
         checks=(_regularity, _classification_consistency, _strongly_discrete_detector,

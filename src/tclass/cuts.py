@@ -305,10 +305,14 @@ def is_idempotent(g: ValueGroup, a: Cut) -> bool:
     return mul(g, a, a) == a
 
 
+def _witness(g: ValueGroup, a: Cut, t: Cut) -> Cut:
+    # (I (T:I))_t, given T = (I:I)
+    return t_closure(g, mul(g, a, quotient(g, t, a)))
+
+
 def idempotent_cut(g: ValueGroup, a: Cut) -> Cut:
     """The canonical idempotent attached to a's class: (I (T:I))_t with T = (I:I)."""
-    t = stabilizer(g, a)
-    return t_closure(g, mul(g, a, quotient(g, t, a)))
+    return _witness(g, a, stabilizer(g, a))
 
 
 @dataclass(frozen=True)
@@ -517,13 +521,12 @@ def idempotents(g: ValueGroup) -> list[tuple[IdempotentForm, Cut, Cut]]:
     return out
 
 
-def residual_membership(g: ValueGroup, L: Cut,
+def residual_membership(g: ValueGroup, L: Cut, t: Cut,
                         idems: list[tuple[IdempotentForm, Cut, Cut]]) -> list[IdempotentForm]:
     """The forms whose constituent group holds L's class by residual
-    arithmetic alone: the stabilizers agree and the three t-products
-    (L (L:L^2))_t, (J L (L:L^2))_t, (L (J:L))_t all return J.  L's
-    stabilizer and (L (L:L^2))_t are computed once for all of `idems`."""
-    t = stabilizer(g, L)
+    arithmetic alone, given L's stabilizer t: the stabilizers agree and
+    the three t-products (L (L:L^2))_t, (J L (L:L^2))_t, (L (J:L))_t all
+    return J.  (L (L:L^2))_t is computed once for all of `idems`."""
     lr = t_closure(g, mul(g, L, quotient(g, L, mul(g, L, L))))
     return [
         form for form, j, tj in idems
@@ -544,11 +547,13 @@ def group_membership(g: ValueGroup, L: Cut,
     agree with it, and a divergence is an arithmetic bug worth crashing on.
     `verify` runs it for every component of each distinct sampled tuple in
     `idempotent_uniqueness`; the group operations decide membership in O(1)
-    by classification instead.
+    by classification instead.  L's stabilizer is built once, for the
+    witness and the residual audit alike.
     """
-    witness = idempotent_cut(g, L)
+    t = stabilizer(g, L)
+    witness = _witness(g, L, t)
     operative = [form for form, j, _ in idems if j == witness]
-    if residual_membership(g, L, idems) != operative:
+    if residual_membership(g, L, t, idems) != operative:
         raise InternalInconsistencyError("membership tests diverged")
     return operative
 

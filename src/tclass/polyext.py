@@ -11,6 +11,11 @@ p[X] with p an idempotent prime of V (dense levels).  Both are named by
 the base's rank-1 idempotent forms: the ring form at p's level stands for
 V_p[X], the maximal ideal form for p[X].
 
+So the cut kernel over the base does the work, and this module keeps only
+what differs from one valuation: the class of f.B[X] is `cuts.class_of`
+of B, and since its stabilizer is (B:B)[X], its idempotent is
+`cuts.classify_idempotent` of that class's rep.
+
 Completeness caveat: only extended classes are modeled.  The decomposition
 is reported over extended classes and never claims to exhaust every t-ideal
 class of V[X]; reports carry that scope label.
@@ -22,50 +27,31 @@ from dataclasses import dataclass
 
 from .groups import ValueGroup, describe_component
 from . import cuts as C
-from .cuts import Cut, CutClass, IdempotentForm
+from .cuts import Cut, IdempotentForm
 
 
 @dataclass(frozen=True)
 class PolyExtModel:
     """V[X] presented by the value group of V; Krull-type but not Pruefer
-    once the base has rank at least one, which the constructor requires."""
+    once the base has rank at least one, which `ValueGroup` requires."""
 
     base: ValueGroup
-
-    def __post_init__(self):
-        if self.base.rank < 1:
-            raise ValueError("base value group must be nontrivial")
 
 
 # Every result covers the extended classes only (see the caveat above).
 SCOPE = "extended classes"
 
 
-def extended_class(m: PolyExtModel, coefficient_cut: Cut) -> CutClass:
-    """Class of an extended ideal f.B[X]: the polynomial factor f is
-    absorbed by working modulo principal ideals, leaving the class of the
-    coefficient ideal B."""
-    return C.class_of(m.base, coefficient_cut)
-
-
-def classify(m: PolyExtModel, s: CutClass) -> IdempotentForm:
-    """Lift the coefficient classification through the extension: the
-    stabilizer of f.B[X] is (B:B)[X], so the idempotent is V_p[X] (the ring
-    form at p's level) for a side-closed coefficient and p[X] (the maximal
-    ideal form) for a side-open one."""
-    return C.classify_idempotent(m.base, s.rep)
-
-
-def group_description(m: PolyExtModel, form: IdempotentForm) -> str:
+def group_description(base: ValueGroup, form: IdempotentForm) -> str:
     """The constituent group at the idempotent a rank-1 form names."""
     if not form.open_components:
         return "trivial (classes over the overring are principal)"
     level = form.overring.levels[0]
     return (f"coefficient classes open at level {level}: rationals modulo "
-            f"{describe_component(m.base.components[level - 1])} (representable part)")
+            f"{describe_component(base.components[level - 1])} (representable part)")
 
 
-def decompose(m: PolyExtModel) -> list[IdempotentForm]:
+def decompose(base: ValueGroup) -> list[IdempotentForm]:
     """All idempotents of the extended-class semigroup, overrings first,
     then the maximal ideal forms, each by level.
 
@@ -74,7 +60,7 @@ def decompose(m: PolyExtModel) -> list[IdempotentForm]:
     groups.  Dense levels add one idempotent p[X] each, whose group is the
     coefficient constituent group over representable classes.
     """
-    return sorted(C.idempotent_forms(m.base), key=lambda f: bool(f.open_components))
+    return sorted(C.idempotent_forms(base), key=lambda f: bool(f.open_components))
 
 
 def sym_to_json(rep: Cut) -> dict:

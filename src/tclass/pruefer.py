@@ -4,10 +4,13 @@ The model is R = V_1 cap ... cap V_k with pairwise independent valuations.
 Independence buys two structural facts this module leans on everywhere:
 ideal arithmetic is componentwise on value-set cuts, and every value tuple
 is realized by a field element, so a tuple is principal exactly when each
-component cut is.  Classification lands on the same two-branch picture as
-the single valuation case, and the decomposition of a constituent group is
-an exact sequence: the class group of the stabilizer overring injects, the
-componentwise localization classes project out.
+component cut is.  So a class modulo principal tuples is the plain tuple
+of its component `cuts.CutClass`es, and the class product is the cut
+kernel's, component by component.  Classification lands on the same
+two-branch picture as the single valuation case, and the decomposition of
+a constituent group is an exact sequence: the class group of the
+stabilizer overring injects, the componentwise localization classes
+project out.
 """
 
 from __future__ import annotations
@@ -128,21 +131,13 @@ def classify_idempotent(model: PrueferModel, a: IdealTuple) -> IdempotentForm:
 
 # === classes and groups ===
 
-@dataclass(frozen=True)
-class TupleClass:
-    """A tuple modulo principal tuples.  Principality is componentwise, so
-    the class is just the vector of component cut classes."""
-
-    reps: tuple[CutClass, ...]
-
-
-def class_of(model: PrueferModel, a: IdealTuple) -> TupleClass:
+def class_of(model: PrueferModel, a: IdealTuple) -> tuple[CutClass, ...]:
     _check(model, a)
-    return TupleClass(tuple(C.class_of(g, c) for g, c in zip(model.valuations, a.cuts)))
+    return tuple(C.class_of(g, c) for g, c in zip(model.valuations, a.cuts))
 
 
-def tuple_of_class(model: PrueferModel, x: TupleClass) -> IdealTuple:
-    return IdealTuple(tuple(r.rep for r in x.reps))
+def tuple_of_class(x: tuple[CutClass, ...]) -> IdealTuple:
+    return IdealTuple(tuple(r.rep for r in x))
 
 
 def group_membership(model: PrueferModel, a: IdealTuple,
@@ -285,7 +280,7 @@ def verify_exact_sequence(model: PrueferModel, form: IdempotentForm,
     embedded = class_of(model, t_closure(model, mul(model, t, j)))
     if embedded != identity:
         fail("embedding of Cl(T) identity missed the group identity: {}",
-             tuple_of_class(model, embedded))
+             tuple_of_class(embedded))
 
     for _ in range(samples):
         a = _random_group_member(rng, model, form)
@@ -341,24 +336,24 @@ def tuple_from_json(model: PrueferModel, data) -> IdealTuple:
 
 
 class PrueferClassModel:
-    """Duck-typed handle the semigroup oracle multiplies through; `describe`
-    names a class by the literal `write` gives its representative tuple."""
+    """Duck-typed handle the semigroup oracle multiplies through: the
+    product is `cuts.ValuationClassModel`'s, component by component, and
+    `describe` names a class by the literal `write` gives its rep tuple."""
 
     def __init__(self, model: PrueferModel, write):
         self.model = model
         self.write = write
 
-    def class_of(self, a: IdealTuple) -> TupleClass:
+    def class_of(self, a: IdealTuple) -> tuple[CutClass, ...]:
         return class_of(self.model, a)
 
-    def mul(self, x: TupleClass, y: TupleClass) -> TupleClass:
-        prod = t_closure(self.model, mul(
-            self.model, tuple_of_class(self.model, x), tuple_of_class(self.model, y)))
-        return class_of(self.model, prod)
+    def mul(self, x: tuple[CutClass, ...], y: tuple[CutClass, ...]) -> tuple[CutClass, ...]:
+        return tuple(C.class_of(g, C.mul(g, u.rep, v.rep))
+                     for g, u, v in zip(self.model.valuations, x, y))
 
-    def idempotent_of(self, x: TupleClass) -> TupleClass:
-        a = tuple_of_class(self.model, x)
+    def idempotent_of(self, x: tuple[CutClass, ...]) -> tuple[CutClass, ...]:
+        a = tuple_of_class(x)
         return class_of(self.model, form_tuple(self.model, classify_idempotent(self.model, a)))
 
-    def describe(self, x: TupleClass) -> str:
-        return json.dumps(self.write(tuple_of_class(self.model, x)), sort_keys=True)
+    def describe(self, x: tuple[CutClass, ...]) -> str:
+        return json.dumps(self.write(tuple_of_class(x)), sort_keys=True)

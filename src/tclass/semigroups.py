@@ -205,9 +205,11 @@ def sample_closure(model, seeds, budget: int) -> SampleClosure:
     classes hash and compare by integer keys and build their rep only on
     first read, so on `cuts.ValuationClassModel` a closure of m classes
     builds m^2 + m cuts (one per product, one rep per element) and hashes
-    no `Fraction`; the 106-element closure of the benchmark's
-    `oracle_audit` takes about 80 ms, nearly all of it in `cuts.mul` and
-    `cuts.class_of`."""
+    no `Fraction`.  `pruefer.PrueferClassModel` multiplies its tuples of
+    those classes component by component, so over k valuations it builds
+    k times that and no ideal tuple.  The 106-element closure of the
+    benchmark's `oracle_audit` takes about 80 ms, nearly all of it in
+    `cuts.mul` and `cuts.class_of`."""
     elems: list = []
     index: dict = {}
     for x in seeds:

@@ -77,9 +77,9 @@ def test_criterion_2_dense_rank_one(capsys):
     # group law in the representable part over the dyadics
     m = X.PolyExtModel(ValueGroup((Zloc(2),)))
     pm = ValuationClassModel(m.base)
-    third = X.extended_class(m, Cut(1, (F(1, 3),), OPEN))
-    two_thirds = X.extended_class(m, Cut(1, (F(2, 3),), OPEN))
-    identity = X.extended_class(m, Cut(1, (F(0),), OPEN))
+    third = C.class_of(m.base, Cut(1, (F(1, 3),), OPEN))
+    two_thirds = C.class_of(m.base, Cut(1, (F(2, 3),), OPEN))
+    identity = C.class_of(m.base, Cut(1, (F(0),), OPEN))
     if pm.mul(third, two_thirds) != identity:
         failures.append("1/3 * 2/3 missed the identity class")
     if pm.mul(identity, identity) != identity:
@@ -214,7 +214,7 @@ def test_criterion_8_semigroup_cross_check(capsys):
         return dd.class_of(P.IdealTuple((c1, c2)))
 
     def xc(num, den):
-        return X.extended_class(pxm, Cut(1, (F(num, den),), OPEN))
+        return C.class_of(pxm.base, Cut(1, (F(num, den),), OPEN))
 
     m_cut = Cut(1, (F(0),), OPEN)
     seed_sets = [

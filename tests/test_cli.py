@@ -466,9 +466,10 @@ def test_internal_inconsistency_in_verify_exits_2(tmp_path, capsys, monkeypatch)
 
 
 def test_internal_inconsistency_in_a_sample_is_a_reported_failure(tmp_path, capsys, monkeypatch):
-    # Raised for each sample of `regularity` and `idempotent_uniqueness`,
-    # the error is a failure of that sample, and the later checks still run.
-    monkeypatch.setattr(cuts, "idempotent_cut", planted)
+    # Raised for each sample of `regularity` and `idempotent_uniqueness`, by
+    # the witness (I (T:I))_t that both audits build, the error is a failure
+    # of that sample, and the later checks still run.
+    monkeypatch.setattr(cuts, "_witness", planted)
     spec, out = valuation_spec(tmp_path), tmp_path / "report.json"
     assert main(["verify", spec, "--samples", "3", "--seed", "11", "--json", str(out)]) == 2
     assert capsys.readouterr().err == ""

@@ -67,10 +67,20 @@ def test_normalize_keeps_canonical_cut():
     assert C.normalize(Z2, a) == a
 
 
+def is_canonical(g, a):
+    """The form `normalize` promises, written out: member coordinates below
+    the top; at the top, a closed cut has a member boundary and an open cut
+    sits at a dense component."""
+    below = all(is_member(c, q) for c, q in zip(g.components, a.boundary[:-1]))
+    top = g.components[a.level - 1]
+    return below and (is_member(top, a.boundary[-1]) if a.side == CLOSED else top.dense)
+
+
 def test_normalize_is_idempotent_and_set_preserving(group, rng):
     for _ in range(40):
         raw = random_raw_cut(rng, group)
         n1 = C.normalize(group, raw)
+        assert is_canonical(group, n1), f"{C.format_cut(raw)} -> {C.format_cut(n1)}"
         assert C.normalize(group, n1) == n1
         assert boxes.check_same_set(group, raw, n1, rng) == []
 
@@ -487,7 +497,7 @@ def test_shared_membership_matches_the_pairwise_audit(group, rng):
         want = [f for f in forms
                 if _reference_group_membership(group, a, C.form_cut(group, f))]
         assert C.group_membership(group, a, idems) == want
-        assert C.residual_membership(group, a, idems) == want
+        assert C.residual_membership(group, a, C.stabilizer(group, a), idems) == want
 
 
 # === constituent group operations ===
@@ -516,7 +526,8 @@ def test_group_membership_rejects_principal_class_at_dense_idempotent():
     v = C.ring_cut(QQ)
     assert j not in admitted(QQ, v)
     idems = C.idempotents(QQ)
-    assert C.residual_membership(QQ, v, idems) == C.group_membership(QQ, v, idems)
+    t = C.stabilizer(QQ, v)
+    assert C.residual_membership(QQ, v, t, idems) == C.group_membership(QQ, v, idems)
 
 
 def test_group_ops_reject_non_members():

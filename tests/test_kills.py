@@ -49,8 +49,8 @@ def _form_cut_swapped(real):
 
 def _residual_negated(real):
     # The residual audit admits exactly the idempotents it used to refuse.
-    def residual_membership(g, L, idems):
-        admitted = real(g, L, idems)
+    def residual_membership(g, L, t, idems):
+        admitted = real(g, L, t, idems)
         return [f for f, _, _ in idems if f not in admitted]
     return residual_membership
 

@@ -3,14 +3,15 @@
 Counts depend only on the spec, the sample count and the seed, never on
 the host, so a regression in how often the cut kernel rebuilds cuts,
 normalises cuts that are already canonical, re-runs the constituent-group
-audit or rebuilds a witness idempotent, in how often the Cayley-table
-oracle multiplies a pair, in how many triples its associativity check
-reads, in how often a check re-audits an input it has already audited, in
-how the idempotent build scales with the rank, in how many `Fraction`
-operations the box oracle runs per cut pair, or in what a Cayley-table
-closure of m classes builds and hashes (at most m^2 + m `Cut`s, none in
-`class_of`, and no `Fraction` hashed or compared: classes are keyed by
-integers) fails here without timing anything.
+audit, rebuilds a witness idempotent or a stabilizer, in how often the
+Cayley-table oracle multiplies a pair, in how many triples its
+associativity check reads, in how often a check re-audits an input it has
+already audited, in how the idempotent build scales with the rank, in how
+many `Fraction` operations the box oracle runs per cut pair, or in what a
+Cayley-table closure of m classes builds and hashes (at most m^2 + m
+`Cut`s, none in `class_of`, and no `Fraction` hashed or compared: classes
+are keyed by integers; a Pruefer class product builds no `IdealTuple`)
+fails here without timing anything.
 """
 
 import json
@@ -42,8 +43,10 @@ IDEMPOTENT_CUTS_BEFORE = 255
 # The same run when `group_membership` took one (sample, idempotent) pair
 # and rebuilt both sides for it: 27 `cuts.group_membership` calls, each
 # re-checking `cuts.is_idempotent(J)`, and 87 `cuts.stabilizer` calls.
-# Now each of the 5 idempotents is checked once, each of the 3 samples is
-# audited once per component, and the stabilizers are at most halved.
+# Now each of the 5 idempotents is checked once and each of the 3 samples
+# is audited once per component.  When each audit built L's stabilizer
+# twice, once for the witness and once for the residual arithmetic, the
+# run made 23 `cuts.stabilizer` calls.
 PAIR_MEMBERSHIPS_BEFORE = 27
 IS_IDEMPOTENT_BEFORE = 27
 STABILIZERS_BEFORE = 87
@@ -91,13 +94,31 @@ def test_verify_pruefer_stays_within_operation_budget(monkeypatch):
     assert idempotents == 5
     assert counts["is_idempotent"] == idempotents < IS_IDEMPOTENT_BEFORE, counts
     assert counts["memberships"] == samples * k < PAIR_MEMBERSHIPS_BEFORE, counts
-    assert counts["stabilizers"] <= STABILIZERS_BEFORE // 2, counts
+    # One stabilizer per idempotent, per regularity audit (the 6 sampled
+    # cuts are distinct) and per membership audit.
+    assert counts["stabilizers"] == idempotents + 2 * samples * k == 17, counts
     # Each saturated closure of m classes costs exactly m^2 products: the
     # upper triangle once while it grows, the lower triangle once for the
     # commutativity check.
     sizes = [len(c.dictionary) for c in closures]
     assert len(closures) == 3 and all(c.saturated for c in closures), sizes
     assert counts["model_mul"] == sum(m * m for m in sizes), (counts, sizes)
+
+
+def test_pruefer_class_product_builds_no_tuple(monkeypatch):
+    # The product used to go class -> two `IdealTuple`s -> `pruefer.mul` ->
+    # `pruefer.t_closure` -> `pruefer.class_of`: 4 tuples per product.  It
+    # is componentwise on the classes now and builds none.
+    kind, model = load_model(SPEC)
+    adapter = P.PrueferClassModel(model, P.tuple_to_json)
+    rng = random.Random(1)
+    drawn = [P.IdealTuple(tuple(S.random_cut(rng, g) for g in model.valuations))
+             for _ in range(4)]
+    seeds = [adapter.class_of(a) for a in drawn]
+    built = counted_calls(monkeypatch, P.IdealTuple, "__init__")
+    closure = SG.sample_closure(adapter, seeds, 256)
+    assert closure.saturated and len(closure.dictionary) > 1
+    assert built == [], len(built)
 
 
 class CountedModel(C.ValuationClassModel):

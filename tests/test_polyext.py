@@ -30,12 +30,12 @@ def max_class(level):
 
 
 def trivial(m, form):
-    return X.group_description(m, form).startswith("trivial")
+    return X.group_description(m.base, form).startswith("trivial")
 
 
 def t_idempotent_primes(m):
     """Levels of the p[X] in the decomposition: its maximal ideal forms."""
-    return [f.overring.levels[0] for f in X.decompose(m) if f.open_components]
+    return [f.overring.levels[0] for f in X.decompose(m.base) if f.open_components]
 
 
 def test_t_idempotent_primes_frozen_examples():
@@ -49,21 +49,23 @@ def test_t_idempotent_primes_empty_iff_strongly_discrete(group):
     assert (t_idempotent_primes(m) == []) == is_strongly_discrete(group)
 
 
+def classify(m, a):
+    """The idempotent of the extended class of coefficient cut a."""
+    return C.classify_idempotent(m.base, C.class_of(m.base, a).rep)
+
+
 def test_classify_examples():
-    mq = X.PolyExtModel(QQ)
-    assert X.classify(mq, X.extended_class(mq, Cut(1, (F(0),), OPEN))) == max_class(1)
+    assert classify(X.PolyExtModel(QQ), Cut(1, (F(0),), OPEN)) == max_class(1)
     mzz = model(Z, Z)
-    principal = X.extended_class(mzz, Cut(2, (F(1), F(2)), CLOSED))
-    assert X.classify(mzz, principal) == overring(2)
-    height_one = X.extended_class(mzz, Cut(1, (F(1),), CLOSED))
-    assert X.classify(mzz, height_one) == overring(1)
+    assert classify(mzz, Cut(2, (F(1), F(2)), CLOSED)) == overring(2)
+    assert classify(mzz, Cut(1, (F(1),), CLOSED)) == overring(1)
 
 
 def test_classify_commutes_with_base_classification(group, rng):
     m = X.PolyExtModel(group)
     for _ in range(30):
         a = random_cut(rng, group)
-        assert X.classify(m, X.extended_class(m, a)) == C.classify_idempotent(group, a)
+        assert classify(m, a) == C.classify_idempotent(group, a)
 
 
 def test_extended_class_mod_principal_shifts(group, rng):
@@ -71,13 +73,13 @@ def test_extended_class_mod_principal_shifts(group, rng):
     for _ in range(20):
         a = random_cut(rng, group)
         shift = random_element(rng, group)
-        assert X.extended_class(m, C.translate(group, a, shift)) == X.extended_class(m, a)
+        assert C.class_of(m.base, C.translate(group, a, shift)) == C.class_of(m.base, a)
 
 
 def test_decompose_strongly_discrete_counts():
     for n in (1, 2, 3):
         m = model(*([Z] * n))
-        d = X.decompose(m)
+        d = X.decompose(m.base)
         assert d == [overring(level) for level in range(1, n + 1)]
         assert all(trivial(m, f) for f in d)
     assert X.SCOPE == "extended classes"
@@ -85,22 +87,22 @@ def test_decompose_strongly_discrete_counts():
 
 def test_decompose_dense_rank_one():
     m = X.PolyExtModel(QQ)
-    assert X.decompose(m) == [overring(1), max_class(1)]
+    assert X.decompose(m.base) == [overring(1), max_class(1)]
     assert trivial(m, overring(1))
     assert not trivial(m, max_class(1))
 
 
 def test_decompose_mixed_tower():
-    d = X.decompose(model(Z, Zloc(3)))
+    d = X.decompose(model(Z, Zloc(3)).base)
     assert d == [overring(1), overring(2), max_class(2)]
 
 
 def test_group_law_representable_part():
     m = X.PolyExtModel(DY)
     pm = C.ValuationClassModel(m.base)
-    third = X.extended_class(m, Cut(1, (F(1, 3),), OPEN))
-    two_thirds = X.extended_class(m, Cut(1, (F(2, 3),), OPEN))
-    identity = X.extended_class(m, Cut(1, (F(0),), OPEN))
+    third = C.class_of(m.base, Cut(1, (F(1, 3),), OPEN))
+    two_thirds = C.class_of(m.base, Cut(1, (F(2, 3),), OPEN))
+    identity = C.class_of(m.base, Cut(1, (F(0),), OPEN))
     assert pm.mul(third, two_thirds) == identity
     assert pm.idempotent_of(third) == identity
     assert pm.mul(identity, identity) == identity
@@ -116,9 +118,9 @@ def test_sym_json_round_trip(group, rng):
     # The literal names an extended class; it reads back as the class rep.
     m = X.PolyExtModel(group)
     for _ in range(10):
-        s = X.extended_class(m, random_cut(rng, group))
+        s = C.class_of(m.base, random_cut(rng, group))
         assert X.sym_from_json(group, X.sym_to_json(s.rep)) == s.rep
-        assert X.extended_class(m, X.sym_from_json(group, X.sym_to_json(s.rep))) == s
+        assert C.class_of(m.base, X.sym_from_json(group, X.sym_to_json(s.rep))) == s
 
 
 def test_sym_json_diagnostics():

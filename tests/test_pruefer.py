@@ -185,7 +185,7 @@ def test_class_group_trivial_with_certificate(model, rng):
     t = P.classify_idempotent(model, random_tuple(rng, model)).overring
     e = P.class_of(model, P.ring_tuple(model, t))
     # the identity is its own square and inverse in every component's group
-    for g, x, j in zip(model.valuations, e.reps, P.ring_tuple(model, t).cuts):
+    for g, x, j in zip(model.valuations, e, P.ring_tuple(model, t).cuts):
         assert C.group_mul(g, x, x, j) == x
         assert C.group_inv(g, x, j) == x
     # certificate: invertible tuples are shown principal by realizing shifts
@@ -239,7 +239,7 @@ def test_group_membership_and_ops(model, rng):
         x = P.class_of(model, a)
         e = P.class_of(model, j)
         # the group law is componentwise
-        for g, xi, ei, ji in zip(model.valuations, x.reps, e.reps, j.cuts):
+        for g, xi, ei, ji in zip(model.valuations, x, e, j.cuts):
             assert C.group_mul(g, xi, ei, ji) == xi
             assert C.group_mul(g, xi, C.group_inv(g, xi, ji), ji) == ei
 
@@ -300,7 +300,7 @@ def test_pruefer_class_model_adapter(rng):
     j = adapter.idempotent_of(x)
     assert adapter.mul(j, j) == j
     # classes are named by the literal of their representative tuple
-    assert P.tuple_from_json(M_DD, json.loads(adapter.describe(x))) == P.tuple_of_class(M_DD, x)
+    assert P.tuple_from_json(M_DD, json.loads(adapter.describe(x))) == P.tuple_of_class(x)
 
 
 @given(st.sampled_from(sorted(MODELS)), seeds)
@@ -310,3 +310,16 @@ def test_tuple_mul_laws(name, seed):
     a, b, c = (random_tuple(r, model) for _ in range(3))
     assert P.mul(model, a, b) == P.mul(model, b, a)
     assert P.mul(model, P.mul(model, a, b), c) == P.mul(model, a, P.mul(model, b, c))
+
+
+@given(st.sampled_from(sorted(MODELS)), seeds)
+def test_class_model_mul_is_the_tuple_product(name, seed):
+    # The reference is the tuple path: both reps as tuples, their product,
+    # its t-closure and its class.
+    model = MODELS[name]
+    adapter = P.PrueferClassModel(model, P.tuple_to_json)
+    r = random.Random(seed)
+    x, y = (P.class_of(model, random_tuple(r, model)) for _ in range(2))
+    want = P.class_of(model, P.t_closure(model, P.mul(
+        model, P.tuple_of_class(x), P.tuple_of_class(y))))
+    assert adapter.mul(x, y) == want
