@@ -42,6 +42,7 @@ LO, HI = -8, 8
 MAX_BOUNDARY = 3
 MAX_COORD = 4
 DEN_CAP = 64
+N_RANDOM = 16
 
 
 def _s_part(comp, d: int) -> int:
@@ -178,21 +179,21 @@ def _targets_for(g: ValueGroup, steps, scale, prefix) -> list:
     return out
 
 
-def sample_points(g: ValueGroup, prefixes, rng, fine, scale, n_random: int = 16) -> list:
+def sample_points(g: ValueGroup, prefixes, rng, fine, scale) -> list:
     """Member points on the integer lattice `scale` that exercise the edges
     of the given scaled boundary prefixes: `fine`-lattice neighborhoods of
-    every prefix plus seeded random lattice points."""
+    every prefix plus N_RANDOM seeded random lattice points."""
     steps = [s // f for s, f in zip(scale, fine)]
     pts = set()
     for prefix in prefixes:
         pts.update(_targets_for(g, steps, scale, prefix))
     draws = [(MAX_COORD * dc, s // dc) for dc, s in zip(map(_check_den, g.components), scale)]
-    for _ in range(n_random):
+    for _ in range(N_RANDOM):
         pts.add(tuple(rng.randint(-r, r) * u for r, u in draws))
     return sorted(pts)
 
 
-def check_mul(g: ValueGroup, a: Cut, b: Cut, predicted: Cut, rng, n_random: int = 16) -> list:
+def check_mul(g: ValueGroup, a: Cut, b: Cut, predicted: Cut, rng) -> list:
     """Pointwise mismatches between `predicted` and the box sumset of a and b.
 
     The sumset verdict at x brackets the truth between two formula-free
@@ -210,7 +211,7 @@ def check_mul(g: ValueGroup, a: Cut, b: Cut, predicted: Cut, rng, n_random: int 
     m = min(a.level, b.level)
     formal = tuple(map(add, sa[0][:m], sb[0][:m]))
     mismatches = []
-    for x in sample_points(g, (sa[0], sb[0], sp[0], formal), rng, fine, scale, n_random):
+    for x in sample_points(g, (sa[0], sb[0], sp[0], formal), rng, fine, scale):
         got = x >= edge
         if not got and x[:m] > formal:
             continue
@@ -220,7 +221,7 @@ def check_mul(g: ValueGroup, a: Cut, b: Cut, predicted: Cut, rng, n_random: int 
     return mismatches
 
 
-def check_quotient(g: ValueGroup, a: Cut, b: Cut, predicted: Cut, rng, n_random: int = 16) -> list:
+def check_quotient(g: ValueGroup, a: Cut, b: Cut, predicted: Cut, rng) -> list:
     """Pointwise mismatches between `predicted` and the box residual (A : B).
 
     A shift passes the box test iff adding the worst (least) enumerated
@@ -240,7 +241,7 @@ def check_quotient(g: ValueGroup, a: Cut, b: Cut, predicted: Cut, rng, n_random:
     m = min(a.level, b.level)
     ediff = tuple(map(sub, sa[0][:m], sb[0][:m]))
     mismatches = []
-    for x in sample_points(g, (sa[0], sb[0], sp[0], ediff), rng, fine, scale, n_random):
+    for x in sample_points(g, (sa[0], sb[0], sp[0], ediff), rng, fine, scale):
         got = _inside(sa, tuple(map(add, x, mb)))
         low = _inside(sa, tuple(map(add, x, virt)))
         if got != low:
@@ -251,14 +252,14 @@ def check_quotient(g: ValueGroup, a: Cut, b: Cut, predicted: Cut, rng, n_random:
     return mismatches
 
 
-def check_same_set(g: ValueGroup, a: Cut, b: Cut, rng, n_random: int = 16) -> list:
+def check_same_set(g: ValueGroup, a: Cut, b: Cut, rng) -> list:
     """Pointwise agreement of two cut literals as sets; used to validate
     normalization and canonical uniqueness without any formula in the loop."""
     fine, fine2 = lattice_dens(g, (a, b), strict_discrete=False)
     scale = lattice_scale((a, b), fine2)
     sa, sb = _scaled_cut(a, scale), _scaled_cut(b, scale)
     mismatches = []
-    for x in sample_points(g, (sa[0], sb[0]), rng, fine, scale, n_random):
+    for x in sample_points(g, (sa[0], sb[0]), rng, fine, scale):
         ina, inb = _inside(sa, x), _inside(sb, x)
         if ina != inb:
             mismatches.append(f"at {_unscaled(x, scale)}: {ina} vs {inb}")

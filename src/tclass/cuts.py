@@ -168,24 +168,6 @@ def member(g: ValueGroup, a: Cut, x) -> bool:
     return a.side == CLOSED
 
 
-def _key(a: Cut, pos: int):
-    # Position pos of the lower-edge key: boundary coordinates, then a fill
-    # that places the edge below (closed) or above (open) the boundary fiber.
-    if pos < a.level:
-        return a.boundary[pos]
-    return math.inf if a.side == OPEN else -math.inf
-
-
-def is_subset(g: ValueGroup, a: Cut, b: Cut) -> bool:
-    """Upper sets are nested exactly as their lower edges are ordered (two
-    canonical cuts have the same edge only when they are equal)."""
-    for pos in range(max(a.level, b.level) + 1):
-        ka, kb = _key(a, pos), _key(b, pos)
-        if ka != kb:
-            return ka > kb
-    return True
-
-
 def mul(g: ValueGroup, a: Cut, b: Cut) -> Cut:
     """Ideal product: the upper closure of the sumset of the two value sets.
 
@@ -567,14 +549,6 @@ def group_mul(g: ValueGroup, x: CutClass, y: CutClass, J: Cut) -> CutClass:
     _require_member(g, x, J)
     _require_member(g, y, J)
     return class_of(g, t_closure(g, mul(g, x.rep, y.rep)))
-
-
-def group_inv(g: ValueGroup, x: CutClass, J: Cut) -> CutClass:
-    # (J : L) alone may land on a side-closed cut (the overring's class) when
-    # the boundary is a member; multiplying back into J keeps the inverse in
-    # the group and fixes inv at the identity.
-    _require_member(g, x, J)
-    return class_of(g, t_closure(g, mul(g, quotient(g, J, x.rep), J)))
 
 
 # === literals ===

@@ -22,10 +22,6 @@ class MalformedElementError(ValueError):
     pass
 
 
-class UndefinedQuotientError(ValueError):
-    pass
-
-
 # Deterministic Miller-Rabin: the prime bases 2..37 decide every n below
 # PRIMALITY_BOUND (Sorenson and Webster, 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -133,19 +129,6 @@ class ValueGroup:
                     f"coordinate {pos + 1} = {c} is not a member of {describe_component(comp)}"
                 )
         return xs
-
-
-def quotient_has_least_positive(g: ValueGroup, index: int) -> bool:
-    """Does G/H_index have a least positive element?
-
-    The quotient is the lex tower of components 1..index; a lex tower has a
-    least positive element iff its last (least significant) component does.
-    """
-    if index == 0:
-        raise UndefinedQuotientError("H_0 is the whole group; the quotient is zero")
-    if not 1 <= index <= g.rank:
-        raise ValueError(f"no convex subgroup H_{index} in a rank-{g.rank} tower")
-    return not g.components[index - 1].dense
 
 
 def is_strongly_discrete(g: ValueGroup) -> bool:

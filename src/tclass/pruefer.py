@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import ValueGroup, is_member, truncate
+from .groups import ValueGroup, is_member
 from .sampling import random_member, random_rational
 from . import cuts as C
 from .cuts import (
@@ -182,8 +182,10 @@ def show_principal(model: PrueferModel, overring: OverringSpec, a: IdealTuple) -
 
 def psi_localize(model: PrueferModel, a: IdealTuple, form: IdempotentForm) -> tuple[CutClass, ...]:
     """Project a group member to its localization classes, one per side-open
-    component, each read in the value group truncated at that component's
-    level (the value group of the localization).
+    component.  The localization's value group is G_i truncated at the
+    component's level, and a cut of that level has one class there and in
+    G_i: `cuts.class_of` reads only its coordinates up to its level.  So
+    each class is read in G_i, and no truncated group is built.
 
     Membership is an O(1) test: the class's idempotent, read off level and
     side by `classify_idempotent`, must be the form's.  No audit runs here.
@@ -195,12 +197,7 @@ def psi_localize(model: PrueferModel, a: IdealTuple, form: IdempotentForm) -> tu
     _check(model, a)
     if classify_idempotent(model, a) != form:
         raise NotInGroupError("tuple class lies outside the constituent group")
-    out = []
-    for i in sorted(form.open_components):
-        g = model.valuations[i]
-        gt = truncate(g, form.overring.levels[i])
-        out.append(C.class_of(gt, a.cuts[i]))
-    return tuple(out)
+    return tuple(C.class_of(model.valuations[i], a.cuts[i]) for i in sorted(form.open_components))
 
 
 def _random_group_member(rng: random.Random, model: PrueferModel,
@@ -217,13 +214,13 @@ def _random_group_member(rng: random.Random, model: PrueferModel,
     return IdealTuple(tuple(cuts))
 
 
-def _random_target(rng: random.Random, local: list) -> tuple[CutClass, ...]:
+def _random_target(rng: random.Random, model: PrueferModel, local: list) -> tuple[CutClass, ...]:
     out = []
-    for _, gt, _ in local:
-        lvl = gt.rank
+    for i, m in local:
+        g, lvl = model.valuations[i], m.level
         boundary = [Fraction(0)] * (lvl - 1)
-        boundary.append(random_rational(rng, gt.components[lvl - 1]))
-        out.append(C.class_of(gt, Cut(lvl, tuple(boundary), OPEN)))
+        boundary.append(random_rational(rng, g.components[lvl - 1]))
+        out.append(C.class_of(g, Cut(lvl, tuple(boundary), OPEN)))
     return tuple(out)
 
 
@@ -232,7 +229,7 @@ def _lift_target(model: PrueferModel, j: IdealTuple, local: list,
     """Componentwise preimage: plant each (canonical) class representative
     at its component, keep the idempotent `j` elsewhere."""
     cuts = list(j.cuts)
-    for r, (i, _, _) in zip(target, local):
+    for r, (i, _) in zip(target, local):
         cuts[i] = r.rep
     return IdealTuple(tuple(cuts))
 
@@ -259,16 +256,12 @@ def verify_exact_sequence(model: PrueferModel, form: IdempotentForm,
         failures.append(line if error is None else f"{line}: {error}")
 
     # Per-form constants: the overring, the idempotent, its class, and for
-    # each side-open component the value group of its localization with
-    # that group's idempotent maximal ideal.
+    # each side-open component its idempotent maximal ideal.
     t = ring_tuple(model, form.overring)
     j = form_tuple(model, form)
     identity = class_of(model, j)
-    local = []
-    for i in sorted(form.open_components):
-        level = form.overring.levels[i]
-        gt = truncate(model.valuations[i], level)
-        local.append((i, gt, C.prime_cut(gt, level)))
+    local = [(i, C.prime_cut(model.valuations[i], form.overring.levels[i]))
+             for i in sorted(form.open_components)]
     try:
         ident = psi_localize(model, j, form)
     except C.MODEL_ERRORS as e:
@@ -285,12 +278,13 @@ def verify_exact_sequence(model: PrueferModel, form: IdempotentForm,
     for _ in range(samples):
         a = _random_group_member(rng, model, form)
         b = _random_group_member(rng, model, form)
-        target = _random_target(rng, local)
+        target = _random_target(rng, model, local)
         lift = _lift_target(model, j, local, target)
         try:
             ab = t_closure(model, mul(model, a, b))
             pa, pb, pab = (psi_localize(model, x, form) for x in (a, b, ab))
-            want = tuple(C.group_mul(gt, x, y, m) for x, y, (_, gt, m) in zip(pa, pb, local))
+            want = tuple(C.group_mul(model.valuations[i], x, y, m)
+                         for x, y, (i, m) in zip(pa, pb, local))
             if pab != want:
                 fail("projection not multiplicative at {} * {}", a, b)
             if pa == ident and class_of(model, a) != identity:

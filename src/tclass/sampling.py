@@ -1,9 +1,9 @@
 """Seeded random generators for cuts, tuples, and group elements.
 
 Everything stays inside the box oracle's budget on purpose: boundary
-coordinates in [-3, 3] and denominators small enough that the oracle's
-lattice refinement never exceeds its cap of 64.  Generators take an
-explicit random.Random so every caller is reproducible from a seed.
+coordinates in [-SPAN, SPAN] and denominators small enough that the
+oracle's lattice refinement never exceeds its cap of 64.  Generators take
+an explicit random.Random so every caller is reproducible from a seed.
 """
 
 from __future__ import annotations
@@ -11,8 +11,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .groups import DISCRETE, LOCALIZED, RATIONALS, ArchComponent, ValueGroup, is_member
+from .groups import DISCRETE, RATIONALS, ArchComponent, ValueGroup, is_member
 from .cuts import CLOSED, OPEN, Cut, normalize
+
+SPAN = 2
 
 
 def den_choices(comp: ArchComponent) -> tuple[int, ...]:
@@ -29,35 +31,23 @@ def den_choices(comp: ArchComponent) -> tuple[int, ...]:
     return (1, 2)
 
 
-def random_rational(rng: random.Random, comp: ArchComponent, span: int = 2) -> Fraction:
+def random_rational(rng: random.Random, comp: ArchComponent) -> Fraction:
     """A boundary coordinate, not necessarily a member of the component."""
     d = rng.choice(den_choices(comp))
-    return Fraction(rng.randint(-span * d, span * d), d)
+    return Fraction(rng.randint(-SPAN * d, SPAN * d), d)
 
 
-def random_member(rng: random.Random, comp: ArchComponent, span: int = 2) -> Fraction:
+def random_member(rng: random.Random, comp: ArchComponent) -> Fraction:
     members = [d for d in den_choices(comp) if is_member(comp, Fraction(1, d))]
     d = rng.choice(members)
-    return Fraction(rng.randint(-span * d, span * d), d)
+    return Fraction(rng.randint(-SPAN * d, SPAN * d), d)
 
 
-def random_cut(rng: random.Random, g: ValueGroup, level: int | None = None) -> Cut:
+def random_cut(rng: random.Random, g: ValueGroup) -> Cut:
     """A canonical cut with member coordinates below the top."""
-    if level is None:
-        level = rng.randint(1, g.rank)
+    level = rng.randint(1, g.rank)
     boundary = [random_member(rng, g.components[k]) for k in range(level - 1)]
     boundary.append(random_rational(rng, g.components[level - 1]))
     side = rng.choice((CLOSED, OPEN))
     return normalize(g, Cut(level, tuple(boundary), side))
 
-
-def random_raw_cut(rng: random.Random, g: ValueGroup) -> Cut:
-    """An arbitrary well-formed literal; may denote a non-canonical set."""
-    level = rng.randint(1, g.rank)
-    boundary = []
-    for k in range(level):
-        comp = g.components[k]
-        dens = (1, 2, 3) if comp.kind == DISCRETE else den_choices(comp)
-        d = rng.choice(dens)
-        boundary.append(Fraction(rng.randint(-2 * d, 2 * d), d))
-    return Cut(level, tuple(boundary), rng.choice((CLOSED, OPEN)))

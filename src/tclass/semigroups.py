@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import ne
 
+ASSOC_CAP = 512
+
 
 class MalformedTableError(ValueError):
     pass
@@ -40,20 +42,17 @@ class FiniteCommSemigroup:
     and a submagma that holds a generating set is the whole table.  The
     generating set is read off the table itself (`_generators`).  In the
     worst case every element is needed, as in a max-semilattice on a
-    chain, and the check is m^3 again, so tables above `assoc_cap` are
+    chain, and the check is m^3 again, so tables above `ASSOC_CAP` are
     refused rather than silently left unchecked.
     """
 
-    def __init__(self, table, assoc_cap: int = 512):
+    def __init__(self, table):
         table = tuple(tuple(row) for row in table)
         m = len(table)
         if m == 0:
             raise MalformedTableError("empty table")
-        if m > assoc_cap:
-            raise MalformedTableError(
-                f"table of size {m} exceeds the verification cap {assoc_cap}; "
-                "pass a larger assoc_cap to insist"
-            )
+        if m > ASSOC_CAP:
+            raise MalformedTableError(f"table of size {m} exceeds the verification cap {ASSOC_CAP}")
         for row in table:
             if len(row) != m or any(not (0 <= x < m) for x in row):
                 raise MalformedTableError("table is not square over its own indices")

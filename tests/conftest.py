@@ -1,13 +1,17 @@
 """Shared fixtures: reference value groups and deterministic randomness."""
 
+import math
 import random
 import zlib
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from tclass import Q, Z, ValueGroup, Zloc
-from tclass.sampling import random_member
+from tclass import CLOSED, OPEN, Cut, Q, ValueGroup, Z, Zloc
+from tclass import cuts as C
+from tclass.groups import DISCRETE
+from tclass.sampling import den_choices, random_member
 
 settings.register_profile(
     "suite",
@@ -29,9 +33,50 @@ GROUPS = {
 }
 
 
-def random_element(rng, g, span=2):
+def random_element(rng, g):
     """A group element with small coordinates, for principal shifts."""
-    return g.element([random_member(rng, c, span) for c in g.components])
+    return g.element([random_member(rng, c) for c in g.components])
+
+
+# === references: definitions the tests compare against; no command needs them ===
+
+def random_raw_cut(rng, g):
+    """An arbitrary well-formed literal; may denote a non-canonical set."""
+    level = rng.randint(1, g.rank)
+    boundary = []
+    for k in range(level):
+        comp = g.components[k]
+        dens = (1, 2, 3) if comp.kind == DISCRETE else den_choices(comp)
+        d = rng.choice(dens)
+        boundary.append(Fraction(rng.randint(-2 * d, 2 * d), d))
+    return Cut(level, tuple(boundary), rng.choice((CLOSED, OPEN)))
+
+
+def _key(a, pos):
+    # Position pos of the lower-edge key: boundary coordinates, then a fill
+    # that places the edge below (closed) or above (open) the boundary fiber.
+    if pos < a.level:
+        return a.boundary[pos]
+    return math.inf if a.side == OPEN else -math.inf
+
+
+def is_subset(g, a, b):
+    """Upper sets are nested exactly as their lower edges are ordered (two
+    canonical cuts have the same edge only when they are equal)."""
+    for pos in range(max(a.level, b.level) + 1):
+        ka, kb = _key(a, pos), _key(b, pos)
+        if ka != kb:
+            return ka > kb
+    return True
+
+
+def group_inv(g, x, J):
+    """The inverse in the constituent group at J.  (J : L) alone may land on
+    a side-closed cut (the overring's class) when the boundary is a member;
+    multiplying back into J keeps the inverse in the group and fixes inv at
+    the identity."""
+    C._require_member(g, x, J)
+    return C.class_of(g, C.t_closure(g, C.mul(g, C.quotient(g, J, x.rep), J)))
 
 
 @pytest.fixture

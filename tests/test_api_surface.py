@@ -10,9 +10,15 @@ Cut` for `cuts.Cut`, and a bare name for the module that defines it.
 Methods, properties and fields are matched by name alone against the
 attributes a file reads (`x.mul` counts for every method called `mul`),
 since the type behind `x` is not known; assigning `x.f` does not read the
-field `f`.
+field `f`, and reading `C.mul` through a module alias is a reference to
+`cuts.mul`, not to a method.
 A reference made inside an allowlisted definition does not count: what
 only a test-only name calls is test-only too.
+
+No one-valued parameter: every defaulted parameter of a public function or
+method (a class's `__init__` included) is passed by some call in `src/` or
+`bench/`, or has an entry in ONE_VALUED saying why not.  A parameter that
+no call sets is a constant.
 """
 
 import ast
@@ -22,18 +28,16 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tclass"
 
 ALLOWED = {
-    "cuts.group_inv": "the group inverse, so that the group-axiom tests run a whole group",
-    "cuts.is_subset": "containment of cuts, the order the box-oracle tests compare against",
-    "groups.UndefinedQuotientError":
-        "what `quotient_has_least_positive` raises for the zero quotient G/H_0",
-    "groups.quotient_has_least_positive": "the discreteness criterion the density flags restate",
-    "sampling.random_raw_cut": "non-canonical cut literals for the normalize tests",
     "pruefer.quotient":
         "the tuple residual, behind `show_principal` and the componentwise arithmetic tests",
     "pruefer.show_principal":
         "the principality certificate behind the trivial class group the reports state",
     "semigroups.ConstituentGroup.identity":
         "the idempotent's position in the group, which the group-axiom tests read",
+}
+
+ONE_VALUED = {
+    "cli.main.argv": "the console script calls `main()` with none; tests pass argument lists",
 }
 
 
@@ -106,20 +110,38 @@ def source(path: Path) -> ast.Module:
     return tree
 
 
+def aliases(tree: ast.Module) -> dict:
+    """name -> tclass name for each name a file imports from the package
+    itself (`from tclass import cuts as C`) or binds to one of its modules
+    (`import tclass.cuts as C`)."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _module_of(node) == "tclass":
+            out.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.Import):
+            out.update((a.asname, _short(a.name)) for a in node.names
+                       if a.name.startswith("tclass.") and a.asname)
+    return out
+
+
 def attributes(path: Path) -> set:
     """Attribute names a source file reads, skipping a method's references
-    to its own name inside its own body."""
+    to its own name inside its own body and reads through a module alias,
+    which `references` resolves per module."""
+    tree = source(path)
+    modules = {name for name, mod in aliases(tree).items() if (PACKAGE / f"{mod}.py").exists()}
     names = set()
 
     def visit(node, own):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
-                and node.attr != own:
+                and node.attr != own \
+                and not (isinstance(node.value, ast.Name) and node.value.id in modules):
             names.add(node.attr)
         for child in ast.iter_child_nodes(node):
             method = isinstance(node, ast.ClassDef) and isinstance(child, ast.FunctionDef)
             visit(child, child.name if method else own)
 
-    visit(source(path), None)
+    visit(tree, None)
     return names
 
 
@@ -128,23 +150,15 @@ def references(path: Path) -> set:
     references to a name inside that name's own top-level definition."""
     here = path.stem if path.parent == PACKAGE else None
     tree = source(path)
-    aliases, refs = {}, set()
+    names, refs = aliases(tree), set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (mod := _module_of(node)):
-            for a in node.names:
-                if mod == "tclass":
-                    aliases[a.asname or a.name] = a.name
-                else:
-                    refs.add((_short(mod), a.name))
-        elif isinstance(node, ast.Import):
-            for a in node.names:
-                if a.name.startswith("tclass.") and a.asname:
-                    aliases[a.asname] = _short(a.name)
+        if isinstance(node, ast.ImportFrom) and (mod := _module_of(node)) not in (None, "tclass"):
+            refs.update((_short(mod), a.name) for a in node.names)
 
     def visit(node, inside):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            if node.value.id in aliases:
-                refs.add((aliases[node.value.id], node.attr))
+            if node.value.id in names:
+                refs.add((names[node.value.id], node.attr))
         elif isinstance(node, ast.Name) and here and node.id != inside:
             refs.add((here, node.id))
         for child in ast.iter_child_nodes(node):
@@ -160,9 +174,14 @@ def defined() -> set:
     return {f"{mod}.{name}" for mod, names in definitions().items() for name in names} | members()
 
 
+def callers() -> list:
+    """The files whose references count: the package and the benchmark."""
+    return [*PACKAGE.glob("*.py"), *(ROOT / "bench").glob("*.py")]
+
+
 def unreferenced() -> set:
     refs, attrs = set(), set()
-    for path in [*PACKAGE.glob("*.py"), *(ROOT / "bench").glob("*.py")]:
+    for path in callers():
         refs |= references(path)
         attrs |= attributes(path)
     return ({f"{mod}.{name}" for mod, names in definitions().items()
@@ -180,3 +199,80 @@ def test_allowlist_is_current():
     assert not gone, f"allowed names that no longer exist: {sorted(gone)}"
     stale = set(ALLOWED) - unreferenced()
     assert not stale, f"allowed names that now have a caller: {sorted(stale)}"
+
+
+def test_a_module_function_read_hides_no_method(tmp_path):
+    # `C.normalize` names `cuts.normalize`; a method called `normalize`
+    # that nothing reads as an attribute stays unreferenced.
+    path = tmp_path / "caller.py"
+    path.write_text("from tclass import cuts as C\nC.normalize(g, a)\nx.mul(y)\n")
+    assert ("cuts", "normalize") in references(path)
+    assert attributes(path) == {"mul"}
+
+
+def defaulted() -> dict:
+    """module.function.param -> (callee name, position after the required
+    and bound arguments) for each defaulted parameter of a public function,
+    and of a public method or `__init__` of a public class (called by the
+    class name)."""
+    out = {}
+
+    def add(prefix, fn, callee, bound):
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        first = len(positional) - len(a.defaults)
+        for pos, arg in enumerate(positional[first:], first):
+            out[f"{prefix}.{arg.arg}"] = (callee, pos - bound)
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                out[f"{prefix}.{arg.arg}"] = (callee, None)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                add(f"{path.stem}.{node.name}", node, node.name, 0)
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and \
+                            (fn.name == "__init__" or not fn.name.startswith("_")):
+                        static = any(getattr(d, "id", None) == "staticmethod"
+                                     for d in fn.decorator_list)
+                        callee = node.name if fn.name == "__init__" else fn.name
+                        add(f"{path.stem}.{node.name}.{fn.name}", fn, callee, 0 if static else 1)
+    return out
+
+
+def passed() -> set:
+    """(callee name, keyword or position) for every argument some call in
+    `src/` or `bench/` passes; a `*args` or `**kwargs` at a call passes
+    everything."""
+    out = set()
+    for path in callers():
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            if any(isinstance(a, ast.Starred) for a in call.args) \
+                    or any(k.arg is None for k in call.keywords):
+                out.add((name, "*"))
+            out.update((name, pos) for pos in range(len(call.args)))
+            out.update((name, k.arg) for k in call.keywords)
+    return out
+
+
+def one_valued() -> set:
+    calls = passed()
+    return {qual for qual, (callee, pos) in defaulted().items()
+            if not {(callee, "*"), (callee, qual.rsplit(".", 1)[1]), (callee, pos)} & calls}
+
+
+def test_every_defaulted_parameter_is_passed_or_has_a_reason():
+    missing = one_valued() - set(ONE_VALUED)
+    assert not missing, f"defaulted parameters no call sets (make them constants): {sorted(missing)}"
+
+
+def test_one_valued_table_is_current():
+    stale = set(ONE_VALUED) - one_valued()
+    assert not stale, f"ONE_VALUED entries that a call now sets or that are gone: {sorted(stale)}"

@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tclass
-from tclass import cuts
+from tclass import cuts, semigroups
 from tclass import pruefer as P
 from tclass.cli import cmd_classify, cmd_decompose, load_model, main
-from tclass.sampling import random_raw_cut
+from conftest import random_raw_cut
 from test_kills import plant
 
 C3_TEXT = "3\n2 0 1\n0 1 2\n1 2 0\n"
@@ -236,6 +236,20 @@ def test_verify_rejects_corrupted_fixture(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "check fixture_table: FAIL" in out
     assert "result: FAIL" in out
+
+
+def test_verify_refuses_a_fixture_above_the_associativity_cap(tmp_path, monkeypatch):
+    # Only `--fixture` reaches the cap: `verify`'s own closures stay far below it.
+    monkeypatch.setattr(semigroups, "ASSOC_CAP", 2)
+    spec = valuation_spec(tmp_path)
+    fixture = write(tmp_path, "table.txt", C3_TEXT)
+    out = tmp_path / "report.json"
+    assert main(["verify", spec, "--samples", "5", "--fixture", fixture,
+                 "--json", str(out)]) == 2
+    check = json.loads(out.read_text())["checks"][-1]
+    assert check["name"] == "fixture_table" and check["passed"] is False
+    assert check["failures"] == [
+        "fixture rejected: table of size 3 exceeds the verification cap 2"]
 
 
 # -- exit code 1: usage and parse errors --------------------------------------

@@ -60,10 +60,12 @@ def test_element_validates_membership():
 
 
 def test_quotient_least_positive_examples():
-    assert G.quotient_has_least_positive(Z2, 1)
-    assert not G.quotient_has_least_positive(ValueGroup((Q,)), 1)
+    # G/H_i is the tower of components 1..i, and a lex tower has a least
+    # positive element iff its last component does: iff that one is Z
+    assert not Z2.components[0].dense
+    assert Q.dense
     zh = ValueGroup((Z, Zloc(2)))
-    assert not G.quotient_has_least_positive(zh, 2)
+    assert zh.components[1].dense
     # no minimum concretely: positive members keep halving
     q = F(1)
     for _ in range(8):
@@ -71,20 +73,10 @@ def test_quotient_least_positive_examples():
         q /= 2
 
 
-def test_quotient_least_positive_errors():
-    with pytest.raises(G.UndefinedQuotientError):
-        G.quotient_has_least_positive(Z2, 0)
-    with pytest.raises(ValueError):
-        G.quotient_has_least_positive(Z2, 3)
-
-
 def test_strongly_discrete_detector_agrees_with_prime_cut_idempotence(group):
     # the order-theoretic detector and the ideal-theoretic one must agree:
     # a dense level is exactly a level whose prime cut squares to itself
-    expected = all(
-        G.quotient_has_least_positive(group, i)
-        for i in range(1, group.rank + 1)
-    )
+    expected = all(not c.dense for c in group.components)
     assert G.is_strongly_discrete(group) == expected
     by_ideals = all(
         not C.is_idempotent(group, C.prime_cut(group, i))

@@ -202,8 +202,8 @@ def test_exact_sequence_records_a_sample_error_with_its_tuples(monkeypatch):
 
 
 def test_exact_sequence_runs_no_residual_audit(diverging_residual):
-    # `psi_localize`, `group_mul` and `group_inv` decide membership by
-    # classification, so the planted divergence passes through unseen.
+    # `psi_localize` and `group_mul` decide membership by classification,
+    # so the planted divergence passes through unseen.
     for form in open_forms():
         assert P.verify_exact_sequence(MODEL, form, 2, random.Random(1)) == []
 

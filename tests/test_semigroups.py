@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from tclass import CLOSED, OPEN, Cut, Q, ValueGroup, Zloc
+from tclass import semigroups
 from tclass.cuts import ValuationClassModel
 from tclass.semigroups import (
     ConstituentGroup,
@@ -67,11 +68,13 @@ def test_rejects_non_associative_with_location():
         FiniteCommSemigroup([[1, 1], [1, 0]])
 
 
-def test_assoc_cap_refuses_rather_than_skips():
-    with pytest.raises(MalformedTableError, match="cap"):
-        FiniteCommSemigroup(C3_ROWS, assoc_cap=2)
+def test_assoc_cap_refuses_rather_than_skips(monkeypatch):
+    monkeypatch.setattr(semigroups, "ASSOC_CAP", 2)
+    with pytest.raises(MalformedTableError, match="table of size 3 exceeds the verification cap 2$"):
+        FiniteCommSemigroup(C3_ROWS)
     # raising the cap re-enables the check instead of bypassing it
-    assert FiniteCommSemigroup(C3_ROWS, assoc_cap=3).size == 3
+    monkeypatch.setattr(semigroups, "ASSOC_CAP", 3)
+    assert FiniteCommSemigroup(C3_ROWS).size == 3
 
 
 def reference_failures(rows):
