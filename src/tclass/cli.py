@@ -227,12 +227,6 @@ def _poly_entry(m: P.PrueferModel, form: C.IdempotentForm) -> dict:
             "group": X.group_description(m.valuations[0], form)}
 
 
-def _forms(m: P.PrueferModel) -> list[C.IdempotentForm]:
-    """The idempotent forms by overring levels, then open components."""
-    return sorted(P.enumerate_idempotent_forms(m),
-                  key=lambda f: (f.overring.levels, sorted(f.open_components)))
-
-
 def cmd_decompose(kind: str, model) -> dict:
     spec = KINDS[kind]
     m = spec.as_pruefer(model)
@@ -341,7 +335,7 @@ def _overring_transfer(m, samples, rng, write) -> dict:
 
 def _exact_sequence(m, samples, rng, write) -> dict:
     """`pruefer.verify_exact_sequence` at every form, in report order."""
-    forms = _forms(m)
+    forms = P.enumerate_idempotent_forms(m)
     failures = []
     for form in forms:
         try:
@@ -416,7 +410,7 @@ KINDS = {
         lambda g: P.PrueferModel((g,)),
         lambda m, data: P.IdealTuple((C.cut_from_json(m.valuations[0], data),)),
         lambda a: C.cut_to_json(a.cuts[0]),
-        form_json, _form_text, _forms,
+        form_json, _form_text, P.enumerate_idempotent_forms,
         _valuation_entry, lambda e: [f"  level {e['level']} {e['kind']}: {e['group']}"],
         scope=None, components=False,
         checks=(_regularity, _idempotent_uniqueness, _overring_transfer,
@@ -426,7 +420,7 @@ KINDS = {
         lambda m: [value_group_to_json(g) for g in m.valuations],
         lambda m: m,
         P.tuple_from_json, P.tuple_to_json,
-        form_json, _form_text, _forms,
+        form_json, _form_text, P.enumerate_idempotent_forms,
         _pruefer_entry, _pruefer_entry_text,
         scope=None, components=True,
         checks=(_regularity, _idempotent_uniqueness, _exact_sequence,

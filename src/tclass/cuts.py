@@ -28,12 +28,12 @@ component's idempotents as `idempotents` builds them, each checked
 idempotent once with its stabilizer, and does a sample's own residual work
 once for all of them.  A failed audit raises InternalInconsistencyError.
 
-Classes modulo principal ideals (`CutClass`) compare and hash by an
-integer key, (level, side) and then numerator and denominator of each
-boundary coordinate of the class rep, so no `Fraction` is hashed or
-compared when the Cayley-table oracle indexes them.  `class_of` builds
-that key from the reduced top coordinate alone; the rep `Cut` is built on
-first read.
+Classes modulo principal ideals (`CutClass`) are built only by `class_of`,
+keyed by (level, side) and the numerator and denominator of the top
+coordinate reduced mod its component, so the Cayley-table oracle hashes
+and compares no `Fraction`; the rep `Cut` is built on first read.
+`class_mul` is the one class product, for the class models and the exact
+sequence's group law alike.
 """
 
 from __future__ import annotations
@@ -424,28 +424,22 @@ def _coset_rep(comp, q: Fraction) -> Fraction:
 class CutClass:
     """A cut modulo principal ideals, compared and hashed by an integer key.
 
-    `rep` is the class-canonical cut: zero boundary below the top, last
-    coordinate reduced mod its component.  `class_of` keys the class by
-    that reduced coordinate and builds `rep` only when it is first read,
-    so a class that is only hashed and compared (a product found already
-    in a closure) costs no `Cut`.  `CutClass(cut)` wraps any cut as it is;
-    two classes are equal exactly when their reps are.
+    Built only by `class_of`, which keys the class by (level, side, n, d)
+    of the top coordinate reduced mod its component.  `rep` is the
+    class-canonical cut: zero boundary below the top, that reduced top.  It
+    is built only when first read, so a class that is only hashed and
+    compared (a product found already in a closure) costs no `Cut`.
     """
 
     __slots__ = ("_key", "_top", "_rep")
 
-    def __init__(self, rep: Cut):
-        # (level, side, n1, d1, ..., nL, dL): equal exactly when the cuts are
-        key = [rep.level, rep.side]
-        for c in rep.boundary:
-            key += (c.numerator, c.denominator)
-        _set_key(self, tuple(key))
-        _set_rep(self, rep)
+    def __new__(cls, *args):
+        raise TypeError("a CutClass is built by cuts.class_of")
 
     @property
     def rep(self) -> Cut:
         rep = self._rep
-        if rep is None:  # keyed by `class_of`, not yet built
+        if rep is None:
             level, side = self._key[:2]
             rep = Cut(level, (_ZERO,) * (level - 1) + (self._top,), side)
             _set_rep(self, rep)
@@ -468,8 +462,8 @@ class CutClass:
     def __repr__(self):
         return f"CutClass(rep={self.rep!r})"
 
-    def __reduce__(self):  # copy and pickle rebuild the class from its rep
-        return CutClass, (self.rep,)
+    def __reduce__(self):  # copy and pickle rebuild the class from its key
+        return _class, (*self._key[:2], self._top)
 
 
 # `CutClass` refuses assignment; its own slots are written through these.
@@ -478,16 +472,24 @@ _set_top = CutClass._top.__set__
 _set_rep = CutClass._rep.__set__
 
 
-def class_of(g: ValueGroup, a: Cut) -> CutClass:
-    validate_cut(g, a)
-    level = a.level
-    top = _coset_rep(g.components[level - 1], a.boundary[-1])
+def _class(level: int, side: str, top: Fraction) -> CutClass:
     x = object.__new__(CutClass)
-    # the key `CutClass(rep)` gives the rep <level; (0, ..., 0, top); side>
-    _set_key(x, (level, a.side, *(0, 1) * (level - 1), top.numerator, top.denominator))
+    _set_key(x, (level, side, top.numerator, top.denominator))
     _set_top(x, top)
     _set_rep(x, None)
     return x
+
+
+def class_of(g: ValueGroup, a: Cut) -> CutClass:
+    validate_cut(g, a)
+    return _class(a.level, a.side, _coset_rep(g.components[a.level - 1], a.boundary[-1]))
+
+
+def class_mul(g: ValueGroup, x: CutClass, y: CutClass) -> CutClass:
+    """The class t-product: the class of the product of the reps, with no
+    `t_closure` since every ideal of a valuation domain is a t-ideal.  On a
+    constituent group it is the group's law."""
+    return class_of(g, mul(g, x.rep, y.rep))
 
 
 def idempotents(g: ValueGroup) -> list[tuple[IdempotentForm, Cut, Cut]]:
@@ -528,8 +530,8 @@ def group_membership(g: ValueGroup, L: Cut,
     witness idempotent (I (T:I))_t; the residual-arithmetic answer must
     agree with it, and a divergence is an arithmetic bug worth crashing on.
     `verify` runs it for every component of each distinct sampled tuple in
-    `idempotent_uniqueness`; the group operations decide membership in O(1)
-    by classification instead.  L's stabilizer is built once, for the
+    `idempotent_uniqueness`; `pruefer.psi_localize` decides membership in
+    O(1) by classification instead.  L's stabilizer is built once, for the
     witness and the residual audit alike.
     """
     t = stabilizer(g, L)
@@ -538,17 +540,6 @@ def group_membership(g: ValueGroup, L: Cut,
     if residual_membership(g, L, t, idems) != operative:
         raise InternalInconsistencyError("membership tests diverged")
     return operative
-
-
-def _require_member(g: ValueGroup, x: CutClass, J: Cut) -> None:
-    if form_cut(g, classify_idempotent(g, x.rep)) != J:
-        raise NotInGroupError(f"{format_cut(x.rep)} is not in the group at {format_cut(J)}")
-
-
-def group_mul(g: ValueGroup, x: CutClass, y: CutClass, J: Cut) -> CutClass:
-    _require_member(g, x, J)
-    _require_member(g, y, J)
-    return class_of(g, t_closure(g, mul(g, x.rep, y.rep)))
 
 
 # === literals ===
@@ -614,7 +605,7 @@ class ValuationClassModel:
         return class_of(self.group, a)
 
     def mul(self, x: CutClass, y: CutClass) -> CutClass:
-        return class_of(self.group, mul(self.group, x.rep, y.rep))
+        return class_mul(self.group, x, y)
 
     def idempotent_of(self, x: CutClass) -> CutClass:
         return self.class_of(idempotent_cut(self.group, x.rep))

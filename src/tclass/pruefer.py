@@ -5,8 +5,8 @@ Independence buys two structural facts this module leans on everywhere:
 ideal arithmetic is componentwise on value-set cuts, and every value tuple
 is realized by a field element, so a tuple is principal exactly when each
 component cut is.  So a class modulo principal tuples is the plain tuple
-of its component `cuts.CutClass`es, and the class product is the cut
-kernel's, component by component.  Classification lands on the same
+of its component `cuts.CutClass`es, and the class product is
+`cuts.class_mul`, component by component.  Classification lands on the same
 two-branch picture as the single valuation case, and the decomposition of
 a constituent group is an exact sequence: the class group of the
 stabilizer overring injects, the componentwise localization classes
@@ -142,8 +142,8 @@ def tuple_of_class(x: tuple[CutClass, ...]) -> IdealTuple:
 
 def group_membership(model: PrueferModel, a: IdealTuple,
                      idems: list[list[tuple[IdempotentForm, Cut, Cut]]]) -> list[IdempotentForm]:
-    """The forms whose constituent group holds the class of a, in
-    `enumerate_idempotent_forms` order: the product of the forms
+    """The forms whose constituent group holds the class of a, the first
+    component varying slowest: the product of the forms
     `cuts.group_membership` admits per component, audit included, given
     `idems[i] = cuts.idempotents(valuations[i])`.  Every component is
     audited, even when an earlier one admits nothing."""
@@ -188,7 +188,9 @@ def psi_localize(model: PrueferModel, a: IdealTuple, form: IdempotentForm) -> tu
     each class is read in G_i, and no truncated group is built.
 
     Membership is an O(1) test: the class's idempotent, read off level and
-    side by `classify_idempotent`, must be the form's.  No audit runs here.
+    side by `classify_idempotent`, must be the form's, so each returned
+    class is open at the form's level and `cuts.class_mul` multiplies it
+    unchecked.  No audit runs here.
     The witness (A (T:A))_t is checked in `cuts.is_regular`, which `verify`
     runs once on every distinct sampled cut in `regularity`, and the
     residual-arithmetic audit of `group_membership` runs once per distinct
@@ -202,6 +204,9 @@ def psi_localize(model: PrueferModel, a: IdealTuple, form: IdempotentForm) -> tu
 
 def _random_group_member(rng: random.Random, model: PrueferModel,
                          form: IdempotentForm) -> IdealTuple:
+    # Canonical as drawn: the coordinates below the top are members, a
+    # closed top is a member, and an open top sits at a dense level, the
+    # only place open forms exist.
     cuts = []
     for i, (g, lvl) in enumerate(zip(model.valuations, form.overring.levels)):
         boundary = [random_member(rng, g.components[k]) for k in range(lvl - 1)]
@@ -210,26 +215,27 @@ def _random_group_member(rng: random.Random, model: PrueferModel,
         else:
             top, side = random_member, CLOSED
         boundary.append(top(rng, g.components[lvl - 1]))
-        cuts.append(C.normalize(g, Cut(lvl, tuple(boundary), side)))
+        cuts.append(Cut(lvl, tuple(boundary), side))
     return IdealTuple(tuple(cuts))
 
 
-def _random_target(rng: random.Random, model: PrueferModel, local: list) -> tuple[CutClass, ...]:
+def _random_target(rng: random.Random, model: PrueferModel, form: IdempotentForm,
+                   local: list[int]) -> tuple[CutClass, ...]:
     out = []
-    for i, m in local:
-        g, lvl = model.valuations[i], m.level
+    for i in local:
+        g, lvl = model.valuations[i], form.overring.levels[i]
         boundary = [Fraction(0)] * (lvl - 1)
         boundary.append(random_rational(rng, g.components[lvl - 1]))
         out.append(C.class_of(g, Cut(lvl, tuple(boundary), OPEN)))
     return tuple(out)
 
 
-def _lift_target(model: PrueferModel, j: IdealTuple, local: list,
+def _lift_target(model: PrueferModel, j: IdealTuple, local: list[int],
                  target: tuple[CutClass, ...]) -> IdealTuple:
     """Componentwise preimage: plant each (canonical) class representative
     at its component, keep the idempotent `j` elsewhere."""
     cuts = list(j.cuts)
-    for r, (i, _) in zip(target, local):
+    for r, i in zip(target, local):
         cuts[i] = r.rep
     return IdealTuple(tuple(cuts))
 
@@ -255,13 +261,11 @@ def verify_exact_sequence(model: PrueferModel, form: IdempotentForm,
         line = message.format(*(json.dumps(tuple_to_json(a), sort_keys=True) for a in tuples))
         failures.append(line if error is None else f"{line}: {error}")
 
-    # Per-form constants: the overring, the idempotent, its class, and for
-    # each side-open component its idempotent maximal ideal.
+    # Per-form constants: the overring, the idempotent, its class, the open components.
     t = ring_tuple(model, form.overring)
     j = form_tuple(model, form)
     identity = class_of(model, j)
-    local = [(i, C.prime_cut(model.valuations[i], form.overring.levels[i]))
-             for i in sorted(form.open_components)]
+    local = sorted(form.open_components)
     try:
         ident = psi_localize(model, j, form)
     except C.MODEL_ERRORS as e:
@@ -278,13 +282,13 @@ def verify_exact_sequence(model: PrueferModel, form: IdempotentForm,
     for _ in range(samples):
         a = _random_group_member(rng, model, form)
         b = _random_group_member(rng, model, form)
-        target = _random_target(rng, model, local)
+        target = _random_target(rng, model, form, local)
         lift = _lift_target(model, j, local, target)
         try:
             ab = t_closure(model, mul(model, a, b))
             pa, pb, pab = (psi_localize(model, x, form) for x in (a, b, ab))
-            want = tuple(C.group_mul(model.valuations[i], x, y, m)
-                         for x, y, (i, m) in zip(pa, pb, local))
+            want = tuple(C.class_mul(model.valuations[i], x, y)
+                         for x, y, i in zip(pa, pb, local))
             if pab != want:
                 fail("projection not multiplicative at {} * {}", a, b)
             if pa == ident and class_of(model, a) != identity:
@@ -302,10 +306,11 @@ def verify_exact_sequence(model: PrueferModel, form: IdempotentForm,
 def enumerate_idempotent_forms(model: PrueferModel) -> list[IdempotentForm]:
     """All canonical idempotent tuples of the model, as forms: each
     component picks one of its rank-1 forms (a level and, when dense there,
-    optionally its idempotent maximal ideal), the first component varying
-    slowest."""
-    return [_join(picks) for picks in
-            itertools.product(*(C.idempotent_forms(g) for g in model.valuations))]
+    optionally its idempotent maximal ideal).  Sorted by overring levels,
+    then open components: the order every report lists them in."""
+    return sorted((_join(picks) for picks in
+                   itertools.product(*(C.idempotent_forms(g) for g in model.valuations))),
+                  key=lambda f: (f.overring.levels, sorted(f.open_components)))
 
 
 # === JSON and adapters ===
@@ -331,7 +336,7 @@ def tuple_from_json(model: PrueferModel, data) -> IdealTuple:
 
 class PrueferClassModel:
     """Duck-typed handle the semigroup oracle multiplies through: the
-    product is `cuts.ValuationClassModel`'s, component by component, and
+    product is `cuts.class_mul`, component by component, and
     `describe` names a class by the literal `write` gives its rep tuple."""
 
     def __init__(self, model: PrueferModel, write):
@@ -342,10 +347,10 @@ class PrueferClassModel:
         return class_of(self.model, a)
 
     def mul(self, x: tuple[CutClass, ...], y: tuple[CutClass, ...]) -> tuple[CutClass, ...]:
-        return tuple(C.class_of(g, C.mul(g, u.rep, v.rep))
-                     for g, u, v in zip(self.model.valuations, x, y))
+        return tuple(C.class_mul(g, u, v) for g, u, v in zip(self.model.valuations, x, y))
 
     def idempotent_of(self, x: tuple[CutClass, ...]) -> tuple[CutClass, ...]:
+        # Through tuples: the `_split` fault reaches the `valuation` specs only here.
         a = tuple_of_class(x)
         return class_of(self.model, form_tuple(self.model, classify_idempotent(self.model, a)))
 

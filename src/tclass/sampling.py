@@ -8,6 +8,7 @@ an explicit random.Random so every caller is reproducible from a seed.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -37,9 +38,13 @@ def random_rational(rng: random.Random, comp: ArchComponent) -> Fraction:
     return Fraction(rng.randint(-SPAN * d, SPAN * d), d)
 
 
+@functools.cache
+def _member_dens(comp: ArchComponent) -> tuple[int, ...]:
+    return tuple(d for d in den_choices(comp) if is_member(comp, Fraction(1, d)))
+
+
 def random_member(rng: random.Random, comp: ArchComponent) -> Fraction:
-    members = [d for d in den_choices(comp) if is_member(comp, Fraction(1, d))]
-    d = rng.choice(members)
+    d = rng.choice(_member_dens(comp))
     return Fraction(rng.randint(-SPAN * d, SPAN * d), d)
 
 

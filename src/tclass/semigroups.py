@@ -200,15 +200,15 @@ def sample_closure(model, seeds, budget: int) -> SampleClosure:
     products for every pair.  A lower-triangle product that is no class of
     the closure fails that check here, with `MalformedTableError`.
 
-    Each product is one `model.mul` and one index lookup.  The cut models'
-    classes hash and compare by integer keys and build their rep only on
-    first read, so on `cuts.ValuationClassModel` a closure of m classes
-    builds m^2 + m cuts (one per product, one rep per element) and hashes
-    no `Fraction`.  `pruefer.PrueferClassModel` multiplies its tuples of
-    those classes component by component, so over k valuations it builds
-    k times that and no ideal tuple.  The 106-element closure of the
-    benchmark's `oracle_audit` takes about 80 ms, nearly all of it in
-    `cuts.mul` and `cuts.class_of`."""
+    Each product is one `model.mul` and one index lookup.  The cut models
+    multiply through `cuts.class_mul`; their classes hash and compare by
+    integer keys and build their rep only on first read, so on
+    `cuts.ValuationClassModel` a closure of m classes builds m^2 + m cuts (one
+    per product, one rep per element) and hashes no `Fraction`.
+    `pruefer.PrueferClassModel` multiplies its tuples of those classes
+    component by component, so over k valuations it builds k times that and no
+    ideal tuple.  The 106-element closure of the benchmark's `oracle_audit`
+    takes about 80 ms, nearly all of it in `cuts.mul` and `cuts.class_of`."""
     elems: list = []
     index: dict = {}
     for x in seeds:

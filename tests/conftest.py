@@ -75,7 +75,8 @@ def group_inv(g, x, J):
     a side-closed cut (the overring's class) when the boundary is a member;
     multiplying back into J keeps the inverse in the group and fixes inv at
     the identity."""
-    C._require_member(g, x, J)
+    if C.form_cut(g, C.classify_idempotent(g, x.rep)) != J:
+        raise C.NotInGroupError(f"{C.format_cut(x.rep)} is not in the group at {C.format_cut(J)}")
     return C.class_of(g, C.t_closure(g, C.mul(g, C.quotient(g, J, x.rep), J)))
 
 

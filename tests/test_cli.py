@@ -589,8 +589,8 @@ def test_exact_sequence_counterexamples_are_replayable_literals(tmp_path, monkey
     # A group law that squares its first operand breaks the projection's
     # multiplicativity; every tuple a failure names must read back as an
     # ideal literal of the model, as `tclass classify --ideal` reads it.
-    group_mul = cuts.group_mul
-    monkeypatch.setattr(cuts, "group_mul", lambda g, x, y, j: group_mul(g, x, x, j))
+    class_mul = cuts.class_mul
+    monkeypatch.setattr(cuts, "class_mul", lambda g, x, y: class_mul(g, x, x))
     spec = write(tmp_path, "spec.json",
                  {"kind": "pruefer_fc", "valuations": [[{"Zloc": [2]}], ["Z", "Q"]]})
     out = tmp_path / "report.json"

@@ -187,9 +187,9 @@ def test_exact_sequence_failure_replays_through_classify(tmp_path, capsys, monke
 
 
 def test_exact_sequence_records_a_sample_error_with_its_tuples(monkeypatch):
-    def planted(g, x, y, j):
+    def planted(g, x, y):
         raise C.NotInGroupError("planted")
-    monkeypatch.setattr(C, "group_mul", planted)
+    monkeypatch.setattr(C, "class_mul", planted)
     for form in open_forms():
         failures = P.verify_exact_sequence(MODEL, form, 2, random.Random(1))
         assert len(failures) == 2
@@ -202,8 +202,8 @@ def test_exact_sequence_records_a_sample_error_with_its_tuples(monkeypatch):
 
 
 def test_exact_sequence_runs_no_residual_audit(diverging_residual):
-    # `psi_localize` and `group_mul` decide membership by classification,
-    # so the planted divergence passes through unseen.
+    # `psi_localize` decides membership by classification, so the planted
+    # divergence passes through unseen.
     for form in open_forms():
         assert P.verify_exact_sequence(MODEL, form, 2, random.Random(1)) == []
 

@@ -14,6 +14,7 @@ moves it.  A fault that no `verify` run can catch is listed in
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -81,8 +82,15 @@ def _coset_rep_no_inverse(real):
     return coset_rep
 
 
+@dataclass(frozen=True)
+class _WholeCutClass:
+    """A class keyed by its whole cut: no reduction modulo principal ideals."""
+
+    rep: C.Cut
+
+
 def _class_of_unreduced(real):
-    return lambda g, a: C.CutClass(a)
+    return lambda g, a: _WholeCutClass(a)
 
 
 def _idempotent_cut_ring(real):

@@ -51,17 +51,36 @@ PAIR_MEMBERSHIPS_BEFORE = 27
 IS_IDEMPOTENT_BEFORE = 27
 STABILIZERS_BEFORE = 87
 
+# The same run when the exact sequence normalised every cut it drew (72
+# calls) and built the prime cut of each open component per form (35
+# calls): 179 `cuts.normalize` calls.  The drawn cuts are canonical as
+# built, and only the level of those prime cuts was ever read.
+NORMALIZE_CALLS_BEFORE = 179
+NORMALIZE_CALLS = 72
+
 
 def test_verify_pruefer_stays_within_operation_budget(monkeypatch):
-    counts = {"cuts": 0, "memberships": 0, "normalize": 0, "idempotent_cuts": 0,
-              "is_idempotent": 0, "stabilizers": 0, "model_mul": 0}
+    counts = {"cuts": 0, "memberships": 0, "normalize": 0, "normalize in draws": 0,
+              "idempotent_cuts": 0, "is_idempotent": 0, "stabilizers": 0, "model_mul": 0}
     closures = []
+    drawing = [0]  # `pruefer._random_group_member` frames on the stack
 
     def counted(key, fn):
         def wrapper(*args):
             counts[key] += 1
+            if key == "normalize" and drawing[0]:
+                counts["normalize in draws"] += 1
             return fn(*args)
         return wrapper
+
+    draw = P._random_group_member
+
+    def drawn(*args):
+        drawing[0] += 1
+        try:
+            return draw(*args)
+        finally:
+            drawing[0] -= 1
 
     sample_closure = SG.sample_closure
 
@@ -79,6 +98,7 @@ def test_verify_pruefer_stays_within_operation_budget(monkeypatch):
     monkeypatch.setattr(P.PrueferClassModel, "mul",
                         counted("model_mul", P.PrueferClassModel.mul))
     monkeypatch.setattr(SG, "sample_closure", recorded_closure)
+    monkeypatch.setattr(P, "_random_group_member", drawn)
     kind, model = load_model(SPEC)
     report = cmd_verify(kind, model, 3, 1, None)
 
@@ -88,6 +108,8 @@ def test_verify_pruefer_stays_within_operation_budget(monkeypatch):
     assert counts["cuts"] <= CUTS_BEFORE // 2, counts
     assert counts["memberships"] <= MEMBERSHIPS_BEFORE // 2, counts
     assert counts["normalize"] <= NORMALIZE_BEFORE // 2, counts
+    assert counts["normalize"] == NORMALIZE_CALLS < NORMALIZE_CALLS_BEFORE, counts
+    assert counts["normalize in draws"] == 0, counts
     assert counts["idempotent_cuts"] <= IDEMPOTENT_CUTS_BEFORE // 4, counts
     samples, k = 3, model.k
     idempotents = sum(len(C.idempotent_forms(g)) for g in model.valuations)

@@ -186,7 +186,7 @@ def test_class_group_trivial_with_certificate(model, rng):
     e = P.class_of(model, P.ring_tuple(model, t))
     # the identity is its own square and inverse in every component's group
     for g, x, j in zip(model.valuations, e, P.ring_tuple(model, t).cuts):
-        assert C.group_mul(g, x, x, j) == x
+        assert C.class_mul(g, x, x) == x
         assert group_inv(g, x, j) == x
     # certificate: invertible tuples are shown principal by realizing shifts
     for _ in range(10):
@@ -240,8 +240,19 @@ def test_group_membership_and_ops(model, rng):
         e = P.class_of(model, j)
         # the group law is componentwise
         for g, xi, ei, ji in zip(model.valuations, x, e, j.cuts):
-            assert C.group_mul(g, xi, ei, ji) == xi
-            assert C.group_mul(g, xi, group_inv(g, xi, ji), ji) == ei
+            assert C.class_mul(g, xi, ei) == xi
+            assert C.class_mul(g, xi, group_inv(g, xi, ji)) == ei
+
+
+def test_exact_sequence_members_are_canonical_as_drawn(rng):
+    # `_random_group_member` builds its cuts without `normalize`.
+    for model in MODELS.values():
+        for form in P.enumerate_idempotent_forms(model):
+            for _ in range(20):
+                a = P._random_group_member(rng, model, form)
+                assert P.classify_idempotent(model, a) == form
+                for g, c in zip(model.valuations, a.cuts):
+                    assert C.normalize(g, c) is c, C.format_cut(c)
 
 
 def test_enumerate_idempotent_forms_counts():
