@@ -28,12 +28,12 @@ component's idempotents as `idempotents` builds them, each checked
 idempotent once with its stabilizer, and does a sample's own residual work
 once for all of them.  A failed audit raises InternalInconsistencyError.
 
-Classes modulo principal ideals (`CutClass`) are built only by `class_of`,
-keyed by (level, side) and the numerator and denominator of the top
-coordinate reduced mod its component, so the Cayley-table oracle hashes
-and compares no `Fraction`; the rep `Cut` is built on first read.
-`class_mul` is the one class product, for the class models and the exact
-sequence's group law alike.
+A class modulo principal ideals (`CutClass`) is its integer key: level,
+side, and the numerator and denominator of the top coordinate reduced mod
+its component.  `class_of` builds one from a cut; `class_mul`, the one
+class product (for the class models and the exact sequence's group law
+alike), works on keys with `mul`'s own side rule, so the Cayley-table
+oracle builds no `Cut` and no `Fraction`.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .groups import (
     ValueGroup,
@@ -188,11 +188,15 @@ def mul(g: ValueGroup, a: Cut, b: Cut) -> Cut:
     # A zero term is skipped: ring and prime cuts have all-zero boundaries,
     # and `idempotents` would otherwise pay O(rank) Fraction sums per form.
     boundary = tuple(x + y if y else x for x, y in zip(a.boundary, b.boundary))
-    if a.level == b.level:
-        side = OPEN if OPEN in (a.side, b.side) else CLOSED
-    else:
-        side = a.side if a.level < b.level else b.side
-    return Cut(level, boundary, side)
+    return Cut(level, boundary, _product_side(a.level, a.side, b.level, b.side))
+
+
+def _product_side(a_level: int, a_side: str, b_level: int, b_side: str) -> str:
+    # `mul`'s side rule, shared with `class_mul`: open iff the levels agree
+    # and either side is open; a lower-level operand keeps its own side.
+    if a_level == b_level:
+        return OPEN if OPEN in (a_side, b_side) else CLOSED
+    return a_side if a_level < b_level else b_side
 
 
 def quotient(g: ValueGroup, a: Cut, b: Cut) -> Cut:
@@ -403,93 +407,63 @@ def is_regular(g: ValueGroup, a: Cut) -> RegularityWitness:
 
 # === classes modulo principal ideals ===
 
-def _coset_rep(comp, q: Fraction) -> Fraction:
-    # Canonical representative of q + C in Q/C, inside [0, 1).
+def _coset_rep(comp, n: int, d: int) -> tuple[int, int]:
+    # The representative of n/d + C in Q/C inside [0, 1), in lowest terms.
     if comp.kind == "Q":
-        return _ZERO
-    if comp.kind == "Z":
-        return q - math.floor(q)
-    d = q.denominator
-    s_part = 1
-    for p in comp.primes:
-        while d % p == 0:
-            d //= p
-            s_part *= p
-    if d == 1:
-        return _ZERO
-    inv = pow(s_part, -1, d)
-    return Fraction(q.numerator * inv % d, d)
+        return 0, 1
+    if comp.kind == "Zloc":  # the p-part of d is a unit: divide it out
+        s_part = 1
+        for p in comp.primes:
+            while d % p == 0:
+                d //= p
+                s_part *= p
+        n *= pow(s_part, -1, d)
+    n %= d
+    common = math.gcd(n, d)
+    return n // common, d // common
 
 
-class CutClass:
-    """A cut modulo principal ideals, compared and hashed by an integer key.
+class CutClass(NamedTuple):
+    """A cut modulo principal ideals: its (level, side) and the top
+    coordinate n/d reduced mod its component into [0, 1), in lowest terms.
 
-    Built only by `class_of`, which keys the class by (level, side, n, d)
-    of the top coordinate reduced mod its component.  `rep` is the
-    class-canonical cut: zero boundary below the top, that reduced top.  It
-    is built only when first read, so a class that is only hashed and
-    compared (a product found already in a closure) costs no `Cut`.
+    `rep` is the class-canonical cut: zero boundary below the top, n/d at
+    the top, built on each read.
     """
 
-    __slots__ = ("_key", "_top", "_rep")
-
-    def __new__(cls, *args):
-        raise TypeError("a CutClass is built by cuts.class_of")
+    level: int
+    side: str
+    n: int
+    d: int
 
     @property
     def rep(self) -> Cut:
-        rep = self._rep
-        if rep is None:
-            level, side = self._key[:2]
-            rep = Cut(level, (_ZERO,) * (level - 1) + (self._top,), side)
-            _set_rep(self, rep)
-        return rep
-
-    def __eq__(self, other):
-        if not isinstance(other, CutClass):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __repr__(self):
-        return f"CutClass(rep={self.rep!r})"
-
-    def __reduce__(self):  # copy and pickle rebuild the class from its key
-        return _class, (*self._key[:2], self._top)
-
-
-# `CutClass` refuses assignment; its own slots are written through these.
-_set_key = CutClass._key.__set__
-_set_top = CutClass._top.__set__
-_set_rep = CutClass._rep.__set__
-
-
-def _class(level: int, side: str, top: Fraction) -> CutClass:
-    x = object.__new__(CutClass)
-    _set_key(x, (level, side, top.numerator, top.denominator))
-    _set_top(x, top)
-    _set_rep(x, None)
-    return x
+        top = Fraction(self.n, self.d)
+        return Cut(self.level, (_ZERO,) * (self.level - 1) + (top,), self.side)
 
 
 def class_of(g: ValueGroup, a: Cut) -> CutClass:
     validate_cut(g, a)
-    return _class(a.level, a.side, _coset_rep(g.components[a.level - 1], a.boundary[-1]))
+    top = a.boundary[-1]
+    return CutClass(a.level, a.side,
+                    *_coset_rep(g.components[a.level - 1], top.numerator, top.denominator))
 
 
 def class_mul(g: ValueGroup, x: CutClass, y: CutClass) -> CutClass:
     """The class t-product: the class of the product of the reps, with no
     `t_closure` since every ideal of a valuation domain is a t-ideal.  On a
-    constituent group it is the group's law."""
-    return class_of(g, mul(g, x.rep, y.rep))
+    constituent group it is the group's law.
+
+    It works on the keys alone, by `mul`'s rule: the reps are zero below
+    their tops, so the product's top is the sum of the tops at equal levels
+    and the shallower operand's top otherwise, reduced at the lower level."""
+    level = min(x.level, y.level)
+    if x.level == y.level:
+        n, d = x.n * y.d + y.n * x.d, x.d * y.d
+    else:
+        n, d = (x.n, x.d) if x.level == level else (y.n, y.d)
+    return CutClass(level, _product_side(x.level, x.side, y.level, y.side),
+                    *_coset_rep(g.components[level - 1], n, d))
 
 
 def idempotents(g: ValueGroup) -> list[tuple[IdempotentForm, Cut, Cut]]:

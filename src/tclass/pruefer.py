@@ -5,8 +5,8 @@ Independence buys two structural facts this module leans on everywhere:
 ideal arithmetic is componentwise on value-set cuts, and every value tuple
 is realized by a field element, so a tuple is principal exactly when each
 component cut is.  So a class modulo principal tuples is the plain tuple
-of its component `cuts.CutClass`es, and the class product is
-`cuts.class_mul`, component by component.  Classification lands on the same
+of its component `cuts.CutClass`es, each an integer key, and the class
+product is `cuts.class_mul` on those keys, component by component.  Classification lands on the same
 two-branch picture as the single valuation case, and the decomposition of
 a constituent group is an exact sequence: the class group of the
 stabilizer overring injects, the componentwise localization classes

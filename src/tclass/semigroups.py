@@ -201,14 +201,12 @@ def sample_closure(model, seeds, budget: int) -> SampleClosure:
     the closure fails that check here, with `MalformedTableError`.
 
     Each product is one `model.mul` and one index lookup.  The cut models
-    multiply through `cuts.class_mul`; their classes hash and compare by
-    integer keys and build their rep only on first read, so on
-    `cuts.ValuationClassModel` a closure of m classes builds m^2 + m cuts (one
-    per product, one rep per element) and hashes no `Fraction`.
+    multiply through `cuts.class_mul`, which works on the classes' integer
+    keys, so a closure builds no `Cut` and no `Fraction`;
     `pruefer.PrueferClassModel` multiplies its tuples of those classes
-    component by component, so over k valuations it builds k times that and no
-    ideal tuple.  The 106-element closure of the benchmark's `oracle_audit`
-    takes about 80 ms, nearly all of it in `cuts.mul` and `cuts.class_of`."""
+    component by component and builds no ideal tuple.  The 106-element
+    closure of the benchmark's `oracle_audit` takes about 30 ms, nearly all
+    of it in `cuts.class_mul`."""
     elems: list = []
     index: dict = {}
     for x in seeds:

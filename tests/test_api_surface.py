@@ -1,8 +1,8 @@
 """No dead public API: every public module-level function or class of
 `src/tclass`, every public method or property of a public class, and every
-public annotated field of a public dataclass has a reference in `src/` or
-`bench/` outside its own definition, or an entry in ALLOWED saying why
-tests alone may call it.
+public annotated field of a public dataclass or `NamedTuple` has a
+reference in `src/` or `bench/` outside its own definition, or an entry in
+ALLOWED saying why tests alone may call it.
 
 References to module-level names are resolved per module: `C.mul` with
 `from . import cuts as C` counts for `cuts.mul` only, `from .cuts import
@@ -66,25 +66,27 @@ def definitions() -> dict:
     return out
 
 
-def _is_dataclass(cls: ast.ClassDef) -> bool:
+def _has_fields(cls: ast.ClassDef) -> bool:
+    """A dataclass or a `NamedTuple`: its annotated names are fields."""
     return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
-               for d in cls.decorator_list)
+               for d in cls.decorator_list) \
+        or any(getattr(b, "id", getattr(b, "attr", None)) == "NamedTuple" for b in cls.bases)
 
 
 def _member_name(node, cls: ast.ClassDef):
     """The name a class-body statement defines as a method, property or
-    (in a dataclass) annotated field, or None."""
+    (in a dataclass or `NamedTuple`) annotated field, or None."""
     if isinstance(node, ast.FunctionDef):
         return node.name
     if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name) \
-            and _is_dataclass(cls):
+            and _has_fields(cls):
         return node.target.id
     return None
 
 
 def members() -> set:
-    """module.Class.name for each public method, property and dataclass
-    field of a public class."""
+    """module.Class.name for each public method, property and dataclass or
+    `NamedTuple` field of a public class."""
     out = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for cls in ast.parse(path.read_text()).body:
@@ -208,6 +210,15 @@ def test_a_module_function_read_hides_no_method(tmp_path):
     path.write_text("from tclass import cuts as C\nC.normalize(g, a)\nx.mul(y)\n")
     assert ("cuts", "normalize") in references(path)
     assert attributes(path) == {"mul"}
+
+
+def test_named_tuple_fields_are_members():
+    # A `NamedTuple`'s annotated names are fields, as a dataclass's are; a
+    # plain class's annotations are not.
+    named, plain = ast.parse("class K(NamedTuple):\n    f: int\nclass P:\n    f: int\n").body
+    assert _member_name(named.body[0], named) == "f"
+    assert _member_name(plain.body[0], plain) is None
+    assert {"cuts.CutClass.n", "cuts.CutClass.d", "cli.Kind.checks"} <= members()
 
 
 def defaulted() -> dict:

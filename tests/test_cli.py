@@ -515,8 +515,9 @@ def plant_deeper_side_mul(monkeypatch):
 
 
 def test_rejected_closure_table_fails_the_cross_check(tmp_path, monkeypatch):
-    # A wrong `mul` makes the sampled closure non-associative; the oracle's
-    # rejection is a failure that names the seed ideals by literals.
+    # A wrong side rule, shared by `mul` and `class_mul`, makes the sampled
+    # closure non-associative; the oracle's rejection is a failure that
+    # names the seed ideals by literals.
     plant_deeper_side_mul(monkeypatch)
     spec = write(tmp_path, "spec.json", TOWER)
     out = tmp_path / "report.json"

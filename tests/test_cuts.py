@@ -6,7 +6,7 @@ either side surfaces as a disagreement.
 """
 
 import copy
-import dataclasses
+import math
 import pickle
 import random
 from fractions import Fraction as F
@@ -570,11 +570,14 @@ def test_class_translation_invariance(group, rng):
         assert C.class_of(group, C.translate(group, a, shift)) == C.class_of(group, a)
 
 
-def class_rep(g, a):
-    """The class rep built from the cut: zeros below the top, the top
-    coordinate reduced by `_coset_rep`."""
-    top = C._coset_rep(g.components[a.level - 1], a.boundary[-1])
-    return Cut(a.level, (F(0),) * (a.level - 1) + (top,), a.side)
+def assert_class_of(g, a, x):
+    """x is a's class by a check stated here, not by `_coset_rep`: a's level
+    and side, zeros below the top, and a top in [0, 1), in lowest terms,
+    that differs from a's top by a member of the component."""
+    top = F(x.n, x.d)
+    assert x.rep == Cut(a.level, (F(0),) * (a.level - 1) + (top,), a.side)
+    assert 0 <= top < 1 and x.d > 0 and math.gcd(x.n, x.d) == 1
+    assert is_member(g.components[a.level - 1], a.boundary[-1] - top)
 
 
 @given(group_names, seeds)
@@ -582,28 +585,32 @@ def test_cut_classes_are_equal_exactly_when_their_reps_are(name, seed):
     g = GROUPS[name]
     r = random.Random(seed)
     # Raw, non-canonical cuts, and principal translates of some of them so
-    # that distinct cuts share classes.
+    # that distinct cuts share classes (and Zloc tops mix a p-power with a
+    # coprime denominator).
     cuts = [random_raw_cut(r, g) for _ in range(12)]
     cuts += [C.translate(g, a, random_element(r, g)) for a in cuts[:6]]
-    # Compared and hashed before any rep is built, then against the reps.
     classes = [C.class_of(g, a) for a in cuts]
     equal = [[x == y for y in classes] for x in classes]
     for x, same in zip(classes, equal):
         assert all(hash(x) == hash(z) for z, s in zip(classes, same) if s)
     for a, x, same in zip(cuts, classes, equal):
-        assert x.rep == class_rep(g, a)
+        assert_class_of(g, a, x)
         assert same == [x.rep == z.rep for z in classes]
+        # equal exactly when level and side agree and the tops differ by a member
+        comp = g.components[a.level - 1]
+        assert same == [(a.level, a.side) == (b.level, b.side)
+                        and is_member(comp, a.boundary[-1] - b.boundary[-1]) for b in cuts]
 
 
 def test_cut_class_repr_and_immutability():
     x = C.class_of(DY, Cut(1, (F(4, 3),), OPEN))
-    assert repr(x) == "CutClass(rep=Cut(level=1, boundary=(Fraction(1, 3),), side='open'))"
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert repr(x) == "CutClass(level=1, side='open', n=1, d=3)"
+    with pytest.raises(AttributeError):
         x.rep = Cut(1, (F(0),), OPEN)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         del x.rep
     assert x != x.rep
-    for args in ((), (x.rep,)):  # only `class_of` builds a class
+    for args in ((), (x.rep,)):  # a class is its four-int key, not a cut
         with pytest.raises(TypeError):
             C.CutClass(*args)
     assert pickle.loads(pickle.dumps(x)) == x == copy.deepcopy(x)

@@ -8,10 +8,9 @@ Cayley-table oracle multiplies a pair, in how many triples its
 associativity check reads, in how often a check re-audits an input it has
 already audited, in how the idempotent build scales with the rank, in how
 many `Fraction` operations the box oracle runs per cut pair, or in what a
-Cayley-table closure of m classes builds and hashes (at most m^2 + m
-`Cut`s, none in `class_of`, and no `Fraction` hashed or compared: classes
-are keyed by integers; a Pruefer class product builds no `IdealTuple`)
-fails here without timing anything.
+Cayley-table closure of m classes builds (no `Cut`, no `class_of` call
+and no `Fraction`: class products work on integer keys; a Pruefer class
+product builds no `IdealTuple`) fails here without timing anything.
 """
 
 import json
@@ -175,45 +174,33 @@ def test_large_closure_checks_associativity_on_few_generators():
         assert len(SG._generators(table.table)) <= 4
 
 
-# The same closure when `class_of` built its rep `Cut` up front and classes
-# hashed and compared that cut: 22 472 `Cut` constructions (11 236 of them
-# in `class_of`), 11 346 `Fraction.__hash__` and 11 027 `Fraction.__eq__`
-# calls.
-CLOSURE_CUTS_BEFORE = 22472
+# The same closure when a class product was `class_of(g, mul(g, x.rep,
+# y.rep))` on classes that cached their rep: m^2 + m = 11 342 `Cut`s,
+# m^2 = 11 236 `class_of` calls and 22 152 `Fraction`s.  Before classes
+# were keyed by integers it built 22 472 `Cut`s and hashed 11 346
+# `Fraction`s.
 
 
 def test_closure_keys_classes_by_integers(monkeypatch):
     model = C.ValuationClassModel(value_group_from_json([{"Zloc": [2]}]))
     seeds = oracle_closure_seeds(model)
     counts = Counter()
-    depth = [0]  # class_of frames on the stack
 
-    def counted(key, fn, inside=False):
-        def wrapper(*args):
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
             counts[key] += 1
-            if depth[0]:
-                counts[key + " in class_of"] += 1
-            depth[0] += inside
-            try:
-                return fn(*args)
-            finally:
-                depth[0] -= inside
+            return fn(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(C.Cut, "__post_init__", counted("cuts", C.Cut.__post_init__))
-    monkeypatch.setattr(C, "class_of", counted("class_of", C.class_of, inside=True))
-    for name in ("__hash__", "__eq__"):
-        monkeypatch.setattr(F, name, counted(name, getattr(F, name)))
+    monkeypatch.setattr(C, "class_of", counted("class_of", C.class_of))
+    monkeypatch.setattr(F, "__new__", staticmethod(counted("fractions", F.__new__)))
     closure = SG.sample_closure(model, seeds, 256)
     monkeypatch.undo()
 
-    m = len(closure.dictionary)
-    assert closure.saturated and m == 106
-    # One `Cut` per product (`cuts.mul`), one rep per element on first read.
-    assert counts["cuts"] <= m * m + m < CLOSURE_CUTS_BEFORE, counts
-    assert counts["cuts in class_of"] == 0, counts
-    assert counts["__hash__"] == counts["__eq__"] == 0, counts
-    assert counts["class_of"] == m * m, counts
+    assert closure.saturated and len(closure.dictionary) == 106
+    # `cuts.class_mul` multiplies integer keys: no `Cut`, no `Fraction`.
+    assert (counts["cuts"], counts["class_of"], counts["fractions"]) == (0, 0, 0), counts
 
 
 def counted_calls(monkeypatch, owner, name) -> list:
