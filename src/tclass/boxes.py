@@ -137,7 +137,7 @@ def _assert_small_boundary(a: Cut) -> None:
         raise ValueError(f"box oracle wants |boundary| <= {MAX_BOUNDARY}")
 
 
-def lex_min(g: ValueGroup, a: Cut, dens, scale) -> tuple:
+def lex_min(a: Cut, dens, scale) -> tuple:
     """Lex-least member of the cut's upper set on the box lattice `dens`,
     as a point on the integer lattice `scale`.
 
@@ -206,7 +206,7 @@ def check_mul(g: ValueGroup, a: Cut, b: Cut, predicted: Cut, rng) -> list:
     cuts = (a, b, predicted)
     fine, fine2 = lattice_dens(g, cuts)
     scale = lattice_scale(cuts, fine2)
-    edge = tuple(map(add, lex_min(g, a, fine2, scale), lex_min(g, b, fine2, scale)))
+    edge = tuple(map(add, lex_min(a, fine2, scale), lex_min(b, fine2, scale)))
     sa, sb, sp = (_scaled_cut(c, scale) for c in cuts)
     m = min(a.level, b.level)
     formal = tuple(map(add, sa[0][:m], sb[0][:m]))
@@ -234,7 +234,7 @@ def check_quotient(g: ValueGroup, a: Cut, b: Cut, predicted: Cut, rng) -> list:
     cuts = (a, b, predicted)
     fine, fine2 = lattice_dens(g, cuts)
     scale = lattice_scale(cuts, fine2)
-    mb = lex_min(g, b, fine2, scale)
+    mb = lex_min(b, fine2, scale)
     sa, sb, sp = (_scaled_cut(c, scale) for c in cuts)
     k = b.level - 1
     virt = mb[:k] + sb[0][k:] + mb[k + 1:]

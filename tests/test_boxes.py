@@ -52,7 +52,7 @@ def test_lex_min_matches_brute_minimum(group, rng):
     for _ in range(20):
         a = random_cut(rng, group)
         _, fine2, scale = scaled_lattice(group, (a,))
-        got = unscaled(boxes.lex_min(group, a, fine2, scale), scale)
+        got = unscaled(boxes.lex_min(a, fine2, scale), scale)
         brute = min(x for x in box_lattice(group, fine2) if member(group, a, x))
         assert got == brute, f"{a}: lex_min {got} vs enumerated {brute}"
 
@@ -61,7 +61,7 @@ def test_lex_min_rounds_offlattice_closed_boundary():
     # Closed at 1/3 over the dyadics: least lattice member is the next step up
     a = Cut(1, (F(1, 3),), CLOSED)
     _, fine2, scale = scaled_lattice(DY, (a,))
-    got = unscaled(boxes.lex_min(DY, a, fine2, scale), scale)
+    got = unscaled(boxes.lex_min(a, fine2, scale), scale)
     assert got[0] > F(1, 3)
     assert got[0] - F(1, 3) < F(1, fine2[0])
 
@@ -97,7 +97,7 @@ def test_lattice_dens_denominator_cap():
 def test_boundary_magnitude_cap():
     big = Cut(1, (F(4),), CLOSED)
     with pytest.raises(ValueError, match="boundary"):
-        boxes.lex_min(ZZ, big, [1], [1])
+        boxes.lex_min(big, [1], [1])
 
 
 def _shift(x, d):
@@ -138,8 +138,8 @@ def test_sumset_is_upper_set_at_minimum_sum(gname, rng):
         ua = [x for x in pts if member(g, a, x)]
         ub = [x for x in pts if member(g, b, x)]
         ma, mb = min(ua), min(ub)
-        assert ma == unscaled(boxes.lex_min(g, a, fine2, scale), scale)
-        assert mb == unscaled(boxes.lex_min(g, b, fine2, scale), scale)
+        assert ma == unscaled(boxes.lex_min(a, fine2, scale), scale)
+        assert mb == unscaled(boxes.lex_min(b, fine2, scale), scale)
         sums = {x[0] + y[0] for x in ua for y in ub}
         edge = ma[0] + mb[0]
         for (v,) in pts:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tclass
-from tclass import cuts, semigroups
+from tclass import cuts, sampling, semigroups
 from tclass import pruefer as P
 from tclass.cli import cmd_classify, cmd_decompose, load_model, main
 from conftest import random_raw_cut
@@ -303,11 +303,24 @@ def test_unknown_command_rejected(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_missing_fixture_file_is_usage_error(tmp_path, capsys):
+def test_missing_fixture_file_is_usage_error(tmp_path, capsys, monkeypatch):
+    # The fixture is read before any check runs, so a mistyped path costs
+    # no sampled cut; the same run on a readable fixture draws some.
+    drawn = []
+    real = sampling.random_cut
+
+    def counted(rng, g):
+        drawn.append(g)
+        return real(rng, g)
+    monkeypatch.setattr(sampling, "random_cut", counted)
     spec = valuation_spec(tmp_path)
-    assert main(["verify", spec, "--samples", "0",
+    assert main(["verify", spec, "--samples", "5",
                  "--fixture", str(tmp_path / "nope.txt")]) == 1
     assert "fixture" in capsys.readouterr().err
+    assert drawn == []
+    fixture = write(tmp_path, "table.txt", C3_TEXT)
+    assert main(["verify", spec, "--samples", "5", "--fixture", fixture]) == 0
+    assert drawn
 
 
 # -- malformed input: exit 1, one `error:` line, no traceback -----------------

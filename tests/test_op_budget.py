@@ -10,7 +10,9 @@ already audited, in how the idempotent build scales with the rank, in how
 many `Fraction` operations the box oracle runs per cut pair, or in what a
 Cayley-table closure of m classes builds (no `Cut`, no `class_of` call
 and no `Fraction`: class products work on integer keys; a Pruefer class
-product builds no `IdealTuple`) fails here without timing anything.
+product builds no `IdealTuple`), or in how many tables `cross_check`
+builds (none: it reads the closure's table) fails here without timing
+anything.
 """
 
 import json
@@ -167,11 +169,21 @@ def test_large_closure_checks_associativity_on_few_generators():
     # Light's test compares g * m^2 triples for g generators; for m >= 104,
     # g <= 4 keeps a check at or below 1/26 of the m^3 sweep.
     s = closure.semigroup
-    group = max((SG.constituent_group(s, e).table for e in SG.idempotents(s)),
-                key=lambda t: t.size)
-    assert group.size == 105
-    for table in (s, group):
-        assert len(SG._generators(table.table)) <= 4
+    assert len(SG._generators(s.table)) <= 4
+    assert max(len(SG.constituent_group(s, e)) for e in SG.idempotents(s)) == 105
+
+
+def test_cross_check_builds_no_table(monkeypatch):
+    # The closure's table is verified once, when `sample_closure` builds
+    # it.  `cross_check` reads each constituent group off that table; when
+    # it relabelled each group into a table of its own and verified that
+    # again, it built 2 on this closure, one per idempotent.
+    model = C.ValuationClassModel(value_group_from_json([{"Zloc": [2]}]))
+    closure = SG.sample_closure(model, oracle_closure_seeds(model), 256)
+    built = counted_calls(monkeypatch, SG.FiniteCommSemigroup, "__init__")
+    assert SG.cross_check(closure, model).passed
+    assert len(SG.idempotents(closure.semigroup)) == 2
+    assert built == []
 
 
 # The same closure when a class product was `class_of(g, mul(g, x.rep,
