@@ -16,7 +16,8 @@ sub-resolution band a lattice enumeration inherently cannot decide (an
 unattained infimum whose denominator lies outside the member lattice, e.g.
 an edge at 19/12 over the dyadics); points there are skipped, every other
 point gets an exact verdict.  The price is a budget: boundary coordinates
-up to |3|, check coordinates up to |4|, denominators capped at 64.  Callers
+up to |3|, check coordinates up to |4|, denominators capped at 64, which
+sampled cuts meet at every least prime up to 7 (11 needs 121).  Callers
 stay inside those margins; the module raises rather than degrade silently.
 
 Each check runs on an integer lattice.  It fixes one scale per component,
@@ -35,7 +36,7 @@ import math
 from fractions import Fraction
 from operator import add, sub
 
-from .groups import DISCRETE, LOCALIZED, RATIONALS, ValueGroup
+from .groups import DISCRETE, RATIONALS, ValueGroup
 from .cuts import CLOSED, Cut
 
 LO, HI = -8, 8
@@ -46,14 +47,11 @@ N_RANDOM = 16
 
 
 def _s_part(comp, d: int) -> int:
-    if comp.kind == RATIONALS:
-        return d
     out = 1
-    if comp.kind == LOCALIZED:
-        for p in comp.primes:
-            while d % p == 0:
-                d //= p
-                out *= p
+    for p in comp.primes:
+        while d % p == 0:
+            d //= p
+            out *= p
     return out
 
 
@@ -62,8 +60,8 @@ def _check_den(comp) -> int:
         return 1
     if comp.kind == RATIONALS:
         return 4
-    p = min(comp.primes)
-    return 4 if p == 2 else p
+    # From a least prime p of 5 on, points at 1/p would need fine2 >= p^3.
+    return {2: 4, 3: 3}.get(min(comp.primes), 1)
 
 
 def lattice_dens(g: ValueGroup, cuts, strict_discrete: bool = True):

@@ -129,15 +129,6 @@ def form_json(form: C.IdempotentForm) -> dict:
     }
 
 
-def format_form(form: C.IdempotentForm) -> str:
-    levels = ", ".join(str(l) for l in form.overring.levels)
-    if not form.open_components:
-        return f"overring at localization levels ({levels})"
-    comps = ", ".join(str(i + 1) for i in sorted(form.open_components))
-    return (f"idempotent maximal ideals of the overring at levels ({levels}), "
-            f"components {{{comps}}}")
-
-
 def _form_text(f: dict) -> str:
     if f["variant"] == "ring":
         return f"overring at levels {f['levels']}"
@@ -342,7 +333,7 @@ def _exact_sequence(m, samples, rng, write) -> dict:
             messages = P.verify_exact_sequence(m, form, samples, rng)
         except C.MODEL_ERRORS as e:
             messages = [str(e)]
-        failures.extend(f"{format_form(form)}: {msg}" for msg in messages)
+        failures.extend(f"{_form_text(form_json(form))}: {msg}" for msg in messages)
     return _check("exact_sequence", samples * len(forms), failures)
 
 

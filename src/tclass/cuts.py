@@ -85,16 +85,14 @@ MODEL_ERRORS = (InternalInconsistencyError, NotIdempotentError, NotInGroupError,
 
 @dataclass(frozen=True)
 class Cut:
+    """A prefix cut.  Its boundary is a tuple of `Fraction`s, as the parsers,
+    samplers and kernel build it: only side, level and length are checked."""
+
     level: int
     boundary: tuple[Fraction, ...]
     side: str
 
     def __post_init__(self):
-        # Parsers, samplers and the kernel already hand in tuples of
-        # Fractions; anything else (ints, strings, lists) is coerced once.
-        b = self.boundary
-        if type(b) is not tuple or not all(type(c) is Fraction for c in b):
-            object.__setattr__(self, "boundary", tuple(Fraction(c) for c in b))
         if self.side not in (CLOSED, OPEN):
             raise MalformedCutError(f"side must be {CLOSED!r} or {OPEN!r}, got {self.side!r}")
         if self.level < 1:
@@ -238,9 +236,7 @@ def prime_cut(g: ValueGroup, level: int) -> Cut:
 
 def _probe_point(g: ValueGroup, a: Cut):
     # Some group element strictly inside the upper set.
-    coords = []
-    for j in range(a.level - 1):
-        coords.append(a.boundary[j])
+    coords = list(a.boundary[:-1])
     coords.append(Fraction(math.ceil(a.boundary[a.level - 1]) + 1))
     coords.extend(_ZERO for _ in range(g.rank - a.level))
     return g.element(coords)
@@ -316,12 +312,6 @@ class IdempotentForm:
 
     overring: OverringSpec
     open_components: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "open_components", frozenset(self.open_components))
-        bad = [i for i in self.open_components if not 0 <= i < len(self.overring.levels)]
-        if bad:
-            raise ValueError(f"component indices {bad} out of range")
 
     @property
     def variant(self) -> str:

@@ -45,7 +45,6 @@ class PrueferModel:
     valuations: tuple[ValueGroup, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "valuations", tuple(self.valuations))
         if not self.valuations:
             raise ValueError("need at least one valuation")
 
@@ -196,7 +195,6 @@ def psi_localize(model: PrueferModel, a: IdealTuple, form: IdempotentForm) -> tu
     residual-arithmetic audit of `group_membership` runs once per distinct
     sampled tuple and component, against idempotents built once by
     `cuts.idempotents`, in `idempotent_uniqueness`."""
-    _check(model, a)
     if classify_idempotent(model, a) != form:
         raise NotInGroupError("tuple class lies outside the constituent group")
     return tuple(C.class_of(model.valuations[i], a.cuts[i]) for i in sorted(form.open_components))

@@ -2,8 +2,9 @@
 
 Everything stays inside the box oracle's budget on purpose: boundary
 coordinates in [-SPAN, SPAN] and denominators small enough that the
-oracle's lattice refinement never exceeds its cap of 64.  Generators take
-an explicit random.Random so every caller is reproducible from a seed.
+oracle's lattice refinement stays within its cap of 64 up to a least prime
+of 7 (from 11 on it refuses).  Generators take an explicit random.Random so
+every caller is reproducible from a seed.
 """
 
 from __future__ import annotations

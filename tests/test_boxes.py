@@ -94,6 +94,46 @@ def test_lattice_dens_denominator_cap():
         boxes.lattice_dens(QQ, wide)
 
 
+# Groups whose least prime is 5 or 7, outside `conftest.GROUPS`: there check
+# points sit on the integers, since at 1/p they would force fine2 >= p^3.
+WIDE_PRIMES = {
+    "Z[1/5]": ValueGroup((Zloc(5),)),
+    "Z[1/7]": ValueGroup((Zloc(7),)),
+    "Z,Z[1/5]": ValueGroup((Z, Zloc(5))),
+    "Z[1/5,1/7]": ValueGroup((Zloc(5, 7),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_PRIMES))
+def test_box_oracle_checks_least_primes_5_and_7(name, rng):
+    g = WIDE_PRIMES[name]
+    rejected = 0
+    for _ in range(20):
+        a, b = random_cut(rng, g), random_cut(rng, g)
+        fine, fine2, scale = scaled_lattice(g, (a, b))
+        assert max(fine2) <= boxes.DEN_CAP
+        for comp, f, f2 in zip(g.components, fine, fine2):
+            assert f2 % f == 0 and is_member(comp, F(1, f2))
+        got = unscaled(boxes.lex_min(a, fine2, scale), scale)
+        assert got == min(x for x in box_lattice(g, fine2) if member(g, a, x))
+        right = mul(g, a, b)
+        assert boxes.check_mul(g, a, b, right, rng) == []
+        assert boxes.check_quotient(g, a, b, quotient(g, a, b), rng) == []
+        assert boxes.check_same_set(g, a, a, rng) == []
+        shifted = translate(g, right, (F(1),) + (F(0),) * (g.rank - 1))
+        if abs(shifted.boundary[0]) <= boxes.MAX_BOUNDARY:
+            assert boxes.check_mul(g, a, b, shifted, rng)
+            rejected += 1
+    assert rejected
+
+
+def test_box_oracle_refuses_least_prime_11(rng):
+    g = ValueGroup((Zloc(11),))
+    a = random_cut(rng, g)
+    with pytest.raises(ValueError, match="needs lattice denominator 121 > 64"):
+        boxes.check_mul(g, a, a, mul(g, a, a), rng)
+
+
 def test_boundary_magnitude_cap():
     big = Cut(1, (F(4),), CLOSED)
     with pytest.raises(ValueError, match="boundary"):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -619,6 +620,73 @@ def test_exact_sequence_counterexamples_are_replayable_literals(tmp_path, monkey
         for start in starts:
             literal, _ = json.JSONDecoder().raw_decode(msg, start)
             assert P.tuple_to_json(P.tuple_from_json(model, literal)) == literal
+
+
+# -- every failure line `verify` can print, each from a planted fault ----------
+
+PRUEFER = {"kind": "pruefer_fc", "valuations": [[{"Zloc": [2]}], ["Z", "Q"]]}
+DYADIC = {"kind": "valuation", "group": [{"Zloc": [2]}]}
+
+
+def failures_of(tmp_path, spec, check, *extra) -> list:
+    """`verify` on `spec` must exit 2 and keep its report; the failure lines
+    of `check` there."""
+    out = tmp_path / "report.json"
+    assert main(["verify", write(tmp_path, "spec.json", spec), "--samples", "5", "--seed", "1",
+                 "--json", str(out), *extra]) == 2
+    return {c["name"]: c for c in json.loads(out.read_text())["checks"]}[check]["failures"]
+
+
+def test_fixture_that_is_not_clifford_fails_verify(tmp_path):
+    # The null semigroup on {0, 1} is commutative and associative, but 1 is
+    # not regular: 1 * 1 * a = 0 for every a.
+    fixture = write(tmp_path, "table.txt", "2\n0 0\n0 0\n")
+    assert failures_of(tmp_path, DYADIC, "fixture_table", "--fixture", fixture) == [
+        "fixture table is not Clifford"]
+
+
+def test_closure_that_never_saturates_fails_verify(tmp_path, monkeypatch):
+    # A class product whose top drifts makes a new class of every product.
+    monkeypatch.setattr(cuts, "class_mul", lambda g, x, y: x._replace(n=x.n + y.n + 1))
+    assert failures_of(tmp_path, DYADIC, "semigroup_cross_check") == [
+        "sampled closure did not saturate within budget 256"] * 3
+
+
+def test_model_error_of_a_form_fails_exact_sequence(tmp_path, monkeypatch):
+    # Raised before the sample loop, the error ends its form, and the line
+    # names the form as `classify` reports it.
+    def planted_ring_tuple(model, overring):
+        raise cuts.DomainMismatchError("planted")
+    monkeypatch.setattr(P, "ring_tuple", planted_ring_tuple)
+    failures = failures_of(tmp_path, PRUEFER, "exact_sequence")
+    assert len(failures) == 6 and failures[0] == "overring at levels [1, 1]: planted"
+    assert "maximal ideals at components [1] of the overring at levels [1, 1]: planted" \
+        in failures
+
+
+def test_embedding_that_misses_the_identity_fails_exact_sequence(tmp_path, monkeypatch):
+    # An overring tuple whose first cut is open at 1/3 embeds the identity
+    # of Cl(T) off the group identity at every form.
+    ring_tuple = P.ring_tuple
+
+    def shifted(model, overring):
+        t = ring_tuple(model, overring)
+        return P.IdealTuple((cuts.Cut(1, (Fraction(1, 3),), cuts.OPEN), *t.cuts[1:]))
+    monkeypatch.setattr(P, "ring_tuple", shifted)
+    failures = failures_of(tmp_path, PRUEFER, "exact_sequence")
+    assert len(failures) == 6
+    assert all(": embedding of Cl(T) identity missed the group identity: {\"cuts\": [" in line
+               for line in failures)
+
+
+def test_preimage_that_misses_its_target_fails_exact_sequence(tmp_path, monkeypatch):
+    # A lift that ignores its target returns the idempotent, whose
+    # projection is the identity, not the sampled target.
+    monkeypatch.setattr(P, "_lift_target", lambda model, j, local, target: j)
+    failures = failures_of(tmp_path, PRUEFER, "exact_sequence")
+    assert failures and all(re.fullmatch(r"maximal ideals at .*: constructed preimage "
+                                         r"\{\"cuts\": .*\} missed its target", line)
+                            for line in failures)
 
 
 # -- one model protocol: a cut reads alike as every kind's literal -------------

@@ -59,6 +59,11 @@ def test_element_validates_membership():
     assert Z2.element((1, -3)) == (F(1), F(-3))
 
 
+def test_element_checks_its_length():
+    with pytest.raises(G.MalformedElementError, match="expected 2 coordinates, got 1"):
+        Z2.element((F(1),))
+
+
 def test_quotient_least_positive_examples():
     # G/H_i is the tower of components 1..i, and a lex tower has a least
     # positive element iff its last component does: iff that one is Z

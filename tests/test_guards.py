@@ -19,9 +19,14 @@ where its certificate is asked for, which no command does.
 
 Classification, `psi_localize` and the group operations decide membership
 in O(1) from a canonical cut's level and side, and audit nothing.
+
+The other model errors (`DomainMismatchError`, `NotInGroupError`,
+`NotIdempotentError`) are raised at nine sites, pinned the same way in
+`MODEL_ERROR_SITES`, each with a call that trips it there.
 """
 
 import ast
+import importlib
 import json
 import random
 from fractions import Fraction as F
@@ -32,7 +37,7 @@ import pytest
 from conftest import GROUPS
 from tclass import cuts as C
 from tclass import pruefer as P
-from tclass.cli import format_form, main
+from tclass.cli import _form_text, form_json, main
 from tclass.sampling import random_cut
 from test_kills import _form_cut_swapped, _residual_negated
 
@@ -90,6 +95,81 @@ def raise_sites() -> list:
                 if name == "InternalInconsistencyError":
                     sites.append((path.stem, node.exc.args[0].value))
     return sites
+
+
+def _raised(module, call: ast.Call):
+    """The class that `raise X(...)` or `raise M.X(...)` names in `module`."""
+    fn = call.func
+    if isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name):
+        return getattr(getattr(module, fn.value.id, None), fn.attr, None)
+    return getattr(module, getattr(fn, "id", ""), None)
+
+
+OTHER_MODEL_ERRORS = (C.DomainMismatchError, C.NotInGroupError, C.NotIdempotentError)
+
+
+def model_error_sites() -> list:
+    """`module.function` of every raise of `OTHER_MODEL_ERRORS`, read off
+    each module but `__init__` and `__main__` (importing `__main__` runs the
+    command line).  `semigroups` raises a `NotIdempotentError` of its own, a
+    table error and no model error, so it does not count."""
+    sites = []
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
+        module = importlib.import_module(f"tclass.{path.stem}")
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                sites += [f"{path.stem}.{fn.name}" for node in ast.walk(fn)
+                          if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                          and _raised(module, node.exc) in OTHER_MODEL_ERRORS]
+    return sites
+
+
+def _not_idempotent_form_cut(monkeypatch):
+    # Over Z, <1; (1); closed> squares to <1; (2); closed>.
+    monkeypatch.setattr(C, "form_cut", lambda g, form: C.Cut(1, (F(1),), C.CLOSED))
+    return C.idempotents(GROUPS["Z"])
+
+
+RINGS = C.OverringSpec((1, 2))
+OPEN_FORM = P._join((C.rank1_form(1, True), C.rank1_form(2, False)))
+
+# Every raise of `OTHER_MODEL_ERRORS`: site -> (error, message, a call
+# that trips it there).
+MODEL_ERROR_SITES = {
+    "cuts.t_closure_over": (C.DomainMismatchError, "not an ideal of the overring",
+                            lambda mp: C.t_closure_over(GROUPS["Z2"], 1, C.ring_cut(GROUPS["Z2"]))),
+    "cuts.form_cut": (C.DomainMismatchError, "exactly one component",
+                      lambda mp: C.form_cut(GROUPS["Z"], C.IdempotentForm(RINGS, frozenset()))),
+    "cuts.idempotents": (C.NotIdempotentError, "is not idempotent", _not_idempotent_form_cut),
+    "pruefer._check": (C.DomainMismatchError, "tuple has 0 components, model has 2",
+                       lambda mp: P.classify_idempotent(MODEL, P.IdealTuple(()))),
+    "pruefer.ring_tuple": (C.DomainMismatchError, "overring has wrong number of components",
+                           lambda mp: P.ring_tuple(MODEL, C.OverringSpec((1,)))),
+    "pruefer.form_tuple": (C.DomainMismatchError, "form has 1 components, model has 2",
+                           lambda mp: P.form_tuple(MODEL, C.rank1_form(1, False))),
+    "pruefer.group_membership": (
+        C.DomainMismatchError, "idempotents given for 0 components",
+        lambda mp: P.group_membership(MODEL, P.ring_tuple(MODEL, RINGS), [])),
+    "pruefer.show_principal": (
+        C.NotInGroupError, "not t-invertible",
+        lambda mp: P.show_principal(MODEL, RINGS, P.form_tuple(MODEL, OPEN_FORM))),
+    "pruefer.psi_localize": (
+        C.NotInGroupError, "outside the constituent group",
+        lambda mp: P.psi_localize(MODEL, P.ring_tuple(MODEL, RINGS), OPEN_FORM)),
+}
+
+
+def test_nine_model_error_sites_each_tripped_below():
+    sites = model_error_sites()
+    assert len(sites) == 9 and sorted(sites) == sorted(MODEL_ERROR_SITES), sites
+
+
+@pytest.mark.parametrize("site", sorted(MODEL_ERROR_SITES))
+def test_model_error_site_trips(site, monkeypatch):
+    error, message, trip = MODEL_ERROR_SITES[site]
+    with pytest.raises(error, match=message) as info:
+        trip(monkeypatch)
+    assert info.traceback[-1].name == site.split(".")[1]
 
 
 def test_seven_guards_each_tripped_below():
@@ -183,7 +263,7 @@ def test_exact_sequence_failure_replays_through_classify(tmp_path, capsys, monke
             assert main(["classify", str(spec), "--ideal", ideal]) == 0
         capsys.readouterr()
         form = P.classify_idempotent(MODEL, P.tuple_from_json(MODEL, literal))
-        assert not line.startswith(format_form(form) + ": ")
+        assert not line.startswith(_form_text(form_json(form)) + ": ")
 
 
 def test_exact_sequence_records_a_sample_error_with_its_tuples(monkeypatch):
