@@ -14,8 +14,9 @@ coefficient classes of its base.  What differs per kind is data in
 writers with their text, and the documented report differences.
 
 Exit codes: 0 pass, 1 usage or parse error, 2 verification failure or an
-internal inconsistency (a bug; the message carries the command that
-replays it).
+internal inconsistency (a bug).  In `verify` every exception a check
+raises is a failure line of that check; elsewhere an internal
+inconsistency is one stderr line carrying the command that replays it.
 """
 
 from __future__ import annotations
@@ -242,16 +243,25 @@ def _render_decompose(report: dict) -> list[str]:
 
 
 # === verify ===
-# A model error (`cuts.MODEL_ERRORS`) can only come from wrong arithmetic.
-# `idempotent_uniqueness` and `exact_sequence` record one as a failure of
-# the sample that raised it, so the report keeps what the checks before
-# them found; anywhere else `main` ends in exit 2 with one stderr line.
-
 # Each check is called as check(m, samples, rng, write), m being the k
-# valuations and `write` the kind's literal writer, and draws one cut per
-# valuation per sample, in order.
+# valuations and `write` the kind's literal writer, and is a sequence of
+# trials: one per sample (drawing one cut per valuation), form or closure,
+# or one for the whole model.  `_drive` runs them all under one rule.
 
-def _check(name: str, instances: int, failures: list) -> dict:
+def _drive(name: str, instances: int, trials) -> dict:
+    """Run a check's trials in order and build its report.  A trial is a
+    generator function: it draws and sets up what it needs, yields a
+    function naming it (a sampled literal, a form, a closure's seeds), then
+    its failure lines.  An exception it raises is one more line, `<that
+    name>: Type: message` (`trial N` if unnamed), and the next trial runs."""
+    failures = []
+    for n, trial in enumerate(trials, 1):
+        steps, label = trial(), lambda: f"trial {n}"
+        try:
+            label = next(steps)
+            failures.extend(steps)
+        except Exception as e:
+            failures.append(f"{label()}: {type(e).__name__}: {e}")
     return {
         "name": name,
         "instances": instances,
@@ -268,95 +278,89 @@ def _random_tuple(rng: random.Random, m: P.PrueferModel) -> P.IdealTuple:
 def _regularity(m, samples, rng, write) -> dict:
     """Regularity is componentwise, so `cuts.is_regular` checks
     I = (I^2 (I:I^2))_t on every cut of the sampled tuple.  The audit is
-    exact, so it runs once per distinct (component, cut); every sample that
-    draws a failing cut records its own failure."""
+    exact, so it runs once per distinct (component, cut) as a one-trial
+    check, and every sample that draws a failing cut records its line."""
     @functools.cache
-    def audit(i: int, c: C.Cut) -> str | None:
-        try:
+    def audit(i: int, c: C.Cut) -> list:
+        def trial():
+            yield lambda: f"component {i + 1}"
             C.is_regular(m.valuations[i], c)
-        except C.InternalInconsistencyError as e:
-            return str(e)
-        return None
+        return _drive("", 1, [trial])["failures"]
 
-    failures = []
-    for _ in range(samples):
+    def sample():
         a = _random_tuple(rng, m)
+        yield lambda: _literal(write(a))
         for i, c in enumerate(a.cuts):
-            message = audit(i, c)
-            if message is not None:
-                failures.append(f"{_literal(write(a))}, component {i + 1}: {message}")
-    return _check("regularity", samples, failures)
+            yield from (f"{_literal(write(a))}, {line}" for line in audit(i, c))
+    return _drive("regularity", samples, [sample] * samples)
 
 
 def _idempotent_uniqueness(m, samples, rng, write) -> dict:
     """Exactly one idempotent admits each sampled tuple, by the residual
     audit of `group_membership`, and it is the one classification names.
-    Each component's idempotents are built and checked once, up front, and
-    each distinct sampled tuple is audited once."""
-    idems = [C.idempotents(g) for g in m.valuations]
-    membership = functools.cache(lambda a: P.group_membership(m, a, idems))
-    failures = []
-    for _ in range(samples):
+    Each component's idempotents are built and checked once, at the first
+    sample, and each distinct sampled tuple is audited once."""
+    idems = functools.cache(lambda: [C.idempotents(g) for g in m.valuations])
+    membership = functools.cache(lambda a: P.group_membership(m, a, idems()))
+
+    def sample():
         a = _random_tuple(rng, m)
-        try:
-            unique = membership(a) == [P.classify_idempotent(m, a)]
-        except C.MODEL_ERRORS as e:
-            failures.append(f"{_literal(write(a))}: {e}")
-            continue
-        if not unique:
-            failures.append(f"membership not unique at {_literal(write(a))}")
-    return _check("idempotent_uniqueness", samples, failures)
+        yield lambda: _literal(write(a))
+        if membership(a) != [P.classify_idempotent(m, a)]:
+            yield f"membership not unique at {_literal(write(a))}"
+    return _drive("idempotent_uniqueness", samples, [sample] * samples)
 
 
 def _overring_transfer(m, samples, rng, write) -> dict:
     """A cut's t-closure over an overring it is an ideal of (a random level
     at or above its own) is its closure over the base."""
-    failures = []
-    for _ in range(samples):
+    def sample():
         a = _random_tuple(rng, m)
+        yield lambda: _literal(write(a))
         for i, (g, c) in enumerate(zip(m.valuations, a.cuts)):
             lvl = rng.randint(c.level, g.rank)
             over, base = C.t_closure_over(g, lvl, c), C.t_closure(g, c)
             if over != base:
-                failures.append(f"{_literal(write(a))}, component {i + 1} at level {lvl}: "
-                                f"{_literal(C.cut_to_json(over))} vs "
-                                f"{_literal(C.cut_to_json(base))}")
-    return _check("overring_transfer", samples, failures)
+                yield (f"{_literal(write(a))}, component {i + 1} at level {lvl}: "
+                       f"{_literal(C.cut_to_json(over))} vs {_literal(C.cut_to_json(base))}")
+    return _drive("overring_transfer", samples, [sample] * samples)
 
 
 def _exact_sequence(m, samples, rng, write) -> dict:
     """`pruefer.verify_exact_sequence` at every form, in report order."""
+    def trial(form):
+        text = _form_text(form_json(form))
+        yield lambda: text
+        yield from (f"{text}: {msg}" for msg in P.verify_exact_sequence(m, form, samples, rng))
     forms = P.enumerate_idempotent_forms(m)
-    failures = []
-    for form in forms:
-        try:
-            messages = P.verify_exact_sequence(m, form, samples, rng)
-        except C.MODEL_ERRORS as e:
-            messages = [str(e)]
-        failures.extend(f"{_form_text(form_json(form))}: {msg}" for msg in messages)
-    return _check("exact_sequence", samples * len(forms), failures)
+    return _drive("exact_sequence", samples * len(forms),
+                  [functools.partial(trial, form) for form in forms])
 
 
 def _classification_consistency(m, samples, rng, write) -> dict:
     """Every sampled extended class lands on an idempotent `decompose` lists."""
     g = m.valuations[0]
-    forms = X.decompose(g)
-    failures = []
-    for _ in range(samples):
-        s = C.class_of(g, _random_tuple(rng, m).cuts[0])
-        if C.classify_idempotent(g, s.rep) not in forms:
-            failures.append(f"classification of {_literal(X.sym_to_json(s.rep))} "
-                            "missing from decomposition")
-    return _check("classification_consistency", samples, failures)
+    forms = functools.cache(lambda: X.decompose(g))
+
+    def sample():
+        a = _random_tuple(rng, m)
+        yield lambda: _literal(write(a))
+        s = C.class_of(g, a.cuts[0])
+        if C.classify_idempotent(g, s.rep) not in forms():
+            yield (f"classification of {_literal(X.sym_to_json(s.rep))} "
+                   "missing from decomposition")
+    return _drive("classification_consistency", samples, [sample] * samples)
 
 
 def _strongly_discrete_detector(m, samples, rng, write) -> dict:
     """V[X] has no t-idempotent t-prime p[X] (no maximal-ideal form in its
     decomposition) exactly when the base is strongly discrete."""
-    g = m.valuations[0]
-    ok = (not any(f.open_components for f in X.decompose(g))) == is_strongly_discrete(g)
-    return _check("strongly_discrete_detector", 1,
-                  [] if ok else ["detector disagrees with component density"])
+    def trial():
+        g = m.valuations[0]
+        yield lambda: f"base {_literal(value_group_to_json(g))}"
+        if (not any(f.open_components for f in X.decompose(g))) != is_strongly_discrete(g):
+            yield "detector disagrees with component density"
+    return _drive("strongly_discrete_detector", 1, [trial])
 
 
 def _semigroup_cross_check(m, samples, rng, write, seeds: int) -> dict:
@@ -364,18 +368,16 @@ def _semigroup_cross_check(m, samples, rng, write, seeds: int) -> dict:
     sampled tuples, against the Cayley-table oracle.  A table the oracle
     rejects (not associative, say) fails this check."""
     adapter = P.PrueferClassModel(m, write)
-    failures = []
-    for _ in range(3):
+
+    def trial():
         drawn = [_random_tuple(rng, m) for _ in range(seeds)]
-        try:
-            closure = SG.sample_closure(adapter, [adapter.class_of(a) for a in drawn], 256)
-            if not closure.saturated:
-                failures.append("sampled closure did not saturate within budget 256")
-                continue
-            failures.extend(SG.cross_check(closure, adapter).mismatches)
-        except SG.MalformedTableError as e:
-            failures.append(f"closure of {_literal([write(a) for a in drawn])}: {e}")
-    return _check("semigroup_cross_check", 3, failures)
+        yield lambda: f"closure of {_literal([write(a) for a in drawn])}"
+        closure = SG.sample_closure(adapter, [adapter.class_of(a) for a in drawn], 256)
+        if not closure.saturated:
+            yield "sampled closure did not saturate within budget 256"
+        else:
+            yield from SG.cross_check(closure, adapter).mismatches
+    return _drive("semigroup_cross_check", 3, [trial] * 3)
 
 
 class Kind(NamedTuple):
@@ -431,13 +433,14 @@ KINDS = {
 
 
 def _check_fixture(text: str) -> dict:
-    failures = []
-    try:
-        if not SG.is_clifford(SG.from_fixture(text)):
-            failures.append("fixture table is not Clifford")
-    except SG.MalformedTableError as e:
-        failures.append(f"fixture rejected: {e}")
-    return _check("fixture_table", 1, failures)
+    def trial():
+        yield lambda: "fixture"
+        try:
+            if not SG.is_clifford(SG.from_fixture(text)):
+                yield "fixture table is not Clifford"
+        except SG.MalformedTableError as e:
+            yield f"fixture rejected: {e}"
+    return _drive("fixture_table", 1, [trial])
 
 
 def cmd_verify(kind: str, model, samples: int, seed: int, fixture: str | None) -> dict:
@@ -529,10 +532,6 @@ def _replay(args) -> str:
     words = [args.command, args.spec]
     if args.command == "classify":
         words += ["--ideal", args.ideal]
-    elif args.command == "verify":
-        words += ["--samples", str(args.samples), "--seed", str(args.seed)]
-        if args.fixture is not None:
-            words += ["--fixture", args.fixture]
     return "tclass " + " ".join(shlex.quote(w.replace("\n", " ")) for w in words)
 
 

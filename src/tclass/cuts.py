@@ -276,9 +276,8 @@ def t_closure_over(g: ValueGroup, level: int, a: Cut) -> Cut:
 
 
 def translate(g: ValueGroup, a: Cut, shift) -> Cut:
-    """The cut of the principal multiple with value `shift` (a group element)."""
+    """The cut of the principal multiple with value `shift` (a group element, unchecked)."""
     validate_cut(g, a)
-    shift = g.element(shift)
     boundary = tuple(x + y for x, y in zip(a.boundary, shift))
     return Cut(a.level, boundary, a.side)
 
@@ -383,8 +382,7 @@ def is_regular(g: ValueGroup, a: Cut) -> RegularityWitness:
         raise InternalInconsistencyError("regularity identity I = (I^2 (I:I^2))_t failed")
     shift: Optional[tuple[Fraction, ...]] = None
     if all(is_member(c, q) for c, q in zip(g.components, a.boundary)):
-        lift = list(a.boundary) + [Fraction(0)] * (g.rank - a.level)
-        shift = g.element(lift)
+        shift = a.boundary + (_ZERO,) * (g.rank - a.level)
         if translate(g, a, shift) != sq:
             raise InternalInconsistencyError("witness shift does not realize the square")
     idempotent = idempotent_cut(g, a)
@@ -399,6 +397,8 @@ def is_regular(g: ValueGroup, a: Cut) -> RegularityWitness:
 
 def _coset_rep(comp, n: int, d: int) -> tuple[int, int]:
     # The representative of n/d + C in Q/C inside [0, 1), in lowest terms.
+    if d < 1:  # the Zloc loop below would never end on d = 0
+        raise InternalInconsistencyError("coset denominator below 1")
     if comp.kind == "Q":
         return 0, 1
     if comp.kind == "Zloc":  # the p-part of d is a unit: divide it out

@@ -117,8 +117,8 @@ class ValueGroup:
         object.__setattr__(self, "rank", len(comps))
 
     def element(self, coords) -> tuple[Fraction, ...]:
-        """Validated element constructor: one member coordinate per component."""
-        xs = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
+        """Validated element: one member `Fraction` coordinate per component."""
+        xs = tuple(coords)
         if len(xs) != self.rank:
             raise MalformedElementError(
                 f"expected {self.rank} coordinates, got {len(xs)}"

@@ -172,8 +172,7 @@ def show_principal(model: PrueferModel, overring: OverringSpec, a: IdealTuple) -
             raise InternalInconsistencyError(
                 "invertible tuple with a non-realizable component boundary"
             )
-        lift = list(c.boundary) + [Fraction(0)] * (g.rank - c.level)
-        shifts.append(g.element(lift))
+        shifts.append(c.boundary + (Fraction(0),) * (g.rank - c.level))
     return tuple(shifts)
 
 
@@ -187,16 +186,16 @@ def psi_localize(model: PrueferModel, a: IdealTuple, form: IdempotentForm) -> tu
     each class is read in G_i, and no truncated group is built.
 
     Membership is an O(1) test: the class's idempotent, read off level and
-    side by `classify_idempotent`, must be the form's, so each returned
-    class is open at the form's level and `cuts.class_mul` multiplies it
-    unchecked.  No audit runs here.
+    side by `classify_idempotent`, must be the form's (a `NotInGroupError`
+    names `a` by its literal), so each returned class is open at the form's
+    level and `cuts.class_mul` multiplies it unchecked.  No audit runs here.
     The witness (A (T:A))_t is checked in `cuts.is_regular`, which `verify`
     runs once on every distinct sampled cut in `regularity`, and the
     residual-arithmetic audit of `group_membership` runs once per distinct
     sampled tuple and component, against idempotents built once by
     `cuts.idempotents`, in `idempotent_uniqueness`."""
     if classify_idempotent(model, a) != form:
-        raise NotInGroupError("tuple class lies outside the constituent group")
+        raise NotInGroupError(f"{_literal(a)}: tuple class lies outside the constituent group")
     return tuple(C.class_of(model.valuations[i], a.cuts[i]) for i in sorted(form.open_components))
 
 
@@ -249,14 +248,14 @@ def verify_exact_sequence(model: PrueferModel, form: IdempotentForm,
     every sampled target vector lifts.  Failures name the offending tuples
     by the literals `tclass classify --ideal` reads; they indicate
     arithmetic bugs and are never swallowed.  A model error
-    (`cuts.MODEL_ERRORS`) is such a failure too: one raised by the form's
-    idempotent names that tuple and ends the form, one raised in a sample
-    names the sample's tuples and ends the sample.
+    (`cuts.MODEL_ERRORS`) raised in a sample is such a failure: it names
+    the sample's tuples and ends the sample.  Any other exception leaves
+    this function, and `verify` records it as a failure of the form.
     """
     failures = []
 
     def fail(message: str, *tuples: IdealTuple, error: Exception | None = None) -> None:
-        line = message.format(*(json.dumps(tuple_to_json(a), sort_keys=True) for a in tuples))
+        line = message.format(*map(_literal, tuples))
         failures.append(line if error is None else f"{line}: {error}")
 
     # Per-form constants: the overring, the idempotent, its class, the open components.
@@ -264,11 +263,7 @@ def verify_exact_sequence(model: PrueferModel, form: IdempotentForm,
     j = form_tuple(model, form)
     identity = class_of(model, j)
     local = sorted(form.open_components)
-    try:
-        ident = psi_localize(model, j, form)
-    except C.MODEL_ERRORS as e:
-        fail("idempotent {}", j, error=e)
-        return failures
+    ident = psi_localize(model, j, form)
 
     # The embedding pushes a class over T into the group by multiplying
     # into the idempotent and t-closing; the identity of Cl(T) is T's class.
@@ -315,6 +310,10 @@ def enumerate_idempotent_forms(model: PrueferModel) -> list[IdempotentForm]:
 
 def tuple_to_json(a: IdealTuple) -> dict:
     return {"cuts": [C.cut_to_json(c) for c in a.cuts]}
+
+
+def _literal(a: IdealTuple) -> str:
+    return json.dumps(tuple_to_json(a), sort_keys=True)
 
 
 def tuple_from_json(model: PrueferModel, data) -> IdealTuple:

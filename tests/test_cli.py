@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import tclass
 from tclass import cuts, sampling, semigroups
+from tclass import polyext as X
 from tclass import pruefer as P
 from tclass.cli import cmd_classify, cmd_decompose, load_model, main
 from conftest import random_raw_cut
@@ -483,14 +484,36 @@ def test_internal_inconsistency_in_a_literal_reader_exits_2(spec, literal, tmp_p
     assert err.count("\n") == 1 and "planted" in err and "replay with: tclass classify" in err
 
 
+def verify_checks(tmp_path, capsys, spec, samples) -> dict:
+    """`verify --seed 11` on the `spec` file, which must exit 2 with no
+    stderr line and write its report; the report's checks by name."""
+    out = tmp_path / "report.json"
+    assert main(["verify", spec, "--samples", str(samples), "--seed", "11",
+                 "--json", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    return {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+
+
+def literal_and_error(line: str) -> tuple:
+    """A failure line read as (the JSON literal it opens with, the rest)."""
+    literal, end = json.JSONDecoder().raw_decode(line)
+    return literal, line[end:]
+
+
 def test_internal_inconsistency_in_verify_exits_2(tmp_path, capsys, monkeypatch):
-    # Raised before any sample is drawn, the error leaves no report to keep.
+    # Raised while `idempotent_uniqueness` sets up its idempotents, before
+    # any audit, the error is a failure of every sample, named by its literal.
     monkeypatch.setattr(cuts, "idempotents", planted)
     spec = valuation_spec(tmp_path)
-    assert main(["verify", spec, "--samples", "3", "--seed", "11"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "planted" in err
-    assert "verify" in err and spec in err and "--seed 11" in err
+    checks = verify_checks(tmp_path, capsys, spec, 3)
+    assert [n for n, c in checks.items() if not c["passed"]] == ["idempotent_uniqueness"]
+    uniqueness = checks["idempotent_uniqueness"]
+    assert uniqueness["failure_count"] == 3
+    kind, model = load_model(spec)
+    for line in uniqueness["failures"]:
+        literal, rest = literal_and_error(line)
+        assert rest == ": InternalInconsistencyError: planted"
+        assert cmd_classify(kind, model, json.dumps(literal))["ideal"] == literal
 
 
 def test_internal_inconsistency_in_a_sample_is_a_reported_failure(tmp_path, capsys, monkeypatch):
@@ -498,27 +521,30 @@ def test_internal_inconsistency_in_a_sample_is_a_reported_failure(tmp_path, caps
     # the witness (I (T:I))_t that both audits build, the error is a failure
     # of that sample, and the later checks still run.
     monkeypatch.setattr(cuts, "_witness", planted)
-    spec, out = valuation_spec(tmp_path), tmp_path / "report.json"
-    assert main(["verify", spec, "--samples", "3", "--seed", "11", "--json", str(out)]) == 2
-    assert capsys.readouterr().err == ""
-    checks = json.loads(out.read_text())["checks"]
-    assert [c["name"] for c in checks if not c["passed"]] == ["regularity", "idempotent_uniqueness"]
-    uniqueness = checks[1]
-    assert uniqueness["failure_count"] == 3
-    assert all(line.startswith('{"boundary": ') and line.endswith("}: planted")
-               for line in uniqueness["failures"])
+    checks = verify_checks(tmp_path, capsys, valuation_spec(tmp_path), 3)
+    assert [n for n, c in checks.items() if not c["passed"]] == ["regularity",
+                                                                  "idempotent_uniqueness"]
+    assert [c["failure_count"] for c in checks.values()] == [3, 3, 0, 0]
+    for name, tail in [("regularity", ", component 1: InternalInconsistencyError: planted"),
+                       ("idempotent_uniqueness", ": InternalInconsistencyError: planted")]:
+        for line in checks[name]["failures"]:
+            literal, rest = literal_and_error(line)
+            assert set(literal) == {"boundary", "level", "side"} and rest == tail
 
 
 def test_escaped_group_error_in_verify_exits_2(tmp_path, capsys, monkeypatch):
     # Over Z the cut <1; (1); closed> holds the values >= 1 and its square
     # the values >= 2: not idempotent, so `cuts.idempotents` raises
-    # NotIdempotentError when it is planted as J.
+    # NotIdempotentError when it is planted as J, in every sample of
+    # `idempotent_uniqueness`.
     monkeypatch.setattr(cuts, "form_cut", lambda g, form: cuts.Cut(1, (1,), cuts.CLOSED))
-    spec = valuation_spec(tmp_path)
-    assert main(["verify", spec, "--samples", "3", "--seed", "11"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "is not idempotent" in err
-    assert "verify" in err and spec in err and "--seed 11" in err
+    checks = verify_checks(tmp_path, capsys, valuation_spec(tmp_path), 3)
+    uniqueness = checks["idempotent_uniqueness"]
+    assert uniqueness["failure_count"] == 3
+    for line in uniqueness["failures"]:
+        literal, rest = literal_and_error(line)
+        assert set(literal) == {"boundary", "level", "side"}
+        assert rest == ": NotIdempotentError: <1; (1); closed> is not idempotent"
 
 
 TOWER = {"kind": "valuation", "group": ["Q", "Z", {"Zloc": [2]}]}
@@ -563,13 +589,19 @@ def test_lower_product_outside_the_closure_fails_the_cross_check(tmp_path, monke
 
 def test_escaped_domain_mismatch_in_verify_exits_2(tmp_path, capsys, monkeypatch):
     # At 30 samples the same fault denies a cut its own overring, and
-    # `t_closure_over` raises DomainMismatchError.
+    # `t_closure_over` raises DomainMismatchError: a failure of the sample
+    # in `overring_transfer`, and the cross-check after it still runs.
     plant_deeper_side_mul(monkeypatch)
     spec = write(tmp_path, "spec.json", TOWER)
-    assert main(["verify", spec, "--samples", "30", "--seed", "1"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "not an ideal of the overring" in err
-    assert "verify" in err and spec in err and "--samples 30 --seed 1" in err
+    checks = verify_checks(tmp_path, capsys, spec, 30)
+    transfer = checks["overring_transfer"]
+    assert transfer["failure_count"] == 4
+    _, g = load_model(spec)
+    for line in transfer["failures"]:
+        literal, rest = literal_and_error(line)
+        assert rest == ": DomainMismatchError: not an ideal of the overring at this level"
+        assert cuts.cut_to_json(cuts.cut_from_json(g, literal)) == literal
+    assert checks["semigroup_cross_check"]["failures"]
 
 
 @pytest.mark.parametrize("spec", [
@@ -652,16 +684,18 @@ def test_closure_that_never_saturates_fails_verify(tmp_path, monkeypatch):
         "sampled closure did not saturate within budget 256"] * 3
 
 
-def test_model_error_of_a_form_fails_exact_sequence(tmp_path, monkeypatch):
+def test_model_error_of_a_form_fails_exact_sequence(tmp_path, capsys, monkeypatch):
     # Raised before the sample loop, the error ends its form, and the line
-    # names the form as `classify` reports it.
+    # names the form as `classify` reports it, then the error's type.
     def planted_ring_tuple(model, overring):
         raise cuts.DomainMismatchError("planted")
     monkeypatch.setattr(P, "ring_tuple", planted_ring_tuple)
     failures = failures_of(tmp_path, PRUEFER, "exact_sequence")
-    assert len(failures) == 6 and failures[0] == "overring at levels [1, 1]: planted"
-    assert "maximal ideals at components [1] of the overring at levels [1, 1]: planted" \
-        in failures
+    assert len(failures) == 6
+    assert failures[0] == "overring at levels [1, 1]: DomainMismatchError: planted"
+    assert ("maximal ideals at components [1] of the overring at levels [1, 1]: "
+            "DomainMismatchError: planted") in failures
+    assert capsys.readouterr().err == ""
 
 
 def test_embedding_that_misses_the_identity_fails_exact_sequence(tmp_path, monkeypatch):
@@ -687,6 +721,66 @@ def test_preimage_that_misses_its_target_fails_exact_sequence(tmp_path, monkeypa
     assert failures and all(re.fullmatch(r"maximal ideals at .*: constructed preimage "
                                          r"\{\"cuts\": .*\} missed its target", line)
                             for line in failures)
+
+
+# -- one error rule: any exception in a check is that check's failure ---------
+
+KIND_CHECKS = {
+    "valuation": (DYADIC, ["regularity", "idempotent_uniqueness", "overring_transfer",
+                           "semigroup_cross_check"]),
+    "pruefer_fc": (PRUEFER, ["regularity", "idempotent_uniqueness", "exact_sequence",
+                             "semigroup_cross_check"]),
+    "poly_ext": ({"kind": "poly_ext", "base": [{"Zloc": [2]}]},
+                 ["regularity", "classification_consistency", "strongly_discrete_detector",
+                  "semigroup_cross_check"]),
+}
+# (module, function) -> the checks that call it
+CALLERS = {
+    (cuts, "is_regular"): {"regularity"},
+    (P, "group_membership"): {"idempotent_uniqueness"},
+    (cuts, "t_closure_over"): {"overring_transfer"},
+    (P, "verify_exact_sequence"): {"exact_sequence"},
+    (X, "decompose"): {"classification_consistency", "strongly_discrete_detector"},
+    (semigroups, "sample_closure"): {"semigroup_cross_check"},
+}
+
+
+def raise_planted(*args):
+    raise ZeroDivisionError("planted")
+
+
+@pytest.mark.parametrize("kind, module, name", [
+    (kind, module, name) for kind, (_, names) in KIND_CHECKS.items()
+    for (module, name), callers in CALLERS.items() if callers & set(names)
+], ids=lambda v: getattr(v, "__name__", v).split(".")[-1])
+def test_every_check_records_a_foreign_exception(kind, module, name, tmp_path, capsys,
+                                                 monkeypatch):
+    monkeypatch.setattr(module, name, raise_planted)
+    spec, names = KIND_CHECKS[kind]
+    out = tmp_path / "report.json"
+    assert main(["verify", write(tmp_path, "spec.json", spec), "--samples", "3", "--seed", "1",
+                 "--json", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["name"] for c in checks] == names
+    assert {c["name"] for c in checks if not c["passed"]} == CALLERS[module, name]
+    for c in checks:
+        assert all(line.endswith(": ZeroDivisionError: planted") for line in c["failures"])
+
+
+def test_a_draw_that_raises_fails_its_trial_by_number(tmp_path, capsys, monkeypatch):
+    # Raised before a trial can name its sample, the error is named by the
+    # trial's number, and every later trial still draws.
+    monkeypatch.setattr(sampling, "random_cut", raise_planted)
+    spec, names = KIND_CHECKS["valuation"]
+    out = tmp_path / "report.json"
+    assert main(["verify", write(tmp_path, "spec.json", spec), "--samples", "3", "--seed", "1",
+                 "--json", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["name"] for c in checks] == names
+    assert all(c["failures"] == [f"trial {n}: ZeroDivisionError: planted" for n in (1, 2, 3)]
+               for c in checks)
 
 
 # -- one model protocol: a cut reads alike as every kind's literal -------------

@@ -56,7 +56,7 @@ def test_component_constructors_reject_bad_input():
 def test_element_validates_membership():
     with pytest.raises(G.MalformedElementError):
         Z2.element((F(1, 2), F(0)))
-    assert Z2.element((1, -3)) == (F(1), F(-3))
+    assert Z2.element([F(1), F(-3)]) == (F(1), F(-3))
 
 
 def test_element_checks_its_length():

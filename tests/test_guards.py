@@ -1,7 +1,7 @@
 """Where each `InternalInconsistencyError` guard runs, and a planted fault
 that trips it there.
 
-`src/tclass` holds seven raise sites.  Five audit one cut and run in
+`src/tclass` holds eight raise sites.  Five audit one cut and run in
 `cuts.is_regular`, once per cut: the regularity identity, the witness
 shift, the `(I : I)` recheck of `stabilizer` (through `idempotent_cut`),
 the witness idempotent (I (T:I))_t against the form `classify_idempotent`
@@ -11,10 +11,12 @@ identity.  `is_regular` runs on every component of every sample in
 `classify` ends in exit 2 with one stderr line naming the guard.  `verify`
 ends in exit 2 too; `regularity` lists the guard as a counterexample, and
 the report keeps it when the fault makes a later sample or form raise,
-since `idempotent_uniqueness` and `exact_sequence` record such an error as
-a failure.  The residual audit of `cuts.group_membership` runs in
+since every check records any exception as a failure of the trial that
+raised it.  The residual audit of `cuts.group_membership` runs in
 `idempotent_uniqueness`, once per sample and component, against the
-idempotents `cuts.idempotents` builds before the sample loop.  The guard of `pruefer.show_principal` runs
+idempotents `cuts.idempotents` builds at the first sample.  The guard of
+`cuts._coset_rep` refuses a class denominator below 1, on which its
+`Zloc` loop would never end.  The guard of `pruefer.show_principal` runs
 where its certificate is asked for, which no command does.
 
 Classification, `psi_localize` and the group operations decide membership
@@ -82,6 +84,7 @@ REGULAR_GUARDS = {
 }
 RESIDUAL = "membership tests diverged"
 CERTIFICATE = "invertible tuple with a non-realizable component boundary"
+COSET = "coset denominator below 1"
 
 
 def raise_sites() -> list:
@@ -172,10 +175,11 @@ def test_model_error_site_trips(site, monkeypatch):
     assert info.traceback[-1].name == site.split(".")[1]
 
 
-def test_seven_guards_each_tripped_below():
+def test_eight_guards_each_tripped_below():
     sites = raise_sites()
-    assert len(sites) == 7, sites
-    assert sorted(msg for _, msg in sites) == sorted([*REGULAR_GUARDS, RESIDUAL, CERTIFICATE])
+    assert len(sites) == 8, sites
+    assert sorted(msg for _, msg in sites) == sorted(
+        [*REGULAR_GUARDS, RESIDUAL, CERTIFICATE, COSET])
 
 
 @pytest.mark.parametrize("message", sorted(REGULAR_GUARDS), ids=lambda m: REGULAR_GUARDS[m][0])
@@ -209,8 +213,8 @@ def test_residual_divergence_fails_verify_in_idempotent_uniqueness(
     failures = checks["idempotent_uniqueness"]["failures"]
     assert len(failures) == 2
     for line in failures:
-        literal, message = line.rsplit(": ", 1)
-        assert message == RESIDUAL
+        literal, error, message = line.rsplit(": ", 2)
+        assert (error, message) == ("InternalInconsistencyError", RESIDUAL)
         assert len(json.loads(literal)["cuts"]) == MODEL.k
 
 
@@ -297,6 +301,12 @@ def test_show_principal_guard_trips_on_a_planted_invertibility(monkeypatch):
     a = P.IdealTuple((C.Cut(1, (F(1, 3),), C.OPEN), t.cuts[1]))
     with pytest.raises(C.InternalInconsistencyError, match=CERTIFICATE):
         P.show_principal(MODEL, overring, a)
+
+
+def test_coset_rep_guard_trips_on_a_zero_denominator():
+    # Unguarded, `while d % p == 0` never ends on d = 0.
+    with pytest.raises(C.InternalInconsistencyError, match=COSET):
+        C._coset_rep(GROUPS["Zhalf"].components[0], 1, 0)
 
 
 def test_psi_localize_rejects_tuples_outside_the_group(rng):

@@ -3,13 +3,14 @@
 Each fault is a one-line change to the cut kernel or a model, planted with
 `monkeypatch` in the module that defines it (no file is edited).  The
 matrix pins the outcome of `tclass verify SPEC --samples 10 --seed 1`
-under every fault on every spec: exit 0 (the fault passes), exit 2 (the
-fault is caught), or the name of the exception that escaped `main` (a
-traceback).  A change to `verify` may turn a pass or a traceback into
-exit 2, never the reverse; a cell changes together with the code that
-moves it.  A cell that no `verify` run can catch, a (fault, spec) pair
-where no input reaches the fault, is listed in `EQUIVALENT` with the
-reason.
+under every fault on every spec: exit 0 (the fault passes) or exit 2 (the
+fault is caught).  `verify` records every exception a check raises as a
+failure of that check, so no fault may end in a traceback; `outcome`
+still names the exception that escapes `main`, so one that does shows
+in its cell.  A change to `verify` may turn a pass into exit 2, never
+the reverse; a cell changes together with the code that moves it.  A
+cell that no `verify` run can catch, a (fault, spec) pair where no input
+reaches the fault, is listed in `EQUIVALENT` with the reason.
 """
 
 import io
@@ -89,6 +90,13 @@ def _class_of_unreduced(real):
     return class_of
 
 
+def _class_of_past_top(real):
+    # The top read one coordinate past the boundary: an IndexError.
+    def class_of(g, a):
+        return real(g, C.Cut(a.level, a.boundary[:-1] + (a.boundary[a.level],), a.side))
+    return class_of
+
+
 def _idempotent_cut_ring(real):
     return lambda g, a: C.ring_cut(g)
 
@@ -138,6 +146,7 @@ FAULTS = {
     "mul takes the deeper side": (C, "_product_side", _side_deeper),
     "_coset_rep drops the inverse": (C, "_coset_rep", _coset_rep_no_inverse),
     "class_of unreduced": (C, "class_of", _class_of_unreduced),
+    "class_of reads past the top": (C, "class_of", _class_of_past_top),
     "idempotent_cut is the ring cut": (C, "idempotent_cut", _idempotent_cut_ring),
     "t_closure_over rings open cuts": (C, "t_closure_over", _t_closure_over_ring_if_open),
     "quotient keeps A's side on an open divisor":
@@ -156,6 +165,7 @@ KILLS = {
     "mul takes the deeper side": (2, 0, 2, 0, 2, 2, 0),
     "_coset_rep drops the inverse": (0, 0, 0, 2, 0, 0, 0),
     "class_of unreduced": (2, 2, 2, 2, 2, 2, 2),
+    "class_of reads past the top": (2, 2, 2, 2, 2, 2, 2),
     "idempotent_cut is the ring cut": (2, 2, 2, 2, 2, 2, 2),
     "t_closure_over rings open cuts": (2, 2, 2, 0, 0, 0, 0),
     "quotient keeps A's side on an open divisor": (2, 2, 2, 2, 2, 2, 2),
@@ -199,6 +209,10 @@ def test_matrix_covers_every_fault_and_spec():
     assert all(len(row) == len(SPECS) for row in KILLS.values())
     cells = {(fault, spec): got for fault, row in KILLS.items() for spec, got in zip(SPECS, row)}
     assert all(cells[cell] == 0 for cell in EQUIVALENT)
+
+
+def test_no_fault_ends_in_a_traceback():
+    assert all(cell in (0, 2) for row in KILLS.values() for cell in row)
 
 
 def plant(monkeypatch, fault):

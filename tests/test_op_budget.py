@@ -274,7 +274,8 @@ def test_a_repeated_failing_cut_fails_every_sample_that_draws_it(monkeypatch):
     regularity = report["checks"][0]
     assert regularity["name"] == "regularity"
     assert regularity["failure_count"] == hits
-    line = f"{json.dumps(C.cut_to_json(target), sort_keys=True)}, component 1: planted"
+    line = (f"{json.dumps(C.cut_to_json(target), sort_keys=True)}, component 1: "
+            "InternalInconsistencyError: planted")
     assert regularity["failures"] == [line] * min(hits, 10)
     assert audited.count(target) == 1
 
