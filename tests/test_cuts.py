@@ -580,6 +580,26 @@ def assert_class_of(g, a, x):
     assert is_member(g.components[a.level - 1], a.boundary[-1] - top)
 
 
+
+COSET_COMPONENTS = {"Z": Z, "Q": Q, "Z[1/2]": Zloc(2), "Z[1/3]": Zloc(3), "Z[1/2,1/3]": Zloc(2, 3)}
+
+
+@pytest.mark.parametrize("name", sorted(COSET_COMPONENTS))
+def test_coset_rep_matches_a_fraction_reference(name):
+    # The coset n/d + C meets [0, 1) in exactly one rational whose lowest
+    # denominator is 1 over Q and prime to the localized primes over
+    # Z[1/S] (over Z, [0, 1) holds only one).  Every n/d with d up to 64
+    # is checked: d = 1 and the pure p-powers, with no unit part left to
+    # invert, among them.
+    comp = COSET_COMPONENTS[name]
+    for d in range(1, 65):
+        for n in range(-d, 2 * d):
+            rn, rd = C._coset_rep(comp, n, d)
+            r = F(rn, rd)
+            assert (r.numerator, r.denominator) == (rn, rd) and 0 <= r < 1, (n, d)
+            assert is_member(comp, F(n, d) - r), (n, d)
+            assert rd == 1 if comp.kind == "Q" else all(rd % p for p in comp.primes), (n, d)
+
 @given(group_names, seeds)
 def test_cut_classes_are_equal_exactly_when_their_reps_are(name, seed):
     g = GROUPS[name]

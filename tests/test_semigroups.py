@@ -61,6 +61,24 @@ def test_rejects_non_commutative_with_location():
         FiniteCommSemigroup([[0, 0], [1, 1]])
 
 
+def test_non_commutative_names_the_first_pair_in_row_major_order():
+    # Asymmetric at (1, 2), (0, 3) and (2, 3): (0, 3) comes first row by
+    # row, (1, 2) first column by column.
+    rows = [list(r) for r in cyclic(4)]
+    rows[1][2] = rows[0][3] = rows[3][2] = 0
+    with pytest.raises(MalformedTableError, match=r"^not commutative at \(0, 3\)$"):
+        FiniteCommSemigroup(rows)
+
+
+def test_rejects_entries_outside_the_indices():
+    # A negative entry would index from the end of a row, so it is refused
+    # like an entry past it.
+    for rows in ([[-1]], [[0, -1], [-1, 0]], [[0, 1, 2], [1, 2, 0], [2, 0, 3]],
+                 [[0, 1, 2], [1, -3, 0], [2, 0, 1]]):
+        with pytest.raises(MalformedTableError, match="^table is not square over its own indices$"):
+            FiniteCommSemigroup(rows)
+
+
 def test_rejects_non_associative_with_location():
     # commutative but (0*0)*1 = 0 while 0*(0*1) = 1
     with pytest.raises(MalformedTableError, match=r"not associative at \(0, 0, 1\)"):
@@ -173,6 +191,30 @@ def test_generators_are_greedy_and_can_be_every_element():
     # no element of a max-chain is a product of smaller ones: Light's test
     # is the full m^3 sweep there
     assert _generators(chain(5, max)) == [0, 1, 2, 3, 4]
+
+
+def reference_generators(rows) -> list[int]:
+    """The greedy generating set by definition: keep each index that the
+    submagma generated by the kept ones, grown to a fixed point, misses."""
+    gens, inside = [], set()
+    for g in range(len(rows)):
+        if g not in inside:
+            gens.append(g)
+            inside = set(gens)
+            while True:
+                grown = inside | {rows[x][y] for x in inside for y in inside}
+                if grown == inside:
+                    break
+                inside = grown
+    return gens
+
+
+def test_generators_match_the_definition():
+    rng = random.Random(11)
+    tables = [SEMILATTICE, NILPOTENT, C3_ROWS, *SEMIGROUPS.values()]
+    tables += [random_commutative_semigroup(rng) for _ in range(30)]
+    for rows in tables:
+        assert _generators(rows) == reference_generators(rows)
 
 
 def test_table_equality_and_ops():
