@@ -253,7 +253,9 @@ def _drive(name: str, instances: int, trials) -> dict:
     generator function: it draws and sets up what it needs, yields a
     function naming it (a sampled literal, a form, a closure's seeds), then
     its failure lines.  An exception it raises is one more line, `<that
-    name>: Type: message` (`trial N` if unnamed), and the next trial runs."""
+    name>: Type: message` (`trial N` if unnamed), and the next trial runs.
+    `trials` is read one trial at a time, so a trial may set up the later
+    ones (`exact_sequence` enumerates its forms this way)."""
     failures = []
     for n, trial in enumerate(trials, 1):
         steps, label = trial(), lambda: f"trial {n}"
@@ -327,14 +329,27 @@ def _overring_transfer(m, samples, rng, write) -> dict:
 
 
 def _exact_sequence(m, samples, rng, write) -> dict:
-    """`pruefer.verify_exact_sequence` at every form, in report order."""
+    """`pruefer.verify_exact_sequence` at every form, in report order.  The
+    forms are enumerated by a first trial, so a fault there is one line;
+    one trial per form follows.  The instance count is read off the
+    rank-1 forms, whose product the forms are."""
+    forms = []
+
+    def enumerate_forms():
+        yield lambda: "idempotent forms"
+        forms.extend(P.enumerate_idempotent_forms(m))
+
     def trial(form):
         text = _form_text(form_json(form))
         yield lambda: text
         yield from (f"{text}: {msg}" for msg in P.verify_exact_sequence(m, form, samples, rng))
-    forms = P.enumerate_idempotent_forms(m)
-    return _drive("exact_sequence", samples * len(forms),
-                  [functools.partial(trial, form) for form in forms])
+
+    def trials():
+        yield enumerate_forms
+        for form in forms:
+            yield functools.partial(trial, form)
+    count = math.prod(len(C.idempotent_forms(g)) for g in m.valuations)
+    return _drive("exact_sequence", samples * count, trials())
 
 
 def _classification_consistency(m, samples, rng, write) -> dict:

@@ -407,7 +407,8 @@ def _coset_rep(comp, n: int, d: int) -> tuple[int, int]:
             while d % p == 0:
                 d //= p
                 s_part *= p
-        n *= pow(s_part, -1, d)
+        if s_part != 1:
+            n *= pow(s_part, -1, d)
     n %= d
     common = math.gcd(n, d)
     return n // common, d // common
@@ -447,13 +448,16 @@ def class_mul(g: ValueGroup, x: CutClass, y: CutClass) -> CutClass:
     It works on the keys alone, by `mul`'s rule: the reps are zero below
     their tops, so the product's top is the sum of the tops at equal levels
     and the shallower operand's top otherwise, reduced at the lower level."""
-    level = min(x.level, y.level)
-    if x.level == y.level:
-        n, d = x.n * y.d + y.n * x.d, x.d * y.d
+    x_level, x_side, x_n, x_d = x
+    y_level, y_side, y_n, y_d = y
+    if x_level == y_level:
+        level, n, d = x_level, x_n * y_d + y_n * x_d, x_d * y_d
+    elif x_level < y_level:
+        level, n, d = x_level, x_n, x_d
     else:
-        n, d = (x.n, x.d) if x.level == level else (y.n, y.d)
-    return CutClass(level, _product_side(x.level, x.side, y.level, y.side),
-                    *_coset_rep(g.components[level - 1], n, d))
+        level, n, d = y_level, y_n, y_d
+    return tuple.__new__(CutClass, (level, _product_side(x_level, x_side, y_level, y_side),
+                                    *_coset_rep(g.components[level - 1], n, d)))
 
 
 def idempotents(g: ValueGroup) -> list[tuple[IdempotentForm, Cut, Cut]]:

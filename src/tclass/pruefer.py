@@ -344,12 +344,14 @@ class PrueferClassModel:
         return class_of(self.model, a)
 
     def mul(self, x: tuple[CutClass, ...], y: tuple[CutClass, ...]) -> tuple[CutClass, ...]:
-        return tuple(C.class_mul(g, u, v) for g, u, v in zip(self.model.valuations, x, y))
+        return tuple(map(C.class_mul, self.model.valuations, x, y))
 
     def idempotent_of(self, x: tuple[CutClass, ...]) -> tuple[CutClass, ...]:
-        # Through tuples: the `_split` fault reaches the `valuation` specs only here.
-        a = tuple_of_class(x)
-        return class_of(self.model, form_tuple(self.model, classify_idempotent(self.model, a)))
+        # Component by component, through the product form and `_split`: the
+        # `_split` fault reaches the `valuation` specs only here.
+        gs = self.model.valuations
+        form = _join(tuple(C.classify_idempotent(g, u.rep) for g, u in zip(gs, x)))
+        return tuple(C.class_of(g, C.form_cut(g, f)) for g, f in zip(gs, _split(form)))
 
     def describe(self, x: tuple[CutClass, ...]) -> str:
         return json.dumps(self.write(tuple_of_class(x)), sort_keys=True)

@@ -783,6 +783,25 @@ def test_a_draw_that_raises_fails_its_trial_by_number(tmp_path, capsys, monkeypa
                for c in checks)
 
 
+def test_a_fault_enumerating_the_forms_is_one_exact_sequence_line(tmp_path, capsys, monkeypatch):
+    # `exact_sequence` enumerates its forms in its first trial, so a fault
+    # there is one failure line of that check, and the report is kept.
+    def planted_join(forms):
+        raise IndexError("planted")
+    monkeypatch.setattr(P, "_join", planted_join)
+    out = tmp_path / "report.json"
+    spec = {"kind": "pruefer_fc", "valuations": [["Z"], ["Q"]]}
+    assert main(["verify", write(tmp_path, "spec.json", spec), "--samples", "10", "--seed", "1",
+                 "--json", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    exact = checks["exact_sequence"]
+    assert exact["failures"] == ["idempotent forms: IndexError: planted"]
+    assert exact["failure_count"] == 1
+    # Z has one rank-1 form and Q two: the instance count needs no enumeration.
+    assert exact["instances"] == 10 * 1 * 2
+
+
 # -- one model protocol: a cut reads alike as every kind's literal -------------
 
 ONE_GROUP = st.lists(st.sampled_from(["Z", "Q", {"Zloc": [2]}, {"Zloc": [3]}]),

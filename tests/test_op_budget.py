@@ -144,6 +144,22 @@ def test_pruefer_class_product_builds_no_tuple(monkeypatch):
     assert built == [], len(built)
 
 
+
+def test_pruefer_cross_check_builds_no_tuple(monkeypatch):
+    # `idempotent_of` used to go class -> `IdealTuple` -> `classify_idempotent`
+    # -> `form_tuple` -> `class_of`: 2 tuples per closure element.  It reads
+    # each component's form off its class and builds none.
+    kind, model = load_model(SPEC)
+    adapter = P.PrueferClassModel(model, P.tuple_to_json)
+    rng = random.Random(1)
+    drawn = [P.IdealTuple(tuple(S.random_cut(rng, g) for g in model.valuations))
+             for _ in range(4)]
+    closure = SG.sample_closure(adapter, [adapter.class_of(a) for a in drawn], 256)
+    assert closure.saturated and len(closure.dictionary) > 1
+    built = counted_calls(monkeypatch, P.IdealTuple, "__init__")
+    assert SG.cross_check(closure, adapter).passed
+    assert built == [], len(built)
+
 class CountedModel(C.ValuationClassModel):
     calls = 0
 
