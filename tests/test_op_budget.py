@@ -130,8 +130,10 @@ def test_verify_pruefer_stays_within_operation_budget(monkeypatch):
 
 def test_pruefer_class_product_builds_no_tuple(monkeypatch):
     # The product used to go class -> two `IdealTuple`s -> `pruefer.mul` ->
-    # `pruefer.t_closure` -> `pruefer.class_of`: 4 tuples per product.  It
-    # is componentwise on the classes now and builds none.
+    # `pruefer.t_closure` -> `pruefer.class_of`: 4 tuples per product, and
+    # `idempotent_of` class -> `IdealTuple` -> `classify_idempotent` ->
+    # `form_tuple` -> `class_of`: 2 per closure element in `cross_check`.
+    # Both are componentwise on the classes now and build none.
     kind, model = load_model(SPEC)
     adapter = P.PrueferClassModel(model, P.tuple_to_json)
     rng = random.Random(1)
@@ -141,24 +143,9 @@ def test_pruefer_class_product_builds_no_tuple(monkeypatch):
     built = counted_calls(monkeypatch, P.IdealTuple, "__init__")
     closure = SG.sample_closure(adapter, seeds, 256)
     assert closure.saturated and len(closure.dictionary) > 1
-    assert built == [], len(built)
-
-
-
-def test_pruefer_cross_check_builds_no_tuple(monkeypatch):
-    # `idempotent_of` used to go class -> `IdealTuple` -> `classify_idempotent`
-    # -> `form_tuple` -> `class_of`: 2 tuples per closure element.  It reads
-    # each component's form off its class and builds none.
-    kind, model = load_model(SPEC)
-    adapter = P.PrueferClassModel(model, P.tuple_to_json)
-    rng = random.Random(1)
-    drawn = [P.IdealTuple(tuple(S.random_cut(rng, g) for g in model.valuations))
-             for _ in range(4)]
-    closure = SG.sample_closure(adapter, [adapter.class_of(a) for a in drawn], 256)
-    assert closure.saturated and len(closure.dictionary) > 1
-    built = counted_calls(monkeypatch, P.IdealTuple, "__init__")
     assert SG.cross_check(closure, adapter).passed
     assert built == [], len(built)
+
 
 class CountedModel(C.ValuationClassModel):
     calls = 0
