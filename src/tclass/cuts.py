@@ -39,6 +39,7 @@ oracle builds no `Cut` and no `Fraction`.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -563,8 +564,9 @@ def format_cut(a: Cut) -> str:
 # === adapter for the finite-semigroup oracle ===
 
 class ValuationClassModel:
-    """Class-level arithmetic handle: hashable canonical classes with an
-    exact product, as the sampling closure expects."""
+    """The semigroup oracle's handle on one valuation domain: the
+    one-component `pruefer.PrueferClassModel` under the `valuation` writer,
+    on bare classes instead of 1-tuples."""
 
     def __init__(self, group: ValueGroup):
         self.group = group
@@ -576,7 +578,8 @@ class ValuationClassModel:
         return class_mul(self.group, x, y)
 
     def idempotent_of(self, x: CutClass) -> CutClass:
-        return self.class_of(idempotent_cut(self.group, x.rep))
+        g = self.group
+        return class_of(g, form_cut(g, classify_idempotent(g, x.rep)))
 
     def describe(self, x: CutClass) -> str:
-        return format_cut(x.rep)
+        return json.dumps(cut_to_json(x.rep), sort_keys=True)

@@ -5,10 +5,10 @@ sampled ideal classes, verified once as commutative and associative when
 built, then analyzed purely by the definitions (idempotents, Clifford
 regularity, constituent groups) with exhaustive search.  Nothing
 here imports the exact models; they are reached only through a duck-typed
-handle exposing class_of/mul/idempotent_of/describe.  The table comes from
-`mul` and the model's side of every comparison from `idempotent_of`, the
-model's own classification, so the two sides can disagree and the
-disagreement means a bug.
+handle of three methods: `mul`, the product the table comes from;
+`idempotent_of`, the model's own classification and its side of every
+comparison; `describe`, a class's name in a mismatch.  Callers build
+seeds with `class_of`.  The two sides can disagree, and that means a bug.
 """
 
 from __future__ import annotations
@@ -164,13 +164,10 @@ def sample_closure(model, seeds, budget: int) -> SampleClosure:
     pair.  A lower-triangle product that is no class of the closure fails
     that check here, with `MalformedTableError`.
 
-    Each product is one `model.mul` and one index lookup.  The cut models
-    multiply through `cuts.class_mul`, which works on the classes' integer
-    keys, so a closure builds no `Cut` and no `Fraction`;
-    `pruefer.PrueferClassModel` multiplies its tuples of those classes
-    component by component and builds no ideal tuple.  The 106-element
-    closure of the benchmark's `oracle_audit` takes about 20 ms in-process
-    on a 2-vCPU host, most of it in `cuts.class_mul`."""
+    Each product is one `model.mul` and one index lookup, and both class
+    handles multiply through `cuts.class_mul` on the classes' integer keys
+    (the Pruefer one component by component), so a closure builds no
+    `Cut`, no `Fraction` and no ideal tuple."""
     elems: list = []
     index: dict = {}
     for x in seeds:

@@ -15,6 +15,11 @@ field `f`, and reading `C.mul` through a module alias is a reference to
 A reference made inside an allowlisted definition does not count: what
 only a test-only name calls is test-only too.
 
+No hidden benchmark-only API: every public name that `bench/` references
+and `src/` does not is listed in BENCH_ONLY with its call site and why no
+command calls it, so a change that drops the benchmark's caller drops the
+name with it.
+
 No one-valued parameter: every defaulted parameter of a public function or
 method (a class's `__init__` included) is passed by some call in `src/` or
 `bench/`, or has an entry in ONE_VALUED saying why not.  A parameter that
@@ -32,6 +37,19 @@ ALLOWED = {
         "the tuple residual, behind `show_principal` and the componentwise arithmetic tests",
     "pruefer.show_principal":
         "the principality certificate behind the trivial class group the reports state",
+}
+
+BOX_ORACLE = "the box oracle runs under no command; ROADMAP F puts it in `verify`"
+BENCH_ONLY = {
+    "boxes.check_mul": f"`bench/workloads.py` `_box_check`: {BOX_ORACLE}",
+    "boxes.check_quotient": f"`bench/workloads.py` `_box_check`: {BOX_ORACLE}",
+    "boxes.check_same_set": f"`bench/workloads.py` `_same_set`: {BOX_ORACLE}",
+    "cuts.ValuationClassModel":
+        "`bench/workloads.py` `_closure`: the one-component `pruefer.PrueferClassModel` "
+        "does the same (pinned in `test_semigroups.py`) and replaces it at that call site",
+    "semigroups.CrossCheckReport.passed":
+        "`bench/workloads.py` `_closure`: the benchmark reports the verdict, commands "
+        "report the `mismatches` it is computed from",
 }
 
 ONE_VALUED = {
@@ -179,9 +197,10 @@ def callers() -> list:
     return [*PACKAGE.glob("*.py"), *(ROOT / "bench").glob("*.py")]
 
 
-def unreferenced() -> set:
+def unreferenced(files=None) -> set:
+    """The public names that `files` (by default `callers()`) never refer to."""
     refs, attrs = set(), set()
-    for path in callers():
+    for path in callers() if files is None else files:
         refs |= references(path)
         attrs |= attributes(path)
     return ({f"{mod}.{name}" for mod, names in definitions().items()
@@ -200,6 +219,23 @@ def test_allowlist_is_current():
     assert not gone, f"allowed names that no longer exist: {sorted(gone)}"
     stale = set(ALLOWED) - unreferenced()
     assert not stale, f"allowed names that now have a caller: {sorted(stale)}"
+
+
+def bench_only() -> set:
+    """The public names that only `bench/` refers to."""
+    return unreferenced(PACKAGE.glob("*.py")) - unreferenced()
+
+
+def test_every_bench_only_name_has_a_reason():
+    missing = bench_only() - set(BENCH_ONLY)
+    assert not missing, f"public names only the benchmark calls (list them): {sorted(missing)}"
+
+
+def test_bench_only_table_is_current():
+    gone = set(BENCH_ONLY) - defined()
+    assert not gone, f"bench-only names that no longer exist: {sorted(gone)}"
+    stale = set(BENCH_ONLY) - bench_only()
+    assert not stale, f"bench-only names that `src/` now calls or nothing calls: {sorted(stale)}"
 
 
 def test_a_module_function_read_hides_no_method(tmp_path):

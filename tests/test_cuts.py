@@ -6,6 +6,7 @@ either side surfaces as a disagreement.
 """
 
 import copy
+import json
 import math
 import pickle
 import random
@@ -683,4 +684,5 @@ def test_valuation_class_model_adapter(rng):
     assert prod == model.class_of(Cut(1, (F(0),), OPEN))
     assert model.mul(prod, prod) == prod
     assert model.idempotent_of(x) == prod
-    assert "open" in model.describe(x)
+    # `describe` names a class by the literal `classify` reads back.
+    assert C.cut_from_json(DY, json.loads(model.describe(x))) == x.rep

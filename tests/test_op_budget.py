@@ -11,7 +11,8 @@ many `Fraction` operations the box oracle runs per cut pair, or in what a
 Cayley-table closure of m classes builds (no `Cut`, no `class_of` call
 and no `Fraction`: class products work on integer keys; a Pruefer class
 product builds no `IdealTuple`), or in how many tables `cross_check`
-builds (none: it reads the closure's table) fails here without timing
+builds (none: it reads the closure's table) and how many `Cut`s (two per
+class: its rep and its idempotent's cut) fails here without timing
 anything.
 """
 
@@ -187,6 +188,24 @@ def test_cross_check_builds_no_table(monkeypatch):
     assert SG.cross_check(closure, model).passed
     assert len(SG.idempotents(closure.semigroup)) == 2
     assert built == []
+
+
+# The same check when `ValuationClassModel.idempotent_of` rebuilt the
+# witness (I (T:I))_t of every class through `cuts.idempotent_cut`: 634
+# `Cut`s.  Read off level and side, an idempotent costs the class's rep
+# and the form's cut.
+CROSS_CHECK_CUTS_BEFORE = 634
+
+
+def test_cross_check_reads_idempotents_off_classification(monkeypatch):
+    model = C.ValuationClassModel(value_group_from_json([{"Zloc": [2]}]))
+    closure = SG.sample_closure(model, oracle_closure_seeds(model), 256)
+    built = counted_calls(monkeypatch, C.Cut, "__post_init__")
+    witnesses = counted_calls(monkeypatch, C, "idempotent_cut")
+    assert SG.cross_check(closure, model).passed
+    m = len(closure.dictionary)
+    assert len(built) <= 2 * m == 212 < CROSS_CHECK_CUTS_BEFORE, len(built)
+    assert witnesses == []
 
 
 # The same closure when a class product was `class_of(g, mul(g, x.rep,

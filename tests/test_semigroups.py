@@ -7,8 +7,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from test_op_budget import oracle_closure_seeds
 from tclass import CLOSED, OPEN, Cut, Q, ValueGroup, Zloc
+from tclass import cuts as C
+from tclass import pruefer as P
 from tclass import semigroups
+from tclass.cli import KINDS
 from tclass.cuts import ValuationClassModel, normalize
 from tclass.semigroups import (
     FiniteCommSemigroup,
@@ -428,6 +432,37 @@ def test_cross_check_takes_model_idempotents_from_classification():
     rep = cross_check(sample_closure(m, seeds, 256), m)
     assert not rep.passed
     assert any("idempotent sets differ" in msg for msg in rep.mismatches)
+
+
+def test_cross_check_sees_the_valuation_adapter_classify(monkeypatch):
+    # Planted as `tests/test_kills.py` plants its faults: every class
+    # classifies as the ring form of its level.  The max-ideal class then
+    # names the ring class, no element of its closure, so the model's
+    # idempotents are not the table's.
+    m = dyadic_model()
+    seeds = [m.class_of(Cut(1, (F(1, 3),), OPEN)), m.class_of(Cut(1, (F(0),), OPEN))]
+    monkeypatch.setattr(C, "classify_idempotent", lambda g, a: C.rank1_form(a.level, False))
+    rep = cross_check(sample_closure(m, seeds, 256), m)
+    assert any("idempotent sets differ" in msg for msg in rep.mismatches), rep.mismatches
+
+
+def test_valuation_adapter_is_the_one_component_pruefer_adapter():
+    # On the benchmark's 106-class closure the two adapters of one
+    # valuation domain agree on every handle method, up to 1-tuples, so
+    # either can stand in for the other wherever a closure is built.
+    vm = dyadic_model()
+    pm = P.PrueferClassModel(P.PrueferModel((vm.group,)), KINDS["valuation"].write)
+    seeds = oracle_closure_seeds(vm)
+    closure = sample_closure(vm, seeds, 256)
+    tupled = sample_closure(pm, [(x,) for x in seeds], 256)
+    elems = closure.elements
+    assert len(elems) == 106 and tupled.elements == [(x,) for x in elems]
+    assert tupled.semigroup.table == closure.semigroup.table
+    for x in elems:
+        assert [(vm.mul(x, y),) for y in elems] == [pm.mul((x,), (y,)) for y in elems]
+        assert (vm.idempotent_of(x),) == pm.idempotent_of((x,))
+        assert vm.describe(x) == pm.describe((x,))
+    assert cross_check(closure, vm).passed and cross_check(tupled, pm).passed
 
 
 def test_fixture_round_trip():
