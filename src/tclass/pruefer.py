@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import ValueGroup, is_member
-from .sampling import random_member, random_rational
+from .sampling import group_cut, target_cut
 from . import cuts as C
 from .cuts import (
     CLOSED,
@@ -201,29 +201,19 @@ def psi_localize(model: PrueferModel, a: IdealTuple, form: IdempotentForm) -> tu
 
 def _random_group_member(rng: random.Random, model: PrueferModel,
                          form: IdempotentForm) -> IdealTuple:
-    # Canonical as drawn: the coordinates below the top are members, a
-    # closed top is a member, and an open top sits at a dense level, the
-    # only place open forms exist.
-    cuts = []
-    for i, (g, lvl) in enumerate(zip(model.valuations, form.overring.levels)):
-        boundary = [random_member(rng, g.components[k]) for k in range(lvl - 1)]
-        if i in form.open_components:
-            top, side = random_rational, OPEN
-        else:
-            top, side = random_member, CLOSED
-        boundary.append(top(rng, g.components[lvl - 1]))
-        cuts.append(Cut(lvl, tuple(boundary), side))
-    return IdealTuple(tuple(cuts))
+    # Canonical as drawn: an open top sits at a dense level, the only
+    # place open forms exist.
+    return IdealTuple(tuple(
+        group_cut(rng, g, lvl, OPEN if i in form.open_components else CLOSED)
+        for i, (g, lvl) in enumerate(zip(model.valuations, form.overring.levels))))
 
 
 def _random_target(rng: random.Random, model: PrueferModel, form: IdempotentForm,
                    local: list[int]) -> tuple[CutClass, ...]:
     out = []
     for i in local:
-        g, lvl = model.valuations[i], form.overring.levels[i]
-        boundary = [Fraction(0)] * (lvl - 1)
-        boundary.append(random_rational(rng, g.components[lvl - 1]))
-        out.append(C.class_of(g, Cut(lvl, tuple(boundary), OPEN)))
+        g = model.valuations[i]
+        out.append(C.class_of(g, target_cut(rng, g, form.overring.levels[i])))
     return tuple(out)
 
 

@@ -10,8 +10,8 @@ from hypothesis import HealthCheck, settings
 
 from tclass import CLOSED, OPEN, Cut, Q, ValueGroup, Z, Zloc
 from tclass import cuts as C
-from tclass.groups import DISCRETE
-from tclass.sampling import den_choices, random_member
+from tclass.groups import DISCRETE, is_member
+from tclass.sampling import SPAN, den_choices
 
 settings.register_profile(
     "suite",
@@ -31,6 +31,18 @@ GROUPS = {
     "Zhalf": ValueGroup((Zloc(2),)),
     "Z_Zthird": ValueGroup((Z, Zloc(3))),
 }
+
+
+def random_rational(rng, comp):
+    """A coordinate of the sampling window, not necessarily a member."""
+    d = rng.choice(den_choices(comp))
+    return Fraction(rng.randint(-SPAN * d, SPAN * d), d)
+
+
+def random_member(rng, comp):
+    """A coordinate of the sampling window that is a member."""
+    d = rng.choice([d for d in den_choices(comp) if is_member(comp, Fraction(1, d))])
+    return Fraction(rng.randint(-SPAN * d, SPAN * d), d)
 
 
 def random_element(rng, g):

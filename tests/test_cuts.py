@@ -16,12 +16,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import GROUPS, group_inv, is_subset, random_element, random_raw_cut
+from conftest import (
+    GROUPS,
+    group_inv,
+    is_subset,
+    random_element,
+    random_member,
+    random_raw_cut,
+    random_rational,
+)
 from tclass import CLOSED, OPEN, Cut, Q, ValueGroup, Z, Zloc
 from tclass import boxes
 from tclass import cuts as C
 from tclass.groups import is_member, truncate
-from tclass.sampling import random_cut, random_member, random_rational
+from tclass.sampling import random_cut
 
 ZZ = GROUPS["Z"]
 Z2 = GROUPS["Z2"]

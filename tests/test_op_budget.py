@@ -56,9 +56,12 @@ STABILIZERS_BEFORE = 87
 # The same run when the exact sequence normalised every cut it drew (72
 # calls) and built the prime cut of each open component per form (35
 # calls): 179 `cuts.normalize` calls.  The drawn cuts are canonical as
-# built, and only the level of those prime cuts was ever read.
+# built, and only the level of those prime cuts was ever read.  Of the 102
+# calls now, 30 are `sampling.random_cut`'s, one per distinct draw of its
+# 36 (it calls `cuts.normalize` through the module); when it bound
+# `normalize` by name, this count missed them and read 72.
 NORMALIZE_CALLS_BEFORE = 179
-NORMALIZE_CALLS = 72
+NORMALIZE_CALLS = 102
 
 
 def test_verify_pruefer_stays_within_operation_budget(monkeypatch):
@@ -256,6 +259,70 @@ def replayed_draws(g, seed: int, samples: int) -> tuple[list, list]:
     regularity = [S.random_cut(rng, g) for _ in range(samples)]
     uniqueness = [S.random_cut(rng, g) for _ in range(samples)]
     return regularity, uniqueness
+
+
+# `verify` on [Q, Z, Z[1/2]] at 200 samples and seed 1 draws 615 cuts, 440
+# of them distinct.  When every draw built its `Fraction`s and its `Cut`
+# and normalised it, the draws built 727 `Cut`s: 615 as drawn and 112
+# rewritten by `normalize`.  Built once per distinct draw, they build 528:
+# 440 as drawn and 88 rewritten.
+DRAW_CUTS_BEFORE = 727
+
+
+def test_each_distinct_draw_is_built_once(monkeypatch):
+    # Two draws that take the same random numbers draw the same cut, so a
+    # draw is told apart by the `_randbelow` results it consumes.
+    consumed, counts = [], Counter()
+    where = []  # inside a draw: "draw", then "normalize" while it runs
+
+    randbelow = random.Random._randbelow
+
+    def recorded(self, n):
+        r = randbelow(self, n)
+        if where:
+            consumed[-1].append((n, r))
+        return r
+
+    draw, normalize, post_init = S.random_cut, C.normalize, C.Cut.__post_init__
+
+    def drawn(rng, g):
+        consumed.append([])
+        where.append("draw")
+        try:
+            return draw(rng, g)
+        finally:
+            where.pop()
+
+    def normalized(g, a):
+        if not where:
+            return normalize(g, a)
+        counts["normalize"] += 1
+        where.append("normalize")
+        try:
+            return normalize(g, a)
+        finally:
+            where.pop()
+
+    def built(self):
+        if where:
+            counts["cuts in " + where[-1]] += 1
+        post_init(self)
+    monkeypatch.setattr(random.Random, "_randbelow", recorded)
+    monkeypatch.setattr(S, "random_cut", drawn)
+    monkeypatch.setattr(C, "normalize", normalized)
+    monkeypatch.setattr(C.Cut, "__post_init__", built)
+    kind, model = load_model(json.dumps({"kind": "valuation", "group": ["Q", "Z", {"Zloc": [2]}]}))
+    report = cmd_verify(kind, model, 200, 1, None)
+    monkeypatch.undo()
+
+    assert report["passed"]
+    distinct = len(set(map(tuple, consumed)))
+    assert (len(consumed), distinct) == (615, 440)
+    # `normalize` runs once per distinct draw, and so does the draw's own
+    # `Cut`; `normalize` builds one more where it rewrites.
+    assert counts["normalize"] <= distinct, counts
+    assert counts["cuts in draw"] <= distinct, counts
+    assert counts["cuts in draw"] + counts["cuts in normalize"] == 528 < DRAW_CUTS_BEFORE, counts
 
 
 def test_each_distinct_sampled_input_is_audited_once(monkeypatch):

@@ -1,4 +1,5 @@
-"""The samplers' draws, pinned cut for cut.
+"""The samplers' draws, pinned cut for cut, and the lifetime of the cuts
+they keep.
 
 `verify`'s reports are functions of its seed, so a change to how the
 samplers compute a draw must leave every drawn cut and the generator's
@@ -7,14 +8,22 @@ samplers were first written: a `Fraction` per coordinate from `randint`
 over the component's denominators, then `normalize`.  The groups are the
 benchmark's, the kill matrix's and a Z[1/5, 1/7], whose least prime of 5
 leaves it denominators 1 and 2.
+
+Each generator keeps the cuts it has drawn; `verify` makes one generator
+per command, so nothing drawn outlives the command.
 """
 
+import gc
+import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from tclass import CLOSED, OPEN, Cut, Q, ValueGroup, Z, Zloc
+from tclass import boxes, cli, polyext, sampling, semigroups
+from tclass import groups as G
 from tclass import cuts as C
 from tclass import pruefer as P
 from tclass.groups import DISCRETE, RATIONALS, is_member
@@ -141,3 +150,57 @@ def test_exact_sequence_draws_as_written(name, seed):
             got = P._random_target(got_rng, model, form, local)
             assert got == ref_target(ref_rng, model, form, local)
     assert got_rng.getstate() == ref_rng.getstate()
+
+
+# A rank-3 window no other test here draws from, so each command draws
+# cuts that no earlier one drew.
+LIFETIME_SPEC = {"kind": "pruefer_fc", "valuations": [[{"Zloc": [2]}], ["Q", "Q", {"Zloc": [3]}]]}
+
+
+def test_drawn_cuts_die_with_their_command(monkeypatch):
+    # Weak references to every cut `verify` draws, through `random_cut`
+    # and the exact sequence's group members and targets alike.
+    drawn = []
+
+    def recorded(name, fn):
+        def wrapper(*args):
+            c = fn(*args)
+            drawn.append((name, weakref.ref(c)))
+            return c
+        monkeypatch.setattr(P if name != "random_cut" else sampling, name, wrapper)
+    for name in ("random_cut", "group_cut", "target_cut"):
+        recorded(name, getattr(sampling, name))
+    kind, model = cli.load_model(json.dumps(LIFETIME_SPEC))
+    assert cli.cmd_verify(kind, model, 5, 1, None)["passed"]
+    gc.collect()
+    assert {name for name, _ in drawn} == {"random_cut", "group_cut", "target_cut"}
+    assert [name for name, ref in drawn if ref() is not None] == []
+
+
+def module_containers() -> dict:
+    """The size of every module-level container and cache of the package."""
+    sizes = {}
+    for module in (G, C, sampling, P, polyext, boxes, semigroups, cli):
+        for name, obj in vars(module).items():
+            key = f"{module.__name__}.{name}"
+            if name.startswith("__"):
+                continue
+            if hasattr(obj, "cache_info"):
+                sizes[key] = obj.cache_info().currsize
+            elif isinstance(obj, (dict, list, set, weakref.WeakKeyDictionary)):
+                sizes[key] = len(obj)
+    return sizes
+
+
+def test_a_second_command_grows_no_module_container():
+    # The first command fills the process-wide caches of the spec's forms;
+    # a second one, drawing other cuts, must leave nothing more alive.
+    kind, model = cli.load_model(json.dumps(LIFETIME_SPEC))
+    cli.cmd_verify(kind, model, 5, 1, None)
+    gc.collect()
+    first, alive = module_containers(), len(gc.get_objects())
+    cli.cmd_verify(kind, model, 5, 2, None)
+    gc.collect()
+    assert module_containers() == first
+    assert first["tclass.sampling._DRAWN"] == 0
+    assert len(gc.get_objects()) <= alive
