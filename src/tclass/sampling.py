@@ -6,10 +6,11 @@ oracle's lattice refinement stays within its cap of 64 up to a least prime
 of 7 (from 11 on it refuses).  Generators take an explicit random.Random so
 every caller is reproducible from a seed.
 
-This module is the one home of that sampling window.  Per component it
-holds, for each denominator d, the range of codes of the coordinates n/d,
-built once per (kind, primes); a coordinate is a denominator picked by
-`rng.choice`, then a code picked from its range.  `choice(seq)` is
+This module is the one home of that sampling window.  Per component,
+built once per (kind, primes), it holds each coordinate n/d once, as a
+`Fraction` with a small integer code, and for each denominator d the range
+of its codes; a coordinate is a denominator picked by `rng.choice`, then a
+code picked from its range.  `choice(seq)` is
 `seq[_randbelow(len(seq))]` and `randint(a, b)` is `a + _randbelow(b - a
 + 1)`, so these draws use the generator exactly as `randint` over the
 numerators would.
