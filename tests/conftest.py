@@ -2,6 +2,8 @@
 
 import math
 import random
+import signal
+import threading
 import zlib
 from fractions import Fraction
 
@@ -20,6 +22,17 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+# The slowest test takes about 2.5 s.  A fault that makes a loop spin
+# (a mutated guard, say) fails its test at this deadline instead of
+# hanging the suite.
+DEADLINE_S = 60
+
+
+class DeadlineExceeded(BaseException):
+    """Not an `Exception`, so no `except Exception` in the code under test
+    (`cli._drive` records those as failure lines) can swallow it."""
+
 
 # The five reference groups every randomized suite runs over: a DVR, a
 # discrete rank-2 tower, a dense bottom under a discrete top, a dense rank-1
@@ -90,6 +103,24 @@ def group_inv(g, x, J):
     if C.form_cut(g, C.classify_idempotent(g, x.rep)) != J:
         raise C.NotInGroupError(f"{C.format_cut(x.rep)} is not in the group at {C.format_cut(J)}")
     return C.class_of(g, C.t_closure(g, C.mul(g, C.quotient(g, J, x.rep), J)))
+
+
+@pytest.fixture(autouse=True)
+def deadline():
+    """Arm SIGALRM for each test where it can be (POSIX, main thread)."""
+    if not hasattr(signal, "SIGALRM") or threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def expired(signum, frame):
+        raise DeadlineExceeded(f"test ran past {DEADLINE_S} s")
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(DEADLINE_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -303,6 +303,19 @@ def test_show_principal_guard_trips_on_a_planted_invertibility(monkeypatch):
         P.show_principal(MODEL, overring, a)
 
 
+@pytest.mark.parametrize("first", [
+    C.Cut(1, (F(1, 2),), C.OPEN),  # open, on a member of Z[1/2]
+    C.Cut(1, (F(1, 3),), C.CLOSED),  # closed, on a non-member
+], ids=["open_member", "closed_nonmember"])
+def test_show_principal_guard_trips_on_either_half(first, monkeypatch):
+    # Each half of the guard alone must trip it.
+    overring = C.OverringSpec((1, 2))
+    t = P.ring_tuple(MODEL, overring)
+    monkeypatch.setattr(P, "mul", lambda model, a, b: t)
+    with pytest.raises(C.InternalInconsistencyError, match=CERTIFICATE):
+        P.show_principal(MODEL, overring, P.IdealTuple((first, t.cuts[1])))
+
+
 def test_coset_rep_guard_trips_on_a_zero_denominator():
     # Unguarded, `while d % p == 0` never ends on d = 0.
     with pytest.raises(C.InternalInconsistencyError, match=COSET):

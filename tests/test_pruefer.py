@@ -200,6 +200,18 @@ def test_class_group_trivial_with_certificate(model, rng):
         assert len(realized) == model.k
         for g, cut, shift in zip(model.valuations, a.cuts, realized):
             assert C.translate(g, C.ring_cut(g), shift) == cut
+    # below full rank: a tuple over an overring at its own levels is that
+    # overring shifted by a group element, its boundary padded with zeros
+    for _ in range(10):
+        over = C.OverringSpec(tuple(rng.randint(1, g.rank) for g in model.valuations))
+        a = tup(*(Cut(lvl, tuple(F(rng.randint(-2, 2)) for _ in range(lvl)), CLOSED)
+                  for lvl in over.levels))
+        realized = P.show_principal(model, over, a)
+        for g, cut, shift, ring in zip(model.valuations, a.cuts, realized,
+                                       P.ring_tuple(model, over).cuts):
+            assert len(shift) == g.rank
+            assert shift[cut.level:] == (F(0),) * (g.rank - cut.level)
+            assert C.translate(g, ring, shift) == cut
 
 
 def test_show_principal_rejects_non_invertible():
