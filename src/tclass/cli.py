@@ -254,8 +254,10 @@ def _drive(name: str, instances: int, trials) -> dict:
     function naming it (a sampled literal, a form, a closure's seeds), then
     its failure lines.  An exception it raises is one more line, `<that
     name>: Type: message` (`trial N` if unnamed), and the next trial runs.
-    `trials` is read one trial at a time, so a trial may set up the later
-    ones (`exact_sequence` enumerates its forms this way)."""
+    A name that raises in turn, such as the literal of a malformed draw,
+    gives `trial N: Type: message` of its own exception.  `trials` is read
+    one trial at a time, so a trial may set up the later ones
+    (`exact_sequence` enumerates its forms this way)."""
     failures = []
     for n, trial in enumerate(trials, 1):
         steps, label = trial(), lambda: f"trial {n}"
@@ -263,7 +265,11 @@ def _drive(name: str, instances: int, trials) -> dict:
             label = next(steps)
             failures.extend(steps)
         except Exception as e:
-            failures.append(f"{label()}: {type(e).__name__}: {e}")
+            try:
+                line = f"{label()}: {type(e).__name__}: {e}"
+            except Exception as f:
+                line = f"trial {n}: {type(f).__name__}: {f}"
+            failures.append(line)
     return {
         "name": name,
         "instances": instances,

@@ -783,6 +783,23 @@ def test_a_draw_that_raises_fails_its_trial_by_number(tmp_path, capsys, monkeypa
                for c in checks)
 
 
+def test_a_label_that_raises_fails_its_trial_by_number(tmp_path, capsys, monkeypatch):
+    # A malformed draw passes as a sample until a check reads it; the
+    # handler's label then writes its literal and raises in turn, and the
+    # line names the trial and the label's own error.
+    monkeypatch.setattr(sampling, "random_cut", lambda rng, g: None)
+    spec = {"kind": "valuation", "group": ["Z", "Q"]}
+    out = tmp_path / "report.json"
+    assert main(["verify", write(tmp_path, "spec.json", spec), "--samples", "3", "--seed", "1",
+                 "--json", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["name"] for c in checks] == KIND_CHECKS["valuation"][1]
+    for c in checks:
+        assert [line.split(": ")[:2] for line in c["failures"]] == [
+            [f"trial {n}", "AttributeError"] for n in (1, 2, 3)]
+
+
 def test_a_fault_enumerating_the_forms_is_one_exact_sequence_line(tmp_path, capsys, monkeypatch):
     # `exact_sequence` enumerates its forms in its first trial, so a fault
     # there is one failure line of that check, and the report is kept.
