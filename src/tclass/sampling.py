@@ -15,10 +15,13 @@ code picked from its range.  `choice(seq)` is
 + 1)`, so these draws use the generator exactly as `randint` over the
 numerators would.
 
-A draw is named by one small int built from its codes and its side.  Each
-generator keeps, per group, the cut of every name it has drawn, so the
-boundary, the `Cut` and `normalize` are built once per distinct draw, and
-a repeated draw allocates nothing.  That table lives and dies with the
+A draw is named by one small int: its codes, its side, and as the low bit
+whether the cut is normalised (`random_cut`) or kept as drawn.  Each
+generator keeps per group one table from name to cut, which builds the
+boundary, the `Cut` and any `normalize` of a name at its first draw, so
+a repeated draw allocates nothing.  A table is found by its group's `id`
+(a `ValueGroup` hash costs more than a draw) and holds its group, so the
+id is not reused while the table lives.  The tables go with their
 generator: `verify` makes one per command, so no command reads a cut that
 another command built, and a fault planted in the kernel between commands
 is never hidden by an earlier result.
@@ -30,6 +33,7 @@ import functools
 import random
 import weakref
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import cuts as C
 from .groups import DISCRETE, RATIONALS, ArchComponent, ValueGroup, is_member
@@ -37,12 +41,11 @@ from .cuts import CLOSED, OPEN, Cut
 
 SPAN = 2
 _SIDES = (CLOSED, OPEN)
-# A name has one base-_RADIX digit per coordinate, its code (codes start
-# at 1, so the digits count the level), then the side as the low bit.
+# A name's codes are its base-_RADIX digits, one per coordinate; codes
+# start at 1, so the digits count the level.
 _RADIX = 64
 
-# generator -> ([(group, its _Window)], {group: its _Window}); an entry
-# goes with its generator.
+# generator -> {id(group): its _Window}; an entry goes with its generator.
 _DRAWN: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -60,73 +63,58 @@ def den_choices(comp: ArchComponent) -> tuple[int, ...]:
     return (1, 2)
 
 
-class _Coordinates:
+class _Coordinates(NamedTuple):
     """A component's window: per denominator d, the range of codes of n/d
     for n from -SPAN d to SPAN d."""
 
-    __slots__ = ("window", "members", "values", "zero")
-
-    def __init__(self, comp: ArchComponent):
-        window, members, values = [], [], [None]
-        for d in den_choices(comp):
-            codes = range(len(values), len(values) + 2 * SPAN * d + 1)
-            window.append(codes)
-            if is_member(comp, Fraction(1, d)):
-                members.append(codes)
-            values += (Fraction(n, d) for n in range(-SPAN * d, SPAN * d + 1))
-        assert len(values) <= _RADIX
-        self.window = tuple(window)
-        self.members = tuple(members)  # the denominators d with 1/d a member
-        self.values = tuple(values)  # code -> its coordinate
-        self.zero = values.index(0)  # the code of 0/1
+    window: tuple
+    members: tuple  # the ranges of the denominators d with 1/d a member
+    values: tuple  # code -> its coordinate
+    zero: int  # the code of 0/1
 
 
 @functools.cache
 def _coordinates(kind: str, primes: frozenset) -> _Coordinates:
-    return _Coordinates(ArchComponent(kind, primes))
+    comp = ArchComponent(kind, primes)
+    window, members, values = [], [], [None]
+    for d in den_choices(comp):
+        codes = range(len(values), len(values) + 2 * SPAN * d + 1)
+        window.append(codes)
+        if is_member(comp, Fraction(1, d)):
+            members.append(codes)
+        values += (Fraction(n, d) for n in range(-SPAN * d, SPAN * d + 1))
+    assert len(values) <= _RADIX
+    return _Coordinates(tuple(window), tuple(members), tuple(values), values.index(0))
 
 
-class _Window:
-    """One generator's draws over one group: the coordinate tables per
-    component, and per name drawn so far its cut, normalised
-    (`random_cut`) or as drawn (`group_cut`, `target_cut`)."""
+class _Window(dict):
+    """One generator's draws over the group `g`: the coordinate tables per
+    component, and the cut of each name drawn so far, built on a miss."""
 
-    __slots__ = ("levels", "tables", "normalized", "as_drawn")
+    __slots__ = ("g", "levels", "tables")
 
     def __init__(self, g: ValueGroup):
+        self.g = g  # held, so no other group takes its id meanwhile
         self.levels = range(1, g.rank + 1)
         self.tables = tuple(_coordinates(c.kind, c.primes) for c in g.components)
-        self.normalized: dict[int, Cut] = {}
-        self.as_drawn: dict[int, Cut] = {}
 
-    def built(self, name: int) -> Cut:
-        """The cut a name was drawn as."""
-        side = OPEN if name & 1 else CLOSED
-        codes = []
-        name >>= 1
-        while name:
-            name, code = divmod(name, _RADIX)
-            codes.append(code)
-        codes.reverse()
-        return Cut(len(codes), tuple(t.values[c] for t, c in zip(self.tables, codes)), side)
+    def __missing__(self, name: int) -> Cut:
+        normalized, side = name & 1, OPEN if name & 2 else CLOSED
+        codes, rest = [], name >> 2
+        for _ in self.tables:  # at most one digit per component
+            if rest:
+                rest, code = divmod(rest, _RADIX)
+                codes.insert(0, code)
+        c = Cut(len(codes), tuple(t.values[k] for t, k in zip(self.tables, codes)), side)
+        c = self[name] = C.normalize(self.g, c) if normalized else c
+        return c
 
 
 def _window(rng: random.Random, g: ValueGroup) -> _Window:
-    # A command draws from a few groups over and over: find the group by
-    # identity first, since hashing a `ValueGroup` costs more than a draw's
-    # dictionary lookup.  `seen` holds the first object of each group.
-    windows = _DRAWN.get(rng)
-    if windows is None:
-        windows = _DRAWN[rng] = ([], {})
-    seen, by_group = windows
-    for h, w in seen:
-        if h is g:
-            return w
-    w = by_group.get(g)
-    if w is None:
-        w = by_group[g] = _Window(g)
-        seen.append((g, w))
-    return w
+    try:
+        return _DRAWN[rng][id(g)]
+    except KeyError:
+        return _DRAWN.setdefault(rng, {}).setdefault(id(g), _Window(g))
 
 
 def _codes(choice, tables: tuple, level: int, any_top: bool) -> int:
@@ -144,11 +132,8 @@ def random_cut(rng: random.Random, g: ValueGroup) -> Cut:
     the window and a side, normalised."""
     w = _window(rng, g)
     choice = rng.choice
-    name = _codes(choice, w.tables, choice(w.levels), True) * 2 + (choice(_SIDES) == OPEN)
-    c = w.normalized.get(name)
-    if c is None:
-        c = w.normalized[name] = C.normalize(g, w.built(name))
-    return c
+    return w[_codes(choice, w.tables, choice(w.levels), True) * 4
+             + (choice(_SIDES) == OPEN) * 2 + 1]
 
 
 def group_cut(rng: random.Random, g: ValueGroup, level: int, side: str) -> Cut:
@@ -157,11 +142,7 @@ def group_cut(rng: random.Random, g: ValueGroup, level: int, side: str) -> Cut:
     open.  Callers ask for an open cut at a dense level only, where every
     top is canonical."""
     w = _window(rng, g)
-    name = _codes(rng.choice, w.tables, level, side == OPEN) * 2 + (side == OPEN)
-    c = w.as_drawn.get(name)
-    if c is None:
-        c = w.as_drawn[name] = w.built(name)
-    return c
+    return w[_codes(rng.choice, w.tables, level, side == OPEN) * 4 + (side == OPEN) * 2]
 
 
 def target_cut(rng: random.Random, g: ValueGroup, level: int) -> Cut:
@@ -172,8 +153,4 @@ def target_cut(rng: random.Random, g: ValueGroup, level: int) -> Cut:
     for t in w.tables[: level - 1]:
         name = name * _RADIX + t.zero
     choice = rng.choice
-    name = (name * _RADIX + choice(choice(w.tables[level - 1].window))) * 2 + 1
-    c = w.as_drawn.get(name)
-    if c is None:
-        c = w.as_drawn[name] = w.built(name)
-    return c
+    return w[(name * _RADIX + choice(choice(w.tables[level - 1].window))) * 4 + 2]

@@ -133,6 +133,19 @@ def test_one_generator_draws_as_written_across_groups():
     assert got_rng.getstate() == ref_rng.getstate()
 
 
+def test_one_generator_draws_as_written_over_groups_dropped_after_use():
+    # Windows are found by the group's id.  Each group here is built for
+    # its round and dropped after it, so a freed id would come back for the
+    # next group, of another shape, if its window did not keep it alive.
+    got_rng, ref_rng = random.Random(5), random.Random(5)
+    for name in sorted(GROUPS) * 3:
+        g = ValueGroup(GROUPS[name])
+        got = [random_cut(got_rng, g) for _ in range(50)]
+        assert got == [ref_random_cut(ref_rng, g) for _ in range(50)], name
+        del g
+    assert got_rng.getstate() == ref_rng.getstate()
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_exact_sequence_draws_as_written(name, seed):
