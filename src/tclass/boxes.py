@@ -26,15 +26,17 @@ writes every coordinate it forms (lattice points, lex minima, the virtual
 infimum, formal sums and differences of boundaries) as the integer n that
 stands for n / S_k.  Every such denominator divides S_k, and S_k > 0 keeps
 the lex order, so each comparison is exact and decides as it would on
-`Fraction`s, only on int tuples.  A point turns back into `Fraction`s only
-to be named in a mismatch message.
+`Fraction`s, only on int tuples.  Membership in a cut is one such compare
+of the point's prefix with the scaled boundary: `>=` for a closed cut, `>`
+for an open one.  A point turns back into `Fraction`s only to be named in
+a mismatch message.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, sub
+from operator import add, ge, gt, sub
 
 from .groups import DISCRETE, RATIONALS, ValueGroup
 from .cuts import CLOSED, Cut
@@ -113,17 +115,17 @@ def _scaled(q: Fraction, s: int) -> int:
 
 
 def _scaled_cut(a: Cut, scale) -> tuple:
-    """(boundary on the integer lattice, closed?) of a cut."""
-    return tuple(map(_scaled, a.boundary, scale)), a.side == CLOSED
+    """(boundary on the integer lattice, membership test) of a cut: `ge`
+    for a closed cut, `gt` for an open one."""
+    return tuple(map(_scaled, a.boundary, scale)), ge if a.side == CLOSED else gt
 
 
 def _inside(cut: tuple, x: tuple) -> bool:
-    """Is the scaled point x in the upper set of the scaled cut?"""
-    boundary, closed = cut
-    px = x[: len(boundary)]
-    if px != boundary:
-        return px > boundary
-    return closed
+    """Is the scaled point x in the upper set of the scaled cut?  One tuple
+    compare: a prefix that differs from the boundary decides by `>`, and an
+    equal prefix by the cut's side."""
+    boundary, test = cut
+    return test(x[: len(boundary)], boundary)
 
 
 def _unscaled(x: tuple, scale) -> tuple:
@@ -158,23 +160,36 @@ def lex_min(a: Cut, dens, scale) -> tuple:
     return tuple(coords) + tuple(LO * s for s in scale[len(coords):])
 
 
-def _targets_for(g: ValueGroup, steps, scale, prefix) -> list:
+def _targets_for(steps, scale, prefix, tails) -> list:
+    """The `fine`-lattice neighborhood of one prefix of length m: its top
+    coordinate moved up to 3 steps either way under each tail of
+    `tails[m]` (0, -2 and 2 at every later component), and for m >= 2 the
+    coordinate below the top moved one step either way, zeros after."""
     m = len(prefix)
-    base = [n // u * u for n, u in zip(prefix, steps)]
-    tails = [[t * s for s in scale[m:]] for t in (0, -2, 2)]
+    base = tuple(n // u * u for n, u in zip(prefix, steps))
+    head, last, step = base[: m - 1], base[m - 1], steps[m - 1]
     out = []
     for dlast in range(-3, 4):
-        top = base[m - 1] + dlast * steps[m - 1]
+        top = last + dlast * step
         if abs(top) > HI * scale[m - 1]:
             continue
-        for tail in tails:
-            out.append(tuple(base[: m - 1] + [top] + tail))
+        for tail in tails[m]:
+            out.append(head + (top,) + tail)
     if m >= 2:
         for db in (-1, 1):
-            coords = list(base)
-            coords[m - 2] += db * steps[m - 2]
-            out.append(tuple(coords + [0] * (g.rank - m)))
+            out.append(head[:-1] + (head[-1] + db * steps[m - 2], last) + tails[m][0])
     return out
+
+
+def _below(getrandbits, n: int) -> int:
+    # `random.Random._randbelow_with_getrandbits`, which `randint(-r, r)`
+    # calls as -r + _randbelow(2r + 1): the same bits, with no method calls
+    # around them.
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def sample_points(g: ValueGroup, prefixes, rng, fine, scale) -> list:
@@ -182,12 +197,16 @@ def sample_points(g: ValueGroup, prefixes, rng, fine, scale) -> list:
     of the given scaled boundary prefixes: `fine`-lattice neighborhoods of
     every prefix plus N_RANDOM seeded random lattice points."""
     steps = [s // f for s, f in zip(scale, fine)]
+    tails = {m: tuple(tuple(t * s for s in scale[m:]) for t in (0, -2, 2))
+             for m in range(1, g.rank + 1)}
     pts = set()
     for prefix in prefixes:
-        pts.update(_targets_for(g, steps, scale, prefix))
-    draws = [(MAX_COORD * dc, s // dc) for dc, s in zip(map(_check_den, g.components), scale)]
+        pts.update(_targets_for(steps, scale, prefix, tails))
+    draws = [(MAX_COORD * dc, 2 * MAX_COORD * dc + 1, s // dc)
+             for dc, s in zip(map(_check_den, g.components), scale)]
+    getrandbits = rng.getrandbits
     for _ in range(N_RANDOM):
-        pts.add(tuple(rng.randint(-r, r) * u for r, u in draws))
+        pts.add(tuple((_below(getrandbits, n) - r) * u for r, n, u in draws))
     return sorted(pts)
 
 

@@ -78,6 +78,13 @@ def _read_json(path_or_inline: str, what: str):
 MAX_IDEMPOTENT_FORMS = 4096
 
 
+def _form_count(groups) -> int:
+    """The number of idempotent forms over `groups`, counted without the
+    kernel: each level gives its ring form, and a dense one its prime too
+    (as `cuts.idempotent_forms` lists them)."""
+    return math.prod(sum(1 + c.dense for c in g.components) for g in groups)
+
+
 def _pruefer_from_json(vals) -> P.PrueferModel:
     if not isinstance(vals, list) or not vals:
         raise ValueError("kind 'pruefer_fc' wants a nonempty 'valuations' list")
@@ -87,7 +94,7 @@ def _pruefer_from_json(vals) -> P.PrueferModel:
             groups.append(value_group_from_json(v))
         except (ValueError, TypeError) as e:
             raise ValueError(f"valuations[{i}]: {e}") from e
-    if math.prod(len(C.idempotent_forms(g)) for g in groups) > MAX_IDEMPOTENT_FORMS:
+    if _form_count(groups) > MAX_IDEMPOTENT_FORMS:
         raise ValueError(f"the valuations have more than {MAX_IDEMPOTENT_FORMS} idempotent "
                          "forms (the product over valuations of their rank-1 forms)")
     return P.PrueferModel(tuple(groups))
@@ -337,8 +344,8 @@ def _overring_transfer(m, samples, rng, write) -> dict:
 def _exact_sequence(m, samples, rng, write) -> dict:
     """`pruefer.verify_exact_sequence` at every form, in report order.  The
     forms are enumerated by a first trial, so a fault there is one line;
-    one trial per form follows.  The instance count is read off the
-    rank-1 forms, whose product the forms are."""
+    one trial per form follows.  The instance count is `_form_count`,
+    which calls no kernel code outside a trial."""
     forms = []
 
     def enumerate_forms():
@@ -354,8 +361,7 @@ def _exact_sequence(m, samples, rng, write) -> dict:
         yield enumerate_forms
         for form in forms:
             yield functools.partial(trial, form)
-    count = math.prod(len(C.idempotent_forms(g)) for g in m.valuations)
-    return _drive("exact_sequence", samples * count, trials())
+    return _drive("exact_sequence", samples * _form_count(m.valuations), trials())
 
 
 def _classification_consistency(m, samples, rng, write) -> dict:

@@ -194,7 +194,7 @@ def _product_side(a_level: int, a_side: str, b_level: int, b_side: str) -> str:
     # `mul`'s side rule, shared with `class_mul`: open iff the levels agree
     # and either side is open; a lower-level operand keeps its own side.
     if a_level == b_level:
-        return OPEN if OPEN in (a_side, b_side) else CLOSED
+        return OPEN if a_side == OPEN or b_side == OPEN else CLOSED
     return a_side if a_level < b_level else b_side
 
 
@@ -400,9 +400,10 @@ def _coset_rep(comp, n: int, d: int) -> tuple[int, int]:
     # The representative of n/d + C in Q/C inside [0, 1), in lowest terms.
     if d < 1:  # the Zloc loop below would never end on d = 0
         raise InternalInconsistencyError("coset denominator below 1")
-    if comp.kind == "Q":
+    kind = comp.kind
+    if kind == "Q":
         return 0, 1
-    if comp.kind == "Zloc":  # the p-part of d is a unit: divide it out
+    if kind == "Zloc":  # the p-part of d is a unit: divide it out
         s_part = 1
         for p in comp.primes:
             while d % p == 0:
@@ -457,8 +458,8 @@ def class_mul(g: ValueGroup, x: CutClass, y: CutClass) -> CutClass:
         level, n, d = x_level, x_n, x_d
     else:
         level, n, d = y_level, y_n, y_d
-    return tuple.__new__(CutClass, (level, _product_side(x_level, x_side, y_level, y_side),
-                                    *_coset_rep(g.components[level - 1], n, d)))
+    return tuple.__new__(CutClass, (level, _product_side(x_level, x_side, y_level, y_side))
+                         + _coset_rep(g.components[level - 1], n, d))
 
 
 def idempotents(g: ValueGroup) -> list[tuple[IdempotentForm, Cut, Cut]]:

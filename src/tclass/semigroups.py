@@ -14,7 +14,8 @@ seeds with `class_of`.  The two sides can disagree, and that means a bug.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import ne
+from itertools import repeat
+from operator import itemgetter
 
 ASSOC_CAP = 512
 
@@ -41,10 +42,13 @@ class FiniteCommSemigroup:
         (x (a b)) y = ((x a) b) y = (x a) (b y) = x (a (b y)) = x ((a b) y),
 
     and a submagma that holds a generating set is the whole table.  The
-    generating set is read off the table itself (`_generators`).  In the
-    worst case every element is needed, as in a max-semilattice on a
-    chain, and the check is m^3 again, so tables above `ASSOC_CAP` are
-    refused rather than silently left unchecked.
+    generating set is read off the table itself (`_generators`).  For a
+    generator j and a row i, the row k -> i (j k) is one C-level gather,
+    `itemgetter(*row_j)(row_i)`, compared with row i j as one tuple; only a
+    mismatch is scanned for its first k.  In the worst case every element
+    is needed, as in a max-semilattice on a chain, and the check is m^3
+    again, so tables above `ASSOC_CAP` are refused rather than silently
+    left unchecked.
     """
 
     def __init__(self, table):
@@ -61,14 +65,14 @@ class FiniteCommSemigroup:
             i, j = next((i, j) for i in range(m) for j in range(i + 1, m)
                         if table[i][j] != table[j][i])
             raise MalformedTableError(f"not commutative at ({i}, {j})")
-        for j in _generators(table):
+        # A 1 x 1 table here is ((0,),), which is associative; it is skipped
+        # because `itemgetter` of one index returns a scalar, not a tuple.
+        for j in _generators(table) if m > 1 else ():
             row_j = table[j]
+            times_j = itemgetter(*row_j)  # row_i -> (k -> i (j k))
             for i, row_i in enumerate(table):
                 left = table[row_i[j]]  # k -> (i j) k
-                # i (j k) is compared lazily: a tuple built from a map is
-                # resized, which fills CPython's tuple free lists, and over
-                # many small closures that grew peak memory by about 10 %
-                if any(map(ne, left, map(row_i.__getitem__, row_j))):
+                if left != times_j(row_i):
                     k = next(k for k in range(m) if left[k] != row_i[row_j[k]])
                     raise MalformedTableError(f"not associative at ({i}, {j}, {k})")
         self.table = table
@@ -180,7 +184,11 @@ def sample_closure(model, seeds, budget: int) -> SampleClosure:
     upper: list = []  # upper[i][j - i] is the index of elems[i] * elems[j], j >= i
     saturated = True
     done = 0  # elems[:done] have all their products with each other recorded
-    while done < len(elems) and saturated:
+    # Every pass but the last adds a class, so from one seed on the closure
+    # ends within budget passes; the bound keeps a faulty test from spinning.
+    for _ in range(budget):
+        if not (done < len(elems) and saturated):
+            break
         snapshot = len(elems)
         upper.extend([] for _ in range(done, snapshot))
         for i in range(snapshot):
@@ -202,7 +210,7 @@ def sample_closure(model, seeds, budget: int) -> SampleClosure:
     if saturated:
         rows = []
         for i, x in enumerate(elems):
-            lower = [find(mul(x, y)) for y in elems[:i]]
+            lower = list(map(find, map(mul, repeat(x), elems[:i])))
             if None in lower:
                 # elems[j] * elems[i] is in the closure, so a product outside
                 # it can only mean the two orders disagree

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from tclass import CLOSED, OPEN, Cut, Q, ValueGroup, Z, Zloc
+from tclass import boxes
 from tclass import cuts as C
 from tclass.groups import DISCRETE, is_member
 from tclass.sampling import SPAN, den_choices
@@ -75,6 +76,41 @@ def random_raw_cut(rng, g):
         d = rng.choice(dens)
         boundary.append(Fraction(rng.randint(-2 * d, 2 * d), d))
     return Cut(level, tuple(boundary), rng.choice((CLOSED, OPEN)))
+
+
+def reference_targets_for(g, steps, scale, prefix):
+    """The neighborhood points of one scaled prefix, built coordinate list
+    by coordinate list: `boxes._targets_for` must give the same points."""
+    m = len(prefix)
+    base = [n // u * u for n, u in zip(prefix, steps)]
+    tails = [[t * s for s in scale[m:]] for t in (0, -2, 2)]
+    out = []
+    for dlast in range(-3, 4):
+        top = base[m - 1] + dlast * steps[m - 1]
+        if abs(top) > boxes.HI * scale[m - 1]:
+            continue
+        for tail in tails:
+            out.append(tuple(base[: m - 1] + [top] + tail))
+    if m >= 2:
+        for db in (-1, 1):
+            coords = list(base)
+            coords[m - 2] += db * steps[m - 2]
+            out.append(tuple(coords + [0] * (g.rank - m)))
+    return out
+
+
+def reference_sample_points(g, prefixes, rng, fine, scale):
+    """`boxes.sample_points` with its random points drawn by `randint`: it
+    must return the same points and leave `rng` in the same state."""
+    steps = [s // f for s, f in zip(scale, fine)]
+    pts = set()
+    for prefix in prefixes:
+        pts.update(reference_targets_for(g, steps, scale, prefix))
+    draws = [(boxes.MAX_COORD * dc, s // dc)
+             for dc, s in zip(map(boxes._check_den, g.components), scale)]
+    for _ in range(boxes.N_RANDOM):
+        pts.add(tuple(rng.randint(-r, r) * u for r, u in draws))
+    return sorted(pts)
 
 
 def _key(a, pos):

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GROUPS, random_element
+from conftest import GROUPS, random_element, reference_sample_points
 from tclass import CLOSED, OPEN, Cut, Q, ValueGroup, Z, Zloc
 from tclass import boxes
 from tclass.cuts import member, mul, quotient, translate
@@ -241,6 +241,72 @@ def test_check_same_set_separates_and_identifies(rng):
     g = GROUPS["Z_Q"]
     at = (F(0), F(1, 2))
     assert boxes.check_same_set(g, Cut(2, at, CLOSED), Cut(2, at, OPEN), rng)
+
+
+# The value groups of the benchmark's box checks.
+BOX_GROUPS = ["Z_Q", "Zhalf", "Z_Zthird", "Z2"]
+
+
+@pytest.mark.parametrize("name", BOX_GROUPS)
+def test_sample_points_draw_as_the_reference(name, monkeypatch):
+    # Every `sample_points` call of a check on a seeded canonical pair, with
+    # its own prefixes: the same points as the reference, and the generator
+    # left in the same state.
+    g = GROUPS[name]
+    real = boxes.sample_points
+    calls = []
+
+    def twin(g, prefixes, rng, fine, scale):
+        ref_rng = random.Random()
+        ref_rng.setstate(rng.getstate())
+        got = real(g, prefixes, rng, fine, scale)
+        assert got == reference_sample_points(g, prefixes, ref_rng, fine, scale)
+        assert rng.getstate() == ref_rng.getstate()
+        calls.append(prefixes)
+        return got
+    monkeypatch.setattr(boxes, "sample_points", twin)
+    rng = random.Random(27)
+    for _ in range(40):
+        a, b = random_cut(rng, g), random_cut(rng, g)
+        assert boxes.check_mul(g, a, b, mul(g, a, b), rng) == []
+        assert boxes.check_quotient(g, a, b, quotient(g, a, b), rng) == []
+    assert len(calls) == 80
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_below_draws_as_randint(seed):
+    ours, twin = random.Random(seed), random.Random(seed)
+    for n in range(1, 34):
+        for _ in range(4):
+            assert boxes._below(ours.getrandbits, n) == twin.randint(0, n - 1)
+            assert ours.getstate() == twin.getstate()
+
+
+def inside_by_definition(a, boundary, x):
+    """x is in the cut's upper set: a prefix that differs from the scaled
+    boundary decides by `>`, and an equal prefix by the cut's side."""
+    prefix = x[: len(boundary)]
+    if prefix != boundary:
+        return prefix > boundary
+    return a.side == CLOSED
+
+
+def test_inside_matches_its_definition(group, rng):
+    on_boundary = 0
+    for _ in range(30):
+        c = random_cut(rng, group)
+        for side in (CLOSED, OPEN):
+            a = Cut(c.level, c.boundary, side)
+            fine, _, scale = scaled_lattice(group, (a,))
+            scaled = boxes._scaled_cut(a, scale)
+            boundary = scaled[0]
+            pts = boxes.sample_points(group, (boundary,), rng, fine, scale)
+            # the boundary itself under every tail: the equal-prefix case
+            pts += [boundary + x[a.level:] for x in pts]
+            for x in pts:
+                assert boxes._inside(scaled, x) == inside_by_definition(a, boundary, x), (a, x)
+                on_boundary += x[: a.level] == boundary
+    assert on_boundary
 
 
 def test_sample_points_members_and_determinism(group):

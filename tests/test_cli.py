@@ -19,8 +19,8 @@ import tclass
 from tclass import cuts, sampling, semigroups
 from tclass import polyext as X
 from tclass import pruefer as P
-from tclass.cli import cmd_classify, cmd_decompose, load_model, main
-from conftest import random_raw_cut
+from tclass.cli import _form_count, cmd_classify, cmd_decompose, load_model, main
+from conftest import GROUPS, random_raw_cut
 from test_kills import plant
 
 C3_TEXT = "3\n2 0 1\n0 1 2\n1 2 0\n"
@@ -816,6 +816,29 @@ def test_a_fault_enumerating_the_forms_is_one_exact_sequence_line(tmp_path, caps
     assert exact["failures"] == ["idempotent forms: IndexError: planted"]
     assert exact["failure_count"] == 1
     # Z has one rank-1 form and Q two: the instance count needs no enumeration.
+    assert exact["instances"] == 10 * 1 * 2
+
+
+def test_form_count_is_the_kernels_count(group):
+    assert _form_count([group]) == len(cuts.idempotent_forms(group))
+    assert _form_count([group, GROUPS["Z_Q"]]) == len(cuts.idempotent_forms(group)) * 3
+
+
+def test_a_fault_listing_rank1_forms_stays_inside_the_checks(tmp_path, capsys, monkeypatch):
+    # The spec's form bound and the exact sequence's instance count are
+    # counted off the components, so a fault in `cuts.idempotent_forms`
+    # reaches only the trials that call it.
+    def planted_forms(g):
+        raise IndexError("planted")
+    monkeypatch.setattr(cuts, "idempotent_forms", planted_forms)
+    out = tmp_path / "report.json"
+    spec = {"kind": "pruefer_fc", "valuations": [["Z"], ["Q"]]}
+    assert main(["verify", write(tmp_path, "spec.json", spec), "--samples", "10", "--seed", "1",
+                 "--json", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    exact = checks["exact_sequence"]
+    assert exact["failures"] == ["idempotent forms: IndexError: planted"]
     assert exact["instances"] == 10 * 1 * 2
 
 

@@ -127,6 +127,8 @@ def commutative_table(m, entries):
     return rows
 
 
+# m = 1 is the one 1 x 1 table, [[0]]: Light's test skips it, since
+# `itemgetter` of one index returns a scalar, and it must still be accepted.
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_associativity_check_matches_sweep_on_every_small_table(m):
     accepted = 0
@@ -186,6 +188,21 @@ def test_associativity_check_matches_sweep_on_corrupted_semigroups(name):
                     bad = [list(r) for r in rows]
                     bad[i][j] = bad[j][i] = x
                     assert_matches_reference(bad)
+
+
+@pytest.mark.parametrize("rows, triple", [
+    ([[0, 0, 0], [0, 0, 1], [0, 1, 0]], (1, 2, 2)),
+    # generated by 0 and 1 (1 * 1 = 2); 2 * 2 = 3 gives (1 1) 2 = 3 but
+    # 1 (1 2) = 0, and no triple fails with j = 0
+    ([[0, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 0]], (1, 1, 2)),
+])
+def test_associativity_check_fails_only_at_the_last_generator(rows, triple):
+    gens = _generators(rows)
+    assert {j for _, j, _ in reference_failures(rows)} & set(gens) == {gens[-1]}
+    assert_matches_reference(rows)
+    with pytest.raises(MalformedTableError) as exc:
+        FiniteCommSemigroup(rows)
+    assert str(exc.value) == f"not associative at {triple}"
 
 
 def test_generators_are_greedy_and_can_be_every_element():
@@ -372,6 +389,23 @@ def test_closure_budget_exhaustion_degrades_gracefully():
     assert len(cl.dictionary) == 2
     with pytest.raises(ValueError, match="^cross_check needs a saturated closure$"):
         cross_check(cl, m)
+
+
+class AlwaysNew:
+    """A class handle whose every product is a class not seen before."""
+
+    def __init__(self):
+        self.fresh = itertools.count(1)
+
+    def mul(self, x, y):
+        return next(self.fresh)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 5, 40])
+def test_closure_of_endless_products_stops_at_the_budget(budget):
+    cl = sample_closure(AlwaysNew(), [0], budget)
+    assert not cl.saturated and cl.semigroup is None
+    assert len(cl.dictionary) == budget
 
 
 def test_closure_rejects_budget_below_seed_count():
