@@ -40,6 +40,7 @@ from operator import add, ge, gt, sub
 
 from .groups import DISCRETE, RATIONALS, ValueGroup
 from .cuts import CLOSED, Cut
+from .sampling import _below
 
 LO, HI = -8, 8
 MAX_BOUNDARY = 3
@@ -179,17 +180,6 @@ def _targets_for(steps, scale, prefix, tails) -> list:
         for db in (-1, 1):
             out.append(head[:-1] + (head[-1] + db * steps[m - 2], last) + tails[m][0])
     return out
-
-
-def _below(getrandbits, n: int) -> int:
-    # `random.Random._randbelow_with_getrandbits`, which `randint(-r, r)`
-    # calls as -r + _randbelow(2r + 1): the same bits, with no method calls
-    # around them.
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
 
 
 def sample_points(g: ValueGroup, prefixes, rng, fine, scale) -> list:

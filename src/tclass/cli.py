@@ -29,6 +29,7 @@ import os
 import random
 import shlex
 import sys
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -287,7 +288,7 @@ def _drive(name: str, instances: int, trials) -> dict:
 
 
 def _random_tuple(rng: random.Random, m: P.PrueferModel) -> P.IdealTuple:
-    return P.IdealTuple(tuple(S.random_cut(rng, g) for g in m.valuations))
+    return P.IdealTuple(tuple(map(S.random_cut, repeat(rng), m.valuations)))
 
 
 def _regularity(m, samples, rng, write) -> dict:
@@ -333,7 +334,7 @@ def _overring_transfer(m, samples, rng, write) -> dict:
         a = _random_tuple(rng, m)
         yield lambda: _literal(write(a))
         for i, (g, c) in enumerate(zip(m.valuations, a.cuts)):
-            lvl = rng.randint(c.level, g.rank)
+            lvl = c.level + S._below(rng.getrandbits, g.rank - c.level + 1)
             over, base = C.t_closure_over(g, lvl, c), C.t_closure(g, c)
             if over != base:
                 yield (f"{_literal(write(a))}, component {i + 1} at level {lvl}: "

@@ -9,11 +9,16 @@ every caller is reproducible from a seed.
 This module is the one home of that sampling window.  Per component,
 built once per (kind, primes), it holds each coordinate n/d once, as a
 `Fraction` with a small integer code, and for each denominator d the range
-of its codes; a coordinate is a denominator picked by `rng.choice`, then a
-code picked from its range.  `choice(seq)` is
-`seq[_randbelow(len(seq))]` and `randint(a, b)` is `a + _randbelow(b - a
-+ 1)`, so these draws use the generator exactly as `randint` over the
-numerators would.
+of its codes; a coordinate is a denominator picked from the ranges, then a
+code picked from its range.  Every pick is one `_below(getrandbits, n)`,
+the module's copy of `Random._randbelow_with_getrandbits`: `choice(seq)`
+is `seq[_randbelow(len(seq))]` and `randint(a, b)` is `a + _randbelow(b -
+a + 1)`, so these draws use the generator exactly as `randint` over the
+numerators did, with no Python-level `Random` method around the
+`getrandbits` call.  That is the contract: a draw consumes a
+`random.Random` as its getrandbits-based `_randbelow` does.  `verify`
+makes plain generators; a subclass that overrides only `random()` would
+draw differently here than through `choice`.
 
 A draw is named by one small int: its codes, its side, and as the low bit
 whether the cut is normalised (`random_cut`) or kept as drawn.  Each
@@ -21,10 +26,12 @@ generator keeps per group one table from name to cut, which builds the
 boundary, the `Cut` and any `normalize` of a name at its first draw, so
 a repeated draw allocates nothing.  A table is found by its group's `id`
 (a `ValueGroup` hash costs more than a draw) and holds its group, so the
-id is not reused while the table lives.  The tables go with their
-generator: `verify` makes one per command, so no command reads a cut that
-another command built, and a fault planted in the kernel between commands
-is never hidden by an earlier result.
+id is not reused while the table lives.  A generator's tables are found
+by its own `id` in a plain dict, which a `weakref.finalize` on the
+generator empties, so the tables go with their generator: `verify` makes
+one per command, so no command reads a cut that another command built,
+and a fault planted in the kernel between commands is never hidden by an
+earlier result.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import functools
 import random
 import weakref
 from fractions import Fraction
+from operator import getitem
 from typing import NamedTuple
 
 from . import cuts as C
@@ -40,13 +48,28 @@ from .groups import DISCRETE, RATIONALS, ArchComponent, ValueGroup, is_member
 from .cuts import CLOSED, OPEN, Cut
 
 SPAN = 2
-_SIDES = (CLOSED, OPEN)
 # A name's codes are its base-_RADIX digits, one per coordinate; codes
 # start at 1, so the digits count the level.
 _RADIX = 64
 
-# generator -> {id(group): its _Window}; an entry goes with its generator.
-_DRAWN: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# id(generator) -> {id(group): its _Window}; a finalizer on the generator
+# pops its entry, so the entry goes before the id can be reused.
+_DRAWN: dict = {}
+
+
+def _below(getrandbits, n: int) -> int:
+    """An int in [0, n) from `Random._randbelow_with_getrandbits`'s rule:
+    the same calls of `getrandbits(n.bit_length())`, rejections included,
+    with no method calls around them.  An empty range raises, as `randint`
+    does, where the rule itself would spin (`getrandbits(0)` is 0); the
+    test runs on a rejected draw only."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        if n < 1:
+            raise ValueError(f"empty range for _below: {n}")
+        r = getrandbits(k)
+    return r
 
 
 def den_choices(comp: ArchComponent) -> tuple[int, ...]:
@@ -91,12 +114,12 @@ class _Window(dict):
     """One generator's draws over the group `g`: the coordinate tables per
     component, and the cut of each name drawn so far, built on a miss."""
 
-    __slots__ = ("g", "levels", "tables")
+    __slots__ = ("g", "tables", "values")
 
     def __init__(self, g: ValueGroup):
         self.g = g  # held, so no other group takes its id meanwhile
-        self.levels = range(1, g.rank + 1)
         self.tables = tuple(_coordinates(c.kind, c.primes) for c in g.components)
+        self.values = tuple(t.values for t in self.tables)
 
     def __missing__(self, name: int) -> Cut:
         normalized, side = name & 1, OPEN if name & 2 else CLOSED
@@ -105,35 +128,46 @@ class _Window(dict):
             if rest:
                 rest, code = divmod(rest, _RADIX)
                 codes.insert(0, code)
-        c = Cut(len(codes), tuple(t.values[k] for t, k in zip(self.tables, codes)), side)
+        c = Cut(len(codes), tuple(map(getitem, self.values, codes)), side)
         c = self[name] = C.normalize(self.g, c) if normalized else c
         return c
 
 
 def _window(rng: random.Random, g: ValueGroup) -> _Window:
     try:
-        return _DRAWN[rng][id(g)]
+        return _DRAWN[id(rng)][id(g)]
     except KeyError:
-        return _DRAWN.setdefault(rng, {}).setdefault(id(g), _Window(g))
+        if id(rng) not in _DRAWN:
+            _DRAWN[id(rng)] = {}
+            weakref.finalize(rng, _DRAWN.pop, id(rng), None)
+        w = _DRAWN[id(rng)][id(g)] = _Window(g)
+        return w
 
 
-def _codes(choice, tables: tuple, level: int, any_top: bool) -> int:
+def _code(bits, ranges: tuple) -> int:
+    """A denominator's range of codes, then a code in it, as
+    `choice(choice(ranges))` draws them."""
+    codes = ranges[_below(bits, len(ranges))]
+    return codes[_below(bits, len(codes))]
+
+
+def _codes(bits, tables: tuple, level: int, any_top: bool) -> int:
     """The codes of a draw: members below `level`, then a top from the
     window (`any_top`) or from the members."""
     name = 0
     for t in tables[: level - 1]:
-        name = name * _RADIX + choice(choice(t.members))
+        name = name * _RADIX + _code(bits, t.members)
     top = tables[level - 1]
-    return name * _RADIX + choice(choice(top.window if any_top else top.members))
+    return name * _RADIX + _code(bits, top.window if any_top else top.members)
 
 
 def random_cut(rng: random.Random, g: ValueGroup) -> Cut:
     """A canonical cut: a level, member coordinates below it, any top of
-    the window and a side, normalised."""
+    the window and a side (a `_below(bits, 2)` of 1 is open), normalised."""
     w = _window(rng, g)
-    choice = rng.choice
-    return w[_codes(choice, w.tables, choice(w.levels), True) * 4
-             + (choice(_SIDES) == OPEN) * 2 + 1]
+    bits = rng.getrandbits
+    level = 1 + _below(bits, len(w.tables))
+    return w[_codes(bits, w.tables, level, True) * 4 + _below(bits, 2) * 2 + 1]
 
 
 def group_cut(rng: random.Random, g: ValueGroup, level: int, side: str) -> Cut:
@@ -142,7 +176,7 @@ def group_cut(rng: random.Random, g: ValueGroup, level: int, side: str) -> Cut:
     open.  Callers ask for an open cut at a dense level only, where every
     top is canonical."""
     w = _window(rng, g)
-    return w[_codes(rng.choice, w.tables, level, side == OPEN) * 4 + (side == OPEN) * 2]
+    return w[_codes(rng.getrandbits, w.tables, level, side == OPEN) * 4 + (side == OPEN) * 2]
 
 
 def target_cut(rng: random.Random, g: ValueGroup, level: int) -> Cut:
@@ -152,5 +186,4 @@ def target_cut(rng: random.Random, g: ValueGroup, level: int) -> Cut:
     name = 0
     for t in w.tables[: level - 1]:
         name = name * _RADIX + t.zero
-    choice = rng.choice
-    return w[(name * _RADIX + choice(choice(w.tables[level - 1].window))) * 4 + 2]
+    return w[(name * _RADIX + _code(rng.getrandbits, w.tables[level - 1].window)) * 4 + 2]

@@ -273,15 +273,6 @@ def test_sample_points_draw_as_the_reference(name, monkeypatch):
     assert len(calls) == 80
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_below_draws_as_randint(seed):
-    ours, twin = random.Random(seed), random.Random(seed)
-    for n in range(1, 34):
-        for _ in range(4):
-            assert boxes._below(ours.getrandbits, n) == twin.randint(0, n - 1)
-            assert ours.getstate() == twin.getstate()
-
-
 def inside_by_definition(a, boundary, x):
     """x is in the cut's upper set: a prefix that differs from the scaled
     boundary decides by `>`, and an equal prefix by the cut's side."""

@@ -271,14 +271,16 @@ DRAW_CUTS_BEFORE = 727
 
 def test_each_distinct_draw_is_built_once(monkeypatch):
     # Two draws that take the same random numbers draw the same cut, so a
-    # draw is told apart by the `_randbelow` results it consumes.
+    # draw is told apart by the `sampling._below` results it consumes: the
+    # (n, r) of each pick, not the raw `getrandbits` results, whose
+    # rejected bits would split equal draws.
     consumed, counts = [], Counter()
     where = []  # inside a draw: "draw", then "normalize" while it runs
 
-    randbelow = random.Random._randbelow
+    below = S._below
 
-    def recorded(self, n):
-        r = randbelow(self, n)
+    def recorded(getrandbits, n):
+        r = below(getrandbits, n)
         if where:
             consumed[-1].append((n, r))
         return r
@@ -307,7 +309,7 @@ def test_each_distinct_draw_is_built_once(monkeypatch):
         if where:
             counts["cuts in " + where[-1]] += 1
         post_init(self)
-    monkeypatch.setattr(random.Random, "_randbelow", recorded)
+    monkeypatch.setattr(S, "_below", recorded)
     monkeypatch.setattr(S, "random_cut", drawn)
     monkeypatch.setattr(C, "normalize", normalized)
     monkeypatch.setattr(C.Cut, "__post_init__", built)

@@ -165,6 +165,61 @@ def test_exact_sequence_draws_as_written(name, seed):
     assert got_rng.getstate() == ref_rng.getstate()
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_below_draws_as_randint(seed):
+    # `_below` is `Random._randbelow`: one pick of `choice` over n items for
+    # n = 1..64, and `randint` over the levels `overring_transfer` draws
+    # from (its cut's level up to the rank), with the generator's state
+    # equal after each draw.
+    ours, twin = random.Random(seed), random.Random(seed)
+    for n in range(1, 65):
+        seq = tuple(f"item {i}" for i in range(n))
+        for _ in range(4):
+            assert seq[sampling._below(ours.getrandbits, n)] == twin.choice(seq)
+            assert ours.getstate() == twin.getstate()
+    for rank in range(1, 5):
+        for level in range(1, rank + 1):
+            for _ in range(4):
+                got = level + sampling._below(ours.getrandbits, rank - level + 1)
+                assert got == twin.randint(level, rank)
+                assert ours.getstate() == twin.getstate()
+
+
+def test_below_refuses_an_empty_range():
+    # `randint(a, a - 1)` raises; `_randbelow(0)` would spin forever on
+    # `getrandbits(0) == 0`, so `_below` refuses before its first draw.
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        sampling._below(rng.getrandbits, 0)
+    assert rng.getstate() == state
+    with pytest.raises(ValueError):
+        sampling._below(rng.getrandbits, -1)
+
+
+GUARD_SPECS = (
+    {"kind": "valuation", "group": ["Q", "Z", {"Zloc": [2]}]},
+    {"kind": "pruefer_fc", "valuations": [[{"Zloc": [2]}], ["Z", "Q"]]},
+    {"kind": "poly_ext", "base": ["Z", "Q"]},
+)
+
+
+@pytest.mark.parametrize("spec", GUARD_SPECS, ids=lambda spec: spec["kind"])
+def test_no_draw_goes_through_random_methods(monkeypatch, spec):
+    # Every draw of `verify` reads `getrandbits` through `sampling._below`;
+    # with `Random`'s Python-level pickers made to raise, a draw that still
+    # went through one would fail its trial and change the report.
+    kind, model = cli.load_model(json.dumps(spec))
+    want = cli.cmd_verify(kind, model, 20, 1, None)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a draw went through random.Random")
+    for name in ("choice", "randint", "randrange", "_randbelow"):
+        monkeypatch.setattr(random.Random, name, refused)
+    assert cli.cmd_verify(kind, model, 20, 1, None) == want
+    assert want["passed"]
+
+
 # A rank-3 window no other test here draws from, so each command draws
 # cuts that no earlier one drew.
 LIFETIME_SPEC = {"kind": "pruefer_fc", "valuations": [[{"Zloc": [2]}], ["Q", "Q", {"Zloc": [3]}]]}
