@@ -15,8 +15,9 @@ writers with their text, and the documented report differences.
 
 Exit codes: 0 pass, 1 usage or parse error, 2 verification failure or an
 internal inconsistency (a bug).  In `verify` every exception a check
-raises is a failure line of that check; elsewhere an internal
-inconsistency is one stderr line carrying the command that replays it.
+raises is a failure line of that check; any other exception past parsing
+is an internal inconsistency, one stderr line carrying the command that
+replays it.
 """
 
 from __future__ import annotations
@@ -264,8 +265,9 @@ def _drive(name: str, instances: int, trials) -> dict:
     name>: Type: message` (`trial N` if unnamed), and the next trial runs.
     A name that raises in turn, such as the literal of a malformed draw,
     gives `trial N: Type: message` of its own exception.  `trials` is read
-    one trial at a time, so a trial may set up the later ones
-    (`exact_sequence` enumerates its forms this way)."""
+    one trial at a time, so a trial may set up the later ones and gate them:
+    `exact_sequence` enumerates its forms this way, and a form's trial,
+    once it completes, opens that form's sample trials."""
     failures = []
     for n, trial in enumerate(trials, 1):
         steps, label = trial(), lambda: f"trial {n}"
@@ -343,26 +345,80 @@ def _overring_transfer(m, samples, rng, write) -> dict:
 
 
 def _exact_sequence(m, samples, rng, write) -> dict:
-    """`pruefer.verify_exact_sequence` at every form, in report order.  The
-    forms are enumerated by a first trial, so a fault there is one line;
-    one trial per form follows.  The instance count is `_form_count`,
+    """Sampled exactness of 0 -> Cl(T) -> G -> prod G_i -> 0 at every form,
+    in report order: G is the form's constituent group and G_i the
+    localization classes `pruefer.psi_localize` projects it to.  Cl(T) of a
+    semilocal intersection is trivial, so exactness amounts to: the
+    embedded class is the identity and is the whole kernel (injectivity of
+    the projection), the projection is a homomorphism, and every sampled
+    target vector lifts.  Failures name the offending tuples by the
+    literals `tclass classify --ideal` reads.
+
+    The forms are enumerated by a first trial, so a fault there is one
+    line.  Each form's trial builds its constants and checks the embedding;
+    only when it completes do the form's `samples` trials follow, each
+    drawing a pair of group members and a target vector and named by the
+    pair and the target's preimage.  The instance count is `_form_count`,
     which calls no kernel code outside a trial."""
-    forms = []
+    forms, gs = [], m.valuations
+
+    def lit(a: P.IdealTuple) -> str:
+        return _literal(write(a))
 
     def enumerate_forms():
         yield lambda: "idempotent forms"
         forms.extend(P.enumerate_idempotent_forms(m))
 
-    def trial(form):
+    def form_trial(form, opened):
         text = _form_text(form_json(form))
         yield lambda: text
-        yield from (f"{text}: {msg}" for msg in P.verify_exact_sequence(m, form, samples, rng))
+        levels, local = form.overring.levels, sorted(form.open_components)
+        sides = [C.OPEN if i in form.open_components else C.CLOSED for i in range(len(gs))]
+        t = P.ring_tuple(m, form.overring)
+        j = P.form_tuple(m, form)
+        identity = P.class_of(m, j)
+        ident = P.psi_localize(m, j, form)
+        # The embedding pushes a class over T into the group by multiplying
+        # into the idempotent and t-closing; the identity of Cl(T) is T's class.
+        embedded = P.class_of(m, P.t_closure(m, P.mul(m, t, j)))
+        if embedded != identity:
+            yield (f"{text}: embedding of Cl(T) identity missed the group identity: "
+                   f"{lit(P.tuple_of_class(embedded))}")
+
+        def sample():
+            lift = None  # named by the form alone until its draws are done
+            yield lambda: (text if lift is None else
+                           f"{text}: sample {lit(a)} * {lit(b)} with preimage {lit(lift)}")
+            # The pair is canonical as drawn: an open top sits at a dense
+            # level, the only place open forms exist.
+            a, b = (P.IdealTuple(tuple(map(S.group_cut, repeat(rng), gs, levels, sides)))
+                    for _ in range(2))
+            target = tuple(C.class_of(gs[i], S.target_cut(rng, gs[i], levels[i])) for i in local)
+            # The preimage plants each target class's rep at its component
+            # and keeps the idempotent elsewhere.
+            cuts = list(j.cuts)
+            for r, i in zip(target, local):
+                cuts[i] = r.rep
+            lift = P.IdealTuple(tuple(cuts))
+            ab = P.t_closure(m, P.mul(m, a, b))
+            pa, pb, pab = (P.psi_localize(m, x, form) for x in (a, b, ab))
+            if pab != tuple(C.class_mul(gs[i], x, y) for x, y, i in zip(pa, pb, local)):
+                yield f"{text}: projection not multiplicative at {lit(a)} * {lit(b)}"
+            if pa == ident and P.class_of(m, a) != identity:
+                yield f"{text}: kernel element outside the embedded image: {lit(a)}"
+            if pa == pb and P.class_of(m, a) != P.class_of(m, b):
+                yield f"{text}: projection identified distinct classes: {lit(a)} vs {lit(b)}"
+            if P.psi_localize(m, lift, form) != target:
+                yield f"{text}: constructed preimage {lit(lift)} missed its target"
+        opened.append(sample)
 
     def trials():
         yield enumerate_forms
         for form in forms:
-            yield functools.partial(trial, form)
-    return _drive("exact_sequence", samples * _form_count(m.valuations), trials())
+            opened = []  # the form's sample trial, once its form trial completes
+            yield functools.partial(form_trial, form, opened)
+            yield from opened * samples
+    return _drive("exact_sequence", samples * _form_count(gs), trials())
 
 
 def _classification_consistency(m, samples, rng, write) -> dict:
@@ -560,6 +616,10 @@ def _replay(args) -> str:
     words = [args.command, args.spec]
     if args.command == "classify":
         words += ["--ideal", args.ideal]
+    elif args.command == "verify":
+        words += ["--samples", str(args.samples), "--seed", str(args.seed)]
+        if args.fixture is not None:
+            words += ["--fixture", args.fixture]
     return "tclass " + " ".join(shlex.quote(w.replace("\n", " ")) for w in words)
 
 
@@ -584,8 +644,9 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except C.MODEL_ERRORS as e:
-        print(f"error: internal inconsistency: {e}; replay with: {_replay(args)}",
+    except Exception as e:  # past parsing, since `_Parser.error` raises `UsageError`
+        error = f"{type(e).__name__}: {e}".replace("\n", " ")
+        print(f"error: internal inconsistency: {error}; replay with: {_replay(args)}",
               file=sys.stderr)
         return 2
 

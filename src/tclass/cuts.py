@@ -77,13 +77,6 @@ class InternalInconsistencyError(RuntimeError):
     """An arithmetic identity that must hold by theory failed; a bug, not bad input."""
 
 
-# Past parsing, a non-idempotent J, a class outside its group or an ideal
-# that is not one of its overring can only come from wrong arithmetic: a
-# bug, like a failed guard.
-MODEL_ERRORS = (InternalInconsistencyError, NotIdempotentError, NotInGroupError,
-                DomainMismatchError)
-
-
 @dataclass(frozen=True)
 class Cut:
     """A prefix cut.  Its boundary is a tuple of `Fraction`s, as the parsers,

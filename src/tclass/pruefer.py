@@ -18,16 +18,13 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import ValueGroup, is_member
-from .sampling import group_cut, target_cut
 from . import cuts as C
 from .cuts import (
     CLOSED,
-    OPEN,
     Cut,
     CutClass,
     DomainMismatchError,
@@ -197,93 +194,6 @@ def psi_localize(model: PrueferModel, a: IdealTuple, form: IdempotentForm) -> tu
     if classify_idempotent(model, a) != form:
         raise NotInGroupError(f"{_literal(a)}: tuple class lies outside the constituent group")
     return tuple(C.class_of(model.valuations[i], a.cuts[i]) for i in sorted(form.open_components))
-
-
-def _random_group_member(rng: random.Random, model: PrueferModel,
-                         form: IdempotentForm) -> IdealTuple:
-    # Canonical as drawn: an open top sits at a dense level, the only
-    # place open forms exist.
-    return IdealTuple(tuple(
-        group_cut(rng, g, lvl, OPEN if i in form.open_components else CLOSED)
-        for i, (g, lvl) in enumerate(zip(model.valuations, form.overring.levels))))
-
-
-def _random_target(rng: random.Random, model: PrueferModel, form: IdempotentForm,
-                   local: list[int]) -> tuple[CutClass, ...]:
-    out = []
-    for i in local:
-        g = model.valuations[i]
-        out.append(C.class_of(g, target_cut(rng, g, form.overring.levels[i])))
-    return tuple(out)
-
-
-def _lift_target(model: PrueferModel, j: IdealTuple, local: list[int],
-                 target: tuple[CutClass, ...]) -> IdealTuple:
-    """Componentwise preimage: plant each (canonical) class representative
-    at its component, keep the idempotent `j` elsewhere."""
-    cuts = list(j.cuts)
-    for r, i in zip(target, local):
-        cuts[i] = r.rep
-    return IdealTuple(tuple(cuts))
-
-
-def verify_exact_sequence(model: PrueferModel, form: IdempotentForm,
-                          samples: int, rng: random.Random) -> list[str]:
-    """Sampled exactness of 0 -> Cl(T) -> G -> prod G_i -> 0; returns the
-    failures.
-
-    Cl(T) is trivial (`show_principal` certifies it), so exactness amounts
-    to: the embedded class is the identity and is the whole kernel
-    (injectivity of the projection), the projection is a homomorphism, and
-    every sampled target vector lifts.  Failures name the offending tuples
-    by the literals `tclass classify --ideal` reads; they indicate
-    arithmetic bugs and are never swallowed.  A model error
-    (`cuts.MODEL_ERRORS`) raised in a sample is such a failure: it names
-    the sample's tuples and ends the sample.  Any other exception leaves
-    this function, and `verify` records it as a failure of the form.
-    """
-    failures = []
-
-    def fail(message: str, *tuples: IdealTuple, error: Exception | None = None) -> None:
-        line = message.format(*map(_literal, tuples))
-        failures.append(line if error is None else f"{line}: {error}")
-
-    # Per-form constants: the overring, the idempotent, its class, the open components.
-    t = ring_tuple(model, form.overring)
-    j = form_tuple(model, form)
-    identity = class_of(model, j)
-    local = sorted(form.open_components)
-    ident = psi_localize(model, j, form)
-
-    # The embedding pushes a class over T into the group by multiplying
-    # into the idempotent and t-closing; the identity of Cl(T) is T's class.
-    embedded = class_of(model, t_closure(model, mul(model, t, j)))
-    if embedded != identity:
-        fail("embedding of Cl(T) identity missed the group identity: {}",
-             tuple_of_class(embedded))
-
-    for _ in range(samples):
-        a = _random_group_member(rng, model, form)
-        b = _random_group_member(rng, model, form)
-        target = _random_target(rng, model, form, local)
-        lift = _lift_target(model, j, local, target)
-        try:
-            ab = t_closure(model, mul(model, a, b))
-            pa, pb, pab = (psi_localize(model, x, form) for x in (a, b, ab))
-            want = tuple(C.class_mul(model.valuations[i], x, y)
-                         for x, y, i in zip(pa, pb, local))
-            if pab != want:
-                fail("projection not multiplicative at {} * {}", a, b)
-            if pa == ident and class_of(model, a) != identity:
-                fail("kernel element outside the embedded image: {}", a)
-            if pa == pb and class_of(model, a) != class_of(model, b):
-                fail("projection identified distinct classes: {} vs {}", a, b)
-            if psi_localize(model, lift, form) != target:
-                fail("constructed preimage {} missed its target", lift)
-        except C.MODEL_ERRORS as e:
-            fail("sample {} * {} with preimage {}", a, b, lift, error=e)
-
-    return failures
 
 
 def enumerate_idempotent_forms(model: PrueferModel) -> list[IdempotentForm]:

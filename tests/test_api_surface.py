@@ -20,6 +20,10 @@ and `src/` does not is listed in BENCH_ONLY with its call site and why no
 command calls it, so a change that drops the benchmark's caller drops the
 name with it.
 
+No drawing below `verify`: the kernel, the models and the Cayley-table
+oracle (`MODEL_LAYERS`) import neither `random` nor `tclass.sampling`; the
+seeded draws are the checks' own, in `cli`.
+
 No one-valued parameter: every defaulted parameter of a public function or
 method (a class's `__init__` included) is passed by some call in `src/` or
 `bench/`, or has an entry in ONE_VALUED saying why not.  A parameter that
@@ -322,3 +326,39 @@ def test_every_defaulted_parameter_is_passed_or_has_a_reason():
 def test_one_valued_table_is_current():
     stale = set(ONE_VALUED) - one_valued()
     assert not stale, f"ONE_VALUED entries that a call now sets or that are gone: {sorted(stale)}"
+
+
+MODEL_LAYERS = ("groups", "cuts", "pruefer", "polyext", "semigroups")
+DRAWING = {"random", "tclass.sampling"}
+
+
+def imported(path: Path) -> set:
+    """The modules a file imports, the package's own as `tclass.<name>`
+    whether named relatively (`from .sampling import x`, `from . import
+    sampling`) or absolutely."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            mod = _module_of(node)
+            if mod is None:
+                out.add(node.module)
+            elif mod == "tclass":
+                out.update(f"tclass.{a.name}" for a in node.names)
+            else:
+                out.add(f"tclass.{_short(mod)}")
+    return out
+
+
+def test_the_model_layers_draw_nothing():
+    drawing = {name: imported(PACKAGE / f"{name}.py") & DRAWING for name in MODEL_LAYERS}
+    assert not any(drawing.values()), f"model layers that draw: {drawing}"
+
+
+def test_the_import_reader_sees_every_form(tmp_path):
+    path = tmp_path / "caller.py"
+    path.write_text("import random\nfrom . import sampling as S\nfrom .sampling import x\n"
+                    "from tclass.sampling import y\nfrom random import Random\n")
+    assert imported(path) == DRAWING
+    assert imported(PACKAGE / "cli.py") >= DRAWING

@@ -19,7 +19,8 @@ import tclass
 from tclass import cuts, sampling, semigroups
 from tclass import polyext as X
 from tclass import pruefer as P
-from tclass.cli import _form_count, cmd_classify, cmd_decompose, load_model, main
+from tclass.cli import (
+    _form_count, _form_text, cmd_classify, cmd_decompose, form_json, load_model, main)
 from conftest import GROUPS, random_raw_cut
 from test_kills import plant
 
@@ -484,6 +485,45 @@ def test_internal_inconsistency_in_a_literal_reader_exits_2(spec, literal, tmp_p
     assert err.count("\n") == 1 and "planted" in err and "replay with: tclass classify" in err
 
 
+def inverted_guard(self):
+    # `PrueferModel.__post_init__` with its test turned round.
+    if self.valuations:
+        raise ValueError("need at least one valuation")
+
+
+@pytest.mark.parametrize("spec, literal", [
+    ({"kind": "valuation", "group": ["Z", "Q"]}, cut_lit(1, [3], "closed")),
+    ({"kind": "poly_ext", "base": ["Z"]}, {"coeff": cut_lit(1, [3], "closed")}),
+], ids=["valuation", "poly_ext"])
+@pytest.mark.parametrize("command", ["classify", "decompose", "verify"])
+def test_any_exception_past_parsing_exits_2_with_its_replay(command, spec, literal, tmp_path,
+                                                           capsys, monkeypatch):
+    # These kinds build their `PrueferModel` inside the command, past
+    # parsing, so the inverted guard raises a plain `ValueError` there.
+    monkeypatch.setattr(P.PrueferModel, "__post_init__", inverted_guard)
+    path = write(tmp_path, "spec.json", spec)
+    fixture = write(tmp_path, "c3.txt", C3_TEXT)
+    extra = {"classify": ["--ideal", json.dumps(literal)], "decompose": [],
+             "verify": ["--samples", "3", "--seed", "5", "--fixture", fixture]}[command]
+    assert main([command, path, *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: internal inconsistency: ValueError: need at least one "
+                          f"valuation; replay with: tclass {command} {path}")
+    if command == "verify":
+        assert err.endswith(f" --samples 3 --seed 5 --fixture {fixture}\n")
+
+
+def test_an_exception_message_over_lines_stays_one_stderr_line(tmp_path, capsys, monkeypatch):
+    def planted(*args):
+        raise ValueError("first\nsecond")
+    monkeypatch.setattr(X, "decompose", planted)
+    path = write(tmp_path, "spec.json", {"kind": "poly_ext", "base": ["Z"]})
+    assert main(["decompose", path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and ": ValueError: first second; replay with: " in err
+
+
 def verify_checks(tmp_path, capsys, spec, samples) -> dict:
     """`verify --seed 11` on the `spec` file, which must exit 2 with no
     stderr line and write its report; the report's checks by name."""
@@ -714,9 +754,10 @@ def test_embedding_that_misses_the_identity_fails_exact_sequence(tmp_path, monke
 
 
 def test_preimage_that_misses_its_target_fails_exact_sequence(tmp_path, monkeypatch):
-    # A lift that ignores its target returns the idempotent, whose
-    # projection is the identity, not the sampled target.
-    monkeypatch.setattr(P, "_lift_target", lambda model, j, local, target: j)
+    # Class reps that forget their top coordinate make every lift the
+    # idempotent, whose projection is the identity, not the sampled target.
+    monkeypatch.setattr(cuts.CutClass, "rep", property(
+        lambda x: cuts.Cut(x.level, (Fraction(0),) * x.level, x.side)))
     failures = failures_of(tmp_path, PRUEFER, "exact_sequence")
     assert failures and all(re.fullmatch(r"maximal ideals at .*: constructed preimage "
                                          r"\{\"cuts\": .*\} missed its target", line)
@@ -739,7 +780,7 @@ CALLERS = {
     (cuts, "is_regular"): {"regularity"},
     (P, "group_membership"): {"idempotent_uniqueness"},
     (cuts, "t_closure_over"): {"overring_transfer"},
-    (P, "verify_exact_sequence"): {"exact_sequence"},
+    (P, "psi_localize"): {"exact_sequence"},
     (X, "decompose"): {"classification_consistency", "strongly_discrete_detector"},
     (semigroups, "sample_closure"): {"semigroup_cross_check"},
 }
@@ -766,6 +807,43 @@ def test_every_check_records_a_foreign_exception(kind, module, name, tmp_path, c
     assert {c["name"] for c in checks if not c["passed"]} == CALLERS[module, name]
     for c in checks:
         assert all(line.endswith(": ZeroDivisionError: planted") for line in c["failures"])
+
+
+def test_an_exact_sequence_sample_that_raises_fails_alone(tmp_path, capsys, monkeypatch):
+    # Each sample of an open form multiplies its projections; the planted
+    # error fails that sample alone, named by its pair and preimage, and
+    # the form's later samples still run.  The ring form multiplies none.
+    monkeypatch.setattr(cuts, "class_mul", raise_planted)
+    out = tmp_path / "report.json"
+    assert main(["verify", write(tmp_path, "spec.json", PRUEFER), "--samples", "2",
+                 "--seed", "1", "--json", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    check = {c["name"]: c for c in json.loads(out.read_text())["checks"]}["exact_sequence"]
+    _, m = load_model(json.dumps(PRUEFER))
+    forms = {_form_text(form_json(f)): f
+             for f in P.enumerate_idempotent_forms(m) if f.open_components}
+    assert check["failure_count"] == len(check["failures"]) == 2 * len(forms) > 0
+    named = []
+    for line in check["failures"]:
+        match = re.fullmatch(r"(.+?): sample (.+) \* (.+) with preimage (.+): "
+                             r"ZeroDivisionError: planted", line)
+        assert match, line
+        named.append(match[1])
+        for literal in match.groups()[1:]:
+            a = P.tuple_from_json(m, json.loads(literal))
+            assert P.classify_idempotent(m, a) == forms[match[1]]
+    assert named == [text for text in forms for _ in range(2)]
+
+
+def test_an_exact_sequence_draw_that_raises_is_named_by_its_form(tmp_path, monkeypatch):
+    # Only open forms draw a target; each of their samples fails alone,
+    # named by the form since it has no pair or preimage yet.
+    monkeypatch.setattr(sampling, "target_cut", raise_planted)
+    _, m = load_model(json.dumps(PRUEFER))
+    texts = [_form_text(form_json(f)) for f in P.enumerate_idempotent_forms(m)
+             if f.open_components]
+    assert failures_of(tmp_path, PRUEFER, "exact_sequence", "--samples", "2") == [
+        f"{text}: ZeroDivisionError: planted" for text in texts for _ in range(2)]
 
 
 def test_a_draw_that_raises_fails_its_trial_by_number(tmp_path, capsys, monkeypatch):

@@ -39,7 +39,7 @@ import pytest
 from conftest import GROUPS
 from tclass import cuts as C
 from tclass import pruefer as P
-from tclass.cli import _form_text, form_json, main
+from tclass.cli import _exact_sequence, _form_text, form_json, main
 from tclass.sampling import random_cut
 from test_kills import _form_cut_swapped, _residual_negated
 
@@ -274,22 +274,25 @@ def test_exact_sequence_records_a_sample_error_with_its_tuples(monkeypatch):
     def planted(g, x, y):
         raise C.NotInGroupError("planted")
     monkeypatch.setattr(C, "class_mul", planted)
-    for form in open_forms():
-        failures = P.verify_exact_sequence(MODEL, form, 2, random.Random(1))
-        assert len(failures) == 2
-        for line in failures:
-            assert line.startswith("sample ") and line.endswith(": planted")
-            tuples = [P.tuple_from_json(MODEL, t) for t in tuple_literals(line)]
-            # the sampled pair and the preimage, all in the form's group
-            assert len(tuples) == 3
-            assert all(P.classify_idempotent(MODEL, a) == form for a in tuples)
+    report = _exact_sequence(MODEL, 2, random.Random(1), P.tuple_to_json)
+    forms = {_form_text(form_json(f)): f for f in open_forms()}
+    assert report["failure_count"] == len(report["failures"]) == 2 * len(forms)
+    named = []
+    for line in report["failures"]:
+        text, sample = line.split(": ", 1)
+        named.append(text)
+        assert sample.startswith("sample ") and sample.endswith(": NotInGroupError: planted")
+        tuples = [P.tuple_from_json(MODEL, t) for t in tuple_literals(line)]
+        # the sampled pair and the preimage, all in the form's group
+        assert len(tuples) == 3
+        assert all(P.classify_idempotent(MODEL, a) == forms[text] for a in tuples)
+    assert named == [text for text in forms for _ in range(2)]
 
 
 def test_exact_sequence_runs_no_residual_audit(diverging_residual):
     # `psi_localize` decides membership by classification, so the planted
     # divergence passes through unseen.
-    for form in open_forms():
-        assert P.verify_exact_sequence(MODEL, form, 2, random.Random(1)) == []
+    assert _exact_sequence(MODEL, 2, random.Random(1), P.tuple_to_json)["passed"]
 
 
 def test_show_principal_guard_trips_on_a_planted_invertibility(monkeypatch):

@@ -66,9 +66,10 @@ NORMALIZE_CALLS = 102
 
 def test_verify_pruefer_stays_within_operation_budget(monkeypatch):
     counts = {"cuts": 0, "memberships": 0, "normalize": 0, "normalize in draws": 0,
-              "idempotent_cuts": 0, "is_idempotent": 0, "stabilizers": 0, "model_mul": 0}
+              "group_cuts": 0, "idempotent_cuts": 0, "is_idempotent": 0, "stabilizers": 0,
+              "model_mul": 0}
     closures = []
-    drawing = [0]  # `pruefer._random_group_member` frames on the stack
+    drawing = [0]  # `sampling.group_cut` frames on the stack
 
     def counted(key, fn):
         def wrapper(*args):
@@ -78,7 +79,7 @@ def test_verify_pruefer_stays_within_operation_budget(monkeypatch):
             return fn(*args)
         return wrapper
 
-    draw = P._random_group_member
+    draw = S.group_cut
 
     def drawn(*args):
         drawing[0] += 1
@@ -103,7 +104,7 @@ def test_verify_pruefer_stays_within_operation_budget(monkeypatch):
     monkeypatch.setattr(P.PrueferClassModel, "mul",
                         counted("model_mul", P.PrueferClassModel.mul))
     monkeypatch.setattr(SG, "sample_closure", recorded_closure)
-    monkeypatch.setattr(P, "_random_group_member", drawn)
+    monkeypatch.setattr(S, "group_cut", counted("group_cuts", drawn))
     kind, model = load_model(SPEC)
     report = cmd_verify(kind, model, 3, 1, None)
 
@@ -115,6 +116,9 @@ def test_verify_pruefer_stays_within_operation_budget(monkeypatch):
     assert counts["normalize"] <= NORMALIZE_BEFORE // 2, counts
     assert counts["normalize"] == NORMALIZE_CALLS < NORMALIZE_CALLS_BEFORE, counts
     assert counts["normalize in draws"] == 0, counts
+    # Two group members of one cut per component for each of the 18
+    # exact-sequence samples, every one seen drawing.
+    assert counts["group_cuts"] == 2 * 2 * 18, counts
     assert counts["idempotent_cuts"] <= IDEMPOTENT_CUTS_BEFORE // 4, counts
     samples, k = 3, model.k
     idempotents = sum(len(C.idempotent_forms(g)) for g in model.valuations)

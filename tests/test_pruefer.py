@@ -13,6 +13,8 @@ from conftest import GROUPS, group_inv, is_subset
 from tclass import CLOSED, OPEN, Cut, Q, ValueGroup, Z, Zloc
 from tclass import cuts as C
 from tclass import pruefer as P
+from tclass import sampling as S
+from tclass.cli import _exact_sequence
 
 DY = GROUPS["Zhalf"]
 TR = ValueGroup((Zloc(3),))
@@ -256,15 +258,26 @@ def test_group_membership_and_ops(model, rng):
             assert C.class_mul(g, xi, group_inv(g, xi, ji)) == ei
 
 
-def test_exact_sequence_members_are_canonical_as_drawn(rng):
-    # `_random_group_member` builds its cuts without `normalize`.
+def exact_sequence(model, samples, rng) -> dict:
+    """`verify`'s exact-sequence check of `model`, naming tuples by their
+    `pruefer_fc` literals."""
+    return _exact_sequence(model, samples, rng, P.tuple_to_json)
+
+
+def test_exact_sequence_members_are_canonical_as_drawn(rng, monkeypatch):
+    # A group member is built from `sampling.group_cut` draws without
+    # `normalize`; `psi_localize` refuses one outside its form's group.
+    drawn, group_cut = [], S.group_cut
+
+    def recorded(rng, g, level, side):
+        drawn.append((g, group_cut(rng, g, level, side)))
+        return drawn[-1][1]
+    monkeypatch.setattr(S, "group_cut", recorded)
     for model in MODELS.values():
-        for form in P.enumerate_idempotent_forms(model):
-            for _ in range(20):
-                a = P._random_group_member(rng, model, form)
-                assert P.classify_idempotent(model, a) == form
-                for g, c in zip(model.valuations, a.cuts):
-                    assert C.normalize(g, c) is c, C.format_cut(c)
+        assert exact_sequence(model, 20, rng)["passed"]
+    assert drawn
+    for g, c in drawn:
+        assert C.normalize(g, c) is c, C.format_cut(c)
 
 
 def test_enumerate_idempotent_forms_counts():
@@ -283,18 +296,22 @@ def test_enumerate_idempotent_forms_counts():
 
 def test_exact_sequence_ring_form(rng):
     forms = [f for f in P.enumerate_idempotent_forms(M_DD) if f.variant == "ring"]
-    assert P.verify_exact_sequence(M_DD, forms[0], 40, rng) == []
+    assert len(forms) == 1
+    report = exact_sequence(M_DD, 40, rng)
+    assert report["failures"] == [] and report["instances"] == 40 * 4
 
 
 def test_exact_sequence_dense_forms(model, rng):
-    for form in P.enumerate_idempotent_forms(model):
-        failures = P.verify_exact_sequence(model, form, 30, rng)
-        assert failures == [], form
+    report = exact_sequence(model, 30, rng)
+    assert report["failures"] == []
+    assert report["instances"] == 30 * len(P.enumerate_idempotent_forms(model))
 
 
 def test_exact_sequence_zero_samples_vacuous(rng):
-    form = P.enumerate_idempotent_forms(M_DD)[0]
-    assert P.verify_exact_sequence(M_DD, form, 0, rng) == []
+    state = rng.getstate()
+    report = exact_sequence(M_DD, 0, rng)
+    assert report["passed"] and report["instances"] == 0
+    assert rng.getstate() == state
 
 
 def test_tuple_json_round_trip(model, rng):

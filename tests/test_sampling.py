@@ -148,20 +148,36 @@ def test_one_generator_draws_as_written_over_groups_dropped_after_use():
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_exact_sequence_draws_as_written(name, seed):
-    # The draws of one `verify_exact_sequence` sample, in its order, at
-    # every form of the model.
+def test_exact_sequence_draws_as_written(name, seed, monkeypatch):
+    # The draws of each `exact_sequence` sample, in its order, at every form
+    # of the model.  A form's trial projects its idempotent; each sample then
+    # projects its pair, their product and the preimage of its target, which
+    # holds the target's class reps at the open components and the
+    # idempotent elsewhere.
     model = P.PrueferModel(tuple(ValueGroup(GROUPS[v]) for v in MODELS[name]))
+    projected, psi_localize = [], P.psi_localize
+
+    def recorded(m, a, form):
+        projected.append((a, form))
+        return psi_localize(m, a, form)
+    monkeypatch.setattr(P, "psi_localize", recorded)
     got_rng, ref_rng = random.Random(seed), random.Random(seed)
+    assert cli._exact_sequence(model, 40, got_rng, P.tuple_to_json)["passed"]
+    calls = iter(projected)
     for form in P.enumerate_idempotent_forms(model):
         local = sorted(form.open_components)
+        j = P.form_tuple(model, form)
+        assert next(calls) == (j, form)
         for _ in range(40):
-            for _ in range(2):
-                got = P._random_group_member(got_rng, model, form)
+            (a, _), (b, _), _, (lift, _) = (next(calls) for _ in range(4))
+            for got in (a, b):
                 assert got == ref_group_member(ref_rng, model, form)
                 assert_fractions(got.cuts)
-            got = P._random_target(got_rng, model, form, local)
-            assert got == ref_target(ref_rng, model, form, local)
+            want = list(j.cuts)
+            for r, i in zip(ref_target(ref_rng, model, form, local), local):
+                want[i] = r.rep
+            assert lift == P.IdealTuple(tuple(want))
+    assert next(calls, None) is None
     assert got_rng.getstate() == ref_rng.getstate()
 
 
@@ -235,7 +251,7 @@ def test_drawn_cuts_die_with_their_command(monkeypatch):
             c = fn(*args)
             drawn.append((name, weakref.ref(c)))
             return c
-        monkeypatch.setattr(P if name != "random_cut" else sampling, name, wrapper)
+        monkeypatch.setattr(sampling, name, wrapper)
     for name in ("random_cut", "group_cut", "target_cut"):
         recorded(name, getattr(sampling, name))
     kind, model = cli.load_model(json.dumps(LIFETIME_SPEC))
