@@ -13,6 +13,15 @@ boundary vector b drawn from the divisible hull (any rationals).  Cuts of
 level i < rank are exactly the ideals whose stabilizer is the localization
 of V at the height-i prime; the ring cut <rank; 0; closed> is V itself.
 
+A boundary coordinate is an `int` when it is integral and a `Fraction`
+otherwise, wherever one is made from scratch: `cut_from_json`, the
+samplers' tables, the zero of ring and prime cuts, `normalize`'s ceiling
+and `CutClass.rep`'s top.  A sum or difference the kernel computes may be
+an integral `Fraction`; that is harmless, since an int equals, hashes and
+prints as the `Fraction` of the same value and has the same `numerator`
+and `denominator`, so no result, cache key or report depends on which one
+a cut holds.  Two ints add, compare and hash in C.
+
 Every operation below takes canonical cuts of `g` and returns canonical
 cuts, normalising nothing it is handed; a level above the rank raises
 MalformedCutError.  Cuts enter canonical through `normalize` (any literal,
@@ -54,7 +63,7 @@ from .groups import (
 
 CLOSED = "closed"
 OPEN = "open"
-_ZERO = Fraction(0)
+_ZERO = 0
 
 
 class MalformedCutError(ValueError):
@@ -79,11 +88,12 @@ class InternalInconsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class Cut:
-    """A prefix cut.  Its boundary is a tuple of `Fraction`s, as the parsers,
-    samplers and kernel build it: only side, level and length are checked."""
+    """A prefix cut.  Its boundary is a tuple of rationals, each an `int` or a
+    `Fraction`, as the parsers, samplers and kernel build it: only side,
+    level and length are checked."""
 
     level: int
-    boundary: tuple[Fraction, ...]
+    boundary: tuple[int | Fraction, ...]
     side: str
 
     def __post_init__(self):
@@ -146,7 +156,7 @@ def normalize(g: ValueGroup, a: Cut) -> Cut:
     elif comp.dense:
         side = OPEN
     else:
-        last, side = Fraction(math.ceil(last)), CLOSED
+        last, side = math.ceil(last), CLOSED
     if level == a.level and side == a.side and last is boundary[-1]:
         return a
     return Cut(level, boundary[: level - 1] + (last,), side)
@@ -178,7 +188,8 @@ def mul(g: ValueGroup, a: Cut, b: Cut) -> Cut:
     validate_cut(g, b)
     level = min(a.level, b.level)
     # A zero term is skipped: ring and prime cuts have all-zero boundaries,
-    # and `idempotents` would otherwise pay O(rank) Fraction sums per form.
+    # and `idempotents` would otherwise pay O(rank) sums per form (a
+    # `Fraction` plus 0 builds a new `Fraction`).
     boundary = tuple(x + y if y else x for x, y in zip(a.boundary, b.boundary))
     return Cut(level, boundary, _product_side(a.level, a.side, b.level, b.side))
 
@@ -231,7 +242,7 @@ def prime_cut(g: ValueGroup, level: int) -> Cut:
 def _probe_point(g: ValueGroup, a: Cut):
     # Some group element strictly inside the upper set.
     coords = list(a.boundary[:-1])
-    coords.append(Fraction(math.ceil(a.boundary[a.level - 1]) + 1))
+    coords.append(math.ceil(a.boundary[a.level - 1]) + 1)
     coords.extend(_ZERO for _ in range(g.rank - a.level))
     return g.element(coords)
 
@@ -357,7 +368,7 @@ def idempotent_forms(g: ValueGroup) -> list[IdempotentForm]:
 @dataclass(frozen=True)
 class RegularityWitness:
     idempotent: Cut
-    shift: Optional[tuple[Fraction, ...]]
+    shift: Optional[tuple[int | Fraction, ...]]
 
 
 def is_regular(g: ValueGroup, a: Cut) -> RegularityWitness:
@@ -374,7 +385,7 @@ def is_regular(g: ValueGroup, a: Cut) -> RegularityWitness:
     back = t_closure(g, mul(g, sq, quotient(g, a, sq)))
     if back != a:
         raise InternalInconsistencyError("regularity identity I = (I^2 (I:I^2))_t failed")
-    shift: Optional[tuple[Fraction, ...]] = None
+    shift: Optional[tuple[int | Fraction, ...]] = None
     if all(is_member(c, q) for c, q in zip(g.components, a.boundary)):
         shift = a.boundary + (_ZERO,) * (g.rank - a.level)
         if translate(g, a, shift) != sq:
@@ -424,7 +435,7 @@ class CutClass(NamedTuple):
 
     @property
     def rep(self) -> Cut:
-        top = Fraction(self.n, self.d)
+        top = self.n if self.d == 1 else Fraction(self.n, self.d)
         return Cut(self.level, (_ZERO,) * (self.level - 1) + (top,), self.side)
 
 
@@ -522,7 +533,7 @@ MAX_EXPONENT = 100
 _EXPONENT = re.compile(r"[eE][+-]?(\d+(?:_\d+)*)")  # as Fraction() reads it
 
 
-def _coordinate(c) -> Fraction:
+def _coordinate(c) -> int | Fraction:
     if isinstance(c, bool) or not isinstance(c, (int, float, str)):
         raise MalformedCutError(f"a boundary coordinate is a rational or a string, got {c!r}")
     text = str(c)
@@ -533,9 +544,10 @@ def _coordinate(c) -> Fraction:
             f"({MAX_COORDINATE_CHARS} characters, exponent at most {MAX_EXPONENT})"
         )
     try:
-        return Fraction(text)
+        q = Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
         raise MalformedCutError(f"bad boundary coordinate {text!r}: {e}") from None
+    return q.numerator if q.denominator == 1 else q
 
 
 def cut_from_json(g: ValueGroup, obj) -> Cut:

@@ -2,10 +2,11 @@
 archimedean subgroups of Q.
 
 A group is a finite tuple of components, most significant first.  Elements
-are tuples of Fractions, one coordinate per component, compared
-lexicographically.  The convex subgroups of such a tower are exactly the
-suffix kernels H_i = {x : x_1 = ... = x_i = 0} for i = 0..n, so a convex
-subgroup is represented by its index i alone.
+are tuples of rationals (an `int` when integral, else a `Fraction`), one
+coordinate per component, compared lexicographically.  The convex
+subgroups of such a tower are exactly the suffix kernels
+H_i = {x : x_1 = ... = x_i = 0} for i = 0..n, so a convex subgroup is
+represented by its index i alone.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def Zloc(*primes: int) -> ArchComponent:
     return ArchComponent(LOCALIZED, frozenset(primes))
 
 
-def is_member(comp: ArchComponent, q: Fraction) -> bool:
+def is_member(comp: ArchComponent, q: int | Fraction) -> bool:
     """Membership of a rational in the component (not just its divisible hull)."""
     if comp.kind == RATIONALS:
         return True
@@ -116,8 +117,8 @@ class ValueGroup:
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "rank", len(comps))
 
-    def element(self, coords) -> tuple[Fraction, ...]:
-        """Validated element: one member `Fraction` coordinate per component."""
+    def element(self, coords) -> tuple[int | Fraction, ...]:
+        """Validated element: one member coordinate per component."""
         xs = tuple(coords)
         if len(xs) != self.rank:
             raise MalformedElementError(

@@ -19,7 +19,6 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .groups import ValueGroup, is_member
 from . import cuts as C
@@ -169,7 +168,7 @@ def show_principal(model: PrueferModel, overring: OverringSpec, a: IdealTuple) -
             raise InternalInconsistencyError(
                 "invertible tuple with a non-realizable component boundary"
             )
-        shifts.append(c.boundary + (Fraction(0),) * (g.rank - c.level))
+        shifts.append(c.boundary + (C._ZERO,) * (g.rank - c.level))
     return tuple(shifts)
 
 

@@ -7,10 +7,11 @@ of 7 (from 11 on it refuses).  Generators take an explicit random.Random so
 every caller is reproducible from a seed.
 
 This module is the one home of that sampling window.  Per component,
-built once per (kind, primes), it holds each coordinate n/d once, as a
-`Fraction` with a small integer code, and for each denominator d the range
-of its codes; a coordinate is a denominator picked from the ranges, then a
-code picked from its range.  Every pick is one `_below(getrandbits, n)`,
+built once per (kind, primes), it holds each coordinate n/d once, with a
+small integer code, and for each denominator d the range of its codes;
+the coordinate is the `int` n // d when d divides n, as `cuts` makes
+every integral coordinate, and a `Fraction` otherwise.  A coordinate is
+a denominator picked from the ranges, then a code picked from its range.  Every pick is one `_below(getrandbits, n)`,
 the module's copy of `Random._randbelow_with_getrandbits`: `choice(seq)`
 is `seq[_randbelow(len(seq))]` and `randint(a, b)` is `a + _randbelow(b -
 a + 1)`, so these draws use the generator exactly as `randint` over the
@@ -105,7 +106,8 @@ def _coordinates(kind: str, primes: frozenset) -> _Coordinates:
         window.append(codes)
         if is_member(comp, Fraction(1, d)):
             members.append(codes)
-        values += (Fraction(n, d) for n in range(-SPAN * d, SPAN * d + 1))
+        values += (n // d if n % d == 0 else Fraction(n, d)
+                   for n in range(-SPAN * d, SPAN * d + 1))
     assert len(values) <= _RADIX
     return _Coordinates(tuple(window), tuple(members), tuple(values), values.index(0))
 

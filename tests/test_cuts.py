@@ -684,6 +684,67 @@ def test_format_cut():
     assert C.format_cut(Cut(2, (F(1), F(-1, 2)), OPEN)) == "<2; (1, -1/2); open>"
 
 
+def test_cut_from_json_reads_integral_coordinates_as_ints():
+    def top(g, text):
+        return C.cut_from_json(g, {"level": 1, "boundary": [text], "side": "closed"}).boundary[0]
+    for text, want in (("4/2", 2), ("-0", 0), ("1e2", 100)):
+        got = top(ZZ, text)
+        assert type(got) is int and got == want, text
+    got = top(QQ, "5/2")
+    assert type(got) is F and got == F(5, 2)
+
+
+# === integral coordinates: an int and the equal Fraction agree ===
+
+
+def as_ints(xs) -> tuple:
+    return tuple(x.numerator if x.denominator == 1 else x for x in xs)
+
+
+def report_text(x) -> list:
+    """What a report can print of a kernel result."""
+    if isinstance(x, Cut):
+        return [json.dumps(C.cut_to_json(x), sort_keys=True), C.format_cut(x)]
+    if isinstance(x, C.CutClass):
+        return [repr(x), *report_text(x.rep)]
+    if isinstance(x, C.RegularityWitness):
+        shift = None if x.shift is None else [str(q) for q in x.shift]
+        return [*report_text(x.idempotent), repr(shift)]
+    if isinstance(x, list):
+        return [t for y in x for t in report_text(y)]
+    return [repr(x)]
+
+
+def test_integral_coordinates_give_the_same_results_as_ints_or_fractions(group, rng):
+    # Each cut is built twice: integral coordinates as ints, as the parsers
+    # and samplers build them, and as `Fraction`s.  Results, hashes and
+    # printed text must not tell the two apart.
+    g = group
+    idems = C.idempotents(g)
+    ints = 0
+    for _ in range(40):
+        a, b, raw = (Cut(c.level, as_ints(c.boundary), c.side)
+                     for c in (random_cut(rng, g), random_cut(rng, g), random_raw_cut(rng, g)))
+        shift = as_ints(random_element(rng, g))
+        ints += sum(type(x) is int for x in a.boundary + b.boundary + raw.boundary + shift)
+        fa, fb, fraw = (Cut(c.level, tuple(map(F, c.boundary)), c.side) for c in (a, b, raw))
+        for got, want in [
+            (C.normalize(g, raw), C.normalize(g, fraw)),
+            (C.mul(g, a, b), C.mul(g, fa, fb)),
+            (C.quotient(g, a, b), C.quotient(g, fa, fb)),
+            (C.translate(g, a, shift), C.translate(g, fa, tuple(map(F, shift)))),
+            (C.class_of(g, a), C.class_of(g, fa)),
+            (C.is_regular(g, a), C.is_regular(g, fa)),
+            (C.group_membership(g, a, idems), C.group_membership(g, fa, idems)),
+            (C.classify_idempotent(g, a), C.classify_idempotent(g, fa)),
+        ]:
+            assert got == want
+            assert hash(tuple(got) if isinstance(got, list) else got) == \
+                hash(tuple(want) if isinstance(want, list) else want)
+            assert report_text(got) == report_text(want)
+    assert ints > 0
+
+
 def test_valuation_class_model_adapter(rng):
     model = C.ValuationClassModel(DY)
     x = model.class_of(Cut(1, (F(1, 3),), OPEN))

@@ -7,7 +7,8 @@ audit, rebuilds a witness idempotent or a stabilizer, in how often the
 Cayley-table oracle multiplies a pair, in how many triples its
 associativity check reads, in how often a check re-audits an input it has
 already audited, in how the idempotent build scales with the rank, in how
-many `Fraction` operations the box oracle runs per cut pair, or in what a
+many `Fraction` operations the box oracle runs per cut pair and `verify`
+runs once integral coordinates are ints, or in what a
 Cayley-table closure of m classes builds (no `Cut`, no `class_of` call
 and no `Fraction`: class products work on integer keys; a Pruefer class
 product builds no `IdealTuple`), or in how many tables `cross_check`
@@ -406,20 +407,65 @@ def test_box_checks_compare_integers_not_fractions(monkeypatch):
     for _ in range(20):
         a, b = S.random_cut(rng, g), S.random_cut(rng, g)
         pairs.append((a, b, C.mul(g, a, b), C.quotient(g, a, b), rng.randrange(1 << 30)))
-    calls = []
-    for name in FRACTION_DUNDERS:
-        real = getattr(F, name)
-
-        def counted(*args, real=real):
-            calls.append(1)
-            return real(*args)
-        monkeypatch.setattr(F, name, counted)
+    calls = counted_fraction_calls(monkeypatch, FRACTION_DUNDERS)
     per_pair = []
     for a, b, product, residual, seed in pairs:
-        before = len(calls)
+        before = calls.total()
         check_rng = random.Random(seed)
         assert B.check_mul(g, a, b, product, check_rng) == []
         assert B.check_quotient(g, a, b, residual, check_rng) == []
-        per_pair.append(len(calls) - before)
+        per_pair.append(calls.total() - before)
     monkeypatch.undo()
     assert max(per_pair) <= BOX_FRACTION_CALLS_PER_PAIR, per_pair
+
+
+def counted_fraction_calls(monkeypatch, names) -> Counter:
+    """Count each call of the named `Fraction` methods, by name, until
+    `monkeypatch.undo()`; a `__new__` call is one `Fraction` built."""
+    counts = Counter()
+    for name in names:
+        real = getattr(F, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(F, name, staticmethod(counted) if name == "__new__" else counted)
+    return counts
+
+
+# Every `Fraction` operator the kernel can reach, reflected ones included.
+FRACTION_OPERATORS = FRACTION_DUNDERS + ("__radd__", "__rsub__", "__rmul__", "__neg__", "__bool__")
+# `verify` on [Q, Z, Z[1/2]] at 200 samples and seed 1, with the sampling
+# tables already built, when every coordinate was a `Fraction`: 13 328
+# operator calls (5 013 `__bool__`, 3 285 `__eq__`, 2 225 `__add__`, 1 866
+# `__sub__`, 800 `__hash__`) and 4 240 `Fraction`s built.  An integral
+# coordinate is an `int` now, and two ints add, compare and hash in C.
+VERIFY_FRACTION_CALLS_BEFORE = 13328
+VERIFY_FRACTIONS_BUILT_BEFORE = 4240
+VERIFY_FRACTION_CALLS = 4050
+VERIFY_FRACTIONS_BUILT = 1404
+
+
+def test_verify_runs_integral_coordinates_as_ints(monkeypatch):
+    spec = json.dumps({"kind": "valuation", "group": ["Q", "Z", {"Zloc": [2]}]})
+    kind, model = load_model(spec)
+    assert cmd_verify(kind, model, 200, 1, None)["passed"]  # builds the sampling tables
+    calls = counted_fraction_calls(monkeypatch, FRACTION_OPERATORS)
+    built = counted_fraction_calls(monkeypatch, ("__new__",))
+    report = cmd_verify(kind, model, 200, 1, None)
+    monkeypatch.undo()
+
+    assert report["passed"]
+    assert calls.total() == VERIFY_FRACTION_CALLS < VERIFY_FRACTION_CALLS_BEFORE, calls
+    assert built["__new__"] == VERIFY_FRACTIONS_BUILT < VERIFY_FRACTIONS_BUILT_BEFORE, built
+
+
+def test_regularity_audit_of_an_integral_cut_runs_no_fraction_operation(monkeypatch):
+    g = value_group_from_json(["Z", "Z"])
+    a = C.cut_from_json(g, {"level": 2, "boundary": ["1", "-2"], "side": "closed"})
+    calls = counted_fraction_calls(monkeypatch, FRACTION_OPERATORS + ("__new__",))
+    witness = C.is_regular(g, a)
+    monkeypatch.undo()
+
+    assert witness.shift == (1, -2) and witness.idempotent == C.ring_cut(g)
+    assert calls.total() == 0, calls

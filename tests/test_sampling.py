@@ -105,9 +105,11 @@ def ref_target(rng, model, form, local) -> tuple:
     return tuple(out)
 
 
-def assert_fractions(cuts):
+def assert_coordinate_types(cuts):
+    # An integral coordinate is an `int`, any other a `Fraction`.
     for c in cuts:
-        assert all(type(x) is Fraction for x in c.boundary), C.format_cut(c)
+        assert all(type(x) is (int if x.denominator == 1 else Fraction)
+                   for x in c.boundary), C.format_cut(c)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -118,7 +120,7 @@ def test_random_cut_draws_as_written(name, seed):
     for _ in range(600):
         got, want = random_cut(got_rng, g), ref_random_cut(ref_rng, g)
         assert got == want
-        assert_fractions([got])
+        assert_coordinate_types([got])
     assert got_rng.getstate() == ref_rng.getstate()
 
 
@@ -172,7 +174,7 @@ def test_exact_sequence_draws_as_written(name, seed, monkeypatch):
             (a, _), (b, _), _, (lift, _) = (next(calls) for _ in range(4))
             for got in (a, b):
                 assert got == ref_group_member(ref_rng, model, form)
-                assert_fractions(got.cuts)
+                assert_coordinate_types(got.cuts)
             want = list(j.cuts)
             for r, i in zip(ref_target(ref_rng, model, form, local), local):
                 want[i] = r.rep
