@@ -11,12 +11,13 @@ built once per (kind, primes), it holds each coordinate n/d once, with a
 small integer code, and for each denominator d the range of its codes;
 the coordinate is the `int` n // d when d divides n, as `cuts` makes
 every integral coordinate, and a `Fraction` otherwise.  A coordinate is
-a denominator picked from the ranges, then a code picked from its range.  Every pick is one `_below(getrandbits, n)`,
-the module's copy of `Random._randbelow_with_getrandbits`: `choice(seq)`
-is `seq[_randbelow(len(seq))]` and `randint(a, b)` is `a + _randbelow(b -
-a + 1)`, so these draws use the generator exactly as `randint` over the
-numerators did, with no Python-level `Random` method around the
-`getrandbits` call.  That is the contract: a draw consumes a
+a denominator picked from the ranges, then a code picked from its range.
+Every pick is one `_below(getrandbits, n)`, the module's copy of
+`Random._randbelow_with_getrandbits`: `choice(seq)` is
+`seq[_randbelow(len(seq))]` and `randint(a, b)` is
+`a + _randbelow(b - a + 1)`, so these draws use the generator exactly as
+`randint` over the numerators did, with no Python-level `Random` method
+around the `getrandbits` call.  That is the contract: a draw consumes a
 `random.Random` as its getrandbits-based `_randbelow` does.  `verify`
 makes plain generators; a subclass that overrides only `random()` would
 draw differently here than through `choice`.

@@ -8,8 +8,8 @@ Cayley-table oracle multiplies a pair, in how many triples its
 associativity check reads, in how often a check re-audits an input it has
 already audited, in how the idempotent build scales with the rank, in how
 many `Fraction` operations the box oracle runs per cut pair and `verify`
-runs once integral coordinates are ints, or in what a
-Cayley-table closure of m classes builds (no `Cut`, no `class_of` call
+runs now that integral coordinates are ints, or in what a Cayley-table
+closure of m classes builds (no `Cut`, no `class_of` call
 and no `Fraction`: class products work on integer keys; a Pruefer class
 product builds no `IdealTuple`), or in how many tables `cross_check`
 builds (none: it reads the closure's table) and how many `Cut`s (two per
@@ -450,14 +450,14 @@ def test_verify_runs_integral_coordinates_as_ints(monkeypatch):
     spec = json.dumps({"kind": "valuation", "group": ["Q", "Z", {"Zloc": [2]}]})
     kind, model = load_model(spec)
     assert cmd_verify(kind, model, 200, 1, None)["passed"]  # builds the sampling tables
-    calls = counted_fraction_calls(monkeypatch, FRACTION_OPERATORS)
-    built = counted_fraction_calls(monkeypatch, ("__new__",))
+    calls = counted_fraction_calls(monkeypatch, FRACTION_OPERATORS + ("__new__",))
     report = cmd_verify(kind, model, 200, 1, None)
     monkeypatch.undo()
+    built = calls.pop("__new__")
 
     assert report["passed"]
     assert calls.total() == VERIFY_FRACTION_CALLS < VERIFY_FRACTION_CALLS_BEFORE, calls
-    assert built["__new__"] == VERIFY_FRACTIONS_BUILT < VERIFY_FRACTIONS_BUILT_BEFORE, built
+    assert built == VERIFY_FRACTIONS_BUILT < VERIFY_FRACTIONS_BUILT_BEFORE, built
 
 
 def test_regularity_audit_of_an_integral_cut_runs_no_fraction_operation(monkeypatch):
