@@ -1,10 +1,10 @@
-"""Command-line front end.
+"""Command-line front end: parsing, reports, rendering and `main`.
 
 Three commands over a JSON model spec: `classify` an ideal literal to its
 idempotent form, `decompose` a model into idempotents and constituent
-groups, and `verify` the property checks (regularity, idempotent
-uniqueness, exactness, semigroup oracle cross-checks) with seeded
-randomness.  Machine-readable reports are JSON with sorted keys and no
+groups, and `verify` the seeded property checks of `tclass.checks`
+(regularity, idempotent uniqueness, exactness, semigroup oracle
+cross-checks).  Machine-readable reports are JSON with sorted keys and no
 timestamps, so a fixed seed reproduces them byte for byte.
 
 Every command runs on the k-valuation model, a `pruefer.PrueferModel`: a
@@ -23,19 +23,15 @@ replays it.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
-import math
 import os
-import random
 import shlex
 import sys
-from itertools import repeat
 from typing import Callable, NamedTuple
 
 from . import __version__
+from . import checks
 from .groups import (
-    ValueGroup,
     describe_component,
     is_strongly_discrete,
     value_group_from_json,
@@ -44,8 +40,6 @@ from .groups import (
 from . import cuts as C
 from . import polyext as X
 from . import pruefer as P
-from . import sampling as S
-from . import semigroups as SG
 
 
 class UsageError(Exception):
@@ -80,13 +74,6 @@ def _read_json(path_or_inline: str, what: str):
 MAX_IDEMPOTENT_FORMS = 4096
 
 
-def _form_count(groups) -> int:
-    """The number of idempotent forms over `groups`, counted without the
-    kernel: each level gives its ring form, and a dense one its prime too
-    (as `cuts.idempotent_forms` lists them)."""
-    return math.prod(sum(1 + c.dense for c in g.components) for g in groups)
-
-
 def _pruefer_from_json(vals) -> P.PrueferModel:
     if not isinstance(vals, list) or not vals:
         raise ValueError("kind 'pruefer_fc' wants a nonempty 'valuations' list")
@@ -96,7 +83,7 @@ def _pruefer_from_json(vals) -> P.PrueferModel:
             groups.append(value_group_from_json(v))
         except (ValueError, TypeError) as e:
             raise ValueError(f"valuations[{i}]: {e}") from e
-    if _form_count(groups) > MAX_IDEMPOTENT_FORMS:
+    if checks.form_count(groups) > MAX_IDEMPOTENT_FORMS:
         raise ValueError(f"the valuations have more than {MAX_IDEMPOTENT_FORMS} idempotent "
                          "forms (the product over valuations of their rank-1 forms)")
     return P.PrueferModel(tuple(groups))
@@ -126,10 +113,6 @@ def model_echo(kind: str, model) -> dict:
 
 
 # === report fragments ===
-
-def _literal(data) -> str:
-    return json.dumps(data, sort_keys=True)
-
 
 def form_json(form: C.IdempotentForm) -> dict:
     return {
@@ -188,7 +171,7 @@ def cmd_classify(kind: str, model, ideal_arg: str) -> dict:
 
 def _render_classify(report: dict) -> list[str]:
     spec = KINDS[report["model"]["kind"]]
-    return [f"canonical ideal: {_literal(report['ideal'])}",
+    return [f"canonical ideal: {checks.literal(report['ideal'])}",
             f"idempotent: {spec.form_text(report['idempotent_form'])}"]
 
 
@@ -251,218 +234,7 @@ def _render_decompose(report: dict) -> list[str]:
     return lines
 
 
-# === verify ===
-# Each check is called as check(m, samples, rng, write), m being the k
-# valuations and `write` the kind's literal writer, and is a sequence of
-# trials: one per sample (drawing one cut per valuation), form or closure,
-# or one for the whole model.  `_drive` runs them all under one rule.
-
-def _drive(name: str, instances: int, trials) -> dict:
-    """Run a check's trials in order and build its report.  A trial is a
-    generator function: it draws and sets up what it needs, yields a
-    function naming it (a sampled literal, a form, a closure's seeds), then
-    its failure lines.  An exception it raises is one more line, `<that
-    name>: Type: message` (`trial N` if unnamed), and the next trial runs.
-    A name that raises in turn, such as the literal of a malformed draw,
-    gives `trial N: Type: message` of its own exception.  `trials` is read
-    one trial at a time, so a trial may set up the later ones and gate them:
-    `exact_sequence` enumerates its forms this way, and a form's trial,
-    once it completes, opens that form's sample trials."""
-    failures = []
-    for n, trial in enumerate(trials, 1):
-        steps, label = trial(), lambda: f"trial {n}"
-        try:
-            label = next(steps)
-            failures.extend(steps)
-        except Exception as e:
-            try:
-                line = f"{label()}: {type(e).__name__}: {e}"
-            except Exception as f:
-                line = f"trial {n}: {type(f).__name__}: {f}"
-            failures.append(line)
-    return {
-        "name": name,
-        "instances": instances,
-        "failures": failures[:10],
-        "failure_count": len(failures),
-        "passed": not failures,
-    }
-
-
-def _random_tuple(rng: random.Random, m: P.PrueferModel) -> P.IdealTuple:
-    return P.IdealTuple(tuple(map(S.random_cut, repeat(rng), m.valuations)))
-
-
-def _regularity(m, samples, rng, write) -> dict:
-    """Regularity is componentwise, so `cuts.is_regular` checks
-    I = (I^2 (I:I^2))_t on every cut of the sampled tuple.  The audit is
-    exact, so it runs once per distinct (component, cut) as a one-trial
-    check, and every sample that draws a failing cut records its line."""
-    @functools.cache
-    def audit(i: int, c: C.Cut) -> list:
-        def trial():
-            yield lambda: f"component {i + 1}"
-            C.is_regular(m.valuations[i], c)
-        return _drive("", 1, [trial])["failures"]
-
-    def sample():
-        a = _random_tuple(rng, m)
-        yield lambda: _literal(write(a))
-        for i, c in enumerate(a.cuts):
-            yield from (f"{_literal(write(a))}, {line}" for line in audit(i, c))
-    return _drive("regularity", samples, [sample] * samples)
-
-
-def _idempotent_uniqueness(m, samples, rng, write) -> dict:
-    """Exactly one idempotent admits each sampled tuple, by the residual
-    audit of `group_membership`, and it is the one classification names.
-    Each component's idempotents are built and checked once, at the first
-    sample, and each distinct sampled tuple is audited once."""
-    idems = functools.cache(lambda: [C.idempotents(g) for g in m.valuations])
-    membership = functools.cache(lambda a: P.group_membership(m, a, idems()))
-
-    def sample():
-        a = _random_tuple(rng, m)
-        yield lambda: _literal(write(a))
-        if membership(a) != [P.classify_idempotent(m, a)]:
-            yield f"membership not unique at {_literal(write(a))}"
-    return _drive("idempotent_uniqueness", samples, [sample] * samples)
-
-
-def _overring_transfer(m, samples, rng, write) -> dict:
-    """A cut's t-closure over an overring it is an ideal of (a random level
-    at or above its own) is its closure over the base."""
-    def sample():
-        a = _random_tuple(rng, m)
-        yield lambda: _literal(write(a))
-        for i, (g, c) in enumerate(zip(m.valuations, a.cuts)):
-            lvl = c.level + S._below(rng.getrandbits, g.rank - c.level + 1)
-            over, base = C.t_closure_over(g, lvl, c), C.t_closure(g, c)
-            if over != base:
-                yield (f"{_literal(write(a))}, component {i + 1} at level {lvl}: "
-                       f"{_literal(C.cut_to_json(over))} vs {_literal(C.cut_to_json(base))}")
-    return _drive("overring_transfer", samples, [sample] * samples)
-
-
-def _exact_sequence(m, samples, rng, write) -> dict:
-    """Sampled exactness of 0 -> Cl(T) -> G -> prod G_i -> 0 at every form,
-    in report order: G is the form's constituent group and G_i the
-    localization classes `pruefer.psi_localize` projects it to.  Cl(T) of a
-    semilocal intersection is trivial, so exactness amounts to: the
-    embedded class is the identity and is the whole kernel (injectivity of
-    the projection), the projection is a homomorphism, and every sampled
-    target vector lifts.  Failures name the offending tuples by the
-    literals `tclass classify --ideal` reads.
-
-    The forms are enumerated by a first trial, so a fault there is one
-    line.  Each form's trial builds its constants and checks the embedding;
-    only when it completes do the form's `samples` trials follow, each
-    drawing a pair of group members and a target vector and named by the
-    pair and the target's preimage.  The instance count is `_form_count`,
-    which calls no kernel code outside a trial."""
-    forms, gs = [], m.valuations
-
-    def lit(a: P.IdealTuple) -> str:
-        return _literal(write(a))
-
-    def enumerate_forms():
-        yield lambda: "idempotent forms"
-        forms.extend(P.enumerate_idempotent_forms(m))
-
-    def form_trial(form, opened):
-        text = _form_text(form_json(form))
-        yield lambda: text
-        levels, local = form.overring.levels, sorted(form.open_components)
-        sides = [C.OPEN if i in form.open_components else C.CLOSED for i in range(len(gs))]
-        t = P.ring_tuple(m, form.overring)
-        j = P.form_tuple(m, form)
-        identity = P.class_of(m, j)
-        ident = P.psi_localize(m, j, form)
-        # The embedding pushes a class over T into the group by multiplying
-        # into the idempotent and t-closing; the identity of Cl(T) is T's class.
-        embedded = P.class_of(m, P.t_closure(m, P.mul(m, t, j)))
-        if embedded != identity:
-            yield (f"{text}: embedding of Cl(T) identity missed the group identity: "
-                   f"{lit(P.tuple_of_class(embedded))}")
-
-        def sample():
-            lift = None  # named by the form alone until its draws are done
-            yield lambda: (text if lift is None else
-                           f"{text}: sample {lit(a)} * {lit(b)} with preimage {lit(lift)}")
-            # The pair is canonical as drawn: an open top sits at a dense
-            # level, the only place open forms exist.
-            a, b = (P.IdealTuple(tuple(map(S.group_cut, repeat(rng), gs, levels, sides)))
-                    for _ in range(2))
-            target = tuple(C.class_of(gs[i], S.target_cut(rng, gs[i], levels[i])) for i in local)
-            # The preimage plants each target class's rep at its component
-            # and keeps the idempotent elsewhere.
-            cuts = list(j.cuts)
-            for r, i in zip(target, local):
-                cuts[i] = r.rep
-            lift = P.IdealTuple(tuple(cuts))
-            ab = P.t_closure(m, P.mul(m, a, b))
-            pa, pb, pab = (P.psi_localize(m, x, form) for x in (a, b, ab))
-            if pab != tuple(C.class_mul(gs[i], x, y) for x, y, i in zip(pa, pb, local)):
-                yield f"{text}: projection not multiplicative at {lit(a)} * {lit(b)}"
-            if pa == ident and P.class_of(m, a) != identity:
-                yield f"{text}: kernel element outside the embedded image: {lit(a)}"
-            if pa == pb and P.class_of(m, a) != P.class_of(m, b):
-                yield f"{text}: projection identified distinct classes: {lit(a)} vs {lit(b)}"
-            if P.psi_localize(m, lift, form) != target:
-                yield f"{text}: constructed preimage {lit(lift)} missed its target"
-        opened.append(sample)
-
-    def trials():
-        yield enumerate_forms
-        for form in forms:
-            opened = []  # the form's sample trial, once its form trial completes
-            yield functools.partial(form_trial, form, opened)
-            yield from opened * samples
-    return _drive("exact_sequence", samples * _form_count(gs), trials())
-
-
-def _classification_consistency(m, samples, rng, write) -> dict:
-    """Every sampled extended class lands on an idempotent `decompose` lists."""
-    g = m.valuations[0]
-    forms = functools.cache(lambda: X.decompose(g))
-
-    def sample():
-        a = _random_tuple(rng, m)
-        yield lambda: _literal(write(a))
-        s = C.class_of(g, a.cuts[0])
-        if C.classify_idempotent(g, s.rep) not in forms():
-            yield (f"classification of {_literal(X.sym_to_json(s.rep))} "
-                   "missing from decomposition")
-    return _drive("classification_consistency", samples, [sample] * samples)
-
-
-def _strongly_discrete_detector(m, samples, rng, write) -> dict:
-    """V[X] has no t-idempotent t-prime p[X] (no maximal-ideal form in its
-    decomposition) exactly when the base is strongly discrete."""
-    def trial():
-        g = m.valuations[0]
-        yield lambda: f"base {_literal(value_group_to_json(g))}"
-        if (not any(f.open_components for f in X.decompose(g))) != is_strongly_discrete(g):
-            yield "detector disagrees with component density"
-    return _drive("strongly_discrete_detector", 1, [trial])
-
-
-def _semigroup_cross_check(m, samples, rng, write, seeds: int) -> dict:
-    """Three sampled closures, each seeded with the classes of `seeds`
-    sampled tuples, against the Cayley-table oracle.  A table the oracle
-    rejects (not associative, say) fails this check."""
-    adapter = P.PrueferClassModel(m, write)
-
-    def trial():
-        drawn = [_random_tuple(rng, m) for _ in range(seeds)]
-        yield lambda: f"closure of {_literal([write(a) for a in drawn])}"
-        closure = SG.sample_closure(adapter, [adapter.class_of(a) for a in drawn], 256)
-        if not closure.saturated:
-            yield "sampled closure did not saturate within budget 256"
-        else:
-            yield from SG.cross_check(closure, adapter).mismatches
-    return _drive("semigroup_cross_check", 3, [trial] * 3)
-
+# === kinds and verify ===
 
 class Kind(NamedTuple):
     field: str  # the spec field holding the model
@@ -478,7 +250,6 @@ class Kind(NamedTuple):
     entry_text: Callable  # that entry -> its text lines
     scope: str | None  # the scope label, reported in place of `classify`'s witness
     components: bool  # regularity reported per component, and no strong discreteness
-    checks: tuple  # `verify`'s checks, in report order
 
 
 KINDS = {
@@ -489,9 +260,7 @@ KINDS = {
         lambda a: C.cut_to_json(a.cuts[0]),
         form_json, _form_text, P.enumerate_idempotent_forms,
         _valuation_entry, lambda e: [f"  level {e['level']} {e['kind']}: {e['group']}"],
-        scope=None, components=False,
-        checks=(_regularity, _idempotent_uniqueness, _overring_transfer,
-                functools.partial(_semigroup_cross_check, seeds=5))),
+        scope=None, components=False),
     "pruefer_fc": Kind(
         "valuations", _pruefer_from_json,
         lambda m: [value_group_to_json(g) for g in m.valuations],
@@ -499,9 +268,7 @@ KINDS = {
         P.tuple_from_json, P.tuple_to_json,
         form_json, _form_text, P.enumerate_idempotent_forms,
         _pruefer_entry, _pruefer_entry_text,
-        scope=None, components=True,
-        checks=(_regularity, _idempotent_uniqueness, _exact_sequence,
-                functools.partial(_semigroup_cross_check, seeds=4))),
+        scope=None, components=True),
     "poly_ext": Kind(
         "base", lambda obj: X.PolyExtModel(value_group_from_json(obj)),
         lambda m: value_group_to_json(m.base),
@@ -510,29 +277,14 @@ KINDS = {
         lambda a: X.sym_to_json(a.cuts[0]),
         _poly_form_json, _poly_form_text, lambda m: X.decompose(m.valuations[0]),
         _poly_entry, lambda e: [f"  {_poly_form_text(e['idempotent'])}: {e['group']}"],
-        scope=X.SCOPE, components=False,
-        checks=(_regularity, _classification_consistency, _strongly_discrete_detector,
-                functools.partial(_semigroup_cross_check, seeds=5))),
+        scope=X.SCOPE, components=False),
 }
 
 
-def _check_fixture(text: str) -> dict:
-    def trial():
-        yield lambda: "fixture"
-        try:
-            if not SG.is_clifford(SG.from_fixture(text)):
-                yield "fixture table is not Clifford"
-        except SG.MalformedTableError as e:
-            yield f"fixture rejected: {e}"
-    return _drive("fixture_table", 1, [trial])
-
-
 def cmd_verify(kind: str, model, samples: int, seed: int, fixture: str | None) -> dict:
-    rng = random.Random(seed)
     spec = KINDS[kind]
-    m = spec.as_pruefer(model)
-    fixture_check = [] if fixture is None else [_check_fixture(_read_text(fixture, "fixture"))]
-    checks = [check(m, samples, rng, spec.write) for check in spec.checks] + fixture_check
+    text = None if fixture is None else _read_text(fixture, "fixture")
+    reports = checks.run(kind, spec.as_pruefer(model), spec, samples, seed, text)
     return {
         "command": "verify",
         "model": model_echo(kind, model),
@@ -542,8 +294,8 @@ def cmd_verify(kind: str, model, samples: int, seed: int, fixture: str | None) -
             "seed": seed,
             "samples": samples,
         },
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
+        "checks": reports,
+        "passed": all(c["passed"] for c in reports),
     }
 
 
@@ -592,7 +344,7 @@ def _build_parser() -> _Parser:
 def _emit(report: dict, json_out: str | None, lines: list[str]) -> None:
     """Print the report's model and then `lines`; write the --json report."""
     try:
-        for line in [f"model: {_literal(report['model'])}", *lines]:
+        for line in [f"model: {checks.literal(report['model'])}", *lines]:
             print(line)
         sys.stdout.flush()
     except BrokenPipeError:

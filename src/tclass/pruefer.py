@@ -182,16 +182,17 @@ def psi_localize(model: PrueferModel, a: IdealTuple, form: IdempotentForm) -> tu
     each class is read in G_i, and no truncated group is built.
 
     Membership is an O(1) test: the class's idempotent, read off level and
-    side by `classify_idempotent`, must be the form's (a `NotInGroupError`
-    names `a` by its literal), so each returned class is open at the form's
-    level and `cuts.class_mul` multiplies it unchecked.  No audit runs here.
+    side by `classify_idempotent`, must be the form's (else a
+    `NotInGroupError`, which `verify` names `a` in), so each returned
+    class is open at the form's level and `cuts.class_mul` multiplies it
+    unchecked.  No audit runs here.
     The witness (A (T:A))_t is checked in `cuts.is_regular`, which `verify`
     runs once on every distinct sampled cut in `regularity`, and the
     residual-arithmetic audit of `group_membership` runs once per distinct
     sampled tuple and component, against idempotents built once by
     `cuts.idempotents`, in `idempotent_uniqueness`."""
     if classify_idempotent(model, a) != form:
-        raise NotInGroupError(f"{_literal(a)}: tuple class lies outside the constituent group")
+        raise NotInGroupError("tuple class lies outside the constituent group")
     return tuple(C.class_of(model.valuations[i], a.cuts[i]) for i in sorted(form.open_components))
 
 
@@ -209,10 +210,6 @@ def enumerate_idempotent_forms(model: PrueferModel) -> list[IdempotentForm]:
 
 def tuple_to_json(a: IdealTuple) -> dict:
     return {"cuts": [C.cut_to_json(c) for c in a.cuts]}
-
-
-def _literal(a: IdealTuple) -> str:
-    return json.dumps(tuple_to_json(a), sort_keys=True)
 
 
 def tuple_from_json(model: PrueferModel, data) -> IdealTuple:

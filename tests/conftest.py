@@ -11,8 +11,9 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from tclass import CLOSED, OPEN, Cut, Q, ValueGroup, Z, Zloc
-from tclass import boxes
+from tclass import boxes, checks
 from tclass import cuts as C
+from tclass.cli import KINDS
 from tclass.groups import DISCRETE, is_member
 from tclass.sampling import SPAN, den_choices
 
@@ -32,7 +33,7 @@ DEADLINE_S = 60
 
 class DeadlineExceeded(BaseException):
     """Not an `Exception`, so no `except Exception` in the code under test
-    (`cli._drive` records those as failure lines) can swallow it."""
+    (`checks._drive`'s trials record those as failure lines) can swallow it."""
 
 
 # The five reference groups every randomized suite runs over: a DVR, a
@@ -62,6 +63,14 @@ def random_member(rng, comp):
 def random_element(rng, g):
     """A group element with small coordinates, for principal shifts."""
     return g.element([random_member(rng, c) for c in g.components])
+
+
+def exact_sample(model, form):
+    """The exact sequence's sample check at `form`, after the form's trial
+    has built what its samples share; tuples are `pruefer_fc` literals."""
+    spec = KINDS["pruefer_fc"]
+    shared = checks.exact_form(model, spec, form, "FORM").draw(None)
+    return checks.exact_sample(model, spec, form, "FORM", shared)
 
 
 # === references: definitions the tests compare against; no command needs them ===

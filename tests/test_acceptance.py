@@ -15,7 +15,8 @@ from tclass import cuts as C
 from tclass import polyext as X
 from tclass import pruefer as P
 from tclass import semigroups as SG
-from tclass.cli import _exact_sequence, cmd_decompose, cmd_verify
+from tclass.checks import exact_sequence
+from tclass.cli import KINDS, cmd_decompose, cmd_verify
 from tclass.cuts import ValuationClassModel
 from tclass.pruefer import PrueferClassModel
 from tclass.sampling import random_cut
@@ -168,7 +169,7 @@ def test_criterion_6_exact_sequence(capsys):
                         ValueGroup((Z, Zloc(3))))),
     )
     for m in models:
-        failures.extend(_exact_sequence(m, 200, rng, P.tuple_to_json)["failures"])
+        failures.extend(exact_sequence(m, KINDS["pruefer_fc"], 200, rng)["failures"])
         for f in P.enumerate_idempotent_forms(m):
             # Cl(T) is trivial: a principal multiple of T is shown principal
             # by the shifts that realize it

@@ -15,6 +15,8 @@ field `f`, and reading `C.mul` through a module alias is a reference to
 A reference made inside an allowlisted definition does not count: what
 only a test-only name calls is test-only too.
 
+Each file is read and parsed once per session, and its references once.
+
 No hidden benchmark-only API: every public name that `bench/` references
 and `src/` does not is listed in BENCH_ONLY with its call site and why no
 command calls it, so a change that drops the benchmark's caller drops the
@@ -22,7 +24,8 @@ name with it.
 
 No drawing below `verify`: the kernel, the models and the Cayley-table
 oracle (`MODEL_LAYERS`) import neither `random` nor `tclass.sampling`; the
-seeded draws are the checks' own, in `cli`.
+seeded draws are the checks' own, in `checks`, the one module besides the
+box oracle that imports `tclass.sampling`.
 
 No one-valued parameter: every defaulted parameter of a public function or
 method (a class's `__init__` included) is passed by some call in `src/` or
@@ -31,6 +34,8 @@ no call sets is a constant.
 """
 
 import ast
+import copy
+import functools
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,6 +66,12 @@ ONE_VALUED = {
 }
 
 
+@functools.cache
+def parsed(path: Path) -> ast.Module:
+    """The file's syntax tree, read once; callers must not change it."""
+    return ast.parse(path.read_text())
+
+
 def _module_of(node: ast.ImportFrom):
     """The tclass module an import reads from, or None for anything else."""
     if node.level:
@@ -78,7 +89,7 @@ def definitions() -> dict:
     """module -> public module-level function and class names."""
     out = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text())
+        tree = parsed(path)
         out[path.stem] = {
             n.name for n in tree.body
             if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")
@@ -109,7 +120,7 @@ def members() -> set:
     `NamedTuple` field of a public class."""
     out = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        for cls in ast.parse(path.read_text()).body:
+        for cls in parsed(path).body:
             if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
                 names = (_member_name(n, cls) for n in cls.body)
                 out |= {f"{path.stem}.{cls.name}.{n}" for n in names
@@ -118,18 +129,23 @@ def members() -> set:
 
 
 def source(path: Path) -> ast.Module:
-    """The parsed file, without the allowlisted definitions."""
-    tree = ast.parse(path.read_text())
+    """The parsed file, without the allowlisted definitions; the shared
+    tree stays as parsed, since each node it drops from is copied."""
+    tree = parsed(path)
 
     def kept(node, prefix):
         return f"{prefix}.{getattr(node, 'name', '')}" not in ALLOWED
 
-    if path.parent == PACKAGE:
-        tree.body = [n for n in tree.body if kept(n, path.stem)]
-        for cls in tree.body:
-            if isinstance(cls, ast.ClassDef):
-                cls.body = [n for n in cls.body if kept(n, f"{path.stem}.{cls.name}")]
-    return tree
+    def without(cls):
+        out = copy.copy(cls)
+        out.body = [n for n in cls.body if kept(n, f"{path.stem}.{cls.name}")]
+        return out
+
+    if path.parent != PACKAGE:
+        return tree
+    body = [without(n) if isinstance(n, ast.ClassDef) else n
+            for n in tree.body if kept(n, path.stem)]
+    return ast.Module(body=body, type_ignores=[])
 
 
 def aliases(tree: ast.Module) -> dict:
@@ -146,6 +162,7 @@ def aliases(tree: ast.Module) -> dict:
     return out
 
 
+@functools.cache
 def attributes(path: Path) -> set:
     """Attribute names a source file reads, skipping a method's references
     to its own name inside its own body and reads through a module alias,
@@ -167,6 +184,7 @@ def attributes(path: Path) -> set:
     return names
 
 
+@functools.cache
 def references(path: Path) -> set:
     """(module, name) pairs a source file refers to, skipping a module's
     references to a name inside that name's own top-level definition."""
@@ -257,7 +275,7 @@ def test_named_tuple_fields_are_members():
     named, plain = ast.parse("class K(NamedTuple):\n    f: int\nclass P:\n    f: int\n").body
     assert _member_name(named.body[0], named) == "f"
     assert _member_name(plain.body[0], plain) is None
-    assert {"cuts.CutClass.n", "cuts.CutClass.d", "cli.Kind.checks"} <= members()
+    assert {"cuts.CutClass.n", "cuts.CutClass.d", "checks.Check.label"} <= members()
 
 
 def defaulted() -> dict:
@@ -278,7 +296,7 @@ def defaulted() -> dict:
                 out[f"{prefix}.{arg.arg}"] = (callee, None)
 
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+        for node in parsed(path).body:
             if getattr(node, "name", "_").startswith("_"):
                 continue
             if isinstance(node, ast.FunctionDef):
@@ -300,7 +318,7 @@ def passed() -> set:
     everything."""
     out = set()
     for path in callers():
-        for call in ast.walk(ast.parse(path.read_text())):
+        for call in ast.walk(parsed(path)):
             if not isinstance(call, ast.Call):
                 continue
             name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
@@ -337,7 +355,7 @@ def imported(path: Path) -> set:
     whether named relatively (`from .sampling import x`, `from . import
     sampling`) or absolutely."""
     out = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(parsed(path)):
         if isinstance(node, ast.Import):
             out.update(a.name for a in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -356,9 +374,18 @@ def test_the_model_layers_draw_nothing():
     assert not any(drawing.values()), f"model layers that draw: {drawing}"
 
 
+def test_only_the_checks_draw_for_a_command():
+    # `boxes` reuses `sampling._below` for its seeded check points; every
+    # other draw is `checks`', so `cli` imports neither.
+    drawing = {p.stem: imported(p) & DRAWING for p in PACKAGE.glob("*.py")}
+    assert {name for name, mods in drawing.items() if "tclass.sampling" in mods} == {
+        "boxes", "checks"}
+    assert not drawing["cli"]
+
+
 def test_the_import_reader_sees_every_form(tmp_path):
     path = tmp_path / "caller.py"
     path.write_text("import random\nfrom . import sampling as S\nfrom .sampling import x\n"
                     "from tclass.sampling import y\nfrom random import Random\n")
     assert imported(path) == DRAWING
-    assert imported(PACKAGE / "cli.py") >= DRAWING
+    assert imported(PACKAGE / "checks.py") >= DRAWING

@@ -16,11 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tclass
-from tclass import cuts, sampling, semigroups
+from tclass import checks, cuts, sampling, semigroups
 from tclass import polyext as X
 from tclass import pruefer as P
-from tclass.cli import (
-    _form_count, _form_text, cmd_classify, cmd_decompose, form_json, load_model, main)
+from tclass.cli import KINDS, _form_text, cmd_classify, cmd_decompose, form_json, load_model, main
 from conftest import GROUPS, random_raw_cut
 from test_kills import plant
 
@@ -392,6 +391,18 @@ def test_unwritable_report_path_is_usage_error(tmp_path, capsys):
     spec = valuation_spec(tmp_path)
     assert main(["decompose", spec, "--json", str(tmp_path / "no" / "such" / "r.json")]) == 1
     assert "cannot write report" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "valuation", "group": [{"Zloc": [2], "x": 1}]}, "unknown component descriptor"),
+    ({"kind": "valuation", "group": [{"Zloc": [2.0]}]}, "Zloc wants a list of primes"),
+    ({"kind": "valuation", "group": [{"Zloc": 2}]}, "Zloc wants a list of primes, got 2"),
+    ({"kind": "valuation", "group": "ZQ"}, "a value group descriptor is a non-empty list"),
+    ({"group": ["Z"]}, "top level must be an object with a 'kind' field"),
+], ids=["zloc-extra-key", "zloc-float-prime", "zloc-not-a-list", "group-a-string", "no-kind"])
+def test_malformed_spec_is_one_error_line(spec, message, tmp_path, capsys):
+    assert main(["decompose", write(tmp_path, "spec.json", spec)]) == 1
+    assert message in one_error_line(capsys)
 
 
 def test_unhashable_kind_is_usage_error(tmp_path, capsys):
@@ -878,6 +889,19 @@ def test_a_label_that_raises_fails_its_trial_by_number(tmp_path, capsys, monkeyp
             [f"trial {n}", "AttributeError"] for n in (1, 2, 3)]
 
 
+def test_an_exact_sequence_label_that_raises_is_named_by_form_and_sample(monkeypatch):
+    # Malformed group members raise in the test and again in the label that
+    # writes their literals; each line names its form and its sample number
+    # within that form, every form's samples in turn.
+    monkeypatch.setattr(sampling, "group_cut", lambda rng, g, level, side: None)
+    _, m = load_model(json.dumps(PRUEFER))
+    report = checks.exact_sequence(m, KINDS["pruefer_fc"], 2, random.Random(1))
+    texts = [_form_text(form_json(f)) for f in P.enumerate_idempotent_forms(m)]
+    assert len(texts) == 6 and report["failure_count"] == 12
+    assert [line.split(": AttributeError: ")[0] for line in report["failures"]] == [
+        f"{text}: sample {k}" for text in texts for k in (1, 2)]
+
+
 def test_a_fault_enumerating_the_forms_is_one_exact_sequence_line(tmp_path, capsys, monkeypatch):
     # `exact_sequence` enumerates its forms in its first trial, so a fault
     # there is one failure line of that check, and the report is kept.
@@ -898,8 +922,8 @@ def test_a_fault_enumerating_the_forms_is_one_exact_sequence_line(tmp_path, caps
 
 
 def test_form_count_is_the_kernels_count(group):
-    assert _form_count([group]) == len(cuts.idempotent_forms(group))
-    assert _form_count([group, GROUPS["Z_Q"]]) == len(cuts.idempotent_forms(group)) * 3
+    assert checks.form_count([group]) == len(cuts.idempotent_forms(group))
+    assert checks.form_count([group, GROUPS["Z_Q"]]) == len(cuts.idempotent_forms(group)) * 3
 
 
 def test_a_fault_listing_rank1_forms_stays_inside_the_checks(tmp_path, capsys, monkeypatch):

@@ -96,6 +96,8 @@ def test_truncate():
     assert G.truncate(zq, 2) == zq
     with pytest.raises(ValueError):
         G.truncate(zq, 0)
+    with pytest.raises(ValueError):
+        G.truncate(zq, zq.rank + 1)
 
 
 def test_json_round_trips():

@@ -36,10 +36,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GROUPS
+from conftest import GROUPS, exact_sample
 from tclass import cuts as C
 from tclass import pruefer as P
-from tclass.cli import _exact_sequence, _form_text, form_json, main
+from tclass.checks import exact_form, exact_sequence
+from tclass.cli import KINDS, _form_text, form_json, main
 from tclass.sampling import random_cut
 from test_kills import _form_cut_swapped, _residual_negated
 
@@ -274,7 +275,7 @@ def test_exact_sequence_records_a_sample_error_with_its_tuples(monkeypatch):
     def planted(g, x, y):
         raise C.NotInGroupError("planted")
     monkeypatch.setattr(C, "class_mul", planted)
-    report = _exact_sequence(MODEL, 2, random.Random(1), P.tuple_to_json)
+    report = exact_sequence(MODEL, KINDS["pruefer_fc"], 2, random.Random(1))
     forms = {_form_text(form_json(f)): f for f in open_forms()}
     assert report["failure_count"] == len(report["failures"]) == 2 * len(forms)
     named = []
@@ -291,8 +292,15 @@ def test_exact_sequence_records_a_sample_error_with_its_tuples(monkeypatch):
 
 def test_exact_sequence_runs_no_residual_audit(diverging_residual):
     # `psi_localize` decides membership by classification, so the planted
-    # divergence passes through unseen.
-    assert _exact_sequence(MODEL, 2, random.Random(1), P.tuple_to_json)["passed"]
+    # divergence passes through unseen: every form's trial passes its test,
+    # and so does each sample drawn at the form.
+    rng = random.Random(1)
+    for form in P.enumerate_idempotent_forms(MODEL):
+        trial = exact_form(MODEL, KINDS["pruefer_fc"], form, "FORM")
+        assert trial.test(trial.draw(rng)) == []
+        sample = exact_sample(MODEL, form)
+        for _ in range(2):
+            assert sample.test(sample.draw(rng)) == []
 
 
 def test_show_principal_guard_trips_on_a_planted_invertibility(monkeypatch):

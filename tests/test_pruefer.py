@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import GROUPS, group_inv, is_subset
+from conftest import GROUPS, exact_sample, group_inv, is_subset
 from tclass import CLOSED, OPEN, Cut, Q, ValueGroup, Z, Zloc
+from tclass import checks
 from tclass import cuts as C
 from tclass import pruefer as P
-from tclass import sampling as S
-from tclass.cli import _exact_sequence
+from tclass.cli import KINDS
 
 DY = GROUPS["Zhalf"]
 TR = ValueGroup((Zloc(3),))
@@ -261,23 +261,21 @@ def test_group_membership_and_ops(model, rng):
 def exact_sequence(model, samples, rng) -> dict:
     """`verify`'s exact-sequence check of `model`, naming tuples by their
     `pruefer_fc` literals."""
-    return _exact_sequence(model, samples, rng, P.tuple_to_json)
+    return checks.exact_sequence(model, KINDS["pruefer_fc"], samples, rng)
 
 
-def test_exact_sequence_members_are_canonical_as_drawn(rng, monkeypatch):
+def test_exact_sequence_members_are_canonical_as_drawn(rng):
     # A group member is built from `sampling.group_cut` draws without
-    # `normalize`; `psi_localize` refuses one outside its form's group.
-    drawn, group_cut = [], S.group_cut
-
-    def recorded(rng, g, level, side):
-        drawn.append((g, group_cut(rng, g, level, side)))
-        return drawn[-1][1]
-    monkeypatch.setattr(S, "group_cut", recorded)
+    # `normalize`; `psi_localize` refuses one outside its form's group, and
+    # every drawn sample passes its test.
     for model in MODELS.values():
-        assert exact_sequence(model, 20, rng)["passed"]
-    assert drawn
-    for g, c in drawn:
-        assert C.normalize(g, c) is c, C.format_cut(c)
+        for form in P.enumerate_idempotent_forms(model):
+            sample = exact_sample(model, form)
+            for _ in range(20):
+                x = sample.draw(rng)
+                for g, c in ((g, c) for a in x[:2] for g, c in zip(model.valuations, a.cuts)):
+                    assert C.normalize(g, c) is c, C.format_cut(c)
+                assert sample.test(x) == []
 
 
 def test_enumerate_idempotent_forms_counts():

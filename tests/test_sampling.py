@@ -22,7 +22,8 @@ from fractions import Fraction
 import pytest
 
 from tclass import CLOSED, OPEN, Cut, Q, ValueGroup, Z, Zloc
-from tclass import boxes, cli, polyext, sampling, semigroups
+from conftest import exact_sample
+from tclass import boxes, checks, cli, polyext, sampling, semigroups
 from tclass import groups as G
 from tclass import cuts as C
 from tclass import pruefer as P
@@ -152,26 +153,21 @@ def test_one_generator_draws_as_written_over_groups_dropped_after_use():
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_exact_sequence_draws_as_written(name, seed, monkeypatch):
     # The draws of each `exact_sequence` sample, in its order, at every form
-    # of the model.  A form's trial projects its idempotent; each sample then
-    # projects its pair, their product and the preimage of its target, which
-    # holds the target's class reps at the open components and the
-    # idempotent elsewhere.
+    # of the model: its pair, then the target, whose preimage holds the
+    # target's class reps at the open components and the idempotent
+    # elsewhere.  The whole check, drawing the same, passes and leaves its
+    # generator where the reference leaves its own; a form's trial projects
+    # its idempotent, and each sample its pair, their product and the
+    # preimage.
     model = P.PrueferModel(tuple(ValueGroup(GROUPS[v]) for v in MODELS[name]))
-    projected, psi_localize = [], P.psi_localize
-
-    def recorded(m, a, form):
-        projected.append((a, form))
-        return psi_localize(m, a, form)
-    monkeypatch.setattr(P, "psi_localize", recorded)
+    forms = P.enumerate_idempotent_forms(model)
     got_rng, ref_rng = random.Random(seed), random.Random(seed)
-    assert cli._exact_sequence(model, 40, got_rng, P.tuple_to_json)["passed"]
-    calls = iter(projected)
-    for form in P.enumerate_idempotent_forms(model):
+    for form in forms:
         local = sorted(form.open_components)
         j = P.form_tuple(model, form)
-        assert next(calls) == (j, form)
+        sample = exact_sample(model, form)
         for _ in range(40):
-            (a, _), (b, _), _, (lift, _) = (next(calls) for _ in range(4))
+            a, b, _, lift = sample.draw(got_rng)
             for got in (a, b):
                 assert got == ref_group_member(ref_rng, model, form)
                 assert_coordinate_types(got.cuts)
@@ -179,8 +175,16 @@ def test_exact_sequence_draws_as_written(name, seed, monkeypatch):
             for r, i in zip(ref_target(ref_rng, model, form, local), local):
                 want[i] = r.rep
             assert lift == P.IdealTuple(tuple(want))
-    assert next(calls, None) is None
     assert got_rng.getstate() == ref_rng.getstate()
+    projected, psi_localize = [], P.psi_localize
+    monkeypatch.setattr(P, "psi_localize", lambda m, a, form: (
+        projected.append((a, form)) or psi_localize(m, a, form)))
+    whole_rng = random.Random(seed)
+    assert checks.exact_sequence(model, cli.KINDS["pruefer_fc"], 40, whole_rng)["passed"]
+    assert whole_rng.getstate() == ref_rng.getstate()
+    assert [call[1] for call in projected] == [f for f in forms for _ in range(1 + 4 * 40)]
+    assert [projected[i * (1 + 4 * 40)][0] for i in range(len(forms))] == [
+        P.form_tuple(model, f) for f in forms]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -266,7 +270,7 @@ def test_drawn_cuts_die_with_their_command(monkeypatch):
 def module_containers() -> dict:
     """The size of every module-level container and cache of the package."""
     sizes = {}
-    for module in (G, C, sampling, P, polyext, boxes, semigroups, cli):
+    for module in (G, C, sampling, P, polyext, boxes, semigroups, checks, cli):
         for name, obj in vars(module).items():
             key = f"{module.__name__}.{name}"
             if name.startswith("__"):
