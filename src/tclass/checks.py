@@ -200,9 +200,10 @@ def exact_sample(m: P.PrueferModel, spec, form: C.IdempotentForm, text: str, sha
         pa, pb, pab = (_project(m, form, name, y) for y in (a, b, ab))
         if pab != tuple(C.class_mul(gs[i], u, v) for u, v, i in zip(pa, pb, local)):
             lines.append(f"{text}: projection not multiplicative at {name(a)} * {name(b)}")
-        if pa == ident and P.class_of(m, a) != identity:
+        ca = P.class_of(m, a) if pa == ident or pa == pb else None
+        if pa == ident and ca != identity:
             lines.append(f"{text}: kernel element outside the embedded image: {name(a)}")
-        if pa == pb and P.class_of(m, a) != P.class_of(m, b):
+        if pa == pb and ca != P.class_of(m, b):
             lines.append(f"{text}: projection identified distinct classes: {name(a)} vs {name(b)}")
         if _project(m, form, name, lift) != target:
             lines.append(f"{text}: constructed preimage {name(lift)} missed its target")

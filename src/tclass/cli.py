@@ -252,21 +252,24 @@ class Kind(NamedTuple):
     components: bool  # regularity reported per component, and no strong discreteness
 
 
+# A kind's fields reach a function of the package through its module on each
+# call, as `lambda m: P.f(m)` rather than `P.f`, so that what patches or
+# traces the module attribute sees the calls made through the kind.
 KINDS = {
     "valuation": Kind(
-        "group", value_group_from_json, value_group_to_json,
+        "group", lambda obj: value_group_from_json(obj), lambda g: value_group_to_json(g),
         lambda g: P.PrueferModel((g,)),
         lambda m, data: P.IdealTuple((C.cut_from_json(m.valuations[0], data),)),
         lambda a: C.cut_to_json(a.cuts[0]),
-        form_json, _form_text, P.enumerate_idempotent_forms,
+        lambda form: form_json(form), _form_text, lambda m: P.enumerate_idempotent_forms(m),
         _valuation_entry, lambda e: [f"  level {e['level']} {e['kind']}: {e['group']}"],
         scope=None, components=False),
     "pruefer_fc": Kind(
         "valuations", _pruefer_from_json,
         lambda m: [value_group_to_json(g) for g in m.valuations],
         lambda m: m,
-        P.tuple_from_json, P.tuple_to_json,
-        form_json, _form_text, P.enumerate_idempotent_forms,
+        lambda m, data: P.tuple_from_json(m, data), lambda a: P.tuple_to_json(a),
+        lambda form: form_json(form), _form_text, lambda m: P.enumerate_idempotent_forms(m),
         _pruefer_entry, _pruefer_entry_text,
         scope=None, components=True),
     "poly_ext": Kind(

@@ -43,6 +43,14 @@ its component.  `class_of` builds one from a cut; `class_mul`, the one
 class product (for the class models and the exact sequence's group law
 alike), works on keys with `mul`'s own side rule, so the Cayley-table
 oracle builds no `Cut` and no `Fraction`.
+
+The value types (`Cut`, `OverringSpec`, `IdempotentForm`,
+`RegularityWitness`, `CutClass` and `pruefer.IdealTuple`) are
+`NamedTuple`s, each the tuple of its fields: it compares and hashes in C,
+and its hash is that of the plain tuple of its fields.  A value also
+equals a plain tuple of the same fields, and tuples order; no code of the
+package orders these values, compares two of the types with each other or
+keys one dict or set by two of them, so neither fact reaches a result.
 """
 
 from __future__ import annotations
@@ -51,7 +59,6 @@ import functools
 import json
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -86,15 +93,25 @@ class InternalInconsistencyError(RuntimeError):
     """An arithmetic identity that must hold by theory failed; a bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class Cut:
-    """A prefix cut.  Its boundary is a tuple of rationals, each an `int` or a
-    `Fraction`, as the parsers, samplers and kernel build it: only side,
-    level and length are checked."""
-
+class _CutFields(NamedTuple):
     level: int
     boundary: tuple[int | Fraction, ...]
     side: str
+
+
+class Cut(_CutFields):
+    """A prefix cut.  Its boundary is a tuple of rationals, each an `int` or a
+    `Fraction`, as the parsers, samplers and kernel build it: only side,
+    level and length are checked, by `__post_init__`, which every `Cut(...)`
+    runs.  (`_make` and `_replace` skip it; nothing in the package calls
+    them.)"""
+
+    __slots__ = ()
+
+    def __new__(cls, level: int, boundary: tuple[int | Fraction, ...], side: str):
+        self = tuple.__new__(cls, (level, boundary, side))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         if self.side not in (CLOSED, OPEN):
@@ -301,15 +318,13 @@ def idempotent_cut(g: ValueGroup, a: Cut) -> Cut:
     return _witness(g, a, stabilizer(g, a))
 
 
-@dataclass(frozen=True)
-class OverringSpec:
+class OverringSpec(NamedTuple):
     """An overring of the base, one localization level per component."""
 
     levels: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class IdempotentForm:
+class IdempotentForm(NamedTuple):
     """Which idempotent a class lands on: the overring T itself (ring variant)
     or the intersection of the idempotent maximal ideals of T at the listed
     component indices (0-based internally; reports print them 1-based)."""
@@ -365,8 +380,7 @@ def idempotent_forms(g: ValueGroup) -> list[IdempotentForm]:
     return forms
 
 
-@dataclass(frozen=True)
-class RegularityWitness:
+class RegularityWitness(NamedTuple):
     idempotent: Cut
     shift: Optional[tuple[int | Fraction, ...]]
 

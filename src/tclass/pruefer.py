@@ -19,6 +19,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .groups import ValueGroup, is_member
 from . import cuts as C
@@ -49,46 +50,47 @@ class PrueferModel:
         return len(self.valuations)
 
 
-@dataclass(frozen=True)
-class IdealTuple:
+class IdealTuple(NamedTuple):
     """One canonical cut per component; the fractional ideal it denotes is
     the intersection of the componentwise preimages."""
 
     cuts: tuple[Cut, ...]
 
 
+# The componentwise functions map the kernel function over the components,
+# looked up through `C` on each call so that a patched or traced kernel
+# function is the one that runs.  `map` stops at its shortest argument, so
+# every tuple argument is checked against the model's length first.
+
 def _check(model: PrueferModel, a: IdealTuple) -> None:
-    if len(a.cuts) != model.k:
-        raise DomainMismatchError(f"tuple has {len(a.cuts)} components, model has {model.k}")
+    k = len(model.valuations)
+    if len(a.cuts) != k:
+        raise DomainMismatchError(f"tuple has {len(a.cuts)} components, model has {k}")
 
 
 def mul(model: PrueferModel, a: IdealTuple, b: IdealTuple) -> IdealTuple:
     _check(model, a)
     _check(model, b)
-    return IdealTuple(tuple(
-        C.mul(g, x, y) for g, x, y in zip(model.valuations, a.cuts, b.cuts)
-    ))
+    return IdealTuple(tuple(map(C.mul, model.valuations, a.cuts, b.cuts)))
 
 
 def quotient(model: PrueferModel, a: IdealTuple, b: IdealTuple) -> IdealTuple:
     _check(model, a)
     _check(model, b)
-    return IdealTuple(tuple(
-        C.quotient(g, x, y) for g, x, y in zip(model.valuations, a.cuts, b.cuts)
-    ))
+    return IdealTuple(tuple(map(C.quotient, model.valuations, a.cuts, b.cuts)))
 
 
 def t_closure(model: PrueferModel, a: IdealTuple) -> IdealTuple:
     # Trivial here for the same reason as in one valuation: each component
     # cut is a union of principal sub-cuts, and independence realizes every
     # needed value tuple.
-    return IdealTuple(tuple(C.t_closure(g, c) for g, c in zip(model.valuations, a.cuts)))
+    return IdealTuple(tuple(map(C.t_closure, model.valuations, a.cuts)))
 
 
 def ring_tuple(model: PrueferModel, t: OverringSpec) -> IdealTuple:
     if len(t.levels) != model.k:
         raise DomainMismatchError("overring has wrong number of components")
-    return IdealTuple(tuple(C.ring_cut(g, l) for g, l in zip(model.valuations, t.levels)))
+    return IdealTuple(tuple(map(C.ring_cut, model.valuations, t.levels)))
 
 
 @functools.cache
@@ -111,7 +113,7 @@ def form_tuple(model: PrueferModel, form: IdempotentForm) -> IdealTuple:
     if len(form.overring.levels) != model.k:
         raise DomainMismatchError(
             f"form has {len(form.overring.levels)} components, model has {model.k}")
-    return IdealTuple(tuple(C.form_cut(g, f) for g, f in zip(model.valuations, _split(form))))
+    return IdealTuple(tuple(map(C.form_cut, model.valuations, _split(form))))
 
 
 def classify_idempotent(model: PrueferModel, a: IdealTuple) -> IdempotentForm:
@@ -121,14 +123,14 @@ def classify_idempotent(model: PrueferModel, a: IdealTuple) -> IdempotentForm:
     component's form is read off its cut's level and side; `cuts.is_regular`
     checks the witness against it, once per cut."""
     _check(model, a)
-    return _join(tuple(C.classify_idempotent(g, c) for g, c in zip(model.valuations, a.cuts)))
+    return _join(tuple(map(C.classify_idempotent, model.valuations, a.cuts)))
 
 
 # === classes and groups ===
 
 def class_of(model: PrueferModel, a: IdealTuple) -> tuple[CutClass, ...]:
     _check(model, a)
-    return tuple(C.class_of(g, c) for g, c in zip(model.valuations, a.cuts))
+    return tuple(map(C.class_of, model.valuations, a.cuts))
 
 
 def tuple_of_class(x: tuple[CutClass, ...]) -> IdealTuple:
@@ -146,7 +148,7 @@ def group_membership(model: PrueferModel, a: IdealTuple,
     if len(idems) != model.k:
         raise DomainMismatchError(
             f"idempotents given for {len(idems)} components, model has {model.k}")
-    per = [C.group_membership(g, c, i) for g, c, i in zip(model.valuations, a.cuts, idems)]
+    per = list(map(C.group_membership, model.valuations, a.cuts, idems))
     return [_join(picks) for picks in itertools.product(*per)]
 
 
@@ -193,7 +195,9 @@ def psi_localize(model: PrueferModel, a: IdealTuple, form: IdempotentForm) -> tu
     `cuts.idempotents`, in `idempotent_uniqueness`."""
     if classify_idempotent(model, a) != form:
         raise NotInGroupError("tuple class lies outside the constituent group")
-    return tuple(C.class_of(model.valuations[i], a.cuts[i]) for i in sorted(form.open_components))
+    local = sorted(form.open_components)
+    return tuple(map(C.class_of, map(model.valuations.__getitem__, local),
+                     map(a.cuts.__getitem__, local)))
 
 
 def enumerate_idempotent_forms(model: PrueferModel) -> list[IdempotentForm]:
@@ -235,6 +239,7 @@ class PrueferClassModel:
     def __init__(self, model: PrueferModel, write):
         self.model = model
         self.write = write
+        self._idempotents = {}  # form -> its idempotent's class tuple
 
     def class_of(self, a: IdealTuple) -> tuple[CutClass, ...]:
         return class_of(self.model, a)
@@ -243,11 +248,16 @@ class PrueferClassModel:
         return tuple(map(C.class_mul, self.model.valuations, x, y))
 
     def idempotent_of(self, x: tuple[CutClass, ...]) -> tuple[CutClass, ...]:
-        # Component by component, through the product form and `_split`: the
-        # `_split` fault reaches the `valuation` specs only here.
+        # Component by component, through the product form and `_split`,
+        # once per form and adapter: the `_split` fault reaches the
+        # `valuation` specs only here, at each form's first class.
         gs = self.model.valuations
         form = _join(tuple(C.classify_idempotent(g, u.rep) for g, u in zip(gs, x)))
-        return tuple(C.class_of(g, C.form_cut(g, f)) for g, f in zip(gs, _split(form)))
+        e = self._idempotents.get(form)
+        if e is None:
+            cuts = map(C.form_cut, gs, _split(form))
+            e = self._idempotents[form] = tuple(map(C.class_of, gs, cuts))
+        return e
 
     def describe(self, x: tuple[CutClass, ...]) -> str:
         return json.dumps(self.write(tuple_of_class(x)), sort_keys=True)

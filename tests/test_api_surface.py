@@ -1,8 +1,9 @@
 """No dead public API: every public module-level function or class of
 `src/tclass`, every public method or property of a public class, and every
-public annotated field of a public dataclass or `NamedTuple` has a
-reference in `src/` or `bench/` outside its own definition, or an entry in
-ALLOWED saying why tests alone may call it.
+public annotated field of a public dataclass or `NamedTuple` (or of a
+private one of its module that it subclasses) has a reference in `src/`
+or `bench/` outside its own definition, or an entry in ALLOWED saying why
+tests alone may call it.
 
 References to module-level names are resolved per module: `C.mul` with
 `from . import cuts as C` counts for `cuts.mul` only, `from .cuts import
@@ -117,12 +118,18 @@ def _member_name(node, cls: ast.ClassDef):
 
 def members() -> set:
     """module.Class.name for each public method, property and dataclass or
-    `NamedTuple` field of a public class."""
+    `NamedTuple` field of a public class, those it takes from a private
+    base of its module included (`cuts.Cut`'s fields are `_CutFields`')."""
     out = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        for cls in parsed(path).body:
+        body = parsed(path).body
+        private = {n.name: n for n in body
+                   if isinstance(n, ast.ClassDef) and n.name.startswith("_")}
+        for cls in body:
             if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
-                names = (_member_name(n, cls) for n in cls.body)
+                bases = (private[b.id] for b in cls.bases if getattr(b, "id", None) in private)
+                own = [cls, *bases]
+                names = (_member_name(n, c) for c in own for n in c.body)
                 out |= {f"{path.stem}.{cls.name}.{n}" for n in names
                         if n and not n.startswith("_")}
     return out
@@ -276,6 +283,13 @@ def test_named_tuple_fields_are_members():
     assert _member_name(named.body[0], named) == "f"
     assert _member_name(plain.body[0], plain) is None
     assert {"cuts.CutClass.n", "cuts.CutClass.d", "checks.Check.label"} <= members()
+
+
+def test_fields_of_a_private_named_tuple_base_are_members():
+    # `cuts.Cut` subclasses a private `NamedTuple` to run its guards in
+    # `__new__`; its fields stay under the dead-field rule.
+    assert {"cuts.Cut.level", "cuts.Cut.boundary", "cuts.Cut.side"} <= members()
+    assert not any(m.startswith("cuts._CutFields.") for m in members())
 
 
 def defaulted() -> dict:

@@ -993,6 +993,30 @@ def test_kinds_agree_on_one_valuation(group, seed):
         == sorted(by_level, key=lambda f: f[1])
 
 
+def test_a_kind_reaches_the_package_through_its_modules(monkeypatch):
+    # A kind's fields look each function up on its module at every call, so
+    # a patch of the module attribute, as the benchmark's tracer makes,
+    # sees the calls made through the kind.
+    seen = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: seen.append(name) or real(*args))
+    for module, name in ((P, "tuple_from_json"), (P, "tuple_to_json"),
+                         (P, "enumerate_idempotent_forms"), (tclass.cli, "form_json"),
+                         (tclass.cli, "value_group_from_json")):
+        counted(module, name)
+    kind, model = load_model(json.dumps({"kind": "pruefer_fc", "valuations": [["Z"], ["Q"]]}))
+    literal = {"cuts": [cut_lit(1, [1], "closed"), cut_lit(1, ["1/2"], "open")]}
+    cmd_classify(kind, model, json.dumps(literal))
+    assert seen.count("tuple_from_json") == 1
+    assert seen.count("tuple_to_json") == 2  # the ideal and the witness
+    assert seen.count("form_json") == 1
+    seen.clear()
+    cmd_decompose(*load_model(json.dumps({"kind": "valuation", "group": ["Q"]})))
+    assert seen == ["value_group_from_json", "enumerate_idempotent_forms"]
+
+
 # -- fuzz: any JSON, any literal, every command ends in exit 0, 1 or 2 --------
 
 JSON = st.recursive(

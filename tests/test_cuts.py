@@ -5,12 +5,14 @@ the oracle call sits next to each frozen assertion so a regression in
 either side surfaces as a disagreement.
 """
 
+import ast
 import copy
 import json
 import math
 import pickle
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -28,6 +30,7 @@ from conftest import (
 from tclass import CLOSED, OPEN, Cut, Q, ValueGroup, Z, Zloc
 from tclass import boxes
 from tclass import cuts as C
+from tclass import pruefer as P
 from tclass.groups import is_member, truncate
 from tclass.sampling import random_cut
 
@@ -48,6 +51,40 @@ def test_cut_construction_rejects_malformed():
         Cut(2, (F(1),), CLOSED)
     with pytest.raises(C.MalformedCutError):
         Cut(1, (F(1),), "half-open")
+
+
+def test_value_types_are_the_tuples_of_their_fields(monkeypatch):
+    # Each value type hashes as the tuple of its fields, as the frozen
+    # dataclasses it replaced did, so no cache key, set or dict order moves.
+    a = C.cut_from_json(ZQ, {"level": 2, "boundary": ["1", "1/3"], "side": "open"})
+    form = C.classify_idempotent(ZQ, a)
+    values = [a, form.overring, form, C.is_regular(ZQ, a),
+              P.IdealTuple((a, C.ring_cut(ZZ)))]
+    assert [type(v).__name__ for v in values] == [
+        "Cut", "OverringSpec", "IdempotentForm", "RegularityWitness", "IdealTuple"]
+    for v in values:
+        fields = tuple(getattr(v, f) for f in type(v)._fields)
+        assert isinstance(v, tuple) and hash(v) == hash(fields) and v == fields, v
+
+    # Every `Cut(...)` runs the guards, once.
+    built = []
+    post_init = C.Cut.__post_init__
+    monkeypatch.setattr(C.Cut, "__post_init__", lambda c: built.append(c) or post_init(c))
+    for level, boundary, side in ((1, (1,), "half-open"), (0, (), CLOSED), (2, (1,), OPEN)):
+        with pytest.raises(C.MalformedCutError):
+            Cut(level, boundary, side)
+    assert Cut(1, (F(1, 2),), OPEN) == (1, (F(1, 2),), OPEN)
+    assert len(built) == 4
+
+
+def test_no_package_code_skips_the_cut_guards():
+    # `_make` and `_replace` build a `NamedTuple` without its `__new__`, so
+    # a `Cut` built by either would skip `__post_init__`.
+    package = Path(C.__file__).parent
+    skipping = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Attribute) and node.attr in ("_make", "_replace")]
+    assert skipping == []
 
 
 def test_validate_cut_level_range():

@@ -248,23 +248,34 @@ LIFETIME_SPEC = {"kind": "pruefer_fc", "valuations": [[{"Zloc": [2]}], ["Q", "Q"
 
 
 def test_drawn_cuts_die_with_their_command(monkeypatch):
-    # Weak references to every cut `verify` draws, through `random_cut`
-    # and the exact sequence's group members and targets alike.
-    drawn = []
+    # The ids of the cuts `verify` draws, through `random_cut` and the
+    # exact sequence's group members and targets alike, while they live.
+    # A `Cut` is a tuple and takes no weak reference, so a finaliser
+    # planted on the class drops each id as its cut dies.
+    live, names, count = set(), set(), {"drawn": 0, "died": 0}
 
     def recorded(name, fn):
         def wrapper(*args):
             c = fn(*args)
-            drawn.append((name, weakref.ref(c)))
+            if id(c) not in live:
+                live.add(id(c))
+                count["drawn"] += 1
+            names.add(name)
             return c
         monkeypatch.setattr(sampling, name, wrapper)
+
+    def finalised(c):
+        if id(c) in live:
+            live.remove(id(c))
+            count["died"] += 1
     for name in ("random_cut", "group_cut", "target_cut"):
         recorded(name, getattr(sampling, name))
+    monkeypatch.setattr(C.Cut, "__del__", finalised, raising=False)
     kind, model = cli.load_model(json.dumps(LIFETIME_SPEC))
     assert cli.cmd_verify(kind, model, 5, 1, None)["passed"]
     gc.collect()
-    assert {name for name, _ in drawn} == {"random_cut", "group_cut", "target_cut"}
-    assert [name for name, ref in drawn if ref() is not None] == []
+    assert names == {"random_cut", "group_cut", "target_cut"}
+    assert live == set() and count["died"] == count["drawn"] > 0, count
 
 
 def module_containers() -> dict:
