@@ -21,15 +21,13 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .groups import ValueGroup, is_member
+from .groups import ValueGroup
 from . import cuts as C
 from .cuts import (
-    CLOSED,
     Cut,
     CutClass,
     DomainMismatchError,
     IdempotentForm,
-    InternalInconsistencyError,
     NotInGroupError,
     OverringSpec,
 )
@@ -72,12 +70,6 @@ def mul(model: PrueferModel, a: IdealTuple, b: IdealTuple) -> IdealTuple:
     _check(model, a)
     _check(model, b)
     return IdealTuple(tuple(map(C.mul, model.valuations, a.cuts, b.cuts)))
-
-
-def quotient(model: PrueferModel, a: IdealTuple, b: IdealTuple) -> IdealTuple:
-    _check(model, a)
-    _check(model, b)
-    return IdealTuple(tuple(map(C.quotient, model.valuations, a.cuts, b.cuts)))
 
 
 def t_closure(model: PrueferModel, a: IdealTuple) -> IdealTuple:
@@ -150,28 +142,6 @@ def group_membership(model: PrueferModel, a: IdealTuple,
             f"idempotents given for {len(idems)} components, model has {model.k}")
     per = list(map(C.group_membership, model.valuations, a.cuts, idems))
     return [_join(picks) for picks in itertools.product(*per)]
-
-
-def show_principal(model: PrueferModel, overring: OverringSpec, a: IdealTuple) -> tuple:
-    """The certificate that Cl(T) of a semilocal intersection is trivial:
-    the realizing shift vector of a tuple t-invertible over the overring T.
-    Raises if the tuple is not invertible (some component open or off the
-    group)."""
-    _check(model, a)
-    t = ring_tuple(model, overring)
-    inv = quotient(model, t, a)
-    if t_closure(model, mul(model, a, inv)) != t:
-        raise NotInGroupError("tuple is not t-invertible over the overring")
-    shifts = []
-    for g, c in zip(model.valuations, a.cuts):
-        if c.side != CLOSED or not all(
-            is_member(comp, q) for comp, q in zip(g.components, c.boundary)
-        ):
-            raise InternalInconsistencyError(
-                "invertible tuple with a non-realizable component boundary"
-            )
-        shifts.append(c.boundary + (C._ZERO,) * (g.rank - c.level))
-    return tuple(shifts)
 
 
 # === the exact sequence 0 -> Cl(T) -> G -> prod of localized groups -> 0 ===

@@ -2,8 +2,7 @@
 `src/tclass`, every public method or property of a public class, and every
 public annotated field of a public dataclass or `NamedTuple` (or of a
 private one of its module that it subclasses) has a reference in `src/`
-or `bench/` outside its own definition, or an entry in ALLOWED saying why
-tests alone may call it.
+or `bench/` outside its own definition: a name only tests call is deleted.
 
 References to module-level names are resolved per module: `C.mul` with
 `from . import cuts as C` counts for `cuts.mul` only, `from .cuts import
@@ -13,8 +12,6 @@ attributes a file reads (`x.mul` counts for every method called `mul`),
 since the type behind `x` is not known; assigning `x.f` does not read the
 field `f`, and reading `C.mul` through a module alias is a reference to
 `cuts.mul`, not to a method.
-A reference made inside an allowlisted definition does not count: what
-only a test-only name calls is test-only too.
 
 Each file is read and parsed once per session, and its references once.
 
@@ -35,19 +32,11 @@ no call sets is a constant.
 """
 
 import ast
-import copy
 import functools
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tclass"
-
-ALLOWED = {
-    "pruefer.quotient":
-        "the tuple residual, behind `show_principal` and the componentwise arithmetic tests",
-    "pruefer.show_principal":
-        "the principality certificate behind the trivial class group the reports state",
-}
 
 BOX_ORACLE = "the box oracle runs under no command; ROADMAP F puts it in `verify`"
 BENCH_ONLY = {
@@ -135,26 +124,6 @@ def members() -> set:
     return out
 
 
-def source(path: Path) -> ast.Module:
-    """The parsed file, without the allowlisted definitions; the shared
-    tree stays as parsed, since each node it drops from is copied."""
-    tree = parsed(path)
-
-    def kept(node, prefix):
-        return f"{prefix}.{getattr(node, 'name', '')}" not in ALLOWED
-
-    def without(cls):
-        out = copy.copy(cls)
-        out.body = [n for n in cls.body if kept(n, f"{path.stem}.{cls.name}")]
-        return out
-
-    if path.parent != PACKAGE:
-        return tree
-    body = [without(n) if isinstance(n, ast.ClassDef) else n
-            for n in tree.body if kept(n, path.stem)]
-    return ast.Module(body=body, type_ignores=[])
-
-
 def aliases(tree: ast.Module) -> dict:
     """name -> tclass name for each name a file imports from the package
     itself (`from tclass import cuts as C`) or binds to one of its modules
@@ -174,7 +143,7 @@ def attributes(path: Path) -> set:
     """Attribute names a source file reads, skipping a method's references
     to its own name inside its own body and reads through a module alias,
     which `references` resolves per module."""
-    tree = source(path)
+    tree = parsed(path)
     modules = {name for name, mod in aliases(tree).items() if (PACKAGE / f"{mod}.py").exists()}
     names = set()
 
@@ -196,7 +165,7 @@ def references(path: Path) -> set:
     """(module, name) pairs a source file refers to, skipping a module's
     references to a name inside that name's own top-level definition."""
     here = path.stem if path.parent == PACKAGE else None
-    tree = source(path)
+    tree = parsed(path)
     names, refs = aliases(tree), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (mod := _module_of(node)) not in (None, "tclass"):
@@ -238,16 +207,8 @@ def unreferenced(files=None) -> set:
 
 
 def test_every_public_name_has_a_caller_or_a_reason():
-    missing = unreferenced() - set(ALLOWED)
-    assert not missing, f"public names only tests call (delete them or allow them): {sorted(missing)}"
-
-
-def test_allowlist_is_current():
-    assert len(ALLOWED) <= 2, "at most 2 test-only names"
-    gone = set(ALLOWED) - defined()
-    assert not gone, f"allowed names that no longer exist: {sorted(gone)}"
-    stale = set(ALLOWED) - unreferenced()
-    assert not stale, f"allowed names that now have a caller: {sorted(stale)}"
+    missing = unreferenced()
+    assert not missing, f"public names only tests call (delete them): {sorted(missing)}"
 
 
 def bench_only() -> set:

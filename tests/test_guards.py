@@ -1,7 +1,7 @@
 """Where each `InternalInconsistencyError` guard runs, and a planted fault
 that trips it there.
 
-`src/tclass` holds eight raise sites.  Five audit one cut and run in
+`src/tclass` holds seven raise sites.  Five audit one cut and run in
 `cuts.is_regular`, once per cut: the regularity identity, the witness
 shift, the `(I : I)` recheck of `stabilizer` (through `idempotent_cut`),
 the witness idempotent (I (T:I))_t against the form `classify_idempotent`
@@ -16,14 +16,13 @@ raised it.  The residual audit of `cuts.group_membership` runs in
 `idempotent_uniqueness`, once per sample and component, against the
 idempotents `cuts.idempotents` builds at the first sample.  The guard of
 `cuts._coset_rep` refuses a class denominator below 1, on which its
-`Zloc` loop would never end.  The guard of `pruefer.show_principal` runs
-where its certificate is asked for, which no command does.
+`Zloc` loop would never end.
 
 Classification, `psi_localize` and the group operations decide membership
 in O(1) from a canonical cut's level and side, and audit nothing.
 
 The other model errors (`DomainMismatchError`, `NotInGroupError`,
-`NotIdempotentError`) are raised at nine sites, pinned the same way in
+`NotIdempotentError`) are raised at eight sites, pinned the same way in
 `MODEL_ERROR_SITES`, each with a call that trips it there.
 """
 
@@ -84,7 +83,6 @@ REGULAR_GUARDS = {
         ("_probe_point", lambda real: lambda g, a: g.element([F(-100)] * g.rank), PRINCIPAL),
 }
 RESIDUAL = "membership tests diverged"
-CERTIFICATE = "invertible tuple with a non-realizable component boundary"
 COSET = "coset denominator below 1"
 
 
@@ -154,18 +152,15 @@ MODEL_ERROR_SITES = {
     "pruefer.group_membership": (
         C.DomainMismatchError, "idempotents given for 0 components",
         lambda mp: P.group_membership(MODEL, P.ring_tuple(MODEL, RINGS), [])),
-    "pruefer.show_principal": (
-        C.NotInGroupError, "not t-invertible",
-        lambda mp: P.show_principal(MODEL, RINGS, P.form_tuple(MODEL, OPEN_FORM))),
     "pruefer.psi_localize": (
         C.NotInGroupError, "outside the constituent group",
         lambda mp: P.psi_localize(MODEL, P.ring_tuple(MODEL, RINGS), OPEN_FORM)),
 }
 
 
-def test_nine_model_error_sites_each_tripped_below():
+def test_eight_model_error_sites_each_tripped_below():
     sites = model_error_sites()
-    assert len(sites) == 9 and sorted(sites) == sorted(MODEL_ERROR_SITES), sites
+    assert len(sites) == 8 and sorted(sites) == sorted(MODEL_ERROR_SITES), sites
 
 
 @pytest.mark.parametrize("site", sorted(MODEL_ERROR_SITES))
@@ -176,11 +171,10 @@ def test_model_error_site_trips(site, monkeypatch):
     assert info.traceback[-1].name == site.split(".")[1]
 
 
-def test_eight_guards_each_tripped_below():
+def test_seven_guards_each_tripped_below():
     sites = raise_sites()
-    assert len(sites) == 8, sites
-    assert sorted(msg for _, msg in sites) == sorted(
-        [*REGULAR_GUARDS, RESIDUAL, CERTIFICATE, COSET])
+    assert len(sites) == 7, sites
+    assert sorted(msg for _, msg in sites) == sorted([*REGULAR_GUARDS, RESIDUAL, COSET])
 
 
 @pytest.mark.parametrize("message", sorted(REGULAR_GUARDS), ids=lambda m: REGULAR_GUARDS[m][0])
@@ -301,30 +295,6 @@ def test_exact_sequence_runs_no_residual_audit(diverging_residual):
         sample = exact_sample(MODEL, form)
         for _ in range(2):
             assert sample.test(sample.draw(rng)) == []
-
-
-def test_show_principal_guard_trips_on_a_planted_invertibility(monkeypatch):
-    overring = C.OverringSpec((1, 2))
-    t = P.ring_tuple(MODEL, overring)
-    # Every product is the overring, so the open first component passes as
-    # t-invertible and reaches the realizability guard.
-    monkeypatch.setattr(P, "mul", lambda model, a, b: t)
-    a = P.IdealTuple((C.Cut(1, (F(1, 3),), C.OPEN), t.cuts[1]))
-    with pytest.raises(C.InternalInconsistencyError, match=CERTIFICATE):
-        P.show_principal(MODEL, overring, a)
-
-
-@pytest.mark.parametrize("first", [
-    C.Cut(1, (F(1, 2),), C.OPEN),  # open, on a member of Z[1/2]
-    C.Cut(1, (F(1, 3),), C.CLOSED),  # closed, on a non-member
-], ids=["open_member", "closed_nonmember"])
-def test_show_principal_guard_trips_on_either_half(first, monkeypatch):
-    # Each half of the guard alone must trip it.
-    overring = C.OverringSpec((1, 2))
-    t = P.ring_tuple(MODEL, overring)
-    monkeypatch.setattr(P, "mul", lambda model, a, b: t)
-    with pytest.raises(C.InternalInconsistencyError, match=CERTIFICATE):
-        P.show_principal(MODEL, overring, P.IdealTuple((first, t.cuts[1])))
 
 
 def test_coset_rep_guard_trips_on_a_zero_denominator():
