@@ -196,7 +196,7 @@ def _pruefer_entry(m: P.PrueferModel, form: C.IdempotentForm) -> dict:
         for i in sorted(form.open_components)
     ]
     return {"form": form_json(form), "localized_groups": localized,
-            "class_group": "trivial (computed with principality certificate)"}
+            "class_group": "trivial (the overring is semilocal)"}
 
 
 def _pruefer_entry_text(e: dict) -> list[str]:

@@ -154,9 +154,9 @@ GOLDEN = {
     'decompose poly_ext:Z,Q': '5a1918288e063b3366bee386e5a65d78f2ca7ef661a72dfb08e9a42063de9697',
     'decompose poly_ext:Z,Z': 'c86c9f05bd1f093c3f9fcb3c8e3b9eaf9e2e6a8ba2b687b8cbc2c6d60e902c89',
     'decompose poly_ext:Z[1/3]': '681d2e5e289b0c489cec7f5f1b3e40800c359af832a6a3cf0ece3c7034b6b402',
-    'decompose pruefer:Q': 'cfa4437650b554a294372af016a37c00a6d332c1a1f7c115183e05d48dc33e46',
-    'decompose pruefer:Z[1/2]|Z': '227ad63b7759665f2f9b0dedbcf663e64e1befac40ba473c7f2349c51d2f9733',
-    'decompose pruefer:Z|Z,Z[1/3]|Q': 'cd3d79c650e3aa090846715d71b6f28e53022c2e4793179116d76ab6d861c777',
+    'decompose pruefer:Q': 'e43a6913afa543dda270cf5717e6eca633c7aeec6933152417a5ab0a1002b936',
+    'decompose pruefer:Z[1/2]|Z': '54c32b4de3460d2a525a09f7269020cfe2007a0a5e3d395c1f0a8a955ed6700d',
+    'decompose pruefer:Z|Z,Z[1/3]|Q': '3882bf21610cec3a5b7b06e8dbde2250fc351dad3a7878277788ce9047dd2240',
     'decompose valuation:Q,Z,Z[1/2]': '22b42817528e2649315bcae4cade121441b03510d53f8bdfc114666e7210c23c',
     'decompose valuation:Z,Q': '7227b5ed941a6e3ce1e7b570b0e7e752ca49e41b00deba2c1f2d87ca3cad82e8',
     'decompose valuation:Z[1/2]': '8f8095cb0399961f79b5bbfe701fcc79960bf590d0c3d272aae233b6fbb2898b',
