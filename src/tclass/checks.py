@@ -124,7 +124,8 @@ def idempotent_uniqueness(m: P.PrueferModel, spec) -> Check:
 
 def overring_transfer(m: P.PrueferModel, spec) -> Check:
     """A cut's t-closure over an overring it is an ideal of (a level at or
-    above its own, drawn after the tuple) is its closure over the base."""
+    above its own, drawn after the tuple) is its closure over the base,
+    tested once per distinct (component, cut, level)."""
     name, tuples, gs = _named(spec), _tuples(m), m.valuations
 
     def draw(rng):
@@ -132,15 +133,18 @@ def overring_transfer(m: P.PrueferModel, spec) -> Check:
         return a, [c.level + S._below(rng.getrandbits, g.rank - c.level + 1)
                    for g, c in zip(gs, a.cuts)]
 
+    @functools.cache
+    def transfer(i: int, c: C.Cut, lvl: int) -> list:
+        over, base = C.t_closure_over(gs[i], lvl, c), C.t_closure(gs[i], c)
+        if over == base:
+            return []
+        return [f"component {i + 1} at level {lvl}: "
+                f"{literal(C.cut_to_json(over))} vs {literal(C.cut_to_json(base))}"]
+
     def test(x):
         a, levels = x
-        lines = []
-        for i, (g, c, lvl) in enumerate(zip(gs, a.cuts, levels)):
-            over, base = C.t_closure_over(g, lvl, c), C.t_closure(g, c)
-            if over != base:
-                lines.append(f"{name(a)}, component {i + 1} at level {lvl}: "
-                             f"{literal(C.cut_to_json(over))} vs {literal(C.cut_to_json(base))}")
-        return lines
+        return [f"{name(a)}, {line}" for i, (c, lvl) in enumerate(zip(a.cuts, levels))
+                for line in transfer(i, c, lvl)]
     return Check("overring_transfer", None, draw, lambda x: name(x[0]), test)
 
 
@@ -237,16 +241,19 @@ def exact_sequence(m: P.PrueferModel, spec, samples: int, rng) -> dict:
 
 
 def classification_consistency(m: P.PrueferModel, spec) -> Check:
-    """Every sampled extended class lands on an idempotent `decompose` lists."""
+    """Every sampled extended class lands on an idempotent `decompose` lists,
+    tested once per distinct coefficient cut."""
     g = m.valuations[0]
     forms = functools.cache(lambda: X.decompose(g))
 
-    def test(a):
-        rep = C.class_of(g, a.cuts[0]).rep
+    @functools.cache
+    def classify(c: C.Cut) -> list:
+        rep = C.class_of(g, c).rep
         if C.classify_idempotent(g, rep) in forms():
             return []
         return [f"classification of {literal(X.sym_to_json(rep))} missing from decomposition"]
-    return Check("classification_consistency", None, _tuples(m), _named(spec), test)
+    return Check("classification_consistency", None, _tuples(m), _named(spec),
+                 lambda a: list(classify(a.cuts[0])))
 
 
 def strongly_discrete_detector(m: P.PrueferModel, spec) -> Check:

@@ -24,8 +24,15 @@ a cut holds.  Two ints add, compare and hash in C.
 
 Every operation below takes canonical cuts of `g` and returns canonical
 cuts, normalising nothing it is handed; a level above the rank raises
-MalformedCutError.  Cuts enter canonical through `normalize` (any literal,
-hand-built ones too), `cut_from_json`, `ring_cut`, `prime_cut`, the samplers.
+MalformedCutError.  The operations that read a cut (`normalize`, `mul`,
+`quotient`, `t_closure`, `translate`, `classify_idempotent`, `class_of`)
+unpack it once, `level, boundary, side = a`, and compare that level with
+`g.rank` themselves, calling `validate_cut` only to raise; the audits
+built on them (`stabilizer`, `idempotent_cut`, `is_idempotent`,
+`t_closure_over`, `is_regular`, `residual_membership`,
+`group_membership`) are checked by the operations they call.  Cuts enter
+canonical through `normalize` (any literal, hand-built ones too),
+`cut_from_json`, `ring_cut`, `prime_cut`, the samplers.
 
 Classification and group membership are O(1) reads of a canonical cut's
 level and side.  The theory behind those reads is audited where a check
@@ -114,17 +121,20 @@ class Cut(_CutFields):
         return self
 
     def __post_init__(self):
-        if self.side not in (CLOSED, OPEN):
-            raise MalformedCutError(f"side must be {CLOSED!r} or {OPEN!r}, got {self.side!r}")
-        if self.level < 1:
+        level, boundary, side = self
+        if side not in (CLOSED, OPEN):
+            raise MalformedCutError(f"side must be {CLOSED!r} or {OPEN!r}, got {side!r}")
+        if level < 1:
             raise MalformedCutError("level must be at least 1 (the zero ideal has no cut)")
-        if len(self.boundary) != self.level:
+        if len(boundary) != level:
             raise MalformedCutError(
-                f"boundary has {len(self.boundary)} coordinates for level {self.level}"
+                f"boundary has {len(boundary)} coordinates for level {level}"
             )
 
 
 def validate_cut(g: ValueGroup, a: Cut) -> None:
+    """Raise MalformedCutError if a's level exceeds g's rank.  The kernel
+    compares the level itself and calls this only to raise."""
     if a.level > g.rank:
         raise MalformedCutError(f"level {a.level} exceeds rank {g.rank}")
 
@@ -159,8 +169,10 @@ def normalize(g: ValueGroup, a: Cut) -> Cut:
     the box oracle arbitrates this in the tests.  A canonical argument is
     returned as it is.
     """
-    validate_cut(g, a)
-    level, boundary, side = a.level, a.boundary, a.side
+    a_level, boundary, a_side = a
+    if a_level > g.rank:
+        validate_cut(g, a)
+    level, side = a_level, a_side
     for j in range(level - 1):
         if not is_member(g.components[j], boundary[j]):
             level, side = j + 1, OPEN
@@ -174,7 +186,7 @@ def normalize(g: ValueGroup, a: Cut) -> Cut:
         side = OPEN
     else:
         last, side = math.ceil(last), CLOSED
-    if level == a.level and side == a.side and last is boundary[-1]:
+    if level == a_level and side == a_side and last is boundary[-1]:
         return a
     return Cut(level, boundary[: level - 1] + (last,), side)
 
@@ -201,14 +213,16 @@ def mul(g: ValueGroup, a: Cut, b: Cut) -> Cut:
     over, and equal levels give a closed member sum or an open cut at a
     level where an operand is already open (a dense one).
     """
-    validate_cut(g, a)
-    validate_cut(g, b)
-    level = min(a.level, b.level)
+    a_level, a_boundary, a_side = a
+    b_level, b_boundary, b_side = b
+    if a_level > g.rank or b_level > g.rank:
+        validate_cut(g, a)
+        validate_cut(g, b)
     # A zero term is skipped: ring and prime cuts have all-zero boundaries,
     # and `idempotents` would otherwise pay O(rank) sums per form (a
     # `Fraction` plus 0 builds a new `Fraction`).
-    boundary = tuple(x + y if y else x for x, y in zip(a.boundary, b.boundary))
-    return Cut(level, boundary, _product_side(a.level, a.side, b.level, b.side))
+    boundary = tuple(x + y if y else x for x, y in zip(a_boundary, b_boundary))
+    return Cut(min(a_level, b_level), boundary, _product_side(a_level, a_side, b_level, b_side))
 
 
 def _product_side(a_level: int, a_side: str, b_level: int, b_side: str) -> str:
@@ -228,19 +242,25 @@ def quotient(g: ValueGroup, a: Cut, b: Cut) -> Cut:
     settled strictly before A's deeper coordinates, which collapses the
     result to B's level.  An open divisor makes the infimum unattained and
     the residual closes.
+
+    `zip` truncates the boundaries to `level`.  A coordinate less itself
+    (the same object, as in (I : I)) is the int 0, told by identity, and a
+    zero one is skipped, so neither runs a `Fraction` operation.
     """
-    validate_cut(g, a)
-    validate_cut(g, b)
-    if b.level >= a.level:
-        level = a.level
-        c = b.boundary[: level]
-        attained = b.level > a.level or b.side == CLOSED
-        side = a.side if attained else CLOSED
+    a_level, a_boundary, a_side = a
+    b_level, b_boundary, b_side = b
+    if a_level > g.rank or b_level > g.rank:
+        validate_cut(g, a)
+        validate_cut(g, b)
+    if b_level >= a_level:
+        level = a_level
+        attained = b_level > a_level or b_side == CLOSED
+        side = a_side if attained else CLOSED
     else:
-        level = b.level
-        c = b.boundary
-        side = OPEN if b.side == CLOSED else CLOSED
-    boundary = tuple(x - y if y else x for x, y in zip(a.boundary, c))
+        level = b_level
+        side = OPEN if b_side == CLOSED else CLOSED
+    boundary = tuple(_ZERO if x is y else x - y if y else x
+                     for x, y in zip(a_boundary, b_boundary))
     return normalize(g, Cut(level, boundary, side))
 
 
@@ -273,7 +293,9 @@ def t_closure(g: ValueGroup, a: Cut) -> Cut:
     out where the star operation acts; the containment probe that guards the
     identity claim runs once per cut, in `is_regular`.
     """
-    validate_cut(g, a)
+    level, _, _ = a
+    if level > g.rank:
+        validate_cut(g, a)
     return a
 
 
@@ -299,9 +321,10 @@ def t_closure_over(g: ValueGroup, level: int, a: Cut) -> Cut:
 
 def translate(g: ValueGroup, a: Cut, shift) -> Cut:
     """The cut of the principal multiple with value `shift` (a group element, unchecked)."""
-    validate_cut(g, a)
-    boundary = tuple(x + y for x, y in zip(a.boundary, shift))
-    return Cut(a.level, boundary, a.side)
+    level, boundary, side = a
+    if level > g.rank:
+        validate_cut(g, a)
+    return Cut(level, tuple(x + y for x, y in zip(boundary, shift)), side)
 
 
 def is_idempotent(g: ValueGroup, a: Cut) -> bool:
@@ -354,8 +377,10 @@ def classify_idempotent(g: ValueGroup, a: Cut) -> IdempotentForm:
     overring.  `is_regular` checks the witness construction (I (T:I))_t
     against this form.
     """
-    validate_cut(g, a)
-    return rank1_form(a.level, a.side == OPEN)
+    level, _, side = a
+    if level > g.rank:
+        validate_cut(g, a)
+    return rank1_form(level, side == OPEN)
 
 
 def form_cut(g: ValueGroup, form: IdempotentForm) -> Cut:
@@ -454,10 +479,12 @@ class CutClass(NamedTuple):
 
 
 def class_of(g: ValueGroup, a: Cut) -> CutClass:
-    validate_cut(g, a)
-    top = a.boundary[-1]
-    return CutClass(a.level, a.side,
-                    *_coset_rep(g.components[a.level - 1], top.numerator, top.denominator))
+    level, boundary, side = a
+    if level > g.rank:
+        validate_cut(g, a)
+    top = boundary[-1]
+    return tuple.__new__(CutClass, (level, side)
+                         + _coset_rep(g.components[level - 1], top.numerator, top.denominator))
 
 
 def class_mul(g: ValueGroup, x: CutClass, y: CutClass) -> CutClass:

@@ -206,7 +206,7 @@ def unreferenced(files=None) -> set:
             | {m for m in members() if m.rsplit(".", 1)[1] not in attrs})
 
 
-def test_every_public_name_has_a_caller_or_a_reason():
+def test_every_public_name_has_a_caller():
     missing = unreferenced()
     assert not missing, f"public names only tests call (delete them): {sorted(missing)}"
 

@@ -197,7 +197,8 @@ def test_mul_rejects_cut_from_wider_tower():
 
 # The kernel takes canonical cuts without normalising them, yet every public
 # operation still checks a cut's level against the rank, directly or through
-# an operation it calls.
+# an operation it calls.  Each operation that reads a cut compares its level
+# itself, so each operand position of `mul` and `quotient` has its case.
 WIDE = Cut(2, (F(0), F(0)), CLOSED)
 
 
@@ -209,8 +210,12 @@ WIDE = Cut(2, (F(0), F(0)), CLOSED)
     lambda: C.classify_idempotent(ZZ, WIDE),
     lambda: C.is_regular(ZZ, WIDE),
     lambda: C.group_membership(ZZ, WIDE, C.idempotents(ZZ)),
+    lambda: C.normalize(ZZ, WIDE),
+    lambda: C.mul(ZZ, WIDE, C.ring_cut(ZZ)),
+    lambda: C.quotient(ZZ, WIDE, C.ring_cut(ZZ)),
 ], ids=["quotient", "class_of", "translate", "t_closure", "classify_idempotent",
-        "is_regular", "group_membership"])
+        "is_regular", "group_membership", "normalize", "mul_wide_first",
+        "quotient_wide_dividend"])
 def test_kernel_rejects_cut_from_wider_tower(op):
     with pytest.raises(C.MalformedCutError):
         op()

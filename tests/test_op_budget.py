@@ -6,9 +6,10 @@ normalises cuts that are already canonical, re-runs the constituent-group
 audit, rebuilds a witness idempotent or a stabilizer, in how often the
 Cayley-table oracle multiplies a pair, in how many triples its
 associativity check reads, in how often a check re-audits an input it has
-already audited, in how the idempotent build scales with the rank, in how
-many `Fraction` operations the box oracle runs per cut pair and `verify`
-runs now that integral coordinates are ints, or in what a Cayley-table
+already audited or a class adapter re-multiplies a component pair, in how
+the idempotent build scales with the rank, in how many `Fraction`
+operations the box oracle runs per cut pair and `verify` runs now that
+integral coordinates are ints, or in what a Cayley-table
 closure of m classes builds (no `Cut`, no `class_of` call
 and no `Fraction`: class products work on integer keys; a Pruefer class
 product builds no `IdealTuple`), or in how many tables `cross_check`
@@ -19,10 +20,12 @@ anything.
 
 import json
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as F
 
 from tclass import boxes as B
+from tclass import checks
 from tclass import cuts as C
 from tclass import pruefer as P
 from tclass import sampling as S
@@ -158,6 +161,29 @@ def test_pruefer_class_product_builds_no_tuple(monkeypatch):
     assert built == [], len(built)
 
 
+def test_an_adapter_multiplies_each_component_pair_once(monkeypatch):
+    # `PrueferClassModel.mul` keeps each component product in a table of
+    # its own, so the kernel sees each (component, u, v) once, in the
+    # order the oracle first asks for it.  When every product mapped
+    # `cuts.class_mul` over the components, it saw each once per ask.
+    kind, model = load_model(SPEC)
+    adapter = P.PrueferClassModel(model, P.tuple_to_json)
+    rng = random.Random(1)
+    seeds = [adapter.class_of(P.IdealTuple(tuple(S.random_cut(rng, g) for g in model.valuations)))
+             for _ in range(4)]
+    asked = counted_calls(monkeypatch, P.PrueferClassModel, "mul")
+    products = counted_calls(monkeypatch, C, "class_mul")
+    closure = SG.sample_closure(adapter, seeds, 256)
+    assert closure.saturated and SG.cross_check(closure, adapter).passed
+    monkeypatch.undo()
+
+    component = {id(g): i for i, g in enumerate(model.valuations)}
+    assert len(component) == model.k
+    pairs = [(i, u, v) for _, x, y in asked for i, (u, v) in enumerate(zip(x, y))]
+    assert len(set(pairs)) < len(pairs)  # the table has something to save
+    assert [(component[id(g)], u, v) for g, u, v in products] == list(dict.fromkeys(pairs))
+
+
 class CountedModel(C.ValuationClassModel):
     calls = 0
 
@@ -260,12 +286,42 @@ def counted_calls(monkeypatch, owner, name) -> list:
 
 
 def replayed_draws(g, seed: int, samples: int) -> tuple[list, list]:
-    """The cuts that `regularity` and then `idempotent_uniqueness` draw on a
-    one-valuation spec: both checks share the report's generator, in order."""
+    """The cuts that `regularity` and then the second check draw on a
+    one-valuation spec (`idempotent_uniqueness` on `valuation`,
+    `classification_consistency` on `poly_ext`): the checks share the
+    report's generator, in order."""
     rng = random.Random(seed)
     regularity = [S.random_cut(rng, g) for _ in range(samples)]
-    uniqueness = [S.random_cut(rng, g) for _ in range(samples)]
-    return regularity, uniqueness
+    second = [S.random_cut(rng, g) for _ in range(samples)]
+    return regularity, second
+
+
+def replayed_transfers(g, seed: int, samples: int) -> list:
+    """The (cut, level) inputs that `overring_transfer` draws on a
+    `valuation` spec, after the draws of `replayed_draws`: a cut, then a
+    level from its own to the rank."""
+    rng = random.Random(seed)
+    for _ in range(2 * samples):
+        S.random_cut(rng, g)
+    transfers = []
+    for _ in range(samples):
+        c = S.random_cut(rng, g)
+        transfers.append((c, c.level + S._below(rng.getrandbits, g.rank - c.level + 1)))
+    return transfers
+
+
+def calls_from(monkeypatch, owner, name, module) -> list:
+    """Like `counted_calls`, but records only the calls made from `module`'s
+    own code."""
+    calls = []
+    real = getattr(owner, name)
+
+    def wrapper(*args):
+        if sys._getframe(1).f_globals["__name__"] == module.__name__:
+            calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
 
 
 # `verify` on [Q, Z, Z[1/2]] at 200 samples and seed 1 draws 615 cuts, 440
@@ -337,19 +393,37 @@ def test_each_distinct_draw_is_built_once(monkeypatch):
 def test_each_distinct_sampled_input_is_audited_once(monkeypatch):
     regular = counted_calls(monkeypatch, C, "is_regular")
     memberships = counted_calls(monkeypatch, C, "group_membership")
-    kind, model = load_model(json.dumps({"kind": "valuation", "group": ["Q", "Z", {"Zloc": [2]}]}))
+    transfers = counted_calls(monkeypatch, C, "t_closure_over")
+    classified = calls_from(monkeypatch, C, "class_of", checks)
+    group = ["Q", "Z", {"Zloc": [2]}]
+    kind, model = load_model(json.dumps({"kind": "valuation", "group": group}))
     samples = 200
     report = cmd_verify(kind, model, samples, 1, None)
 
     assert report["passed"]
-    checks = {c["name"]: c for c in report["checks"]}
-    assert checks["regularity"]["instances"] == checks["idempotent_uniqueness"]["instances"] == samples
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert all(by_name[name]["instances"] == samples for name in
+               ("regularity", "idempotent_uniqueness", "overring_transfer"))
     drawn_regular, drawn_unique = replayed_draws(model, 1, samples)
-    # The cache has something to save: both checks draw repeats.
-    assert len(set(drawn_regular)) < samples and len(set(drawn_unique)) < samples
+    drawn_transfers = replayed_transfers(model, 1, samples)
+    # The cache has something to save: every check draws repeats.
+    assert all(len(set(drawn)) < samples
+               for drawn in (drawn_regular, drawn_unique, drawn_transfers))
     # One call per distinct input, in the order of first draw.
     assert [c for _, c in regular] == list(dict.fromkeys(drawn_regular))
     assert [c for _, c, _ in memberships] == list(dict.fromkeys(drawn_unique))
+    assert [(c, level) for _, level, c in transfers] == list(dict.fromkeys(drawn_transfers))
+
+    # `classification_consistency` reads one class per distinct coefficient
+    # cut; the `class_of` calls it makes itself are its tests.
+    kind, ext = load_model(json.dumps({"kind": "poly_ext", "base": group}))
+    report = cmd_verify(kind, ext, samples, 1, None)
+    assert report["passed"]
+    assert report["checks"][1]["name"] == "classification_consistency"
+    assert report["checks"][1]["instances"] == samples
+    _, drawn_coefficients = replayed_draws(ext.base, 1, samples)
+    assert len(set(drawn_coefficients)) < samples
+    assert [c for _, c in classified] == list(dict.fromkeys(drawn_coefficients))
 
 
 def test_a_repeated_failing_cut_fails_every_sample_that_draws_it(monkeypatch):
@@ -376,6 +450,38 @@ def test_a_repeated_failing_cut_fails_every_sample_that_draws_it(monkeypatch):
             "InternalInconsistencyError: planted")
     assert regularity["failures"] == [line] * min(hits, 10)
     assert audited.count(target) == 1
+    monkeypatch.undo()
+
+    # `overring_transfer` likewise: a wrong closure over the overring is
+    # computed once and fails every sample that draws its input, and a
+    # closure that raises raises again on each repeat.
+    transfers = replayed_transfers(g, 1, samples)
+    (target, level), hits = Counter(transfers).most_common(1)[0]
+    assert hits > 1
+    literal = json.dumps(C.cut_to_json(target), sort_keys=True)
+    wrong = C.translate(g, target, (1,))
+    t_closure_over = C.t_closure_over
+    for raising, line, runs in (
+            (False, f"{literal}, component 1 at level {level}: "
+                    f"{json.dumps(C.cut_to_json(wrong), sort_keys=True)} vs {literal}", 1),
+            (True, f"{literal}: InternalInconsistencyError: planted", hits)):
+        closed = []
+
+        def planted(g, lvl, c):
+            closed.append((c, lvl))
+            if (c, lvl) != (target, level):
+                return t_closure_over(g, lvl, c)
+            if raising:
+                raise C.InternalInconsistencyError("planted")
+            return wrong
+        monkeypatch.setattr(C, "t_closure_over", planted)
+        transfer = cmd_verify("valuation", g, samples, 1, None)["checks"][2]
+        monkeypatch.undo()
+
+        assert transfer["name"] == "overring_transfer"
+        assert transfer["failure_count"] == hits
+        assert transfer["failures"] == [line] * min(hits, 10)
+        assert closed.count((target, level)) == runs
 
 
 def test_idempotent_build_is_linear_in_the_rank(monkeypatch):
@@ -444,8 +550,16 @@ FRACTION_OPERATORS = FRACTION_DUNDERS + ("__radd__", "__rsub__", "__rmul__", "__
 # coordinate is an `int` now, and two ints add, compare and hash in C.
 VERIFY_FRACTION_CALLS_BEFORE = 13328
 VERIFY_FRACTIONS_BUILT_BEFORE = 4240
-VERIFY_FRACTION_CALLS = 4050
-VERIFY_FRACTIONS_BUILT = 1404
+# When every residual subtracted a coordinate from itself (as in (I : I))
+# and `overring_transfer` and `classification_consistency` tested every
+# sample: 4 050 calls (1 398 `__bool__`, 981 `__eq__`, 380 `__sub__`, 221
+# `__hash__`) and 1 404 `Fraction`s built.  x - x is the int 0 now, told by
+# identity, not by truthiness, and the two checks' caches hash their keys.
+VERIFY_FRACTION_CALLS_UNCACHED = 4050
+VERIFY_FRACTIONS_BUILT_UNCACHED = 1404
+VERIFY_FRACTION_BOOLS_UNCACHED = 1398
+VERIFY_FRACTION_CALLS = 3596
+VERIFY_FRACTIONS_BUILT = 1214
 
 
 def test_verify_runs_integral_coordinates_as_ints(monkeypatch):
@@ -458,8 +572,11 @@ def test_verify_runs_integral_coordinates_as_ints(monkeypatch):
     built = calls.pop("__new__")
 
     assert report["passed"]
-    assert calls.total() == VERIFY_FRACTION_CALLS < VERIFY_FRACTION_CALLS_BEFORE, calls
-    assert built == VERIFY_FRACTIONS_BUILT < VERIFY_FRACTIONS_BUILT_BEFORE, built
+    assert calls.total() == VERIFY_FRACTION_CALLS < VERIFY_FRACTION_CALLS_UNCACHED, calls
+    assert VERIFY_FRACTION_CALLS_UNCACHED < VERIFY_FRACTION_CALLS_BEFORE
+    assert built == VERIFY_FRACTIONS_BUILT < VERIFY_FRACTIONS_BUILT_UNCACHED, built
+    assert VERIFY_FRACTIONS_BUILT_UNCACHED < VERIFY_FRACTIONS_BUILT_BEFORE
+    assert calls["__bool__"] <= VERIFY_FRACTION_BOOLS_UNCACHED, calls
 
 
 def test_regularity_audit_of_an_integral_cut_runs_no_fraction_operation(monkeypatch):

@@ -14,7 +14,7 @@ from tclass import CLOSED, OPEN, Cut, Q, ValueGroup, Z, Zloc
 from tclass import checks
 from tclass import cuts as C
 from tclass import pruefer as P
-from tclass.cli import KINDS
+from tclass.cli import KINDS, cmd_verify, load_model
 
 DY = GROUPS["Zhalf"]
 TR = ValueGroup((Zloc(3),))
@@ -93,7 +93,7 @@ def test_mul_componentwise_idempotent_over_rationals():
     assert P.mul(M_QQZ, a, a) == a
 
 
-def test_quotient_and_t_closure_componentwise(rng):
+def test_t_closure_is_the_identity_componentwise(rng):
     for _ in range(20):
         a = random_tuple(rng, M_DD)
         assert P.t_closure(M_DD, a) == a
@@ -185,7 +185,7 @@ def test_tmax_containing():
     assert tmax(tup(Cut(1, (F(-1, 2),), CLOSED), Cut(1, (F(0),), OPEN))) == {1}
 
 
-def test_class_group_trivial_with_certificate(model, rng):
+def test_principal_multiples_of_the_overring_have_its_class(model, rng):
     t = P.classify_idempotent(model, random_tuple(rng, model)).overring
     e = P.class_of(model, P.ring_tuple(model, t))
     # the identity is its own square and inverse in every component's group
@@ -328,6 +328,23 @@ def test_pruefer_class_model_adapter(rng):
     assert adapter.mul(j, j) == j
     # classes are named by the literal of their representative tuple
     assert P.tuple_from_json(M_DD, json.loads(adapter.describe(x))) == P.tuple_of_class(x)
+
+
+def test_a_product_fault_planted_between_commands_is_caught(monkeypatch):
+    # Each command's adapter keeps its own product table, so a side-rule
+    # fault planted after a clean command reaches the next command's
+    # Cayley-table oracle; only that oracle catches this fault on this spec.
+    kind, model = load_model(json.dumps({"kind": "pruefer_fc", "valuations": [["Z"], ["Z", "Q"]]}))
+    assert cmd_verify(kind, model, 10, 1, None)["passed"]
+    side = C._product_side
+
+    def deeper(a_level, a_side, b_level, b_side):
+        if a_level == b_level:
+            return side(a_level, a_side, b_level, b_side)
+        return a_side if a_level > b_level else b_side
+    monkeypatch.setattr(C, "_product_side", deeper)
+    reports = {c["name"]: c for c in cmd_verify(kind, model, 10, 1, None)["checks"]}
+    assert not reports["semigroup_cross_check"]["passed"]
 
 
 @given(st.sampled_from(sorted(MODELS)), seeds)
