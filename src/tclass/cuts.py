@@ -13,14 +13,18 @@ boundary vector b drawn from the divisible hull (any rationals).  Cuts of
 level i < rank are exactly the ideals whose stabilizer is the localization
 of V at the height-i prime; the ring cut <rank; 0; closed> is V itself.
 
-A boundary coordinate is an `int` when it is integral and a `Fraction`
-otherwise, wherever one is made from scratch: `cut_from_json`, the
-samplers' tables, the zero of ring and prime cuts, `normalize`'s ceiling
-and `CutClass.rep`'s top.  A sum or difference the kernel computes may be
-an integral `Fraction`; that is harmless, since an int equals, hashes and
-prints as the `Fraction` of the same value and has the same `numerator`
-and `denominator`, so no result, cache key or report depends on which one
-a cut holds.  Two ints add, compare and hash in C.
+A boundary coordinate is an `int` when it is integral and a `Rat`, the
+kernel's own `Fraction` subclass, otherwise, wherever one is made from
+scratch: `cut_from_json`, the samplers' tables, the zero of ring and
+prime cuts, `normalize`'s ceiling and `CutClass.rep`'s top.  The kernel's
+sums and differences keep that: two ints add in C, and a `Rat` adds,
+subtracts and compares with an int or a `Rat` on its two slots and gives
+an `int` whenever the value is integral.  A cut built elsewhere from
+plain `Fraction`s (a test's, the benchmark's) works the same, through
+`Fraction`'s own methods; that is harmless, since an int, a `Rat` and a
+`Fraction` of one value are equal, hash and print alike and have the same
+`numerator` and `denominator`, so no result, cache key or report depends
+on which one a cut holds.
 
 Every operation below takes canonical cuts of `g` and returns canonical
 cuts, normalising nothing it is handed; a level above the rank raises
@@ -69,11 +73,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .groups import (
-    ValueGroup,
-    is_member,
-    truncate,
-)
+from .groups import ValueGroup, is_member
 
 CLOSED = "closed"
 OPEN = "open"
@@ -100,22 +100,131 @@ class InternalInconsistencyError(RuntimeError):
     """An arithmetic identity that must hold by theory failed; a bug, not bad input."""
 
 
+class Rat(Fraction):
+    """A non-integral coordinate: the `Fraction` the package builds for a
+    rational that is not an `int`.
+
+    `Rat(...)` reads what `Fraction(...)` reads and gives the `int` when
+    the value is integral, so no integral `Rat` exists.  Against an `int`
+    or a `Rat`, `+`, `-` (both orders), unary `-`, `==`, `<`, `>` and
+    `bool` work on the two slots directly, with no `Fraction.__new__`, and
+    give a result in lowest terms, an `int` when it is integral.  Any
+    other operand goes to `Fraction`'s own method, so a mix with a plain
+    `Fraction` stays exact (and gives a plain `Fraction`).  `__hash__`,
+    `str`, `numerator` and `denominator` are `Fraction`'s: a `Rat` hashes,
+    compares and prints as the `Fraction` of its value.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, numerator=0, denominator=None):
+        if type(numerator) is int and type(denominator) is int and denominator > 0:
+            # As `Fraction` reduces two ints, with no object built for an int.
+            g = math.gcd(numerator, denominator)
+            n, d = numerator // g, denominator // g
+            return n if d == 1 else _rat(n, d)
+        q = Fraction.__new__(cls, numerator, denominator)  # a `Rat`, reduced
+        return q._numerator if q._denominator == 1 else q
+
+    __hash__ = Fraction.__hash__
+
+    def __add__(a, b):
+        if type(b) is int:  # (n + b d)/d: coprime, as n/d is
+            return _rat(a._numerator + b * a._denominator, a._denominator)
+        if type(b) is Rat:
+            return _sum(a._numerator, a._denominator, b._numerator, b._denominator)
+        return _fraction_add(a, b)
+
+    def __radd__(b, a):
+        # A `Rat` on the left has already run `__add__`.
+        if type(a) is int:
+            return _rat(a * b._denominator + b._numerator, b._denominator)
+        return _fraction_radd(b, a)
+
+    def __sub__(a, b):
+        if type(b) is int:
+            return _rat(a._numerator - b * a._denominator, a._denominator)
+        if type(b) is Rat:
+            return _sum(a._numerator, a._denominator, -b._numerator, b._denominator)
+        return _fraction_sub(a, b)
+
+    def __rsub__(b, a):
+        if type(a) is int:
+            return _rat(a * b._denominator - b._numerator, b._denominator)
+        return _fraction_rsub(b, a)
+
+    def __neg__(a):
+        return _rat(-a._numerator, a._denominator)
+
+    def __eq__(a, b):
+        if type(b) is Rat:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        if type(b) is int:  # a `Rat` is never integral
+            return False
+        return _fraction_eq(a, b)
+
+    def __lt__(a, b):
+        if type(b) is Rat:
+            return a._numerator * b._denominator < b._numerator * a._denominator
+        if type(b) is int:
+            return a._numerator < b * a._denominator
+        return _fraction_lt(a, b)
+
+    def __gt__(a, b):
+        if type(b) is Rat:
+            return a._numerator * b._denominator > b._numerator * a._denominator
+        if type(b) is int:
+            return a._numerator > b * a._denominator
+        return _fraction_gt(a, b)
+
+    def __bool__(a):
+        return True  # a `Rat` is never integral, so never 0
+
+
+_fraction_add, _fraction_radd = Fraction.__add__, Fraction.__radd__
+_fraction_sub, _fraction_rsub = Fraction.__sub__, Fraction.__rsub__
+_fraction_eq, _fraction_lt, _fraction_gt = Fraction.__eq__, Fraction.__lt__, Fraction.__gt__
+_new = object.__new__
+
+
+def _rat(n: int, d: int) -> Rat:
+    # The `Rat` n/d, given in lowest terms with d > 1.
+    r = _new(Rat)
+    r._numerator = n
+    r._denominator = d
+    return r
+
+
+def _sum(na: int, da: int, nb: int, db: int) -> int | Rat:
+    # na/da + nb/db for two `Rat`s, reduced as `Fraction._add` reduces.
+    g = math.gcd(da, db)
+    if g == 1:  # coprime denominators: the sum is n/(da db) in lowest terms
+        return _rat(na * db + nb * da, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = math.gcd(t, g)
+    if g2 == 1:
+        return _rat(t, s * db)
+    d = s * (db // g2)
+    return t // g2 if d == 1 else _rat(t // g2, d)
+
+
 class _CutFields(NamedTuple):
     level: int
-    boundary: tuple[int | Fraction, ...]
+    boundary: tuple[int | Rat, ...]
     side: str
 
 
 class Cut(_CutFields):
     """A prefix cut.  Its boundary is a tuple of rationals, each an `int` or a
-    `Fraction`, as the parsers, samplers and kernel build it: only side,
+    `Rat`, as the parsers, samplers and kernel build it: only side,
     level and length are checked, by `__post_init__`, which every `Cut(...)`
     runs.  (`_make` and `_replace` skip it; nothing in the package calls
     them.)"""
 
     __slots__ = ()
 
-    def __new__(cls, level: int, boundary: tuple[int | Fraction, ...], side: str):
+    def __new__(cls, level: int, boundary: tuple[int | Rat, ...], side: str):
         self = tuple.__new__(cls, (level, boundary, side))
         self.__post_init__()
         return self
@@ -218,10 +327,10 @@ def mul(g: ValueGroup, a: Cut, b: Cut) -> Cut:
     if a_level > g.rank or b_level > g.rank:
         validate_cut(g, a)
         validate_cut(g, b)
-    # A zero term is skipped: ring and prime cuts have all-zero boundaries,
-    # and `idempotents` would otherwise pay O(rank) sums per form (a
-    # `Fraction` plus 0 builds a new `Fraction`).
-    boundary = tuple(x + y if y else x for x, y in zip(a_boundary, b_boundary))
+    # A zero term is skipped, told by identity (every int 0 is the one
+    # small int): ring and prime cuts have all-zero boundaries, and
+    # `idempotents` would otherwise pay O(rank) sums per form.
+    boundary = tuple([x if y is _ZERO else x + y for x, y in zip(a_boundary, b_boundary)])
     return Cut(min(a_level, b_level), boundary, _product_side(a_level, a_side, b_level, b_side))
 
 
@@ -244,8 +353,9 @@ def quotient(g: ValueGroup, a: Cut, b: Cut) -> Cut:
     the residual closes.
 
     `zip` truncates the boundaries to `level`.  A coordinate less itself
-    (the same object, as in (I : I)) is the int 0, told by identity, and a
-    zero one is skipped, so neither runs a `Fraction` operation.
+    (the same object, as in (I : I)) is the int 0 and a zero one is
+    skipped, both told by identity, and 0 less a coordinate is its
+    negation, so none of them runs a subtraction.
     """
     a_level, a_boundary, a_side = a
     b_level, b_boundary, b_side = b
@@ -259,8 +369,8 @@ def quotient(g: ValueGroup, a: Cut, b: Cut) -> Cut:
     else:
         level = b_level
         side = OPEN if b_side == CLOSED else CLOSED
-    boundary = tuple(_ZERO if x is y else x - y if y else x
-                     for x, y in zip(a_boundary, b_boundary))
+    boundary = tuple([_ZERO if x is y else x if y is _ZERO else -y if x is _ZERO else x - y
+                      for x, y in zip(a_boundary, b_boundary)])
     return normalize(g, Cut(level, boundary, side))
 
 
@@ -309,14 +419,18 @@ def stabilizer(g: ValueGroup, a: Cut) -> Cut:
 
 def t_closure_over(g: ValueGroup, level: int, a: Cut) -> Cut:
     """t-closure of a common ideal of the base and of the overring at
-    `level`, computed over the overring: the literal is reread in the
-    overring's value group (the prefix of the tower), closed there, and
-    lifted back.  For common ideals this must agree with the closure over
-    the base; callers assert that equality."""
+    `level`, computed over the overring, whose value group is the prefix
+    of the tower through `level`.  A level out of range (the ring cut
+    refuses it) and a cut that is no ideal of the overring (`a T != a`)
+    raise.  The closure then reads the literal as it stands: `t_closure`
+    reads nothing of a group but its rank, and the overring's rank would
+    add only the bound `a.level <= level` that `a T = a` has just checked,
+    so no truncated group is built.  For common ideals this must agree
+    with the closure over the base; callers assert that equality."""
     t = ring_cut(g, level)
     if mul(g, a, t) != a:
         raise DomainMismatchError("not an ideal of the overring at this level")
-    return t_closure(truncate(g, level), a)
+    return t_closure(g, a)
 
 
 def translate(g: ValueGroup, a: Cut, shift) -> Cut:
@@ -324,7 +438,7 @@ def translate(g: ValueGroup, a: Cut, shift) -> Cut:
     level, boundary, side = a
     if level > g.rank:
         validate_cut(g, a)
-    return Cut(level, tuple(x + y for x, y in zip(boundary, shift)), side)
+    return Cut(level, tuple([x if y is _ZERO else x + y for x, y in zip(boundary, shift)]), side)
 
 
 def is_idempotent(g: ValueGroup, a: Cut) -> bool:
@@ -407,7 +521,7 @@ def idempotent_forms(g: ValueGroup) -> list[IdempotentForm]:
 
 class RegularityWitness(NamedTuple):
     idempotent: Cut
-    shift: Optional[tuple[int | Fraction, ...]]
+    shift: Optional[tuple[int | Rat, ...]]
 
 
 def is_regular(g: ValueGroup, a: Cut) -> RegularityWitness:
@@ -424,7 +538,7 @@ def is_regular(g: ValueGroup, a: Cut) -> RegularityWitness:
     back = t_closure(g, mul(g, sq, quotient(g, a, sq)))
     if back != a:
         raise InternalInconsistencyError("regularity identity I = (I^2 (I:I^2))_t failed")
-    shift: Optional[tuple[int | Fraction, ...]] = None
+    shift: Optional[tuple[int | Rat, ...]] = None
     if all(is_member(c, q) for c, q in zip(g.components, a.boundary)):
         shift = a.boundary + (_ZERO,) * (g.rank - a.level)
         if translate(g, a, shift) != sq:
@@ -474,8 +588,7 @@ class CutClass(NamedTuple):
 
     @property
     def rep(self) -> Cut:
-        top = self.n if self.d == 1 else Fraction(self.n, self.d)
-        return Cut(self.level, (_ZERO,) * (self.level - 1) + (top,), self.side)
+        return Cut(self.level, (_ZERO,) * (self.level - 1) + (Rat(self.n, self.d),), self.side)
 
 
 def class_of(g: ValueGroup, a: Cut) -> CutClass:
@@ -574,7 +687,7 @@ MAX_EXPONENT = 100
 _EXPONENT = re.compile(r"[eE][+-]?(\d+(?:_\d+)*)")  # as Fraction() reads it
 
 
-def _coordinate(c) -> int | Fraction:
+def _coordinate(c) -> int | Rat:
     if isinstance(c, bool) or not isinstance(c, (int, float, str)):
         raise MalformedCutError(f"a boundary coordinate is a rational or a string, got {c!r}")
     text = str(c)
@@ -585,10 +698,9 @@ def _coordinate(c) -> int | Fraction:
             f"({MAX_COORDINATE_CHARS} characters, exponent at most {MAX_EXPONENT})"
         )
     try:
-        q = Fraction(text)
+        return Rat(text)
     except (ValueError, ZeroDivisionError) as e:
         raise MalformedCutError(f"bad boundary coordinate {text!r}: {e}") from None
-    return q.numerator if q.denominator == 1 else q
 
 
 def cut_from_json(g: ValueGroup, obj) -> Cut:

@@ -136,13 +136,6 @@ def is_strongly_discrete(g: ValueGroup) -> bool:
     return all(not c.dense for c in g.components)
 
 
-def truncate(g: ValueGroup, level: int) -> ValueGroup:
-    """The quotient G/H_level, i.e. the tower of the first `level` components."""
-    if not 1 <= level <= g.rank:
-        raise ValueError(f"level {level} out of range for rank {g.rank}")
-    return ValueGroup(g.components[:level])
-
-
 # === JSON descriptors ===
 # Component descriptors: "Z" | "Q" | {"Zloc": [primes...]}; a value group is a
 # list of descriptors, most significant first.

@@ -9,9 +9,10 @@ every caller is reproducible from a seed.
 This module is the one home of that sampling window.  Per component,
 built once per (kind, primes), it holds each coordinate n/d once, with a
 small integer code, and for each denominator d the range of its codes;
-the coordinate is the `int` n // d when d divides n, as `cuts` makes
-every integral coordinate, and a `Fraction` otherwise.  A coordinate is
-a denominator picked from the ranges, then a code picked from its range.
+the coordinate is `cuts.Rat(n, d)`, so the `int` n // d when d divides
+n, as `cuts` makes every integral coordinate, and a `Rat` otherwise.  A
+coordinate is a denominator picked from the ranges, then a code picked
+from its range.
 Every pick is one `_below(getrandbits, n)`, the module's copy of
 `Random._randbelow_with_getrandbits`: `choice(seq)` is
 `seq[_randbelow(len(seq))]` and `randint(a, b)` is
@@ -41,7 +42,6 @@ from __future__ import annotations
 import functools
 import random
 import weakref
-from fractions import Fraction
 from operator import getitem
 from typing import NamedTuple
 
@@ -105,10 +105,9 @@ def _coordinates(kind: str, primes: frozenset) -> _Coordinates:
     for d in den_choices(comp):
         codes = range(len(values), len(values) + 2 * SPAN * d + 1)
         window.append(codes)
-        if is_member(comp, Fraction(1, d)):
+        if is_member(comp, C.Rat(1, d)):
             members.append(codes)
-        values += (n // d if n % d == 0 else Fraction(n, d)
-                   for n in range(-SPAN * d, SPAN * d + 1))
+        values += (C.Rat(n, d) for n in range(-SPAN * d, SPAN * d + 1))
     assert len(values) <= _RADIX
     return _Coordinates(tuple(window), tuple(members), tuple(values), values.index(0))
 

@@ -65,6 +65,15 @@ def random_element(rng, g):
     return g.element([random_member(rng, c) for c in g.components])
 
 
+def assert_coordinate_types(cuts):
+    """Every coordinate as the package builds one: an `int` when it is
+    integral, else the kernel's `cuts.Rat`, never a plain `Fraction` (from
+    a parser or the sampling window, say)."""
+    for c in cuts:
+        assert all(type(x) is (int if x.denominator == 1 else C.Rat)
+                   for x in c.boundary), C.format_cut(c)
+
+
 def exact_sample(model, form):
     """The exact sequence's sample check at `form`, after the form's trial
     has built what its samples share; tuples are `pruefer_fc` literals."""

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     GROUPS,
+    assert_coordinate_types,
     group_inv,
     is_subset,
     random_element,
@@ -31,7 +32,7 @@ from tclass import CLOSED, OPEN, Cut, Q, ValueGroup, Z, Zloc
 from tclass import boxes
 from tclass import cuts as C
 from tclass import pruefer as P
-from tclass.groups import is_member, truncate
+from tclass.groups import is_member
 from tclass.sampling import random_cut
 
 ZZ = GROUPS["Z"]
@@ -494,7 +495,7 @@ def test_classify_localization_consistency(group, rng):
         assert C.is_idempotent(group, j)
         if form.variant == "max_ideals":
             lvl = form.overring.levels[0]
-            gt = truncate(group, lvl)
+            gt = ValueGroup(group.components[:lvl])  # the tower's quotient G/H_lvl
             assert C.is_idempotent(gt, Cut(lvl, j.boundary, j.side))
         assert j == C.is_regular(group, a).idempotent
 
@@ -704,6 +705,14 @@ def test_t_closure_over_rejects_non_ideals():
         C.t_closure_over(Z2, 1, a)
 
 
+def test_t_closure_over_rejects_a_level_out_of_range():
+    # No overring sits below level 1 or above the rank.
+    a = C.ring_cut(Z2, 1)
+    for level in (-1, 0, Z2.rank + 1):
+        with pytest.raises(C.MalformedCutError):
+            C.t_closure_over(Z2, level, a)
+
+
 # === serialization and adapters ===
 
 
@@ -727,13 +736,13 @@ def test_format_cut():
 
 
 def test_cut_from_json_reads_integral_coordinates_as_ints():
-    def top(g, text):
-        return C.cut_from_json(g, {"level": 1, "boundary": [text], "side": "closed"}).boundary[0]
-    for text, want in (("4/2", 2), ("-0", 0), ("1e2", 100)):
-        got = top(ZZ, text)
-        assert type(got) is int and got == want, text
-    got = top(QQ, "5/2")
-    assert type(got) is F and got == F(5, 2)
+    def parsed(g, text):
+        return C.cut_from_json(g, {"level": 1, "boundary": [text], "side": "closed"})
+    for g, text, want in ((ZZ, "4/2", 2), (ZZ, "-0", 0), (ZZ, "1e2", 100), (QQ, "5/2", F(5, 2)),
+                          (QQ, "-0.25", F(-1, 4))):
+        got = parsed(g, text)
+        assert got.boundary == (want,), text
+        assert_coordinate_types([got])
 
 
 # === integral coordinates: an int and the equal Fraction agree ===

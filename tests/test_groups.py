@@ -90,16 +90,6 @@ def test_strongly_discrete_detector_agrees_with_prime_cut_idempotence(group):
     assert G.is_strongly_discrete(group) == by_ideals
 
 
-def test_truncate():
-    zq = GROUPS["Z_Q"]
-    assert G.truncate(zq, 1) == ValueGroup((Z,))
-    assert G.truncate(zq, 2) == zq
-    with pytest.raises(ValueError):
-        G.truncate(zq, 0)
-    with pytest.raises(ValueError):
-        G.truncate(zq, zq.rank + 1)
-
-
 def test_json_round_trips():
     for g in GROUPS.values():
         assert G.value_group_from_json(G.value_group_to_json(g)) == g

@@ -7,9 +7,10 @@ audit, rebuilds a witness idempotent or a stabilizer, in how often the
 Cayley-table oracle multiplies a pair, in how many triples its
 associativity check reads, in how often a check re-audits an input it has
 already audited or a class adapter re-multiplies a component pair, in how
-the idempotent build scales with the rank, in how many `Fraction`
-operations the box oracle runs per cut pair and `verify` runs now that
-integral coordinates are ints, or in what a Cayley-table
+the idempotent build scales with the rank, in how many rational
+operations (`Fraction`'s and the kernel's `Rat`'s) the box oracle runs per
+cut pair and `verify` runs now that integral coordinates are ints, in how
+many value groups `verify` builds (none), or in what a Cayley-table
 closure of m classes builds (no `Cut`, no `class_of` call
 and no `Fraction`: class products work on integer keys; a Pruefer class
 product builds no `IdealTuple`), or in how many tables `cross_check`
@@ -24,9 +25,11 @@ import sys
 from collections import Counter
 from fractions import Fraction as F
 
+from conftest import assert_coordinate_types
 from tclass import boxes as B
 from tclass import checks
 from tclass import cuts as C
+from tclass import groups as G
 from tclass import pruefer as P
 from tclass import sampling as S
 from tclass import semigroups as SG
@@ -426,6 +429,20 @@ def test_each_distinct_sampled_input_is_audited_once(monkeypatch):
     assert [c for _, c in classified] == list(dict.fromkeys(drawn_coefficients))
 
 
+def test_verify_on_a_valuation_builds_no_value_group(monkeypatch):
+    # `t_closure_over` closes a cut over the overring without building the
+    # overring's truncated tower; when it did, this run built 163 groups,
+    # one per distinct `overring_transfer` input.
+    kind, model = load_model(json.dumps({"kind": "valuation", "group": ["Q", "Z", {"Zloc": [2]}]}))
+    built = counted_calls(monkeypatch, G.ValueGroup, "__post_init__")
+    report = cmd_verify(kind, model, 200, 1, None)
+    monkeypatch.undo()
+
+    assert report["passed"]
+    assert report["checks"][2]["name"] == "overring_transfer"
+    assert built == []
+
+
 def test_a_repeated_failing_cut_fails_every_sample_that_draws_it(monkeypatch):
     g = value_group_from_json(["Z"])
     samples = 30
@@ -528,16 +545,27 @@ def test_box_checks_compare_integers_not_fractions(monkeypatch):
 
 
 def counted_fraction_calls(monkeypatch, names) -> Counter:
-    """Count each call of the named `Fraction` methods, by name, until
-    `monkeypatch.undo()`; a `__new__` call is one `Fraction` built."""
+    """Count each call of the named rational operators, by name, until
+    `monkeypatch.undo()`: `Fraction`'s, and the kernel's `cuts.Rat`'s where
+    it defines its own (a `Rat` operator that falls back to `Fraction`'s
+    counts once).  `__new__` counts the rationals built: each
+    `Fraction.__new__` call and each `Rat` the kernel builds on its slots
+    (`cuts._rat`)."""
     counts = Counter()
-    for name in names:
-        real = getattr(F, name)
 
-        def counted(*args, real=real, name=name, **kwargs):
+    def counter(name, real):
+        def counted(*args, **kwargs):
             counts[name] += 1
             return real(*args, **kwargs)
-        monkeypatch.setattr(F, name, staticmethod(counted) if name == "__new__" else counted)
+        return counted
+    for name in names:
+        if name == "__new__":
+            monkeypatch.setattr(F, name, staticmethod(counter(name, F.__new__)))
+            monkeypatch.setattr(C, "_rat", counter(name, C._rat))
+            continue
+        for owner in (F, C.Rat):
+            if name in vars(owner):
+                monkeypatch.setattr(owner, name, counter(name, vars(owner)[name]))
     return counts
 
 
@@ -558,8 +586,16 @@ VERIFY_FRACTIONS_BUILT_BEFORE = 4240
 VERIFY_FRACTION_CALLS_UNCACHED = 4050
 VERIFY_FRACTIONS_BUILT_UNCACHED = 1404
 VERIFY_FRACTION_BOOLS_UNCACHED = 1398
-VERIFY_FRACTION_CALLS = 3596
-VERIFY_FRACTIONS_BUILT = 1214
+# When every non-integral coordinate was a plain `Fraction`: 3 596 calls
+# (1 208 `__bool__`, 796 `__eq__`, 746 `__add__`, 332 `__hash__`, 276
+# `__rsub__`) and 1 214 `Fraction`s built.  A coordinate is an `int` or a
+# `cuts.Rat` now, counted alike: a zero term is told by identity (no
+# `__bool__`), 0 - y is -y (`__neg__` for `__rsub__`), and an integral sum
+# is an `int`, so it is never built and compares in C (`__eq__` 796 -> 268).
+VERIFY_PLAIN_FRACTION_CALLS_BEFORE = 3596
+VERIFY_PLAIN_FRACTIONS_BUILT_BEFORE = 1214
+VERIFY_FRACTION_CALLS = 1860
+VERIFY_FRACTIONS_BUILT = 751
 
 
 def test_verify_runs_integral_coordinates_as_ints(monkeypatch):
@@ -567,16 +603,22 @@ def test_verify_runs_integral_coordinates_as_ints(monkeypatch):
     kind, model = load_model(spec)
     assert cmd_verify(kind, model, 200, 1, None)["passed"]  # builds the sampling tables
     calls = counted_fraction_calls(monkeypatch, FRACTION_OPERATORS + ("__new__",))
+    cuts = counted_calls(monkeypatch, C.Cut, "__post_init__")
     report = cmd_verify(kind, model, 200, 1, None)
     monkeypatch.undo()
     built = calls.pop("__new__")
 
     assert report["passed"]
-    assert calls.total() == VERIFY_FRACTION_CALLS < VERIFY_FRACTION_CALLS_UNCACHED, calls
+    assert calls.total() == VERIFY_FRACTION_CALLS < VERIFY_PLAIN_FRACTION_CALLS_BEFORE, calls
+    assert VERIFY_PLAIN_FRACTION_CALLS_BEFORE < VERIFY_FRACTION_CALLS_UNCACHED
     assert VERIFY_FRACTION_CALLS_UNCACHED < VERIFY_FRACTION_CALLS_BEFORE
-    assert built == VERIFY_FRACTIONS_BUILT < VERIFY_FRACTIONS_BUILT_UNCACHED, built
+    assert built == VERIFY_FRACTIONS_BUILT < VERIFY_PLAIN_FRACTIONS_BUILT_BEFORE, built
+    assert VERIFY_PLAIN_FRACTIONS_BUILT_BEFORE < VERIFY_FRACTIONS_BUILT_UNCACHED
     assert VERIFY_FRACTIONS_BUILT_UNCACHED < VERIFY_FRACTIONS_BUILT_BEFORE
-    assert calls["__bool__"] <= VERIFY_FRACTION_BOOLS_UNCACHED, calls
+    assert calls["__bool__"] == 0 < VERIFY_FRACTION_BOOLS_UNCACHED, calls
+    # Every cut the run builds holds ints and `Rat`s only.
+    assert len(cuts) > 0
+    assert_coordinate_types(c for c, in cuts)
 
 
 def test_regularity_audit_of_an_integral_cut_runs_no_fraction_operation(monkeypatch):

@@ -22,7 +22,7 @@ from fractions import Fraction
 import pytest
 
 from tclass import CLOSED, OPEN, Cut, Q, ValueGroup, Z, Zloc
-from conftest import exact_sample
+from conftest import assert_coordinate_types, exact_sample
 from tclass import boxes, checks, cli, polyext, sampling, semigroups
 from tclass import groups as G
 from tclass import cuts as C
@@ -104,13 +104,6 @@ def ref_target(rng, model, form, local) -> tuple:
         boundary = [Fraction(0)] * (lvl - 1) + [ref_rational(rng, g.components[lvl - 1])]
         out.append(C.class_of(g, Cut(lvl, tuple(boundary), OPEN)))
     return tuple(out)
-
-
-def assert_coordinate_types(cuts):
-    # An integral coordinate is an `int`, any other a `Fraction`.
-    for c in cuts:
-        assert all(type(x) is (int if x.denominator == 1 else Fraction)
-                   for x in c.boundary), C.format_cut(c)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
