@@ -745,11 +745,13 @@ def test_cut_from_json_reads_integral_coordinates_as_ints():
         assert_coordinate_types([got])
 
 
-# === integral coordinates: an int and the equal Fraction agree ===
+# === coordinates as built: an int or a `Rat` and the equal Fraction agree ===
 
 
-def as_ints(xs) -> tuple:
-    return tuple(x.numerator if x.denominator == 1 else x for x in xs)
+def as_built(xs) -> tuple:
+    """The coordinates as the package builds them: an int when integral,
+    else a `cuts.Rat`."""
+    return tuple(C.Rat(x) for x in xs)
 
 
 def report_text(x) -> list:
@@ -767,16 +769,18 @@ def report_text(x) -> list:
 
 
 def test_integral_coordinates_give_the_same_results_as_ints_or_fractions(group, rng):
-    # Each cut is built twice: integral coordinates as ints, as the parsers
-    # and samplers build them, and as `Fraction`s.  Results, hashes and
-    # printed text must not tell the two apart.
+    # Each cut is built twice: integral coordinates as ints and the others
+    # as `Rat`s, as the parsers and samplers build them, and every one as a
+    # plain `Fraction`.  Results, hashes and printed text must not tell the
+    # two apart.
     g = group
     idems = C.idempotents(g)
     ints = 0
     for _ in range(40):
-        a, b, raw = (Cut(c.level, as_ints(c.boundary), c.side)
+        a, b, raw = (Cut(c.level, as_built(c.boundary), c.side)
                      for c in (random_cut(rng, g), random_cut(rng, g), random_raw_cut(rng, g)))
-        shift = as_ints(random_element(rng, g))
+        shift = as_built(random_element(rng, g))
+        assert_coordinate_types([a, b, raw])
         ints += sum(type(x) is int for x in a.boundary + b.boundary + raw.boundary + shift)
         fa, fb, fraw = (Cut(c.level, tuple(map(F, c.boundary)), c.side) for c in (a, b, raw))
         for got, want in [

@@ -267,13 +267,13 @@ def test_closure_keys_classes_by_integers(monkeypatch):
 
     monkeypatch.setattr(C.Cut, "__post_init__", counted("cuts", C.Cut.__post_init__))
     monkeypatch.setattr(C, "class_of", counted("class_of", C.class_of))
-    monkeypatch.setattr(F, "__new__", staticmethod(counted("fractions", F.__new__)))
+    rationals = counted_fraction_calls(monkeypatch, ("__new__",))
     closure = SG.sample_closure(model, seeds, 256)
     monkeypatch.undo()
 
     assert closure.saturated and len(closure.dictionary) == 106
-    # `cuts.class_mul` multiplies integer keys: no `Cut`, no `Fraction`.
-    assert (counts["cuts"], counts["class_of"], counts["fractions"]) == (0, 0, 0), counts
+    # `cuts.class_mul` multiplies integer keys: no `Cut`, no rational.
+    assert (counts["cuts"], counts["class_of"], rationals["__new__"]) == (0, 0, 0), (counts, rationals)
 
 
 def counted_calls(monkeypatch, owner, name) -> list:
@@ -507,11 +507,10 @@ def test_idempotent_build_is_linear_in_the_rank(monkeypatch):
     # all.  When every product and residual summed its zero coordinates,
     # the build took 40 200 additions and as many subtractions: O(rank^2).
     g = value_group_from_json(["Q"] * 200)
-    added = counted_calls(monkeypatch, F, "__add__")
-    subtracted = counted_calls(monkeypatch, F, "__sub__")
+    calls = counted_fraction_calls(monkeypatch, ("__add__", "__radd__", "__sub__", "__rsub__"))
     forms = len(C.idempotents(g))
     assert forms == 400
-    assert len(added) + len(subtracted) <= forms, (len(added), len(subtracted))
+    assert calls.total() <= forms, calls
 
 
 # `Fraction` operators the box oracle used to run per point: sums of
