@@ -185,9 +185,10 @@ def _targets_for(steps, scale, prefix, tails) -> list:
 def sample_points(g: ValueGroup, prefixes, rng, fine, scale) -> list:
     """Member points on the integer lattice `scale` that exercise the edges
     of the given scaled boundary prefixes: `fine`-lattice neighborhoods of
-    every prefix plus N_RANDOM seeded random lattice points."""
+    every prefix plus N_RANDOM seeded random lattice points, sorted.  Each
+    distinct tail is kept once (a full-length prefix's three are `()`)."""
     steps = [s // f for s, f in zip(scale, fine)]
-    tails = {m: tuple(tuple(t * s for s in scale[m:]) for t in (0, -2, 2))
+    tails = {m: tuple(dict.fromkeys(tuple(t * s for s in scale[m:]) for t in (0, -2, 2)))
              for m in range(1, g.rank + 1)}
     pts = set()
     for prefix in prefixes:
@@ -214,15 +215,15 @@ def check_mul(g: ValueGroup, a: Cut, b: Cut, predicted: Cut, rng) -> list:
     fine, fine2 = lattice_dens(g, cuts)
     scale = lattice_scale(cuts, fine2)
     edge = tuple(map(add, lex_min(a, fine2, scale), lex_min(b, fine2, scale)))
-    sa, sb, sp = (_scaled_cut(c, scale) for c in cuts)
-    m = min(a.level, b.level)
-    formal = tuple(map(add, sa[0][:m], sb[0][:m]))
+    (ba, _), (bb, _), (bp, test_p) = (_scaled_cut(c, scale) for c in cuts)
+    m, lp = min(a.level, b.level), predicted.level
+    formal = tuple(map(add, ba[:m], bb[:m]))
     mismatches = []
-    for x in sample_points(g, (sa[0], sb[0], sp[0], formal), rng, fine, scale):
+    for x in sample_points(g, (ba, bb, bp, formal), rng, fine, scale):
         got = x >= edge
         if not got and x[:m] > formal:
             continue
-        want = _inside(sp, x)
+        want = test_p(x[:lp], bp)
         if got != want:
             mismatches.append(f"at {_unscaled(x, scale)}: box says {got}, cut arithmetic says {want}")
     return mismatches
@@ -242,18 +243,19 @@ def check_quotient(g: ValueGroup, a: Cut, b: Cut, predicted: Cut, rng) -> list:
     fine, fine2 = lattice_dens(g, cuts)
     scale = lattice_scale(cuts, fine2)
     mb = lex_min(b, fine2, scale)
-    sa, sb, sp = (_scaled_cut(c, scale) for c in cuts)
-    k = b.level - 1
-    virt = mb[:k] + sb[0][k:] + mb[k + 1:]
+    (ba, test_a), (bb, _), (bp, test_p) = (_scaled_cut(c, scale) for c in cuts)
+    k, la, lp = b.level - 1, a.level, predicted.level
+    # Only the prefix of x + mb (or x + virt) through A's level is compared.
+    virt, mb = (mb[:k] + bb[k:] + mb[k + 1:])[:la], mb[:la]
     m = min(a.level, b.level)
-    ediff = tuple(map(sub, sa[0][:m], sb[0][:m]))
+    ediff = tuple(map(sub, ba[:m], bb[:m]))
     mismatches = []
-    for x in sample_points(g, (sa[0], sb[0], sp[0], ediff), rng, fine, scale):
-        got = _inside(sa, tuple(map(add, x, mb)))
-        low = _inside(sa, tuple(map(add, x, virt)))
+    for x in sample_points(g, (ba, bb, bp, ediff), rng, fine, scale):
+        got = test_a(tuple(map(add, x, mb)), ba)
+        low = test_a(tuple(map(add, x, virt)), ba)
         if got != low:
             continue
-        want = _inside(sp, x)
+        want = test_p(x[:lp], bp)
         if got != want:
             mismatches.append(f"at {_unscaled(x, scale)}: box says {got}, cut arithmetic says {want}")
     return mismatches

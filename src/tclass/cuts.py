@@ -52,8 +52,8 @@ A class modulo principal ideals (`CutClass`) is its integer key: level,
 side, and the numerator and denominator of the top coordinate reduced mod
 its component.  `class_of` builds one from a cut; `class_mul`, the one
 class product (for the class models and the exact sequence's group law
-alike), works on keys with `mul`'s own side rule, so the Cayley-table
-oracle builds no `Cut` and no `Fraction`.
+alike), works on the keys alone with `mul`'s own side rule, so the
+Cayley-table oracle builds no `Cut` or `Fraction` and calls no `_coset_rep`.
 
 The value types (`Cut`, `OverringSpec`, `IdempotentForm`,
 `RegularityWitness`, `CutClass` and `pruefer.IdealTuple`) are
@@ -606,18 +606,20 @@ def class_mul(g: ValueGroup, x: CutClass, y: CutClass) -> CutClass:
     constituent group it is the group's law.
 
     It works on the keys alone, by `mul`'s rule: the reps are zero below
-    their tops, so the product's top is the sum of the tops at equal levels
-    and the shallower operand's top otherwise, reduced at the lower level."""
+    their tops, so unequal levels give the shallower class, and equal ones
+    the sum of the tops, n/d with d = x_d * y_d.  `class_of` divides the
+    localized primes out of every key's denominator (a Q key is 0/1), so d
+    is free of them too, and the sum's class is (n mod d)/d in lowest terms."""
     x_level, x_side, x_n, x_d = x
     y_level, y_side, y_n, y_d = y
-    if x_level == y_level:
-        level, n, d = x_level, x_n * y_d + y_n * x_d, x_d * y_d
-    elif x_level < y_level:
-        level, n, d = x_level, x_n, x_d
-    else:
-        level, n, d = y_level, y_n, y_d
-    return tuple.__new__(CutClass, (level, _product_side(x_level, x_side, y_level, y_side))
-                         + _coset_rep(g.components[level - 1], n, d))
+    side = _product_side(x_level, x_side, y_level, y_side)
+    if x_level != y_level:
+        level, _, n, d = x if x_level < y_level else y
+        return tuple.__new__(CutClass, (level, side, n, d))
+    d = x_d * y_d
+    n = (x_n * y_d + y_n * x_d) % d
+    common = math.gcd(n, d)
+    return tuple.__new__(CutClass, (x_level, side, n // common, d // common))
 
 
 def idempotents(g: ValueGroup) -> list[tuple[IdempotentForm, Cut, Cut]]:
@@ -729,6 +731,7 @@ class ValuationClassModel:
 
     def __init__(self, group: ValueGroup):
         self.group = group
+        self._idempotents = {}  # form -> its idempotent's class, built once
 
     def class_of(self, a: Cut) -> CutClass:
         return class_of(self.group, a)
@@ -737,8 +740,11 @@ class ValuationClassModel:
         return class_mul(self.group, x, y)
 
     def idempotent_of(self, x: CutClass) -> CutClass:
-        g = self.group
-        return class_of(g, form_cut(g, classify_idempotent(g, x.rep)))
+        g, form = self.group, classify_idempotent(self.group, x.rep)
+        e = self._idempotents.get(form)
+        if e is None:
+            e = self._idempotents[form] = class_of(g, form_cut(g, form))
+        return e
 
     def describe(self, x: CutClass) -> str:
         return json.dumps(cut_to_json(x.rep), sort_keys=True)

@@ -86,7 +86,7 @@ def _generators(table) -> list[int]:
     """A generating set of a commutative table, chosen greedily: walk the
     indices in order and keep each one the submagma generated by those
     kept so far does not contain.  Every pair of members is multiplied
-    once, so this costs m(m+1)/2 lookups."""
+    once, m(m+1)/2 lookups, and gathered into a set only if one is new."""
     inside: set[int] = set()
     members: list[int] = []  # all products among these are inside
     gens = []
@@ -99,9 +99,11 @@ def _generators(table) -> list[int]:
         while todo:
             x = todo.pop()
             members.append(x)
-            new = set(map(table[x].__getitem__, members)) - inside
-            inside |= new
-            todo.extend(new)
+            times_x = table[x].__getitem__
+            if not inside.issuperset(map(times_x, members)):
+                new = set(map(times_x, members)) - inside
+                inside |= new
+                todo.extend(new)
     return gens
 
 
@@ -170,8 +172,8 @@ def sample_closure(model, seeds, budget: int) -> SampleClosure:
 
     Each product is one `model.mul` and one index lookup, and both class
     handles multiply through `cuts.class_mul` on the classes' integer keys
-    (the Pruefer one component by component), so a closure builds no
-    `Cut`, no `Fraction` and no ideal tuple."""
+    alone (the Pruefer one component by component): a closure builds no
+    `Cut`, `Fraction` or ideal tuple, and calls no `cuts._coset_rep`."""
     elems: list = []
     index: dict = {}
     for x in seeds:

@@ -98,7 +98,8 @@ def random_raw_cut(rng, g):
 
 def reference_targets_for(g, steps, scale, prefix):
     """The neighborhood points of one scaled prefix, built coordinate list
-    by coordinate list: `boxes._targets_for` must give the same points."""
+    by coordinate list under each of the three tails, also where they are
+    all `()`: `boxes._targets_for` must give the same set of points."""
     m = len(prefix)
     base = [n // u * u for n, u in zip(prefix, steps)]
     tails = [[t * s for s in scale[m:]] for t in (0, -2, 2)]

@@ -243,16 +243,24 @@ def test_check_same_set_separates_and_identifies(rng):
     assert boxes.check_same_set(g, Cut(2, at, CLOSED), Cut(2, at, OPEN), rng)
 
 
-# The value groups of the benchmark's box checks.
-BOX_GROUPS = ["Z_Q", "Zhalf", "Z_Zthird", "Z2"]
+# The value groups of the benchmark's box checks, then Z, Q and Z[1/3]
+# alone and mixed towers of rank 2 and 3.
+POINT_GROUPS = {
+    **{name: GROUPS[name] for name in ("Z_Q", "Zhalf", "Z_Zthird", "Z2")},
+    "Z": ZZ, "Q": QQ, "Zthird": ValueGroup((Zloc(3),)), "Q_Zhalf": ValueGroup((Q, Zloc(2))),
+    "Q_Z_Zhalf": ValueGroup((Q, Z, Zloc(2))), "Zthird_Q_Z": ValueGroup((Zloc(3), Q, Z)),
+}
 
 
-@pytest.mark.parametrize("name", BOX_GROUPS)
+@pytest.mark.parametrize("name", sorted(POINT_GROUPS))
 def test_sample_points_draw_as_the_reference(name, monkeypatch):
     # Every `sample_points` call of a check on a seeded canonical pair, with
-    # its own prefixes: the same points as the reference, and the generator
-    # left in the same state.
-    g = GROUPS[name]
+    # its own prefixes, for the right prediction and one shifted a step up
+    # at its top: the same points as the reference, which builds every
+    # prefix's three tails (`()` thrice at full length) as `sample_points`
+    # did before it kept each distinct tail once, and the generator left
+    # in the same state.  So no check loses a point.
+    g = POINT_GROUPS[name]
     real = boxes.sample_points
     calls = []
 
@@ -266,11 +274,16 @@ def test_sample_points_draw_as_the_reference(name, monkeypatch):
         return got
     monkeypatch.setattr(boxes, "sample_points", twin)
     rng = random.Random(27)
+    caught = 0
     for _ in range(40):
         a, b = random_cut(rng, g), random_cut(rng, g)
-        assert boxes.check_mul(g, a, b, mul(g, a, b), rng) == []
-        assert boxes.check_quotient(g, a, b, quotient(g, a, b), rng) == []
-    assert len(calls) == 80
+        for check, right in ((boxes.check_mul, mul(g, a, b)),
+                             (boxes.check_quotient, quotient(g, a, b))):
+            assert check(g, a, b, right, rng) == []
+            wrong = translate(g, right, (0,) * (right.level - 1) + (1,))
+            caught += bool(check(g, a, b, wrong, rng))
+    assert len(calls) == 160 and caught == 80
+    assert g.rank in {len(prefixes[0]) for prefixes in calls}
 
 
 def inside_by_definition(a, boundary, x):

@@ -615,6 +615,39 @@ def test_class_product_does_not_depend_on_the_representatives(name, seed):
     assert C.class_mul(g, C.class_of(g, a2), C.class_of(g, b2)) == C.class_of(g, C.mul(g, a, b))
 
 
+# The groups of the key-product check: rank 1 over every kind of
+# component (two localized primes in one), and two mixed towers whose
+# levels differ, so that pairs of unequal levels occur.
+CLASS_MUL_GROUPS = {
+    "Z": ValueGroup((Z,)),
+    "Q": ValueGroup((Q,)),
+    "Z[1/2,1/3]": ValueGroup((Zloc(2, 3),)),
+    "Z[1/5]": ValueGroup((Zloc(5),)),
+    "Z,Z[1/2]": ValueGroup((Z, Zloc(2))),
+    "Z[1/3],Q,Z": ValueGroup((Zloc(3), Q, Z)),
+}
+KEY_DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 15, 35)
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_MUL_GROUPS))
+def test_class_mul_on_keys_is_the_class_of_the_product(name):
+    # `class_mul` reduces a sum of tops by n mod d alone, trusting that
+    # `class_of` left every key's denominator free of the localized
+    # primes; here every pair of keys from a window of cuts (each level,
+    # tops n/d with |n| <= 40, both sides) is multiplied through the cuts
+    # themselves and classified afresh.
+    g = CLASS_MUL_GROUPS[name]
+    keys = {C.class_of(g, C.normalize(g, Cut(level, (0,) * (level - 1) + (F(n, d),), side)))
+            for level in range(1, g.rank + 1) for n in range(-40, 41)
+            for d in KEY_DENOMINATORS for side in (CLOSED, OPEN)}
+    levels = set()
+    for x in keys:
+        for y in keys:
+            assert C.class_mul(g, x, y) == C.class_of(g, C.mul(g, x.rep, y.rep)), (x, y)
+            levels.add(x.level == y.level)
+    assert levels == ({True, False} if g.rank > 1 else {True})
+
+
 def test_class_translation_invariance(group, rng):
     for _ in range(20):
         a = random_cut(rng, group)
