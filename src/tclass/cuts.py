@@ -15,23 +15,25 @@ of V at the height-i prime; the ring cut <rank; 0; closed> is V itself.
 
 A boundary coordinate is an `int` when it is integral and a `Rat`, the
 kernel's own `Fraction` subclass, otherwise, wherever one is made from
-scratch: `cut_from_json`, the samplers' tables, the zero of ring and
-prime cuts, `normalize`'s ceiling and `CutClass.rep`'s top.  The kernel's
-sums and differences keep that: two ints add in C, and a `Rat` adds,
-subtracts and compares with an int or a `Rat` on its two slots and gives
-an `int` whenever the value is integral.  A cut built elsewhere from
-plain `Fraction`s (a test's, the benchmark's) works the same, through
-`Fraction`'s own methods; that is harmless, since an int, a `Rat` and a
-`Fraction` of one value are equal, hash and print alike and have the same
-`numerator` and `denominator`, so no result, cache key or report depends
-on which one a cut holds.
+scratch: `cut_from_json` (a plain decimal n or n/d by integer
+arithmetic, any other spelling by `Fraction`'s reader), the samplers'
+tables, the zero of ring and prime cuts, `normalize`'s ceiling and
+`CutClass.rep`'s top.  The kernel's sums and differences keep that: two
+ints add in C, and a `Rat` adds, subtracts and compares with an int or a
+`Rat` on its two slots and gives an `int` whenever the value is
+integral.  A cut built elsewhere from plain `Fraction`s (a test's, the
+benchmark's) works the same, through `Fraction`'s own methods; that is
+harmless, since an int, a `Rat` and a `Fraction` of one value are equal,
+hash and print alike and have the same `numerator` and `denominator`, so
+no result, cache key or report depends on which one a cut holds.
 
 Every operation below takes canonical cuts of `g` and returns canonical
 cuts, normalising nothing it is handed; a level above the rank raises
 MalformedCutError.  The operations that read a cut (`normalize`, `mul`,
-`quotient`, `t_closure`, `translate`, `classify_idempotent`, `class_of`)
-unpack it once, `level, boundary, side = a`, and compare that level with
-`g.rank` themselves, calling `validate_cut` only to raise; the audits
+`quotient`, `t_closure`, `translate`, `class_of`; `classify_idempotent`
+reads a cut's or a class key's level and side by name) unpack it once,
+`level, boundary, side = a`, and compare that level with `g.rank`
+themselves, calling `validate_cut` only to raise; the audits
 built on them (`stabilizer`, `idempotent_cut`, `is_idempotent`,
 `t_closure_over`, `is_regular`, `residual_membership`,
 `group_membership`) are checked by the operations they call.  Cuts enter
@@ -388,10 +390,8 @@ def prime_cut(g: ValueGroup, level: int) -> Cut:
 
 def _probe_point(g: ValueGroup, a: Cut):
     # Some group element strictly inside the upper set.
-    coords = list(a.boundary[:-1])
-    coords.append(math.ceil(a.boundary[a.level - 1]) + 1)
-    coords.extend(_ZERO for _ in range(g.rank - a.level))
-    return g.element(coords)
+    level, boundary, _ = a
+    return g.element(boundary[:-1] + (math.ceil(boundary[-1]) + 1,) + (_ZERO,) * (g.rank - level))
 
 
 def t_closure(g: ValueGroup, a: Cut) -> Cut:
@@ -481,9 +481,9 @@ def rank1_form(level: int, is_open: bool) -> IdempotentForm:
     return IdempotentForm(OverringSpec((level,)), frozenset({0}) if is_open else frozenset())
 
 
-def classify_idempotent(g: ValueGroup, a: Cut) -> IdempotentForm:
+def classify_idempotent(g: ValueGroup, a: Cut | CutClass) -> IdempotentForm:
     """The unique idempotent whose constituent group contains a's class, read
-    off the canonical cut's level and side.
+    off the level and side of a canonical cut or of its class key.
 
     Side closed means the class carries a representative that is a ring
     multiple, so the idempotent is the stabilizer overring itself; side open
@@ -491,7 +491,7 @@ def classify_idempotent(g: ValueGroup, a: Cut) -> IdempotentForm:
     overring.  `is_regular` checks the witness construction (I (T:I))_t
     against this form.
     """
-    level, _, side = a
+    level, side = a.level, a.side
     if level > g.rank:
         validate_cut(g, a)
     return rank1_form(level, side == OPEN)
@@ -539,7 +539,7 @@ def is_regular(g: ValueGroup, a: Cut) -> RegularityWitness:
     if back != a:
         raise InternalInconsistencyError("regularity identity I = (I^2 (I:I^2))_t failed")
     shift: Optional[tuple[int | Rat, ...]] = None
-    if all(is_member(c, q) for c, q in zip(g.components, a.boundary)):
+    if all(map(is_member, g.components, a.boundary)):
         shift = a.boundary + (_ZERO,) * (g.rank - a.level)
         if translate(g, a, shift) != sq:
             raise InternalInconsistencyError("witness shift does not realize the square")
@@ -687,12 +687,21 @@ def cut_to_json(a: Cut):
 MAX_COORDINATE_CHARS = 100
 MAX_EXPONENT = 100
 _EXPONENT = re.compile(r"[eE][+-]?(\d+(?:_\d+)*)")  # as Fraction() reads it
+# A plain decimal n or n/d, read by `int`; every other spelling, non-ASCII
+# digits included, is Fraction()'s to read.
+_PLAIN = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_CUT_KEYS = frozenset({"level", "boundary", "side"})
 
 
 def _coordinate(c) -> int | Rat:
     if isinstance(c, bool) or not isinstance(c, (int, float, str)):
         raise MalformedCutError(f"a boundary coordinate is a rational or a string, got {c!r}")
     text = str(c)
+    plain = len(text) <= MAX_COORDINATE_CHARS and _PLAIN.fullmatch(text)
+    if plain and plain[2] is None:
+        return int(text)
+    if plain and plain[2].strip("0"):  # a zero denominator is Fraction()'s error
+        return Rat(int(plain[1]), int(plain[2]))
     exp = _EXPONENT.search(text)
     if len(text) > MAX_COORDINATE_CHARS or (exp and int(exp.group(1)) > MAX_EXPONENT):
         raise MalformedCutError(
@@ -707,14 +716,14 @@ def _coordinate(c) -> int | Rat:
 
 def cut_from_json(g: ValueGroup, obj) -> Cut:
     """Parse a cut literal of `g`, check its level and return its canonical cut."""
-    if not isinstance(obj, dict) or set(obj) != {"level", "boundary", "side"}:
+    if not isinstance(obj, dict) or obj.keys() != _CUT_KEYS:
         raise MalformedCutError(f"a cut literal has keys level/boundary/side, got {obj!r}")
     level, boundary = obj["level"], obj["boundary"]
     if isinstance(level, bool) or not isinstance(level, int):
         raise MalformedCutError(f"level must be an integer, got {level!r}")
     if not isinstance(boundary, list):
         raise MalformedCutError(f"boundary must be a list of rationals, got {boundary!r}")
-    return normalize(g, Cut(level, tuple(_coordinate(c) for c in boundary), obj["side"]))
+    return normalize(g, Cut(level, tuple(map(_coordinate, boundary)), obj["side"]))
 
 
 def format_cut(a: Cut) -> str:
@@ -740,7 +749,7 @@ class ValuationClassModel:
         return class_mul(self.group, x, y)
 
     def idempotent_of(self, x: CutClass) -> CutClass:
-        g, form = self.group, classify_idempotent(self.group, x.rep)
+        g, form = self.group, classify_idempotent(self.group, x)
         e = self._idempotents.get(form)
         if e is None:
             e = self._idempotents[form] = class_of(g, form_cut(g, form))

@@ -67,8 +67,11 @@ def sym_to_json(rep: Cut) -> dict:
     return {"coeff": C.cut_to_json(rep)}
 
 
+_SYM_KEYS = frozenset({"coeff"})
+
+
 def sym_from_json(base: ValueGroup, data) -> Cut:
     """The coefficient class representative a symbolic literal names."""
-    if not isinstance(data, dict) or set(data) != {"coeff"}:
+    if not isinstance(data, dict) or data.keys() != _SYM_KEYS:
         raise C.MalformedCutError("symbolic ideal literal wants exactly the key 'coeff'")
     return C.class_of(base, C.cut_from_json(base, data["coeff"])).rep

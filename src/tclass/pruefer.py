@@ -186,8 +186,11 @@ def tuple_to_json(a: IdealTuple) -> dict:
     return {"cuts": [C.cut_to_json(c) for c in a.cuts]}
 
 
+_TUPLE_KEYS = frozenset({"cuts"})
+
+
 def tuple_from_json(model: PrueferModel, data) -> IdealTuple:
-    if not isinstance(data, dict) or set(data) != {"cuts"}:
+    if not isinstance(data, dict) or data.keys() != _TUPLE_KEYS:
         raise C.MalformedCutError("ideal tuple literal wants exactly the key 'cuts'")
     cuts = data["cuts"]
     if not isinstance(cuts, list) or len(cuts) != model.k:
@@ -233,7 +236,7 @@ class PrueferClassModel:
         # once per form and adapter: the `_split` fault reaches the
         # `valuation` specs only here, at each form's first class.
         gs = self.model.valuations
-        form = _join(tuple(C.classify_idempotent(g, u.rep) for g, u in zip(gs, x)))
+        form = _join(tuple(map(C.classify_idempotent, gs, x)))
         e = self._idempotents.get(form)
         if e is None:
             cuts = map(C.form_cut, gs, _split(form))

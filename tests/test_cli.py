@@ -354,6 +354,31 @@ def test_malformed_cut_literal_is_usage_error(tmp_path, capsys, literal):
     assert "ideal literal" in one_error_line(capsys)
 
 
+def test_classify_reads_every_spelling_of_a_coordinate_alike(tmp_path, capsys):
+    # A plain n/d is read by integer arithmetic and every other spelling by
+    # `Fraction`'s reader: the reports must be byte-identical, and a bad
+    # coordinate must fail with the same one-line message either way.
+    spec = valuation_spec(tmp_path, group=("Z", {"Zloc": [3]}))
+
+    def classify(c, out=None):
+        literal = json.dumps({"level": 2, "boundary": ["1", c], "side": "closed"})
+        return main(["classify", spec, "--ideal", literal] + (["--json", str(out)] if out else []))
+    reports = []
+    for i, c in enumerate(["3/2", "+6/4", "006/004", 1.5, "15e-1", " 3/2 "]):
+        out = tmp_path / f"report{i}.json"
+        assert classify(c, out) == 0, c
+        reports.append(out.read_bytes())
+    assert len(set(reports)) == 1
+    assert json.loads(reports[0])["ideal"] == {"level": 2, "boundary": ["1", "3/2"],
+                                               "side": "open"}
+    capsys.readouterr()
+    for c, message in [
+            ("3/0", "bad boundary coordinate '3/0': Fraction(3, 0)"),
+            ("1/" + "0" * 98 + "3", "boundary coordinate '1/0000000000000000000000' exceeds "
+                                    "the literal limits (100 characters, exponent at most 100)")]:
+        assert classify(c) == 1
+        assert one_error_line(capsys) == f"error: ideal literal: {message}\n"
+
 def test_huge_json_integer_is_usage_error(tmp_path, capsys):
     spec = valuation_spec(tmp_path)
     text = '{"level": 1, "boundary": [' + "7" * 5000 + '], "side": "closed"}'

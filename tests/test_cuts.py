@@ -11,11 +11,12 @@ import json
 import math
 import pickle
 import random
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -777,6 +778,63 @@ def test_cut_from_json_reads_integral_coordinates_as_ints():
         assert got.boundary == (want,), text
         assert_coordinate_types([got])
 
+
+# As `Fraction()` reads an exponent; a copy, so that the reference below
+# does not move with the reader under test.
+REFERENCE_EXPONENT = re.compile(r"[eE][+-]?(\d+(?:_\d+)*)")
+
+
+def reference_coordinate(c):
+    """The coordinate reader that `cuts._coordinate` must match: the type
+    and length checks, then `Rat(text)` behind the exponent check, with no
+    `int` fast path."""
+    if isinstance(c, bool) or not isinstance(c, (int, float, str)):
+        raise C.MalformedCutError(f"a boundary coordinate is a rational or a string, got {c!r}")
+    text = str(c)
+    exp = REFERENCE_EXPONENT.search(text)
+    if len(text) > C.MAX_COORDINATE_CHARS or (exp and int(exp.group(1)) > C.MAX_EXPONENT):
+        raise C.MalformedCutError(
+            f"boundary coordinate {text[:24]!r} exceeds the literal limits "
+            f"({C.MAX_COORDINATE_CHARS} characters, exponent at most {C.MAX_EXPONENT})"
+        )
+    try:
+        return C.Rat(text)
+    except (ValueError, ZeroDivisionError) as e:
+        raise C.MalformedCutError(f"bad boundary coordinate {text!r}: {e}") from None
+
+
+def read_outcome(read, c) -> tuple:
+    """(type, value) of what `read` makes of c, or (error type, message)."""
+    try:
+        x = read(c)
+    except Exception as e:
+        return type(e), str(e)
+    return type(x), x
+
+
+COORDINATE_INPUTS = st.one_of(
+    st.text(alphabet="0123456789+-/ _e.\u0663", max_size=12),
+    st.from_regex(r"\A[+-]?[0-9]{1,110}(/[0-9]{1,110})?\Z"),
+    st.integers(min_value=-10**110, max_value=10**110),
+    st.sampled_from([True, 1.0, 1e20, None]),
+    st.integers(min_value=95, max_value=110).map(lambda k: "1/" + "7" * k),
+)
+
+
+@settings(max_examples=400)
+@given(COORDINATE_INPUTS)
+def test_coordinate_reads_as_the_fraction_reader(c):
+    # A plain n or n/d is read by `int`; the value, its type (`int` or
+    # `Rat`) and every error and its message must be the reference's.
+    assert read_outcome(C._coordinate, c) == read_outcome(reference_coordinate, c)
+
+
+def test_coordinate_reads_edge_spellings_as_the_fraction_reader():
+    # Signs, leading zeros, a zero numerator or denominator, the length
+    # limit on either side, and spellings only `Fraction()` reads.
+    for c in ("3/2", "+6/4", "006/004", " 3/2 ", "-0/5", "3/0", "-0/000", "1/" + "7" * 98,
+              "1/" + "7" * 99, "\u0663/2", "1_0/3", "15e-1", "3 / 2", 10**99, -10**99):
+        assert read_outcome(C._coordinate, c) == read_outcome(reference_coordinate, c), c
 
 # === coordinates as built: an int or a `Rat` and the equal Fraction agree ===
 

@@ -15,17 +15,21 @@ in what a Cayley-table closure of m classes builds (no `Cut`, no
 `class_of` or `_coset_rep` call and no `Fraction`: class products work on
 integer keys; a Pruefer class product builds no `IdealTuple`), or in how
 many tables `cross_check` builds (none: it reads the closure's table) and
-how many `Cut`s (each class's rep and each form's idempotent cut) fails
-here without timing anything.
+how many `Cut`s (each form's idempotent cut, and no class's rep), or in
+how many `Fraction`s `classify` builds reading plain n/d literals (none)
+fails here without timing anything.
 """
 
 import json
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction as F
 
-from conftest import assert_coordinate_types
+import pytest
+
+from conftest import assert_coordinate_types, random_raw_cut
 from tclass import boxes as B
 from tclass import checks
 from tclass import cuts as C
@@ -33,7 +37,7 @@ from tclass import groups as G
 from tclass import pruefer as P
 from tclass import sampling as S
 from tclass import semigroups as SG
-from tclass.cli import cmd_verify, load_model, value_group_from_json
+from tclass.cli import cmd_classify, cmd_verify, load_model, value_group_from_json
 
 SPEC = json.dumps({"kind": "pruefer_fc", "valuations": [[{"Zloc": [2]}], ["Z", "Q"]]})
 
@@ -230,10 +234,12 @@ def test_cross_check_builds_no_table(monkeypatch):
 
 # The same check when `ValuationClassModel.idempotent_of` rebuilt the
 # witness (I (T:I))_t of every class through `cuts.idempotent_cut`: 634
-# `Cut`s.  Read off level and side, an idempotent costs the class's rep;
-# the form's cut is built once per form and adapter (212 `Cut`s, two per
-# class, when it was built for every class).
+# `Cut`s.  Read off the class key's level and side, an idempotent costs
+# no `Cut`; the form's cut is built once per form and adapter.  When each
+# form's cut was built for every class, the check built 212 `Cut`s, two
+# per class; when the adapter built each class's rep to classify it, 108.
 CROSS_CHECK_CUTS_BEFORE = 634
+CROSS_CHECK_CUTS_WITH_REPS = 108
 
 
 def test_cross_check_reads_idempotents_off_classification(monkeypatch):
@@ -244,7 +250,8 @@ def test_cross_check_reads_idempotents_off_classification(monkeypatch):
     assert SG.cross_check(closure, model).passed
     m = len(closure.dictionary)
     forms = len(SG.idempotents(closure.semigroup))
-    assert len(built) == m + forms == 108 < CROSS_CHECK_CUTS_BEFORE, len(built)
+    assert m == 106
+    assert len(built) == forms == 2 < CROSS_CHECK_CUTS_WITH_REPS, len(built)
     assert witnesses == []
 
 
@@ -622,8 +629,10 @@ VERIFY_FRACTION_BOOLS_UNCACHED = 1398
 # is an `int`, so it is never built and compares in C (`__eq__` 796 -> 268).
 VERIFY_PLAIN_FRACTION_CALLS_BEFORE = 3596
 VERIFY_PLAIN_FRACTIONS_BUILT_BEFORE = 1214
+# When the class adapters built each class's rep to classify it, the
+# semigroup cross-checks built 751 rationals.
 VERIFY_FRACTION_CALLS = 1860
-VERIFY_FRACTIONS_BUILT = 751
+VERIFY_FRACTIONS_BUILT = 749
 
 
 def test_verify_runs_integral_coordinates_as_ints(monkeypatch):
@@ -657,3 +666,65 @@ def test_regularity_audit_of_an_integral_cut_runs_no_fraction_operation(monkeypa
 
     assert witness.shift == (1, -2) and witness.idempotent == C.ring_cut(g)
     assert calls.total() == 0, calls
+
+
+# The three specs of the benchmark's `classify_stream`, one per kind.
+CLASSIFY_SPECS = [
+    {"kind": "valuation", "group": ["Z", {"Zloc": [3]}]},
+    {"kind": "pruefer_fc", "valuations": [[{"Zloc": [2]}], ["Z", "Q"]]},
+    {"kind": "poly_ext", "base": ["Z", {"Zloc": [2]}]},
+]
+
+
+def plain_cut_literal(rng, g) -> dict:
+    """A raw cut literal of g, each coordinate written n/d, unreduced."""
+    c = random_raw_cut(rng, g)
+    scale = rng.choice((1, 2))
+    return {"level": c.level, "side": c.side,
+            "boundary": [f"{x.numerator * scale}/{x.denominator * scale}" for x in c.boundary]}
+
+
+def classify_plain_literals(monkeypatch) -> int:
+    """`Fraction.__new__` calls while `classify` reads 20 seeded plain n/d
+    literals of each kind."""
+    rng = random.Random(1)
+    runs = []
+    for spec in CLASSIFY_SPECS:
+        kind, model = load_model(json.dumps(spec))
+        for _ in range(20):
+            if kind == "valuation":
+                literal = plain_cut_literal(rng, model)
+            elif kind == "pruefer_fc":
+                literal = {"cuts": [plain_cut_literal(rng, g) for g in model.valuations]}
+            else:
+                literal = {"coeff": plain_cut_literal(rng, model.base)}
+            runs.append((kind, model, json.dumps(literal)))
+    built = []
+    real = F.__new__
+
+    def new(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+    monkeypatch.setattr(F, "__new__", staticmethod(new))
+    reports = [cmd_classify(kind, model, text) for kind, model, text in runs]
+    monkeypatch.undo()
+    assert len(reports) == 60
+    return len(built)
+
+
+# When every coordinate went through `Fraction`'s string reader, those 60
+# calls built 106 `Fraction`s, about 1.8 per call.  A plain n or n/d is
+# read by `int` now, and a non-integral one is a `Rat` built on its slots.
+CLASSIFY_FRACTIONS_BEFORE = 106
+
+
+def test_classify_reads_plain_literals_by_integer_arithmetic(monkeypatch):
+    assert classify_plain_literals(monkeypatch) == 0 < CLASSIFY_FRACTIONS_BEFORE
+
+
+def test_plain_literal_pin_fails_when_no_literal_reads_as_plain(monkeypatch):
+    # The regression the pin guards: a plain-literal pattern that never
+    # matches sends every coordinate back to `Fraction`'s reader.
+    monkeypatch.setattr(C, "_PLAIN", re.compile(r"(?!)"))
+    with pytest.raises(AssertionError):
+        test_classify_reads_plain_literals_by_integer_arithmetic(monkeypatch)
