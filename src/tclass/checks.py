@@ -242,16 +242,17 @@ def exact_sequence(m: P.PrueferModel, spec, samples: int, rng) -> dict:
 
 def classification_consistency(m: P.PrueferModel, spec) -> Check:
     """Every sampled extended class lands on an idempotent `decompose` lists,
-    tested once per distinct coefficient cut."""
+    tested once per distinct coefficient cut; the class is classified by
+    its key, and its rep is built only to name a failure."""
     g = m.valuations[0]
     forms = functools.cache(lambda: X.decompose(g))
 
     @functools.cache
     def classify(c: C.Cut) -> list:
-        rep = C.class_of(g, c).rep
-        if C.classify_idempotent(g, rep) in forms():
+        key = C.class_of(g, c)
+        if C.classify_idempotent(g, key) in forms():
             return []
-        return [f"classification of {literal(X.sym_to_json(rep))} missing from decomposition"]
+        return [f"classification of {literal(X.sym_to_json(key.rep))} missing from decomposition"]
     return Check("classification_consistency", None, _tuples(m), _named(spec),
                  lambda a: list(classify(a.cuts[0])))
 

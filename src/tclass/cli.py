@@ -68,9 +68,10 @@ def _read_json(path_or_inline: str, what: str):
         raise UsageError(f"{what}: {e}") from e
 
 
-# A pruefer_fc spec's idempotent forms are a product over its valuations,
-# each contributing its count of rank-1 forms (at least 2 with a dense
-# level), and `decompose` and `verify` enumerate them all.
+# A spec's idempotent forms are a product over the valuations its kind runs
+# on, each contributing its count of rank-1 forms (up to 2 per level), and
+# `decompose` and `verify` enumerate them all: a valuation of r levels has
+# up to 2r forms and a `decompose` report of order r^2 bytes.
 MAX_IDEMPOTENT_FORMS = 4096
 
 
@@ -83,9 +84,6 @@ def _pruefer_from_json(vals) -> P.PrueferModel:
             groups.append(value_group_from_json(v))
         except (ValueError, TypeError) as e:
             raise ValueError(f"valuations[{i}]: {e}") from e
-    if checks.form_count(groups) > MAX_IDEMPOTENT_FORMS:
-        raise ValueError(f"the valuations have more than {MAX_IDEMPOTENT_FORMS} idempotent "
-                         "forms (the product over valuations of their rank-1 forms)")
     return P.PrueferModel(tuple(groups))
 
 
@@ -102,9 +100,13 @@ def load_model(path: str):
     if spec.field not in data:
         raise UsageError(f"spec file: kind {kind!r} wants a {spec.field!r} field")
     try:
-        return kind, spec.parse(data[spec.field])
+        model = spec.parse(data[spec.field])
     except (ValueError, TypeError) as e:
         raise UsageError(f"spec file: {e}") from e
+    if checks.form_count(spec.as_pruefer(model).valuations) > MAX_IDEMPOTENT_FORMS:
+        raise UsageError(f"spec file: the valuations have more than {MAX_IDEMPOTENT_FORMS} "
+                         "idempotent forms (the product over valuations of their rank-1 forms)")
+    return kind, model
 
 
 def model_echo(kind: str, model) -> dict:
@@ -158,13 +160,15 @@ def cmd_classify(kind: str, model, ideal_arg: str) -> dict:
     except C.MalformedCutError as e:
         raise UsageError(f"ideal literal: {e}") from e
     form = P.classify_idempotent(m, a)
+    witnesses = list(map(C.is_regular, m.valuations, a.cuts))
     report = {"command": "classify", "model": model_echo(kind, model),
               "ideal": spec.write(a), "idempotent_form": spec.form(form)}
     if spec.scope is None:
-        report["witness"] = spec.write(P.form_tuple(m, form))
+        # The idempotent each audit built, checked there against `form`.
+        report["witness"] = spec.write(P.IdealTuple(tuple(w.idempotent for w in witnesses)))
     else:
         report["scope"] = spec.scope
-    regularity = [_regularity_json(C.is_regular(g, c)) for g, c in zip(m.valuations, a.cuts)]
+    regularity = list(map(_regularity_json, witnesses))
     report["regularity"] = regularity if spec.components else regularity[0]
     return report
 

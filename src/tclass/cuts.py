@@ -108,13 +108,14 @@ class Rat(Fraction):
 
     `Rat(...)` reads what `Fraction(...)` reads and gives the `int` when
     the value is integral, so no integral `Rat` exists.  Against an `int`
-    or a `Rat`, `+`, `-` (both orders), unary `-`, `==`, `<`, `>` and
-    `bool` work on the two slots directly, with no `Fraction.__new__`, and
-    give a result in lowest terms, an `int` when it is integral.  Any
-    other operand goes to `Fraction`'s own method, so a mix with a plain
-    `Fraction` stays exact (and gives a plain `Fraction`).  `__hash__`,
-    `str`, `numerator` and `denominator` are `Fraction`'s: a `Rat` hashes,
-    compares and prints as the `Fraction` of its value.
+    or a `Rat`, `+`, `-` (both orders), unary `-`, `==` and `<` work on
+    the two slots directly, with no `Fraction.__new__`, and give a result
+    in lowest terms, an `int` when it is integral.  Any other operand goes
+    to `Fraction`'s own method, so a mix with a plain `Fraction` stays
+    exact (and gives a plain `Fraction`).  Every other operator (`>` and
+    `bool` among them), `__hash__`, `str`, `numerator` and `denominator`
+    are `Fraction`'s: a `Rat` hashes, compares and prints as the
+    `Fraction` of its value.
     """
 
     __slots__ = ()
@@ -172,20 +173,10 @@ class Rat(Fraction):
             return a._numerator < b * a._denominator
         return _fraction_lt(a, b)
 
-    def __gt__(a, b):
-        if type(b) is Rat:
-            return a._numerator * b._denominator > b._numerator * a._denominator
-        if type(b) is int:
-            return a._numerator > b * a._denominator
-        return _fraction_gt(a, b)
-
-    def __bool__(a):
-        return True  # a `Rat` is never integral, so never 0
-
 
 _fraction_add, _fraction_radd = Fraction.__add__, Fraction.__radd__
 _fraction_sub, _fraction_rsub = Fraction.__sub__, Fraction.__rsub__
-_fraction_eq, _fraction_lt, _fraction_gt = Fraction.__eq__, Fraction.__lt__, Fraction.__gt__
+_fraction_eq, _fraction_lt = Fraction.__eq__, Fraction.__lt__
 _new = object.__new__
 
 

@@ -14,7 +14,8 @@ V_p[X], the maximal ideal form for p[X].
 So the cut kernel over the base does the work, and this module keeps only
 what differs from one valuation: the class of f.B[X] is `cuts.class_of`
 of B, and since its stabilizer is (B:B)[X], its idempotent is
-`cuts.classify_idempotent` of that class's rep.
+`cuts.classify_idempotent` of that class's key (its level and side), with
+no rep built.
 
 Completeness caveat: only extended classes are modeled.  The decomposition
 is reported over extended classes and never claims to exhaust every t-ideal

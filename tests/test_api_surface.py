@@ -20,6 +20,13 @@ and `src/` does not is listed in BENCH_ONLY with its call site and why no
 command calls it, so a change that drops the benchmark's caller drops the
 name with it.
 
+A method name that two or more public classes define is a duck-typed
+protocol: a read of `x.mul` counts for every class's `mul`, so one
+class's method could go unused unseen.  PROTOCOL lists each such name
+with the function in `semigroups` or `checks` that calls it on whichever
+class it is handed; a shared name missing from it, or an entry no longer
+shared or no longer read there, fails.
+
 No drawing below `verify`: the kernel, the models and the Cayley-table
 oracle (`MODEL_LAYERS`) import neither `random` nor `tclass.sampling`; the
 seeded draws are the checks' own, in `checks`, the one module besides the
@@ -29,6 +36,10 @@ No one-valued parameter: every defaulted parameter of a public function or
 method (a class's `__init__` included) is passed by some call in `src/` or
 `bench/`, or has an entry in ONE_VALUED saying why not.  A parameter that
 no call sets is a constant.
+
+The size of `src/tclass` in lines and `ast` nodes (node count does not
+change with formatting) is recorded, not gated; to print it per module
+and in total: `PYTHONPATH=src python tests/test_api_surface.py`.
 """
 
 import ast
@@ -53,6 +64,16 @@ BENCH_ONLY = {
 
 ONE_VALUED = {
     "cli.main.argv": "the console script calls `main()` with none; tests pass argument lists",
+}
+
+# Shared method name -> the function that calls it on the class it is handed
+# (today the two class adapters, `cuts.ValuationClassModel` and
+# `pruefer.PrueferClassModel`).
+PROTOCOL = {
+    "class_of": "checks.semigroup_cross_check",
+    "mul": "semigroups.sample_closure",
+    "idempotent_of": "semigroups.cross_check",
+    "describe": "semigroups.cross_check",
 }
 
 
@@ -253,6 +274,35 @@ def test_fields_of_a_private_named_tuple_base_are_members():
     assert not any(m.startswith("cuts._CutFields.") for m in members())
 
 
+def shared_methods() -> set:
+    """The public method names that two or more public classes define."""
+    owners = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in parsed(path).body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                        owners.setdefault(fn.name, set()).add(f"{path.stem}.{cls.name}")
+    return {name for name, classes in owners.items() if len(classes) > 1}
+
+
+def test_every_shared_method_name_is_listed():
+    missing = shared_methods() - set(PROTOCOL)
+    assert not missing, f"method names two classes define (list their call site): {sorted(missing)}"
+
+
+def test_protocol_table_is_current():
+    stale = set(PROTOCOL) - shared_methods()
+    assert not stale, f"PROTOCOL names that one class or none defines now: {sorted(stale)}"
+    for name, site in PROTOCOL.items():
+        module, function = site.split(".")
+        fn, = (n for n in parsed(PACKAGE / f"{module}.py").body
+               if isinstance(n, ast.FunctionDef) and n.name == function)
+        reads = {n.attr for n in ast.walk(fn)
+                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+        assert name in reads, f"{site} no longer reads `.{name}`"
+
+
 def defaulted() -> dict:
     """module.function.param -> (callee name, position after the required
     and bound arguments) for each defaulted parameter of a public function,
@@ -364,3 +414,17 @@ def test_the_import_reader_sees_every_form(tmp_path):
                     "from tclass.sampling import y\nfrom random import Random\n")
     assert imported(path) == DRAWING
     assert imported(PACKAGE / "checks.py") >= DRAWING
+
+
+def size() -> dict:
+    """module -> (lines, `ast` nodes) for each module of `src/tclass`."""
+    return {path.stem: (len(path.read_text().splitlines()), sum(1 for _ in ast.walk(parsed(path))))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+if __name__ == "__main__":
+    sizes = size()
+    for module, (lines, nodes) in sizes.items():
+        print(f"{module:12} {lines:5} lines {nodes:6} nodes")
+    print(f"{'total':12} {sum(l for l, _ in sizes.values()):5} lines "
+          f"{sum(n for _, n in sizes.values()):6} nodes")

@@ -462,12 +462,16 @@ def test_too_many_idempotent_forms_is_usage_error(tmp_path, capsys):
     assert "idempotents: 4096" in capsys.readouterr().out
 
 
-def test_form_bound_is_a_pruefer_fc_input_limit(tmp_path):
-    # One valuation of 2100 dense levels has 4200 rank-1 forms; `verify`
-    # runs valuation and poly_ext specs as that one valuation, unbounded.
+def test_form_bound_holds_for_every_kind(tmp_path, capsys):
+    # One valuation of 2100 dense levels has 4200 rank-1 forms, and its
+    # `decompose` report would grow as the square of the levels; 2048 has
+    # 4096.  `verify --samples 0` builds no idempotent.
     for kind, field in (("valuation", "group"), ("poly_ext", "base")):
         spec = write(tmp_path, f"{kind}.json", {"kind": kind, field: ["Q"] * 2100})
-        assert main(["verify", spec, "--samples", "0"]) == 0
+        assert main(["verify", spec, "--samples", "0"]) == 1
+        assert "4096 idempotent forms" in one_error_line(capsys)
+        at_limit = write(tmp_path, f"{kind}-limit.json", {"kind": kind, field: ["Q"] * 2048})
+        assert main(["verify", at_limit, "--samples", "0"]) == 0
 
 
 def test_closed_stdout_ends_quietly_and_still_writes_json(tmp_path):

@@ -16,8 +16,13 @@ in what a Cayley-table closure of m classes builds (no `Cut`, no
 integer keys; a Pruefer class product builds no `IdealTuple`), or in how
 many tables `cross_check` builds (none: it reads the closure's table) and
 how many `Cut`s (each form's idempotent cut, and no class's rep), or in
-how many `Fraction`s `classify` builds reading plain n/d literals (none)
-fails here without timing anything.
+how many `Fraction`s `classify` builds reading plain n/d literals (none),
+how many idempotent cuts it builds (one per regularity audit) or how many
+`Cut`s a passing `classification_consistency` trial builds (none) fails
+here without timing anything.
+
+`REGRESSIONS` pairs budget tests with the regression each guards: planted
+by monkeypatch, it must make the budget fail.
 """
 
 import json
@@ -37,7 +42,7 @@ from tclass import groups as G
 from tclass import pruefer as P
 from tclass import sampling as S
 from tclass import semigroups as SG
-from tclass.cli import cmd_classify, cmd_verify, load_model, value_group_from_json
+from tclass.cli import KINDS, cmd_classify, cmd_verify, load_model, value_group_from_json
 
 SPEC = json.dumps({"kind": "pruefer_fc", "valuations": [[{"Zloc": [2]}], ["Z", "Q"]]})
 
@@ -684,9 +689,9 @@ def plain_cut_literal(rng, g) -> dict:
             "boundary": [f"{x.numerator * scale}/{x.denominator * scale}" for x in c.boundary]}
 
 
-def classify_plain_literals(monkeypatch) -> int:
-    """`Fraction.__new__` calls while `classify` reads 20 seeded plain n/d
-    literals of each kind."""
+def classify_runs() -> list:
+    """(kind, model, literal text) for 20 seeded plain n/d literals of each
+    kind, in `CLASSIFY_SPECS` order."""
     rng = random.Random(1)
     runs = []
     for spec in CLASSIFY_SPECS:
@@ -699,6 +704,12 @@ def classify_plain_literals(monkeypatch) -> int:
             else:
                 literal = {"coeff": plain_cut_literal(rng, model.base)}
             runs.append((kind, model, json.dumps(literal)))
+    return runs
+
+
+def classify_plain_literals(monkeypatch) -> int:
+    """`Fraction.__new__` calls while `classify` reads the 60 `classify_runs`."""
+    runs = classify_runs()
     built = []
     real = F.__new__
 
@@ -722,9 +733,85 @@ def test_classify_reads_plain_literals_by_integer_arithmetic(monkeypatch):
     assert classify_plain_literals(monkeypatch) == 0 < CLASSIFY_FRACTIONS_BEFORE
 
 
-def test_plain_literal_pin_fails_when_no_literal_reads_as_plain(monkeypatch):
-    # The regression the pin guards: a plain-literal pattern that never
-    # matches sends every coordinate back to `Fraction`'s reader.
-    monkeypatch.setattr(C, "_PLAIN", re.compile(r"(?!)"))
+# When `classify` built its witness tuple through `pruefer.form_tuple` and
+# each audit built the same idempotents again, these 60 calls (80
+# components, 60 of them with a witness: `poly_ext` reports a scope
+# instead) built 140 idempotent cuts for 80 audits; the 600 calls of 20
+# rounds of the benchmark's `classify_stream` (seed 1) built 1 400 for 800.
+CLASSIFY_IDEMPOTENTS_BEFORE = 140
+
+
+def test_classify_builds_each_idempotent_once(monkeypatch):
+    # The report's witness is the idempotent each component's regularity
+    # audit built and checked against the classification.
+    runs = classify_runs()
+    built = counted_calls(monkeypatch, C, "form_cut")
+    audits = counted_calls(monkeypatch, C, "is_regular")
+    for kind, model, text in runs:
+        cmd_classify(kind, model, text)
+    monkeypatch.undo()
+    assert len(built) == len(audits) == 80 < CLASSIFY_IDEMPOTENTS_BEFORE, (len(built), len(audits))
+
+
+# `verify poly_ext [Z, Q] --samples 200 --seed 1` built 918 `Cut`s when
+# `classification_consistency` built each distinct class's rep to classify it.
+CONSISTENCY_CUTS_BEFORE = 918
+CONSISTENCY_CUTS = 840
+
+
+def test_classification_consistency_classifies_keys(monkeypatch):
+    # A passing trial builds no `Cut`: the class key holds the level and
+    # side the classification reads, and the rep names failures only.
+    kind, model = load_model(json.dumps({"kind": "poly_ext", "base": ["Z", "Q"]}))
+    spec = KINDS[kind]
+    check = checks.classification_consistency(spec.as_pruefer(model), spec)
+    rng = random.Random(1)
+    drawn = [check.draw(rng) for _ in range(200)]
+    built = counted_calls(monkeypatch, C.Cut, "__post_init__")
+    failures = [line for a in drawn for line in check.test(a)]
+    in_trials = len(built)
+    report = cmd_verify(kind, model, 200, 1, None)
+    monkeypatch.undo()
+
+    assert failures == [] and report["passed"]
+    assert in_trials == 0, in_trials
+    assert len(built) == CONSISTENCY_CUTS < CONSISTENCY_CUTS_BEFORE, len(built)
+
+
+def _plain_never_matches(real):
+    # Every coordinate goes back to `Fraction`'s reader.
+    return re.compile(r"(?!)")
+
+
+def _classify_rebuilds_witness(real):
+    # `classify` builds the witness tuple from the form, as well as the audits.
+    def classify_idempotent(m, a):
+        form = real(m, a)
+        P.form_tuple(m, form)
+        return form
+    return classify_idempotent
+
+
+def _classify_reads_rep(real):
+    # A class is classified by its rep, built for the purpose.
+    return lambda g, a: real(g, a.rep if type(a) is C.CutClass else a)
+
+
+# budget test -> the regression that undoes the saving it pins: (module
+# that defines it, name there, wrapper of the real object), planted as
+# `tests/test_kills.py` plants its faults.
+REGRESSIONS = {
+    test_classify_reads_plain_literals_by_integer_arithmetic: (C, "_PLAIN", _plain_never_matches),
+    test_classify_builds_each_idempotent_once:
+        (P, "classify_idempotent", _classify_rebuilds_witness),
+    test_classification_consistency_classifies_keys:
+        (C, "classify_idempotent", _classify_reads_rep),
+}
+
+
+@pytest.mark.parametrize("budget", REGRESSIONS, ids=lambda budget: budget.__name__)
+def test_each_budget_fails_under_its_regression(budget, monkeypatch):
+    module, name, wrap = REGRESSIONS[budget]
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
     with pytest.raises(AssertionError):
-        test_classify_reads_plain_literals_by_integer_arithmetic(monkeypatch)
+        budget(monkeypatch)
