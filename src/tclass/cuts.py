@@ -71,6 +71,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -79,7 +80,6 @@ from .groups import ValueGroup, is_member
 
 CLOSED = "closed"
 OPEN = "open"
-_ZERO = 0
 
 
 class MalformedCutError(ValueError):
@@ -110,12 +110,15 @@ class Rat(Fraction):
     the value is integral, so no integral `Rat` exists.  Against an `int`
     or a `Rat`, `+`, `-` (both orders), unary `-`, `==` and `<` work on
     the two slots directly, with no `Fraction.__new__`, and give a result
-    in lowest terms, an `int` when it is integral.  Any other operand goes
-    to `Fraction`'s own method, so a mix with a plain `Fraction` stays
-    exact (and gives a plain `Fraction`).  Every other operator (`>` and
-    `bool` among them), `__hash__`, `str`, `numerator` and `denominator`
-    are `Fraction`'s: a `Rat` hashes, compares and prints as the
-    `Fraction` of its value.
+    in lowest terms, an `int` when it is integral.  The kernel runs `-` in
+    both orders: in `quotient`, a `Rat` less an int or a `Rat` runs
+    `__sub__`, and an int (the 0 of a ring cut, say) less a `Rat` runs
+    `__rsub__`.  Nothing in the package negates a `Rat`.  Any other
+    operand goes to `Fraction`'s own method, so a mix with a plain
+    `Fraction` stays exact (and gives a plain `Fraction`).  Every other
+    operator (`>` and `bool` among them), `__hash__`, `str`, `numerator`
+    and `denominator` are `Fraction`'s: a `Rat` hashes, compares and
+    prints as the `Fraction` of its value.
     """
 
     __slots__ = ()
@@ -320,10 +323,8 @@ def mul(g: ValueGroup, a: Cut, b: Cut) -> Cut:
     if a_level > g.rank or b_level > g.rank:
         validate_cut(g, a)
         validate_cut(g, b)
-    # A zero term is skipped, told by identity (every int 0 is the one
-    # small int): ring and prime cuts have all-zero boundaries, and
-    # `idempotents` would otherwise pay O(rank) sums per form.
-    boundary = tuple([x if y is _ZERO else x + y for x, y in zip(a_boundary, b_boundary)])
+    # `map` stops at the shorter boundary: the truncation to the lower level.
+    boundary = tuple(map(operator.add, a_boundary, b_boundary))
     return Cut(min(a_level, b_level), boundary, _product_side(a_level, a_side, b_level, b_side))
 
 
@@ -345,10 +346,7 @@ def quotient(g: ValueGroup, a: Cut, b: Cut) -> Cut:
     result to B's level.  An open divisor makes the infimum unattained and
     the residual closes.
 
-    `zip` truncates the boundaries to `level`.  A coordinate less itself
-    (the same object, as in (I : I)) is the int 0 and a zero one is
-    skipped, both told by identity, and 0 less a coordinate is its
-    negation, so none of them runs a subtraction.
+    `map` truncates the boundaries to `level`.
     """
     a_level, a_boundary, a_side = a
     b_level, b_boundary, b_side = b
@@ -362,8 +360,7 @@ def quotient(g: ValueGroup, a: Cut, b: Cut) -> Cut:
     else:
         level = b_level
         side = OPEN if b_side == CLOSED else CLOSED
-    boundary = tuple([_ZERO if x is y else x if y is _ZERO else -y if x is _ZERO else x - y
-                      for x, y in zip(a_boundary, b_boundary)])
+    boundary = tuple(map(operator.sub, a_boundary, b_boundary))
     return normalize(g, Cut(level, boundary, side))
 
 
@@ -371,18 +368,18 @@ def ring_cut(g: ValueGroup, level: Optional[int] = None) -> Cut:
     """The cut of V (full level) or of the localization at the height-`level` prime."""
     if level is None:
         level = g.rank
-    return Cut(level, (_ZERO,) * level, CLOSED)
+    return Cut(level, (0,) * level, CLOSED)
 
 
 def prime_cut(g: ValueGroup, level: int) -> Cut:
     """Canonical cut of the height-`level` prime ideal."""
-    return normalize(g, Cut(level, (_ZERO,) * level, OPEN))
+    return normalize(g, Cut(level, (0,) * level, OPEN))
 
 
 def _probe_point(g: ValueGroup, a: Cut):
     # Some group element strictly inside the upper set.
     level, boundary, _ = a
-    return g.element(boundary[:-1] + (math.ceil(boundary[-1]) + 1,) + (_ZERO,) * (g.rank - level))
+    return g.element(boundary[:-1] + (math.ceil(boundary[-1]) + 1,) + (0,) * (g.rank - level))
 
 
 def t_closure(g: ValueGroup, a: Cut) -> Cut:
@@ -429,7 +426,7 @@ def translate(g: ValueGroup, a: Cut, shift) -> Cut:
     level, boundary, side = a
     if level > g.rank:
         validate_cut(g, a)
-    return Cut(level, tuple([x if y is _ZERO else x + y for x, y in zip(boundary, shift)]), side)
+    return Cut(level, tuple(map(operator.add, boundary, shift)), side)
 
 
 def is_idempotent(g: ValueGroup, a: Cut) -> bool:
@@ -531,7 +528,7 @@ def is_regular(g: ValueGroup, a: Cut) -> RegularityWitness:
         raise InternalInconsistencyError("regularity identity I = (I^2 (I:I^2))_t failed")
     shift: Optional[tuple[int | Rat, ...]] = None
     if all(map(is_member, g.components, a.boundary)):
-        shift = a.boundary + (_ZERO,) * (g.rank - a.level)
+        shift = a.boundary + (0,) * (g.rank - a.level)
         if translate(g, a, shift) != sq:
             raise InternalInconsistencyError("witness shift does not realize the square")
     idempotent = idempotent_cut(g, a)
@@ -579,7 +576,7 @@ class CutClass(NamedTuple):
 
     @property
     def rep(self) -> Cut:
-        return Cut(self.level, (_ZERO,) * (self.level - 1) + (Rat(self.n, self.d),), self.side)
+        return Cut(self.level, (0,) * (self.level - 1) + (Rat(self.n, self.d),), self.side)
 
 
 def class_of(g: ValueGroup, a: Cut) -> CutClass:

@@ -209,27 +209,19 @@ class PrueferClassModel:
     product is `cuts.class_mul`, component by component, and
     `describe` names a class by the literal `write` gives its rep tuple.
 
-    The adapter lives for one command and keeps what it computes: each
-    component product once, and each form's idempotent class tuple once."""
+    The adapter lives for one command and builds each form's idempotent
+    class tuple once."""
 
     def __init__(self, model: PrueferModel, write):
         self.model = model
         self.write = write
-        self._products = {}  # (component, u, v) -> u * v there
         self._idempotents = {}  # form -> its idempotent's class tuple
 
     def class_of(self, a: IdealTuple) -> tuple[CutClass, ...]:
         return class_of(self.model, a)
 
     def mul(self, x: tuple[CutClass, ...], y: tuple[CutClass, ...]) -> tuple[CutClass, ...]:
-        # Looked up in the table; a miss reaches the kernel through `C`.
-        products, out = self._products, []
-        for i, (g, u, v) in enumerate(zip(self.model.valuations, x, y)):
-            w = products.get((i, u, v))
-            if w is None:
-                w = products[i, u, v] = C.class_mul(g, u, v)
-            out.append(w)
-        return tuple(out)
+        return tuple(map(C.class_mul, self.model.valuations, x, y))
 
     def idempotent_of(self, x: tuple[CutClass, ...]) -> tuple[CutClass, ...]:
         # Component by component, through the product form and `_split`,

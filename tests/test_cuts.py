@@ -874,11 +874,20 @@ def test_integral_coordinates_give_the_same_results_as_ints_or_fractions(group, 
         assert_coordinate_types([a, b, raw])
         ints += sum(type(x) is int for x in a.boundary + b.boundary + raw.boundary + shift)
         fa, fb, fraw = (Cut(c.level, tuple(map(F, c.boundary)), c.side) for c in (a, b, raw))
-        for got, want in [
-            (C.normalize(g, raw), C.normalize(g, fraw)),
+        t = C.ring_cut(g, a.level)
+        arithmetic = [
             (C.mul(g, a, b), C.mul(g, fa, fb)),
             (C.quotient(g, a, b), C.quotient(g, fa, fb)),
+            # A `Rat` less itself is the int 0 (through `cuts._sum`), and
+            # the 0 of a ring cut less a `Rat` is a `Rat` (`Rat.__rsub__`).
+            (C.quotient(g, a, a), C.quotient(g, fa, fa)),
+            (C.quotient(g, t, a), C.quotient(g, t, fa)),
             (C.translate(g, a, shift), C.translate(g, fa, tuple(map(F, shift)))),
+        ]
+        assert_coordinate_types(got for got, _ in arithmetic)
+        for got, want in [
+            (C.normalize(g, raw), C.normalize(g, fraw)),
+            *arithmetic,
             (C.class_of(g, a), C.class_of(g, fa)),
             (C.is_regular(g, a), C.is_regular(g, fa)),
             (C.group_membership(g, a, idems), C.group_membership(g, fa, idems)),

@@ -6,14 +6,13 @@ normalises cuts that are already canonical, re-runs the constituent-group
 audit, rebuilds a witness idempotent or a stabilizer, in how often the
 Cayley-table oracle multiplies a pair, in how many triples its
 associativity check reads, in how often a check re-audits an input it has
-already audited or a class adapter re-multiplies a component pair, in how
-the idempotent build scales with the rank (it evaluates no zero term), in
-how many rational operations (`Fraction`'s and the kernel's `Rat`'s) the
-box oracle runs per cut pair and `verify` runs now that integral
-coordinates are ints, in how many value groups `verify` builds (none), or
-in what a Cayley-table closure of m classes builds (no `Cut`, no
-`class_of` or `_coset_rep` call and no `Fraction`: class products work on
-integer keys; a Pruefer class product builds no `IdealTuple`), or in how
+already audited, in how many rational operations (`Fraction`'s and the
+kernel's `Rat`'s) the box oracle runs per cut pair and `verify` runs now
+that integral coordinates are ints, in how many value groups `verify`
+builds (none), or in what a Cayley-table closure of m classes builds
+(no `Cut`, no `class_of` or `_coset_rep` call and no `Fraction`: class
+products work on integer keys; a Pruefer class product builds no
+`IdealTuple`), or in how
 many tables `cross_check` builds (none: it reads the closure's table) and
 how many `Cut`s (each form's idempotent cut, and no class's rep), or in
 how many `Fraction`s `classify` builds reading plain n/d literals (none),
@@ -21,14 +20,17 @@ how many idempotent cuts it builds (one per regularity audit) or how many
 `Cut`s a passing `classification_consistency` trial builds (none) fails
 here without timing anything.
 
-`REGRESSIONS` pairs budget tests with the regression each guards: planted
-by monkeypatch, it must make the budget fail.
+`REGRESSIONS` pairs each budget test with the regression it guards:
+planted by monkeypatch, it must make the budget fail.  `UNPLANTED` names,
+with the reason, a budget that no regression can break; every test here
+but the two meta-tests is in exactly one of the two tables.
 """
 
 import json
 import random
 import re
 import sys
+import types
 from collections import Counter
 from fractions import Fraction as F
 
@@ -165,42 +167,11 @@ def test_pruefer_class_product_builds_no_tuple(monkeypatch):
     drawn = [P.IdealTuple(tuple(S.random_cut(rng, g) for g in model.valuations))
              for _ in range(4)]
     seeds = [adapter.class_of(a) for a in drawn]
-    built = counted_calls(monkeypatch, P.IdealTuple, "__init__")
+    built = counted_calls(monkeypatch, P.IdealTuple, "__new__")
     closure = SG.sample_closure(adapter, seeds, 256)
     assert closure.saturated and len(closure.dictionary) > 1
     assert SG.cross_check(closure, adapter).passed
     assert built == [], len(built)
-
-
-def test_an_adapter_multiplies_each_component_pair_once(monkeypatch):
-    # `PrueferClassModel.mul` keeps each component product in a table of
-    # its own, so the kernel sees each (component, u, v) once, in the
-    # order the oracle first asks for it.  When every product mapped
-    # `cuts.class_mul` over the components, it saw each once per ask.
-    kind, model = load_model(SPEC)
-    adapter = P.PrueferClassModel(model, P.tuple_to_json)
-    rng = random.Random(1)
-    seeds = [adapter.class_of(P.IdealTuple(tuple(S.random_cut(rng, g) for g in model.valuations)))
-             for _ in range(4)]
-    asked = counted_calls(monkeypatch, P.PrueferClassModel, "mul")
-    products = counted_calls(monkeypatch, C, "class_mul")
-    closure = SG.sample_closure(adapter, seeds, 256)
-    assert closure.saturated and SG.cross_check(closure, adapter).passed
-    monkeypatch.undo()
-
-    component = {id(g): i for i, g in enumerate(model.valuations)}
-    assert len(component) == model.k
-    pairs = [(i, u, v) for _, x, y in asked for i, (u, v) in enumerate(zip(x, y))]
-    assert len(set(pairs)) < len(pairs)  # the table has something to save
-    assert [(component[id(g)], u, v) for g, u, v in products] == list(dict.fromkeys(pairs))
-
-
-class CountedModel(C.ValuationClassModel):
-    calls = 0
-
-    def mul(self, x, y):
-        self.calls += 1
-        return super().mul(x, y)
 
 
 def oracle_closure_seeds(model) -> list:
@@ -211,12 +182,14 @@ def oracle_closure_seeds(model) -> list:
     return [model.class_of(c) for c in seeds]
 
 
-def test_large_closure_checks_associativity_on_few_generators():
-    model = CountedModel(value_group_from_json([{"Zloc": [2]}]))
-    closure = SG.sample_closure(model, oracle_closure_seeds(model), 256)
+def test_large_closure_checks_associativity_on_few_generators(monkeypatch):
+    model = C.ValuationClassModel(value_group_from_json([{"Zloc": [2]}]))
+    seeds = oracle_closure_seeds(model)
+    products = counted_calls(monkeypatch, C.ValuationClassModel, "mul")
+    closure = SG.sample_closure(model, seeds, 256)
     m = len(closure.dictionary)
     assert closure.saturated and m == 106
-    assert model.calls == m * m
+    assert len(products) == m * m
     # Light's test compares g * m^2 triples for g generators; for m >= 104,
     # g <= 4 keeps a check at or below 1/26 of the m^3 sweep.
     s = closure.semigroup
@@ -519,41 +492,6 @@ def test_a_repeated_failing_cut_fails_every_sample_that_draws_it(monkeypatch):
         assert closed.count((target, level)) == runs
 
 
-def counted_zero_terms(monkeypatch) -> Counter:
-    """Make the kernel's zero (`cuts._ZERO`, which ring and prime cuts hold
-    and `mul`, `quotient` and `translate` skip by identity) an int that
-    counts, by operator name, each sum, difference or negation it enters,
-    until `monkeypatch.undo()`.  An int 0 adds in C, so without this a
-    term that should have been skipped runs uncounted."""
-    counts = Counter()
-
-    def counted(name):
-        real = getattr(int, name)
-
-        def op(*args):
-            counts[name] += 1
-            return real(*args)
-        return op
-    zero = type("CountedZero", (int,), {name: counted(name) for name in
-                                        ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__")})
-    monkeypatch.setattr(C, "_ZERO", zero(0))
-    return counts
-
-
-def test_idempotent_build_is_linear_in_the_rank(monkeypatch):
-    # Ring and prime cuts have all-zero boundaries, so building and
-    # checking the idempotents of 200 Q levels evaluates no zero term at
-    # all.  When every product and residual summed its zero coordinates,
-    # the build took 40 200 additions and as many subtractions: O(rank^2).
-    g = value_group_from_json(["Q"] * 200)
-    terms = counted_zero_terms(monkeypatch)
-    forms = len(C.idempotents(g))
-    monkeypatch.undo()
-
-    assert forms == 400
-    assert terms.total() == 0, terms
-
-
 # `Fraction` operators the box oracle used to run per point: sums of
 # coordinates, lex comparisons, sorting and hashing the point set, and
 # `cuts.member` on `Fraction` tuples.
@@ -635,9 +573,17 @@ VERIFY_FRACTION_BOOLS_UNCACHED = 1398
 VERIFY_PLAIN_FRACTION_CALLS_BEFORE = 3596
 VERIFY_PLAIN_FRACTIONS_BUILT_BEFORE = 1214
 # When the class adapters built each class's rep to classify it, the
-# semigroup cross-checks built 751 rationals.
-VERIFY_FRACTION_CALLS = 1860
-VERIFY_FRACTIONS_BUILT = 749
+# semigroup cross-checks built 751 rationals.  When `mul`, `quotient` and
+# `translate` skipped each zero term, told by identity, and `quotient`
+# negated where it subtracted from 0: 1 860 calls and 749 rationals built.
+# Every term runs now: `Rat + 0` runs `Rat.__add__`, and 0 - y runs
+# `__rsub__` where `__neg__` ran (276 calls each way).  The skip's own
+# per-coordinate tests were bytecode, never counted here, and `verify`
+# takes no longer end to end without them.
+VERIFY_ZERO_SKIP_CALLS = 1860
+VERIFY_ZERO_SKIP_FRACTIONS_BUILT = 749
+VERIFY_FRACTION_CALLS = 2250
+VERIFY_FRACTIONS_BUILT = 849
 
 
 def test_verify_runs_integral_coordinates_as_ints(monkeypatch):
@@ -651,9 +597,10 @@ def test_verify_runs_integral_coordinates_as_ints(monkeypatch):
     built = calls.pop("__new__")
 
     assert report["passed"]
-    # Each history figure above is below the one before it:
-    # VERIFY_PLAIN_FRACTION_CALLS_BEFORE < VERIFY_FRACTION_CALLS_UNCACHED
-    # < VERIFY_FRACTION_CALLS_BEFORE, and likewise for the rationals built.
+    # Each history figure above but the zero-skip one is below the one
+    # before it: VERIFY_PLAIN_FRACTION_CALLS_BEFORE <
+    # VERIFY_FRACTION_CALLS_UNCACHED < VERIFY_FRACTION_CALLS_BEFORE, and
+    # likewise for the rationals built.
     assert calls.total() == VERIFY_FRACTION_CALLS < VERIFY_PLAIN_FRACTION_CALLS_BEFORE, calls
     assert built == VERIFY_FRACTIONS_BUILT < VERIFY_PLAIN_FRACTIONS_BUILT_BEFORE, built
     assert calls["__bool__"] == 0 < VERIFY_FRACTION_BOOLS_UNCACHED, calls
@@ -797,10 +744,101 @@ def _classify_reads_rep(real):
     return lambda g, a: real(g, a.rep if type(a) is C.CutClass else a)
 
 
+def _class_mul_through_coset_rep(real):
+    # Each class product is reduced again through `cuts._coset_rep`.
+    def class_mul(g, x, y):
+        z = real(g, x, y)
+        C._coset_rep(g.components[z.level - 1], z.n, z.d)
+        return z
+    return class_mul
+
+
+def _group_builds_table(real):
+    # Each constituent group is relabelled into a table of its own.
+    def constituent_group(s, e):
+        SG.FiniteCommSemigroup(s.table)
+        return real(s, e)
+    return constituent_group
+
+
+def _mul_normalizes(real):
+    # `mul` normalises the product it builds canonical.
+    return lambda g, a, b: C.normalize(g, real(g, a, b))
+
+
+def _product_through_tuples(real):
+    # A Pruefer class product goes through the rep tuples.
+    def mul(self, x, y):
+        P.tuple_of_class(x), P.tuple_of_class(y)
+        return real(self, x, y)
+    return mul
+
+
+def _no_draw_kept(real):
+    # A window builds each draw afresh.
+    def __missing__(self, name):
+        c = real(self, name)
+        del self[name]
+        return c
+    return __missing__
+
+
+def _checks_uncached(real):
+    # The checks keep no per-input cache.
+    return types.SimpleNamespace(cache=lambda f: f)
+
+
+def _closure_builds_overring(real):
+    # `t_closure_over` builds the overring's truncated tower.
+    def t_closure_over(g, level, a):
+        G.ValueGroup(g.components[:level])
+        return real(g, level, a)
+    return t_closure_over
+
+
+def _fraction_lattice(real):
+    # The box oracle's lattice coordinates are `Fraction`s.
+    return lambda q, s: F(real(q, s))
+
+
+def _fraction_sums(real):
+    # A `Rat` sum goes through `Fraction`'s own arithmetic.
+    return lambda na, da, nb, db: C.Rat(F(na, da) + F(nb, db))
+
+
+def _integral_literals_as_fractions(real):
+    # A literal's coordinates are read as `Fraction`s, integral ones too.
+    return lambda c: F(real(c))
+
+
+def _every_index_a_generator(real):
+    # Light's test runs on every element: the m^3 sweep.
+    return lambda table: list(range(len(table)))
+
+
 # budget test -> the regression that undoes the saving it pins: (module
-# that defines it, name there, wrapper of the real object), planted as
-# `tests/test_kills.py` plants its faults.
+# or class that defines it, name there, wrapper of the real object),
+# planted as `tests/test_kills.py` plants its faults.
 REGRESSIONS = {
+    test_verify_pruefer_stays_within_operation_budget: (C, "mul", _mul_normalizes),
+    test_pruefer_class_product_builds_no_tuple:
+        (P.PrueferClassModel, "mul", _product_through_tuples),
+    test_large_closure_checks_associativity_on_few_generators:
+        (SG, "_generators", _every_index_a_generator),
+    test_cross_check_builds_no_table: (SG, "constituent_group", _group_builds_table),
+    test_cross_check_reads_idempotents_off_classification:
+        (C, "classify_idempotent", _classify_reads_rep),
+    test_closure_keys_classes_by_integers: (C, "class_mul", _class_mul_through_coset_rep),
+    test_each_distinct_draw_is_built_once: (S._Window, "__missing__", _no_draw_kept),
+    test_each_distinct_sampled_input_is_audited_once: (checks, "functools", _checks_uncached),
+    test_verify_on_a_valuation_builds_no_value_group:
+        (C, "t_closure_over", _closure_builds_overring),
+    test_a_repeated_failing_cut_fails_every_sample_that_draws_it:
+        (checks, "functools", _checks_uncached),
+    test_box_checks_compare_integers_not_fractions: (B, "_scaled", _fraction_lattice),
+    test_verify_runs_integral_coordinates_as_ints: (C, "_sum", _fraction_sums),
+    test_regularity_audit_of_an_integral_cut_runs_no_fraction_operation:
+        (C, "_coordinate", _integral_literals_as_fractions),
     test_classify_reads_plain_literals_by_integer_arithmetic: (C, "_PLAIN", _plain_never_matches),
     test_classify_builds_each_idempotent_once:
         (P, "classify_idempotent", _classify_rebuilds_witness),
@@ -809,9 +847,31 @@ REGRESSIONS = {
 }
 
 
+# budget test -> why no regression can break it.  Every budget above has
+# one, so this is empty; a budget that pins what no code change can undo
+# is named here instead, with the reason.
+UNPLANTED = {}
+
+META_TESTS = ("test_each_budget_fails_under_its_regression",
+              "test_every_budget_is_planted_or_excused")
+
+
 @pytest.mark.parametrize("budget", REGRESSIONS, ids=lambda budget: budget.__name__)
 def test_each_budget_fails_under_its_regression(budget, monkeypatch):
     module, name, wrap = REGRESSIONS[budget]
     monkeypatch.setattr(module, name, wrap(getattr(module, name)))
     with pytest.raises(AssertionError):
         budget(monkeypatch)
+
+
+def test_every_budget_is_planted_or_excused():
+    budgets = {name: f for name, f in globals().items()
+               if name.startswith("test_") and name not in META_TESTS}
+    entries = [*REGRESSIONS, *UNPLANTED]
+    gone = [t.__name__ for t in entries if budgets.get(t.__name__) is not t]
+    assert not gone, f"entries that name no budget test of this module: {gone}"
+    listed = Counter(t.__name__ for t in entries)
+    missing = sorted(budgets.keys() - listed.keys())
+    twice = sorted(name for name, n in listed.items() if n > 1)
+    assert not missing, f"budgets with neither a regression nor a reason: {missing}"
+    assert not twice, f"budgets in both REGRESSIONS and UNPLANTED: {twice}"

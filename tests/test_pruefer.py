@@ -331,9 +331,9 @@ def test_pruefer_class_model_adapter(rng):
 
 
 def test_a_product_fault_planted_between_commands_is_caught(monkeypatch):
-    # Each command's adapter keeps its own product table, so a side-rule
-    # fault planted after a clean command reaches the next command's
-    # Cayley-table oracle; only that oracle catches this fault on this spec.
+    # No class product outlives its command, so a side-rule fault planted
+    # after a clean command reaches the next command's Cayley-table
+    # oracle; only that oracle catches this fault on this spec.
     kind, model = load_model(json.dumps({"kind": "pruefer_fc", "valuations": [["Z"], ["Z", "Q"]]}))
     assert cmd_verify(kind, model, 10, 1, None)["passed"]
     side = C._product_side
