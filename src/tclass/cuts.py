@@ -52,10 +52,11 @@ once for all of them.  A failed audit raises InternalInconsistencyError.
 
 A class modulo principal ideals (`CutClass`) is its integer key: level,
 side, and the numerator and denominator of the top coordinate reduced mod
-its component.  `class_of` builds one from a cut; `class_mul`, the one
-class product (for the class models and the exact sequence's group law
-alike), works on the keys alone with `mul`'s own side rule, so the
-Cayley-table oracle builds no `Cut` or `Fraction` and calls no `_coset_rep`.
+its component.  `class_of` builds one from a cut; `class_row`, the one
+class product, multiplies one class by a row of classes on the keys alone
+with `mul`'s own side rule, so the Cayley-table oracle builds no `Cut` or
+`Fraction` and calls no `_coset_rep`.  The class models multiply by whole
+rows; the exact sequence's group law is `class_mul`, a one-element row.
 
 The value types (`Cut`, `OverringSpec`, `IdempotentForm`,
 `RegularityWitness`, `CutClass` and `pruefer.IdealTuple`) are
@@ -329,7 +330,7 @@ def mul(g: ValueGroup, a: Cut, b: Cut) -> Cut:
 
 
 def _product_side(a_level: int, a_side: str, b_level: int, b_side: str) -> str:
-    # `mul`'s side rule, shared with `class_mul`: open iff the levels agree
+    # `mul`'s side rule, shared with `class_row`: open iff the levels agree
     # and either side is open; a lower-level operand keeps its own side.
     if a_level == b_level:
         return OPEN if a_side == OPEN or b_side == OPEN else CLOSED
@@ -588,26 +589,43 @@ def class_of(g: ValueGroup, a: Cut) -> CutClass:
                          + _coset_rep(g.components[level - 1], top.numerator, top.denominator))
 
 
-def class_mul(g: ValueGroup, x: CutClass, y: CutClass) -> CutClass:
-    """The class t-product: the class of the product of the reps, with no
-    `t_closure` since every ideal of a valuation domain is a t-ideal.  On a
-    constituent group it is the group's law.
+def class_row(g: ValueGroup, x: CutClass, ys) -> list[CutClass]:
+    """The class t-products x * y for every y of `ys`, in order: the class
+    of the product of the reps, with no `t_closure` since every ideal of a
+    valuation domain is a t-ideal.  On a constituent group it is the
+    group's law.  This is the one statement of the class product;
+    `class_mul` is its one-element row.
 
     It works on the keys alone, by `mul`'s rule: the reps are zero below
     their tops, so unequal levels give the shallower class, and equal ones
     the sum of the tops, n/d with d = x_d * y_d.  `class_of` divides the
     localized primes out of every key's denominator (a Q key is 0/1), so d
-    is free of them too, and the sum's class is (n mod d)/d in lowest terms."""
+    is free of them too, and the sum's class is (n mod d)/d in lowest terms.
+    At x's level the side depends only on y's side, so `_product_side` is
+    asked once per distinct y side there, and once per product elsewhere."""
     x_level, x_side, x_n, x_d = x
-    y_level, y_side, y_n, y_d = y
-    side = _product_side(x_level, x_side, y_level, y_side)
-    if x_level != y_level:
-        level, _, n, d = x if x_level < y_level else y
-        return tuple.__new__(CutClass, (level, side, n, d))
-    d = x_d * y_d
-    n = (x_n * y_d + y_n * x_d) % d
-    common = math.gcd(n, d)
-    return tuple.__new__(CutClass, (x_level, side, n // common, d // common))
+    sides = {}  # y's side -> the product's side, at x's level
+    out = []
+    append, new, gcd = out.append, tuple.__new__, math.gcd
+    for y in ys:
+        y_level, y_side, y_n, y_d = y
+        if y_level != x_level:
+            level, _, n, d = x if x_level < y_level else y
+            append(new(CutClass, (level, _product_side(x_level, x_side, y_level, y_side), n, d)))
+            continue
+        side = sides.get(y_side)
+        if side is None:
+            side = sides[y_side] = _product_side(x_level, x_side, y_level, y_side)
+        d = x_d * y_d
+        n = (x_n * y_d + y_n * x_d) % d
+        common = gcd(n, d)
+        append(new(CutClass, (x_level, side, n // common, d // common)))
+    return out
+
+
+def class_mul(g: ValueGroup, x: CutClass, y: CutClass) -> CutClass:
+    """The class t-product of two classes: `class_row`'s one-element row."""
+    return class_row(g, x, (y,))[0]
 
 
 def idempotents(g: ValueGroup) -> list[tuple[IdempotentForm, Cut, Cut]]:
@@ -733,8 +751,8 @@ class ValuationClassModel:
     def class_of(self, a: Cut) -> CutClass:
         return class_of(self.group, a)
 
-    def mul(self, x: CutClass, y: CutClass) -> CutClass:
-        return class_mul(self.group, x, y)
+    def row(self, x: CutClass, ys) -> list[CutClass]:
+        return class_row(self.group, x, ys)
 
     def idempotent_of(self, x: CutClass) -> CutClass:
         g, form = self.group, classify_idempotent(self.group, x)

@@ -6,11 +6,11 @@ ideal arithmetic is componentwise on value-set cuts, and every value tuple
 is realized by a field element, so a tuple is principal exactly when each
 component cut is.  So a class modulo principal tuples is the plain tuple
 of its component `cuts.CutClass`es, each an integer key, and the class
-product is `cuts.class_mul` on those keys, component by component.  Classification lands on the same
-two-branch picture as the single valuation case, and the decomposition of
-a constituent group is an exact sequence: the class group of the
-stabilizer overring injects, the componentwise localization classes
-project out.
+product is `cuts.class_row` on those keys, component by component.
+Classification lands on the same two-branch picture as the single
+valuation case, and the decomposition of a constituent group is an exact
+sequence: the class group of the stabilizer overring injects, the
+componentwise localization classes project out.
 """
 
 from __future__ import annotations
@@ -146,6 +146,12 @@ def group_membership(model: PrueferModel, a: IdealTuple,
 
 # === the exact sequence 0 -> Cl(T) -> G -> prod of localized groups -> 0 ===
 
+@functools.cache
+def _local(form: IdempotentForm) -> tuple[int, ...]:
+    """The form's side-open components in order, sorted once per form."""
+    return tuple(sorted(form.open_components))
+
+
 def psi_localize(model: PrueferModel, a: IdealTuple, form: IdempotentForm) -> tuple[CutClass, ...]:
     """Project a group member to its localization classes, one per side-open
     component.  The localization's value group is G_i truncated at the
@@ -165,7 +171,7 @@ def psi_localize(model: PrueferModel, a: IdealTuple, form: IdempotentForm) -> tu
     `cuts.idempotents`, in `idempotent_uniqueness`."""
     if classify_idempotent(model, a) != form:
         raise NotInGroupError("tuple class lies outside the constituent group")
-    local = sorted(form.open_components)
+    local = _local(form)
     return tuple(map(C.class_of, map(model.valuations.__getitem__, local),
                      map(a.cuts.__getitem__, local)))
 
@@ -205,8 +211,8 @@ def tuple_from_json(model: PrueferModel, data) -> IdealTuple:
 
 
 class PrueferClassModel:
-    """Duck-typed handle the semigroup oracle multiplies through: the
-    product is `cuts.class_mul`, component by component, and
+    """Duck-typed handle the semigroup oracle multiplies through: a row of
+    products is `cuts.class_row`, component by component, and
     `describe` names a class by the literal `write` gives its rep tuple.
 
     The adapter lives for one command and builds each form's idempotent
@@ -220,8 +226,10 @@ class PrueferClassModel:
     def class_of(self, a: IdealTuple) -> tuple[CutClass, ...]:
         return class_of(self.model, a)
 
-    def mul(self, x: tuple[CutClass, ...], y: tuple[CutClass, ...]) -> tuple[CutClass, ...]:
-        return tuple(map(C.class_mul, self.model.valuations, x, y))
+    def row(self, x: tuple[CutClass, ...], ys) -> list[tuple[CutClass, ...]]:
+        # One `class_row` per component over that component's column of
+        # `ys`, and the columns zipped back into class tuples.
+        return list(zip(*map(C.class_row, self.model.valuations, x, zip(*ys))))
 
     def idempotent_of(self, x: tuple[CutClass, ...]) -> tuple[CutClass, ...]:
         # Component by component, through the product form and `_split`,

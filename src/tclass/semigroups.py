@@ -5,7 +5,8 @@ sampled ideal classes, verified once as commutative and associative when
 built, then analyzed purely by the definitions (idempotents, Clifford
 regularity, constituent groups) with exhaustive search.  Nothing
 here imports the exact models; they are reached only through a duck-typed
-handle of three methods: `mul`, the product the table comes from;
+handle of three methods: `row(x, ys)`, the products x * y for every y
+of `ys` in order, from which the table comes;
 `idempotent_of`, the model's own classification and its side of every
 comparison; `describe`, a class's name in a mismatch.  Callers build
 seeds with `class_of`.  The two sides can disagree, and that means a bug.
@@ -14,7 +15,6 @@ seeds with `class_of`.  The two sides can disagree, and that means a bug.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 from operator import itemgetter
 
 ASSOC_CAP = 512
@@ -170,10 +170,14 @@ def sample_closure(model, seeds, budget: int) -> SampleClosure:
     pair.  A lower-triangle product that is no class of the closure fails
     that check here, with `MalformedTableError`.
 
-    Each product is one `model.mul` and one index lookup, and both class
-    handles multiply through `cuts.class_mul` on the classes' integer keys
-    alone (the Pruefer one component by component): a closure builds no
-    `Cut`, `Fraction` or ideal tuple, and calls no `cuts._coset_rep`."""
+    The products come one row at a time: `model.row(x, ys)` multiplies x
+    by every class of `ys`, once per (element, pass) while the closure
+    grows and once per element, by the classes before it, for the lower
+    triangle.  Each pair is thus multiplied in two calls with its operands
+    swapped.  Both class handles multiply through `cuts.class_row` on the
+    classes' integer keys alone (the Pruefer one component by component):
+    a closure builds no `Cut`, `Fraction` or ideal tuple, and calls no
+    `cuts._coset_rep`."""
     elems: list = []
     index: dict = {}
     for x in seeds:
@@ -182,7 +186,7 @@ def sample_closure(model, seeds, budget: int) -> SampleClosure:
             elems.append(x)
     if len(elems) > budget:
         raise ValueError("budget smaller than the seed set")
-    mul, find = model.mul, index.get
+    row, find = model.row, index.get
     upper: list = []  # upper[i][j - i] is the index of elems[i] * elems[j], j >= i
     saturated = True
     done = 0  # elems[:done] have all their products with each other recorded
@@ -194,17 +198,17 @@ def sample_closure(model, seeds, budget: int) -> SampleClosure:
         snapshot = len(elems)
         upper.extend([] for _ in range(done, snapshot))
         for i in range(snapshot):
-            x, row = elems[i], upper[i]
-            for y in elems[max(i, done):snapshot]:
-                p = mul(x, y)
-                ip = find(p)
+            products, indices = row(elems[i], elems[max(i, done):snapshot]), upper[i]
+            # `map` finds each product only when the loop reaches it, so a
+            # class that an earlier product of the row added is found.
+            for p, ip in zip(products, map(find, products)):
                 if ip is None:
                     if len(elems) >= budget:
                         saturated = False
                         break
                     ip = index[p] = len(elems)
                     elems.append(p)
-                row.append(ip)
+                indices.append(ip)
             if not saturated:
                 break
         done = snapshot
@@ -212,7 +216,7 @@ def sample_closure(model, seeds, budget: int) -> SampleClosure:
     if saturated:
         rows = []
         for i, x in enumerate(elems):
-            lower = list(map(find, map(mul, repeat(x), elems[:i])))
+            lower = list(map(find, row(x, elems[:i])))
             if None in lower:
                 # elems[j] * elems[i] is in the closure, so a product outside
                 # it can only mean the two orders disagree

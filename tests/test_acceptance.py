@@ -81,9 +81,9 @@ def test_criterion_2_dense_rank_one(capsys):
     third = C.class_of(m.base, Cut(1, (F(1, 3),), OPEN))
     two_thirds = C.class_of(m.base, Cut(1, (F(2, 3),), OPEN))
     identity = C.class_of(m.base, Cut(1, (F(0),), OPEN))
-    if pm.mul(third, two_thirds) != identity:
+    if pm.row(third, [two_thirds]) != [identity]:
         failures.append("1/3 * 2/3 missed the identity class")
-    if pm.mul(identity, identity) != identity:
+    if pm.row(identity, [identity]) != [identity]:
         failures.append("identity class not idempotent")
     if pm.idempotent_of(third) != identity:
         failures.append("1/3 class not attached to the max-class idempotent")

@@ -71,7 +71,7 @@ ONE_VALUED = {
 # `pruefer.PrueferClassModel`).
 PROTOCOL = {
     "class_of": "checks.semigroup_cross_check",
-    "mul": "semigroups.sample_closure",
+    "row": "semigroups.sample_closure",
     "idempotent_of": "semigroups.cross_check",
     "describe": "semigroups.cross_check",
 }

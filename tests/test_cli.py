@@ -635,7 +635,7 @@ def plant_deeper_side_mul(monkeypatch):
 
 
 def test_rejected_closure_table_fails_the_cross_check(tmp_path, monkeypatch):
-    # A wrong side rule, shared by `mul` and `class_mul`, makes the sampled
+    # A wrong side rule, shared by `mul` and `class_row`, makes the sampled
     # closure non-associative; the oracle's rejection is a failure that
     # names the seed ideals by literals.
     plant_deeper_side_mul(monkeypatch)
@@ -655,8 +655,8 @@ def test_lower_product_outside_the_closure_fails_the_cross_check(tmp_path, monke
     # A stand-in adapter whose y * x, for x < y, leaves the closure: the
     # closure reports it as a failed check, not a KeyError traceback.
     monkeypatch.setattr(P.PrueferClassModel, "class_of", lambda self, a: 1)
-    monkeypatch.setattr(P.PrueferClassModel, "mul",
-                        lambda self, x, y: min(x + y, 4) if x <= y else 99)
+    monkeypatch.setattr(P.PrueferClassModel, "row",
+                        lambda self, x, ys: [min(x + y, 4) if x <= y else 99 for y in ys])
     spec = write(tmp_path, "spec.json",
                  {"kind": "pruefer_fc", "valuations": [[{"Zloc": [2]}], ["Z", "Q"]]})
     out = tmp_path / "report.json"
@@ -759,7 +759,8 @@ def test_fixture_that_is_not_clifford_fails_verify(tmp_path):
 
 def test_closure_that_never_saturates_fails_verify(tmp_path, monkeypatch):
     # A class product whose top drifts makes a new class of every product.
-    monkeypatch.setattr(cuts, "class_mul", lambda g, x, y: x._replace(n=x.n + y.n + 1))
+    monkeypatch.setattr(cuts, "class_row",
+                        lambda g, x, ys: [x._replace(n=x.n + y.n + 1) for y in ys])
     assert failures_of(tmp_path, DYADIC, "semigroup_cross_check") == [
         "sampled closure did not saturate within budget 256"] * 3
 

@@ -632,20 +632,29 @@ KEY_DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 15, 35)
 
 @pytest.mark.parametrize("name", sorted(CLASS_MUL_GROUPS))
 def test_class_mul_on_keys_is_the_class_of_the_product(name):
-    # `class_mul` reduces a sum of tops by n mod d alone, trusting that
+    # `class_row` reduces a sum of tops by n mod d alone, trusting that
     # `class_of` left every key's denominator free of the localized
-    # primes; here every pair of keys from a window of cuts (each level,
-    # tops n/d with |n| <= 40, both sides) is multiplied through the cuts
-    # themselves and classified afresh.
+    # primes, and asks the side rule once per distinct side at x's level;
+    # here every key x of a window of cuts (each level, tops n/d with
+    # |n| <= 40, both sides) is multiplied by the whole window, in a
+    # seeded order that mixes levels and sides, and each product is
+    # checked against the cuts' own product classified afresh.
+    # `class_mul` is the one-element row.
     g = CLASS_MUL_GROUPS[name]
     keys = {C.class_of(g, C.normalize(g, Cut(level, (0,) * (level - 1) + (F(n, d),), side)))
             for level in range(1, g.rank + 1) for n in range(-40, 41)
             for d in KEY_DENOMINATORS for side in (CLOSED, OPEN)}
+    ys = sorted(keys)
+    random.Random(name).shuffle(ys)
     levels = set()
-    for x in keys:
-        for y in keys:
-            assert C.class_mul(g, x, y) == C.class_of(g, C.mul(g, x.rep, y.rep)), (x, y)
-            levels.add(x.level == y.level)
+    for x in ys:
+        want = [C.class_of(g, C.mul(g, x.rep, y.rep)) for y in ys]
+        assert C.class_row(g, x, ys) == want, x
+        assert [C.class_mul(g, x, y) for y in ys] == want, x
+        assert C.class_row(g, x, []) == []
+        levels.update(x.level == y.level for y in ys)
+    # Z is discrete, so its open cuts normalise to closed ones.
+    assert {y.side for y in ys} == ({CLOSED} if name == "Z" else {CLOSED, OPEN})
     assert levels == ({True, False} if g.rank > 1 else {True})
 
 
@@ -904,9 +913,9 @@ def test_valuation_class_model_adapter(rng):
     model = C.ValuationClassModel(DY)
     x = model.class_of(Cut(1, (F(1, 3),), OPEN))
     y = model.class_of(Cut(1, (F(2, 3),), OPEN))
-    prod = model.mul(x, y)
+    [prod] = model.row(x, [y])
     assert prod == model.class_of(Cut(1, (F(0),), OPEN))
-    assert model.mul(prod, prod) == prod
+    assert model.row(prod, [prod, x]) == [prod, x]
     assert model.idempotent_of(x) == prod
     # `describe` names a class by the literal `classify` reads back.
     assert C.cut_from_json(DY, json.loads(model.describe(x))) == x.rep

@@ -60,7 +60,7 @@ def _residual_negated(real):
 
 def _side_deeper(real):
     # `mul`'s side rule takes the deeper operand's side instead of the
-    # shallower one's, in `mul` and `class_mul` alike.
+    # shallower one's, in `mul` and `class_row` alike.
     def product_side(a_level, a_side, b_level, b_side):
         if a_level == b_level:
             return real(a_level, a_side, b_level, b_side)

@@ -4,8 +4,9 @@ Counts depend only on the spec, the sample count and the seed, never on
 the host, so a regression in how often the cut kernel rebuilds cuts,
 normalises cuts that are already canonical, re-runs the constituent-group
 audit, rebuilds a witness idempotent or a stabilizer, in how often the
-Cayley-table oracle multiplies a pair, in how many triples its
-associativity check reads, in how often a check re-audits an input it has
+Cayley-table oracle multiplies a pair or asks `mul`'s side rule, in how
+many triples its associativity check reads, in how often a check
+re-audits an input it has
 already audited, in how many rational operations (`Fraction`'s and the
 kernel's `Rat`'s) the box oracle runs per cut pair and `verify` runs now
 that integral coordinates are ints, in how many value groups `verify`
@@ -85,8 +86,7 @@ NORMALIZE_CALLS = 90
 
 def test_verify_pruefer_stays_within_operation_budget(monkeypatch):
     counts = {"cuts": 0, "memberships": 0, "normalize": 0, "normalize in draws": 0,
-              "group_cuts": 0, "idempotent_cuts": 0, "is_idempotent": 0, "stabilizers": 0,
-              "model_mul": 0}
+              "group_cuts": 0, "idempotent_cuts": 0, "is_idempotent": 0, "stabilizers": 0}
     closures = []
     drawing = [0]  # `sampling.group_cut` frames on the stack
 
@@ -120,8 +120,7 @@ def test_verify_pruefer_stays_within_operation_budget(monkeypatch):
     monkeypatch.setattr(C, "idempotent_cut", counted("idempotent_cuts", C.idempotent_cut))
     monkeypatch.setattr(C, "is_idempotent", counted("is_idempotent", C.is_idempotent))
     monkeypatch.setattr(C, "stabilizer", counted("stabilizers", C.stabilizer))
-    monkeypatch.setattr(P.PrueferClassModel, "mul",
-                        counted("model_mul", P.PrueferClassModel.mul))
+    rows = counted_calls(monkeypatch, P.PrueferClassModel, "row")
     monkeypatch.setattr(SG, "sample_closure", recorded_closure)
     monkeypatch.setattr(S, "group_cut", counted("group_cuts", drawn))
     kind, model = load_model(SPEC)
@@ -147,12 +146,13 @@ def test_verify_pruefer_stays_within_operation_budget(monkeypatch):
     # One stabilizer per idempotent, per regularity audit (the 6 sampled
     # cuts are distinct) and per membership audit.
     assert counts["stabilizers"] == idempotents + 2 * samples * k == 17, counts
-    # Each saturated closure of m classes costs exactly m^2 products: the
-    # upper triangle once while it grows, the lower triangle once for the
-    # commutativity check.
+    # Each saturated closure of m classes costs exactly m^2 products, summed
+    # over the adapter's rows: the upper triangle once while it grows, the
+    # lower triangle once for the commutativity check.
     sizes = [len(c.dictionary) for c in closures]
     assert len(closures) == 3 and all(c.saturated for c in closures), sizes
-    assert counts["model_mul"] == sum(m * m for m in sizes), (counts, sizes)
+    products = sum(len(ys) for _, _, ys in rows)
+    assert products == sum(m * m for m in sizes), (products, sizes)
 
 
 def test_pruefer_class_product_builds_no_tuple(monkeypatch):
@@ -185,11 +185,11 @@ def oracle_closure_seeds(model) -> list:
 def test_large_closure_checks_associativity_on_few_generators(monkeypatch):
     model = C.ValuationClassModel(value_group_from_json([{"Zloc": [2]}]))
     seeds = oracle_closure_seeds(model)
-    products = counted_calls(monkeypatch, C.ValuationClassModel, "mul")
+    rows = counted_calls(monkeypatch, C.ValuationClassModel, "row")
     closure = SG.sample_closure(model, seeds, 256)
     m = len(closure.dictionary)
     assert closure.saturated and m == 106
-    assert len(products) == m * m
+    assert sum(len(ys) for _, _, ys in rows) == m * m
     # Light's test compares g * m^2 triples for g generators; for m >= 104,
     # g <= 4 keeps a check at or below 1/26 of the m^3 sweep.
     s = closure.semigroup
@@ -261,10 +261,36 @@ def test_closure_keys_classes_by_integers(monkeypatch):
     monkeypatch.undo()
 
     assert closure.saturated and len(closure.dictionary) == 106
-    # `cuts.class_mul` multiplies integer keys: no `Cut`, no rational, and
+    # `cuts.class_row` multiplies integer keys: no `Cut`, no rational, and
     # an equal-level sum is reduced by n mod d alone.
     assert (counts["cuts"], counts["class_of"], counts["_coset_rep"],
             rationals["__new__"]) == (0, 0, 0, 0), (counts, rationals)
+
+
+# The same closure when each class product was one `cuts.class_mul` call,
+# which asked `cuts._product_side` for the side of every product: 11 236
+# calls, one per product.
+SIDE_CALLS_PER_PRODUCT = 11_236
+
+
+def test_closure_asks_the_side_rule_once_per_row_side(monkeypatch):
+    # A closure multiplies one class by a row of classes in one
+    # `cuts.class_row` call.  At equal levels a product's side depends on
+    # the row's class and the other's side alone, so the side rule runs
+    # once per distinct side in a row: 449 times for 345 rows here (every
+    # class of Z[1/2] is at level 1, and the ring class is the one closed).
+    model = C.ValuationClassModel(value_group_from_json([{"Zloc": [2]}]))
+    seeds = oracle_closure_seeds(model)
+    rows = counted_calls(monkeypatch, C, "class_row")
+    sides = counted_calls(monkeypatch, C, "_product_side")
+    closure = SG.sample_closure(model, seeds, 256)
+    monkeypatch.undo()
+
+    m = len(closure.dictionary)
+    assert closure.saturated and m == 106
+    assert sum(len(ys) for _, _, ys in rows) == m * m == 11_236
+    assert len(rows) == 345, len(rows)
+    assert len(sides) == 449 < SIDE_CALLS_PER_PRODUCT, len(sides)
 
 
 def counted_calls(monkeypatch, owner, name) -> list:
@@ -744,13 +770,23 @@ def _classify_reads_rep(real):
     return lambda g, a: real(g, a.rep if type(a) is C.CutClass else a)
 
 
-def _class_mul_through_coset_rep(real):
+def _class_row_through_coset_rep(real):
     # Each class product is reduced again through `cuts._coset_rep`.
-    def class_mul(g, x, y):
-        z = real(g, x, y)
-        C._coset_rep(g.components[z.level - 1], z.n, z.d)
-        return z
-    return class_mul
+    def class_row(g, x, ys):
+        zs = real(g, x, ys)
+        for z in zs:
+            C._coset_rep(g.components[z.level - 1], z.n, z.d)
+        return zs
+    return class_row
+
+
+def _side_rule_per_product(real):
+    # The side rule is asked again for every product of a row.
+    def class_row(g, x, ys):
+        for y in ys:
+            C._product_side(x.level, x.side, y.level, y.side)
+        return real(g, x, ys)
+    return class_row
 
 
 def _group_builds_table(real):
@@ -768,10 +804,12 @@ def _mul_normalizes(real):
 
 def _product_through_tuples(real):
     # A Pruefer class product goes through the rep tuples.
-    def mul(self, x, y):
-        P.tuple_of_class(x), P.tuple_of_class(y)
-        return real(self, x, y)
-    return mul
+    def row(self, x, ys):
+        P.tuple_of_class(x)
+        for y in ys:
+            P.tuple_of_class(y)
+        return real(self, x, ys)
+    return row
 
 
 def _no_draw_kept(real):
@@ -822,13 +860,15 @@ def _every_index_a_generator(real):
 REGRESSIONS = {
     test_verify_pruefer_stays_within_operation_budget: (C, "mul", _mul_normalizes),
     test_pruefer_class_product_builds_no_tuple:
-        (P.PrueferClassModel, "mul", _product_through_tuples),
+        (P.PrueferClassModel, "row", _product_through_tuples),
     test_large_closure_checks_associativity_on_few_generators:
         (SG, "_generators", _every_index_a_generator),
     test_cross_check_builds_no_table: (SG, "constituent_group", _group_builds_table),
     test_cross_check_reads_idempotents_off_classification:
         (C, "classify_idempotent", _classify_reads_rep),
-    test_closure_keys_classes_by_integers: (C, "class_mul", _class_mul_through_coset_rep),
+    test_closure_keys_classes_by_integers: (C, "class_row", _class_row_through_coset_rep),
+    test_closure_asks_the_side_rule_once_per_row_side:
+        (C, "class_row", _side_rule_per_product),
     test_each_distinct_draw_is_built_once: (S._Window, "__missing__", _no_draw_kept),
     test_each_distinct_sampled_input_is_audited_once: (checks, "functools", _checks_uncached),
     test_verify_on_a_valuation_builds_no_value_group:

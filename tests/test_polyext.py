@@ -103,10 +103,10 @@ def test_group_law_representable_part():
     third = C.class_of(m.base, Cut(1, (F(1, 3),), OPEN))
     two_thirds = C.class_of(m.base, Cut(1, (F(2, 3),), OPEN))
     identity = C.class_of(m.base, Cut(1, (F(0),), OPEN))
-    assert pm.mul(third, two_thirds) == identity
+    assert pm.row(third, [two_thirds]) == [identity]
     assert pm.idempotent_of(third) == identity
-    assert pm.mul(identity, identity) == identity
-    assert pm.mul(third, third) != third
+    assert pm.row(identity, [identity]) == [identity]
+    assert pm.row(third, [third]) != [third]
 
 
 def test_model_rejects_trivial_base():

@@ -322,10 +322,11 @@ def test_pruefer_class_model_adapter(rng):
     adapter = P.PrueferClassModel(M_DD, P.tuple_to_json)
     a = tup(Cut(1, (F(1, 3),), OPEN), Cut(1, (F(0),), OPEN))
     x = adapter.class_of(a)
-    sq = adapter.mul(x, x)
+    [sq] = adapter.row(x, [x])
     assert sq == adapter.class_of(tup(Cut(1, (F(2, 3),), OPEN), Cut(1, (F(0),), OPEN)))
     j = adapter.idempotent_of(x)
-    assert adapter.mul(j, j) == j
+    assert adapter.row(j, [j, x]) == [j, x]
+    assert adapter.row(x, []) == []
     # classes are named by the literal of their representative tuple
     assert P.tuple_from_json(M_DD, json.loads(adapter.describe(x))) == P.tuple_of_class(x)
 
@@ -363,7 +364,7 @@ def test_class_model_mul_is_the_tuple_product(name, seed):
     model = MODELS[name]
     adapter = P.PrueferClassModel(model, P.tuple_to_json)
     r = random.Random(seed)
-    x, y = (P.class_of(model, random_tuple(r, model)) for _ in range(2))
-    want = P.class_of(model, P.t_closure(model, P.mul(
-        model, P.tuple_of_class(x), P.tuple_of_class(y))))
-    assert adapter.mul(x, y) == want
+    x, *ys = (P.class_of(model, random_tuple(r, model)) for _ in range(4))
+    want = [P.class_of(model, P.t_closure(model, P.mul(
+        model, P.tuple_of_class(x), P.tuple_of_class(y)))) for y in ys]
+    assert adapter.row(x, ys) == want

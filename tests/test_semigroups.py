@@ -397,8 +397,8 @@ class AlwaysNew:
     def __init__(self):
         self.fresh = itertools.count(1)
 
-    def mul(self, x, y):
-        return next(self.fresh)
+    def row(self, x, ys):
+        return [next(self.fresh) for _ in ys]
 
 
 @pytest.mark.parametrize("budget", [1, 2, 5, 40])
@@ -418,8 +418,8 @@ def test_closure_rejects_budget_below_seed_count():
 class LowerTriangleEscapes:
     """A stand-in whose y * x, for x < y, is a class outside the closure."""
 
-    def mul(self, x, y):
-        return min(x + y, 4) if x <= y else 99
+    def row(self, x, ys):
+        return [min(x + y, 4) if x <= y else 99 for y in ys]
 
 
 def test_closure_reports_lower_product_outside_it_as_not_commutative():
@@ -493,7 +493,7 @@ def test_valuation_adapter_is_the_one_component_pruefer_adapter():
     assert len(elems) == 106 and tupled.elements == [(x,) for x in elems]
     assert tupled.semigroup.table == closure.semigroup.table
     for x in elems:
-        assert [(vm.mul(x, y),) for y in elems] == [pm.mul((x,), (y,)) for y in elems]
+        assert [(p,) for p in vm.row(x, elems)] == pm.row((x,), [(y,) for y in elems])
         assert (vm.idempotent_of(x),) == pm.idempotent_of((x,))
         assert vm.describe(x) == pm.describe((x,))
     assert cross_check(closure, vm).passed and cross_check(tupled, pm).passed
