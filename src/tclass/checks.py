@@ -109,16 +109,20 @@ def regularity(m: P.PrueferModel, spec) -> Check:
 
 
 def idempotent_uniqueness(m: P.PrueferModel, spec) -> Check:
-    """Exactly one idempotent admits each sampled tuple, by the residual
-    audit of `group_membership` (once per distinct tuple), and it is the
-    one classification names."""
-    name = _named(spec)
-    idems = functools.cache(lambda: [C.idempotents(g) for g in m.valuations])
-    membership = functools.cache(lambda a: P.group_membership(m, a, idems()))
+    """Exactly one idempotent admits each sampled tuple, the one
+    classification names.  Forms join componentwise and injectively, so each
+    cut is tested: `cuts.group_membership` (audit included) admits its own
+    form alone, once per distinct (component, cut), all before a verdict."""
+    name, gs = _named(spec), m.valuations
+    idems = functools.cache(lambda: [C.idempotents(g) for g in gs])
+
+    @functools.cache
+    def unique(i: int, c: C.Cut) -> bool:
+        return C.group_membership(gs[i], c, idems()[i]) == [C.classify_idempotent(gs[i], c)]
 
     def test(a):
-        unique = membership(a) == [P.classify_idempotent(m, a)]
-        return [] if unique else [f"membership not unique at {name(a)}"]
+        verdicts = list(map(unique, range(m.k), a.cuts))  # every component audited
+        return [] if all(verdicts) else [f"membership not unique at {name(a)}"]
     return Check("idempotent_uniqueness", None, _tuples(m), name, test)
 
 

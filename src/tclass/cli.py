@@ -56,12 +56,21 @@ def _read_text(path: str, what: str) -> str:
         raise UsageError(f"cannot read {what} {path!r}: {e}") from e
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"the JSON constant {name} is not a rational number")
+
+
+# A non-integral JSON number stays text, which `cuts._coordinate` reads as the
+# same spelling quoted, never rounded by a float.  One decoder serves every read.
+_DECODER = json.JSONDecoder(parse_float=str, parse_constant=_refuse_constant)
+
+
 def _read_json(path_or_inline: str, what: str):
     text = path_or_inline
     if not text.lstrip().startswith(("{", "[")):
         text = _read_text(text, what)
     try:
-        return json.loads(text)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as e:
         raise UsageError(f"{what}: line {e.lineno}, column {e.colno}: {e.msg}") from e
     except (ValueError, RecursionError) as e:  # int digit limit, nesting depth

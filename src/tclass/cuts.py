@@ -631,7 +631,7 @@ def class_mul(g: ValueGroup, x: CutClass, y: CutClass) -> CutClass:
 def idempotents(g: ValueGroup) -> list[tuple[IdempotentForm, Cut, Cut]]:
     """(form, J, (J : J)) for each form of `idempotent_forms`, with J the
     form's cut; raises NotIdempotentError when some J is not idempotent.
-    Built once per component and handed to `group_membership`."""
+    Built once per component and check, for each `group_membership` call."""
     out = []
     for form in idempotent_forms(g):
         j = form_cut(g, form)
@@ -665,7 +665,7 @@ def group_membership(g: ValueGroup, L: Cut,
     The audited test: the operative answer keeps the forms whose J is L's
     witness idempotent (I (T:I))_t; the residual-arithmetic answer must
     agree with it, and a divergence is an arithmetic bug worth crashing on.
-    `verify` runs it for every component of each distinct sampled tuple in
+    `verify` runs it once per distinct sampled (component, cut) in
     `idempotent_uniqueness`; `pruefer.psi_localize` decides membership in
     O(1) by classification instead.  L's stabilizer is built once, for the
     witness and the residual audit alike.
@@ -700,8 +700,8 @@ _CUT_KEYS = frozenset({"level", "boundary", "side"})
 
 
 def _coordinate(c) -> int | Rat:
-    if isinstance(c, bool) or not isinstance(c, (int, float, str)):
-        raise MalformedCutError(f"a boundary coordinate is a rational or a string, got {c!r}")
+    if isinstance(c, bool) or not isinstance(c, (int, str)):
+        raise MalformedCutError(f"a boundary coordinate is a JSON number or a string, got {c!r}")
     text = str(c)
     plain = len(text) <= MAX_COORDINATE_CHARS and _PLAIN.fullmatch(text)
     if plain and plain[2] is None:

@@ -129,21 +129,6 @@ def tuple_of_class(x: tuple[CutClass, ...]) -> IdealTuple:
     return IdealTuple(tuple(r.rep for r in x))
 
 
-def group_membership(model: PrueferModel, a: IdealTuple,
-                     idems: list[list[tuple[IdempotentForm, Cut, Cut]]]) -> list[IdempotentForm]:
-    """The forms whose constituent group holds the class of a, the first
-    component varying slowest: the product of the forms
-    `cuts.group_membership` admits per component, audit included, given
-    `idems[i] = cuts.idempotents(valuations[i])`.  Every component is
-    audited, even when an earlier one admits nothing."""
-    _check(model, a)
-    if len(idems) != model.k:
-        raise DomainMismatchError(
-            f"idempotents given for {len(idems)} components, model has {model.k}")
-    per = list(map(C.group_membership, model.valuations, a.cuts, idems))
-    return [_join(picks) for picks in itertools.product(*per)]
-
-
 # === the exact sequence 0 -> Cl(T) -> G -> prod of localized groups -> 0 ===
 
 @functools.cache
@@ -166,8 +151,8 @@ def psi_localize(model: PrueferModel, a: IdealTuple, form: IdempotentForm) -> tu
     unchecked.  No audit runs here.
     The witness (A (T:A))_t is checked in `cuts.is_regular`, which `verify`
     runs once on every distinct sampled cut in `regularity`, and the
-    residual-arithmetic audit of `group_membership` runs once per distinct
-    sampled tuple and component, against idempotents built once by
+    residual-arithmetic audit of `cuts.group_membership` runs once per
+    distinct sampled (component, cut), against idempotents built once by
     `cuts.idempotents`, in `idempotent_uniqueness`."""
     if classify_idempotent(model, a) != form:
         raise NotInGroupError("tuple class lies outside the constituent group")

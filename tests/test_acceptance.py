@@ -146,14 +146,16 @@ def test_criterion_5_idempotent_uniqueness(capsys):
         idems = [C.idempotents(g) for g in m.valuations]
         for _ in range(100):
             a = P.IdealTuple(tuple(random_cut(rng, g) for g in m.valuations))
-            hits = P.group_membership(m, a, idems)
-            if len(hits) != 1:
-                failures.append(f"{a}: {len(hits)} admitting forms")
+            # Componentwise: the tuple admits exactly one form when each
+            # cut admits exactly one, and that form's tuple is their cuts.
+            per = list(map(C.group_membership, m.valuations, a.cuts, idems))
+            if any(len(hits) != 1 for hits in per):
+                failures.append(f"{a}: {[len(hits) for hits in per]} admitting forms")
                 continue
             t = P.IdealTuple(tuple(C.stabilizer(g, c) for g, c in zip(m.valuations, a.cuts)))
             inv = P.IdealTuple(tuple(map(C.quotient, m.valuations, t.cuts, a.cuts)))
             j = P.t_closure(m, P.mul(m, a, inv))
-            if P.form_tuple(m, hits[0]) != j:
+            if P.IdealTuple(tuple(C.form_cut(g, f) for g, (f,) in zip(m.valuations, per))) != j:
                 failures.append(f"{a}: form tuple differs from (I(T:I))_t")
     finish(capsys, 5, "500 samples each admit exactly one idempotent",
            failures, time.perf_counter() - t0)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tclass
 from tclass import checks, cuts, sampling, semigroups
@@ -378,6 +378,81 @@ def test_classify_reads_every_spelling_of_a_coordinate_alike(tmp_path, capsys):
                                     "the literal limits (100 characters, exponent at most 100)")]:
         assert classify(c) == 1
         assert one_error_line(capsys) == f"error: ideal literal: {message}\n"
+
+
+def classify_outcome(spec: str, side: str, coordinate: str) -> tuple:
+    """Exit code, stdout, stderr and `--json` bytes of `classify` on a
+    level-1 literal whose one coordinate is the JSON text `coordinate`."""
+    literal = f'{{"level": 1, "boundary": [{coordinate}], "side": "{side}"}}'
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        report = Path(tmp) / "report.json"
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["classify", spec, "--ideal", literal, "--json", str(report)])
+        body = report.read_bytes() if report.exists() else None
+    return code, out.getvalue(), err.getvalue(), body
+
+
+@st.composite
+def json_numbers(draw) -> str:
+    """A JSON number: an optional minus, an integer part, an optional
+    fraction and an optional exponent; at most 40 digits before the
+    exponent, whose value is within 120 either way, its digits at times
+    zero-padded."""
+    whole = draw(st.from_regex(r"\A(0|[1-9][0-9]{0,39})\Z"))
+    fraction = draw(st.text("0123456789", max_size=40 - len(whole)))
+    text = draw(st.sampled_from(["", "-"])) + whole + ("." + fraction if fraction else "")
+    if draw(st.booleans()):
+        text += (draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+", "-"]))
+                 + draw(st.sampled_from(["", "0", "00"])) + str(draw(st.integers(0, 120))))
+    return text
+
+
+NUMBER_SPECS = [json.dumps({"kind": "valuation", "group": group})
+                for group in (["Z"], ["Q"], [{"Zloc": [3]}])]
+# Numbers a float misread: the first four read as wrong values, and the
+# last was refused naming `inf`, not the literal.
+FLOAT_MISREADS = [(0, "2.9999999999999999"), (1, "123456789.123456789"),
+                  (1, "12345678901234567890.5"), (0, "1e-400"), (0, "1e400")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(NUMBER_SPECS), st.sampled_from(["open", "closed"]), json_numbers())
+@example(NUMBER_SPECS[0], "open", "2.9999999999999999")
+@example(NUMBER_SPECS[1], "open", "123456789.123456789")
+@example(NUMBER_SPECS[1], "open", "12345678901234567890.5")
+@example(NUMBER_SPECS[0], "open", "1e-400")
+@example(NUMBER_SPECS[0], "open", "1e400")
+def test_a_json_number_reads_as_its_string(spec, side, number):
+    # Byte-identical reports, or the same one-line error.
+    got = classify_outcome(spec, side, number)
+    assert got == classify_outcome(spec, side, json.dumps(number))
+    code, _, err, _ = got
+    assert code in (0, 1)
+    assert err.count("\n") == (code == 1), err
+
+
+@pytest.mark.parametrize("spec, number", FLOAT_MISREADS, ids=[n for _, n in FLOAT_MISREADS])
+def test_float_misreads_read_as_strings(spec, number):
+    code, out, err, body = classify_outcome(NUMBER_SPECS[spec], "open", number)
+    if "e" in number:
+        assert (code, out, body) == (1, "", None)
+        assert err == (f"error: ideal literal: boundary coordinate {number!r} exceeds the "
+                       "literal limits (100 characters, exponent at most 100)\n")
+        return
+    assert code == 0
+    want = cuts.Rat(number)
+    if spec == 0:  # over Z an open cut at a non-integer closes at its ceiling
+        want = -(-want.numerator // want.denominator)
+    assert json.loads(body)["ideal"]["boundary"] == [str(want)]
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_json_constants_are_refused_by_name(constant):
+    code, out, err, body = classify_outcome(NUMBER_SPECS[1], "open", constant)
+    assert (code, out, body) == (1, "", None)
+    assert err == f"error: ideal literal: the JSON constant {constant} is not a rational number\n"
+
 
 def test_huge_json_integer_is_usage_error(tmp_path, capsys):
     spec = valuation_spec(tmp_path)
@@ -819,7 +894,7 @@ KIND_CHECKS = {
 # (module, function) -> the checks that call it
 CALLERS = {
     (cuts, "is_regular"): {"regularity"},
-    (P, "group_membership"): {"idempotent_uniqueness"},
+    (cuts, "group_membership"): {"idempotent_uniqueness"},
     (cuts, "t_closure_over"): {"overring_transfer"},
     (P, "psi_localize"): {"exact_sequence"},
     (X, "decompose"): {"classification_consistency", "strongly_discrete_detector"},

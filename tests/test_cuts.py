@@ -796,9 +796,10 @@ REFERENCE_EXPONENT = re.compile(r"[eE][+-]?(\d+(?:_\d+)*)")
 def reference_coordinate(c):
     """The coordinate reader that `cuts._coordinate` must match: the type
     and length checks, then `Rat(text)` behind the exponent check, with no
-    `int` fast path."""
-    if isinstance(c, bool) or not isinstance(c, (int, float, str)):
-        raise C.MalformedCutError(f"a boundary coordinate is a rational or a string, got {c!r}")
+    `int` fast path.  A float is refused: a non-integral JSON number
+    reaches the reader as its text."""
+    if isinstance(c, bool) or not isinstance(c, (int, str)):
+        raise C.MalformedCutError(f"a boundary coordinate is a JSON number or a string, got {c!r}")
     text = str(c)
     exp = REFERENCE_EXPONENT.search(text)
     if len(text) > C.MAX_COORDINATE_CHARS or (exp and int(exp.group(1)) > C.MAX_EXPONENT):

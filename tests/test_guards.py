@@ -13,16 +13,16 @@ ends in exit 2 too; `regularity` lists the guard as a counterexample, and
 the report keeps it when the fault makes a later sample or form raise,
 since every check records any exception as a failure of the trial that
 raised it.  The residual audit of `cuts.group_membership` runs in
-`idempotent_uniqueness`, once per sample and component, against the
-idempotents `cuts.idempotents` builds at the first sample.  The guard of
-`cuts._coset_rep` refuses a class denominator below 1, on which its
-`Zloc` loop would never end.
+`idempotent_uniqueness`, once per distinct sampled (component, cut),
+against the idempotents `cuts.idempotents` builds at the first sample.
+The guard of `cuts._coset_rep` refuses a class denominator below 1, on
+which its `Zloc` loop would never end.
 
 Classification, `psi_localize` and the group operations decide membership
 in O(1) from a canonical cut's level and side, and audit nothing.
 
 The other model errors (`DomainMismatchError`, `NotInGroupError`,
-`NotIdempotentError`) are raised at eight sites, pinned the same way in
+`NotIdempotentError`) are raised at seven sites, pinned the same way in
 `MODEL_ERROR_SITES`, each with a call that trips it there.
 """
 
@@ -149,18 +149,15 @@ MODEL_ERROR_SITES = {
                            lambda mp: P.ring_tuple(MODEL, C.OverringSpec((1,)))),
     "pruefer.form_tuple": (C.DomainMismatchError, "form has 1 components, model has 2",
                            lambda mp: P.form_tuple(MODEL, C.rank1_form(1, False))),
-    "pruefer.group_membership": (
-        C.DomainMismatchError, "idempotents given for 0 components",
-        lambda mp: P.group_membership(MODEL, P.ring_tuple(MODEL, RINGS), [])),
     "pruefer.psi_localize": (
         C.NotInGroupError, "outside the constituent group",
         lambda mp: P.psi_localize(MODEL, P.ring_tuple(MODEL, RINGS), OPEN_FORM)),
 }
 
 
-def test_eight_model_error_sites_each_tripped_below():
+def test_seven_model_error_sites_each_tripped_below():
     sites = model_error_sites()
-    assert len(sites) == 8 and sorted(sites) == sorted(MODEL_ERROR_SITES), sites
+    assert len(sites) == 7 and sorted(sites) == sorted(MODEL_ERROR_SITES), sites
 
 
 @pytest.mark.parametrize("site", sorted(MODEL_ERROR_SITES))
@@ -309,9 +306,11 @@ def test_psi_localize_rejects_tuples_outside_the_group(rng):
     outside = 0
     for _ in range(20):
         a = random_tuple(rng)
-        hits = P.group_membership(MODEL, a, idems)
+        # Componentwise: a lies in a form's group exactly when each cut's
+        # audited membership is that form's component form alone.
+        per = list(map(C.group_membership, MODEL.valuations, a.cuts, idems))
         for form in forms:
-            if form in hits:
+            if per == [[f] for f in P._split(form)]:
                 assert len(P.psi_localize(MODEL, a, form)) == len(form.open_components)
             else:
                 outside += 1

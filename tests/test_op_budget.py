@@ -27,6 +27,7 @@ with the reason, a budget that no regression can break; every test here
 but the two meta-tests is in exactly one of the two tables.
 """
 
+import functools
 import json
 import random
 import re
@@ -216,7 +217,6 @@ def test_cross_check_builds_no_table(monkeypatch):
 # no `Cut`; the form's cut is built once per form and adapter.  When each
 # form's cut was built for every class, the check built 212 `Cut`s, two
 # per class; when the adapter built each class's rep to classify it, 108.
-CROSS_CHECK_CUTS_BEFORE = 634
 CROSS_CHECK_CUTS_WITH_REPS = 108
 
 
@@ -446,6 +446,28 @@ def test_each_distinct_sampled_input_is_audited_once(monkeypatch):
     assert [c for _, c in classified] == list(dict.fromkeys(drawn_coefficients))
 
 
+def test_idempotent_uniqueness_audits_each_component_cut_once(monkeypatch):
+    # On k >= 2 components a cut recurs across distinct tuples.  The audit
+    # is componentwise, so `cuts.group_membership` runs once per distinct
+    # (component, cut), in the order of first draw: 59 calls for the 60
+    # distinct tuples drawn here.  When it ran on every component of each
+    # distinct tuple, it made k calls per tuple: 180.
+    kind, model = load_model(json.dumps({"kind": "pruefer_fc",
+                                         "valuations": [["Z"], [{"Zloc": [3]}], ["Q"]]}))
+    gs, samples = model.valuations, 60
+    audits = counted_calls(monkeypatch, C, "group_membership")
+    check = checks.idempotent_uniqueness(model, KINDS[kind])
+    report = checks._drive(check, samples, random.Random(4))
+    monkeypatch.undo()
+
+    assert report["passed"] and report["instances"] == samples
+    rng = random.Random(4)
+    drawn = [check.draw(rng) for _ in range(samples)]
+    pairs = list(dict.fromkeys((gs[i], c) for a in drawn for i, c in enumerate(a.cuts)))
+    assert [(g, c) for g, c, _ in audits] == pairs, len(audits)
+    assert len(pairs) == 59 < model.k * len(set(drawn)) == 180, len(pairs)
+
+
 def test_verify_on_a_valuation_builds_no_value_group(monkeypatch):
     # `t_closure_over` closes a cut over the overring without building the
     # overring's truncated tower; when it did, this run built 163 groups,
@@ -581,14 +603,12 @@ FRACTION_OPERATORS = FRACTION_DUNDERS + ("__radd__", "__rsub__", "__rmul__", "__
 # `__sub__`, 800 `__hash__`) and 4 240 `Fraction`s built.  An integral
 # coordinate is an `int` now, and two ints add, compare and hash in C.
 VERIFY_FRACTION_CALLS_BEFORE = 13328
-VERIFY_FRACTIONS_BUILT_BEFORE = 4240
 # When every residual subtracted a coordinate from itself (as in (I : I))
 # and `overring_transfer` and `classification_consistency` tested every
 # sample: 4 050 calls (1 398 `__bool__`, 981 `__eq__`, 380 `__sub__`, 221
 # `__hash__`) and 1 404 `Fraction`s built.  x - x is the int 0 now, told by
 # identity, not by truthiness, and the two checks' caches hash their keys.
 VERIFY_FRACTION_CALLS_UNCACHED = 4050
-VERIFY_FRACTIONS_BUILT_UNCACHED = 1404
 VERIFY_FRACTION_BOOLS_UNCACHED = 1398
 # When every non-integral coordinate was a plain `Fraction`: 3 596 calls
 # (1 208 `__bool__`, 796 `__eq__`, 746 `__add__`, 332 `__hash__`, 276
@@ -606,8 +626,6 @@ VERIFY_PLAIN_FRACTIONS_BUILT_BEFORE = 1214
 # `__rsub__` where `__neg__` ran (276 calls each way).  The skip's own
 # per-coordinate tests were bytecode, never counted here, and `verify`
 # takes no longer end to end without them.
-VERIFY_ZERO_SKIP_CALLS = 1860
-VERIFY_ZERO_SKIP_FRACTIONS_BUILT = 749
 VERIFY_FRACTION_CALLS = 2250
 VERIFY_FRACTIONS_BUILT = 849
 
@@ -626,7 +644,7 @@ def test_verify_runs_integral_coordinates_as_ints(monkeypatch):
     # Each history figure above but the zero-skip one is below the one
     # before it: VERIFY_PLAIN_FRACTION_CALLS_BEFORE <
     # VERIFY_FRACTION_CALLS_UNCACHED < VERIFY_FRACTION_CALLS_BEFORE, and
-    # likewise for the rationals built.
+    # likewise for the rationals built (1 214 < 1 404 < 4 240).
     assert calls.total() == VERIFY_FRACTION_CALLS < VERIFY_PLAIN_FRACTION_CALLS_BEFORE, calls
     assert built == VERIFY_FRACTIONS_BUILT < VERIFY_PLAIN_FRACTIONS_BUILT_BEFORE, built
     assert calls["__bool__"] == 0 < VERIFY_FRACTION_BOOLS_UNCACHED, calls
@@ -849,6 +867,23 @@ def _integral_literals_as_fractions(real):
     return lambda c: F(real(c))
 
 
+def _uniqueness_per_tuple(real):
+    # The audit runs on every component of each distinct tuple, as it did
+    # when it was lifted to whole tuples.
+    def idempotent_uniqueness(m, spec):
+        check, gs = real(m, spec), m.valuations
+        idems = [C.idempotents(g) for g in gs]
+
+        @functools.cache
+        def test(a):
+            per = list(map(C.group_membership, gs, a.cuts, idems))
+            if per == [[f] for f in map(C.classify_idempotent, gs, a.cuts)]:
+                return []
+            return [f"membership not unique at {check.label(a)}"]
+        return check._replace(test=test)
+    return idempotent_uniqueness
+
+
 def _every_index_a_generator(real):
     # Light's test runs on every element: the m^3 sweep.
     return lambda table: list(range(len(table)))
@@ -871,6 +906,8 @@ REGRESSIONS = {
         (C, "class_row", _side_rule_per_product),
     test_each_distinct_draw_is_built_once: (S._Window, "__missing__", _no_draw_kept),
     test_each_distinct_sampled_input_is_audited_once: (checks, "functools", _checks_uncached),
+    test_idempotent_uniqueness_audits_each_component_cut_once:
+        (checks, "idempotent_uniqueness", _uniqueness_per_tuple),
     test_verify_on_a_valuation_builds_no_value_group:
         (C, "t_closure_over", _closure_builds_overring),
     test_a_repeated_failing_cut_fails_every_sample_that_draws_it:

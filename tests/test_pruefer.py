@@ -54,7 +54,6 @@ def test_model_requires_at_least_one_valuation():
 
 
 RING_DD = C.IdempotentForm(C.OverringSpec((1, 1)), frozenset())
-IDEMS_DD = [C.idempotents(g) for g in M_DD.valuations]
 
 
 # Each call gets a tuple one cut short of M_DD's two components; zipping it
@@ -62,23 +61,20 @@ IDEMS_DD = [C.idempotents(g) for g in M_DD.valuations]
 @pytest.mark.parametrize("call", [
     lambda a: P.mul(M_DD, a, P.ring_tuple(M_DD, RING_DD.overring)),
     lambda a: P.classify_idempotent(M_DD, a),
-    lambda a: P.group_membership(M_DD, a, IDEMS_DD),
+    lambda a: P.class_of(M_DD, a),
     lambda a: P.psi_localize(M_DD, a, RING_DD),
-], ids=["mul", "classify_idempotent", "group_membership", "psi_localize"])
+], ids=["mul", "classify_idempotent", "class_of", "psi_localize"])
 def test_tuple_arity_checked(call):
     with pytest.raises(C.DomainMismatchError):
         call(tup(Cut(1, (F(0),), CLOSED)))
 
 
 def test_form_arity_checked():
-    # A form or idempotent list one component short would otherwise be
-    # compared on the first component alone: zip drops the second.
+    # A form one component short would otherwise be built on the first
+    # component alone: zip drops the second.
     short = C.IdempotentForm(C.OverringSpec((1,)), frozenset())
-    a = tup(Cut(1, (F(0),), CLOSED), Cut(1, (F(0),), OPEN))
     with pytest.raises(C.DomainMismatchError):
         P.form_tuple(M_DD, short)
-    with pytest.raises(C.DomainMismatchError):
-        P.group_membership(M_DD, a, IDEMS_DD[:1])
 
 
 def test_mul_componentwise_principal():
@@ -238,7 +234,11 @@ def test_group_membership_and_ops(model, rng):
         a = random_tuple(rng, model)
         form = P.classify_idempotent(model, a)
         j = P.form_tuple(model, form)
-        assert P.group_membership(model, a, idems) == [form]
+        # Componentwise: each cut's audited membership is its own form
+        # alone, and the tuple's form is their join.
+        per = list(map(C.group_membership, model.valuations, a.cuts, idems))
+        assert per == [[f] for f in map(C.classify_idempotent, model.valuations, a.cuts)]
+        assert P._split(form) == [f for f, in per]
         x = P.class_of(model, a)
         e = P.class_of(model, j)
         # the group law is componentwise
