@@ -42,25 +42,31 @@ class Check(NamedTuple):
     test: Callable  # an input -> its failure lines
 
 
-def _trial(failures: list, check: Check, rng, where: str, drawn: str | None = None):
-    """Draw and test one input, and return it (None if a step raised).  An
-    exception is one failure line, `NAME: Type: message`, named `where` if
-    the draw raised and by the label if the test did; a label that raises
-    names its own exception `drawn` (by default `where`)."""
-    try:
-        x = check.draw(rng)
-    except Exception as e:
-        failures.append(f"{where}: {type(e).__name__}: {e}")
-        return None
-    try:
-        failures.extend(check.test(x))
-        return x
-    except Exception as e:
+def _trials(failures: list, check: Check, rng, n: int, where: Callable,
+            drawn: Callable | None = None):
+    """Draw and test `n` inputs, and return the last (None if a step
+    raised).  An exception is one failure line, `NAME: Type: message`,
+    named `where(i)` for trial i if the draw raised and by the label if the
+    test did; a label that raises names its own exception `drawn(i)` (by
+    default `where(i)`).  Names are built only for a failure."""
+    draw, test, x = check.draw, check.test, None
+    for i in range(1, n + 1):
         try:
-            name = check.label(x)
-        except Exception as f:
-            name, e = drawn or where, f
-        failures.append(f"{name}: {type(e).__name__}: {e}")
+            x = draw(rng)
+        except Exception as e:
+            failures.append(f"{where(i)}: {type(e).__name__}: {e}")
+            x = None
+            continue
+        try:
+            failures.extend(test(x))
+        except Exception as e:
+            try:
+                name = check.label(x)
+            except Exception as f:
+                name, e = (drawn or where)(i), f
+            failures.append(f"{name}: {type(e).__name__}: {e}")
+            x = None
+    return x
 
 
 def _report(name: str, instances: int, failures: list) -> dict:
@@ -76,14 +82,13 @@ def _report(name: str, instances: int, failures: list) -> dict:
 def _drive(check: Check, samples: int, rng) -> dict:
     n = samples if check.trials is None else check.trials
     failures = []
-    for i in range(1, n + 1):
-        _trial(failures, check, rng, f"trial {i}")
+    _trials(failures, check, rng, n, "trial {}".format)
     return _report(check.name, n, failures)
 
 
 def _tuples(m: P.PrueferModel) -> Callable:
-    gs = m.valuations
-    return lambda rng: P.IdealTuple(tuple(map(S.random_cut, repeat(rng), gs)))
+    gs, new, T = m.valuations, tuple.__new__, P.IdealTuple
+    return lambda rng: new(T, (tuple(map(S.random_cut, repeat(rng), gs)),))
 
 
 def _named(spec) -> Callable:
@@ -235,12 +240,11 @@ def exact_sequence(m: P.PrueferModel, spec, samples: int, rng) -> dict:
     listing = Check("exact_sequence", 1, lambda rng: [
         (form, spec.form_text(spec.form(form))) for form in P.enumerate_idempotent_forms(m)],
         None, lambda forms: [])
-    for form, text in _trial(failures, listing, rng, "idempotent forms") or ():
-        shared = _trial(failures, exact_form(m, spec, form, text), rng, text)
+    for form, text in _trials(failures, listing, rng, 1, lambda i: "idempotent forms") or ():
+        shared = _trials(failures, exact_form(m, spec, form, text), rng, 1, lambda i: text)
         if shared is not None:
-            sample = exact_sample(m, spec, form, text, shared)
-            for k in range(1, samples + 1):
-                _trial(failures, sample, rng, text, f"{text}: sample {k}")
+            _trials(failures, exact_sample(m, spec, form, text, shared), rng, samples,
+                    lambda i: text, lambda k: f"{text}: sample {k}")
     return _report("exact_sequence", samples * form_count(m.valuations), failures)
 
 

@@ -50,7 +50,8 @@ class UsageError(Exception):
 
 def _read_text(path: str, what: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # A leading byte order mark is dropped, as RFC 8259 section 8.1 allows.
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, ValueError) as e:  # ValueError: undecodable bytes, NUL in the path
         raise UsageError(f"cannot read {what} {path!r}: {e}") from e

@@ -279,13 +279,14 @@ def normalize(g: ValueGroup, a: Cut) -> Cut:
     if a_level > g.rank:
         validate_cut(g, a)
     level, side = a_level, a_side
-    for j in range(level - 1):
-        if not is_member(g.components[j], boundary[j]):
+    for j in range(level - 1):  # an int is a member of every component
+        x = boundary[j]
+        if x.__class__ is not int and not is_member(g.components[j], x):
             level, side = j + 1, OPEN
             break
     comp = g.components[level - 1]
     last = boundary[level - 1]
-    if is_member(comp, last):
+    if last.__class__ is int or is_member(comp, last):
         if side == OPEN and not comp.dense:
             last, side = last + 1, CLOSED
     elif comp.dense:

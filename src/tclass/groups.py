@@ -63,6 +63,9 @@ class ArchComponent:
 
     kind: str
     primes: frozenset[int] = field(default_factory=frozenset)
+    # Z is the only archimedean subgroup here with a least positive
+    # element; stored once, as the kernel reads it on every cut.
+    dense: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in (DISCRETE, RATIONALS, LOCALIZED):
@@ -76,11 +79,7 @@ class ArchComponent:
                     raise ValueError(f"{p} is not prime")
         elif self.primes:
             raise ValueError(f"{self.kind} component takes no primes")
-
-    @property
-    def dense(self) -> bool:
-        # Z is the only archimedean subgroup here with a least positive element.
-        return self.kind != DISCRETE
+        object.__setattr__(self, "dense", self.kind != DISCRETE)
 
 
 Z = ArchComponent(DISCRETE)
@@ -93,7 +92,7 @@ def Zloc(*primes: int) -> ArchComponent:
 
 def is_member(comp: ArchComponent, q: int | Fraction) -> bool:
     """Membership of a rational in the component (not just its divisible hull)."""
-    if comp.kind == RATIONALS:
+    if q.__class__ is int or comp.kind == RATIONALS:
         return True
     if comp.kind == DISCRETE:
         return q.denominator == 1

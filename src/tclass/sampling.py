@@ -13,18 +13,23 @@ the coordinate is `cuts.Rat(n, d)`, so the `int` n // d when d divides
 n, as `cuts` makes every integral coordinate, and a `Rat` otherwise.  A
 coordinate is a denominator picked from the ranges, then a code picked
 from its range.
-Every pick is one `_below(getrandbits, n)`, the module's copy of
-`Random._randbelow_with_getrandbits`: `choice(seq)` is
-`seq[_randbelow(len(seq))]` and `randint(a, b)` is
-`a + _randbelow(b - a + 1)`, so these draws use the generator exactly as
-`randint` over the numerators did, with no Python-level `Random` method
-around the `getrandbits` call.  That is the contract: a draw consumes a
-`random.Random` as its getrandbits-based `_randbelow` does.  `verify`
-makes plain generators; a subclass that overrides only `random()` would
-draw differently here than through `choice`.
 
-A draw is named by one small int: its codes, its side, and as the low bit
-whether the cut is normalised (`random_cut`) or kept as drawn.  Each
+Every pick runs `Random._randbelow_with_getrandbits`'s rule on
+`getrandbits`: `choice(seq)` is `seq[_randbelow(len(seq))]` and
+`randint(a, b)` is `a + _randbelow(b - a + 1)`, so these draws use the
+generator exactly as `randint` over the numerators did, with no
+Python-level `Random` method around the `getrandbits` call.  That is the
+contract: a draw consumes a `random.Random` as its getrandbits-based
+`_randbelow` does.  `verify` makes plain generators; a subclass that
+overrides only `random()` would draw differently here than through
+`choice`.  A draw's picks run in one loop, `_draw`, over a plan that its
+window builds once per level and way of drawing (`random_cut` first runs
+it over the levels); `_below` states the same rule for a single pick
+(`overring_transfer`'s level, the box oracle's points).
+
+A draw is named by one small int: its codes, then a digit holding its
+side and, as the low bit, whether the cut is normalised (`random_cut`)
+or kept as drawn.  Each
 generator keeps per group one table from name to cut, which builds the
 boundary, the `Cut` and any `normalize` of a name at its first draw, so
 a repeated draw allocates nothing.  A table is found by its group's `id`
@@ -50,8 +55,8 @@ from .groups import DISCRETE, RATIONALS, ArchComponent, ValueGroup, is_member
 from .cuts import CLOSED, OPEN, Cut
 
 SPAN = 2
-# A name's codes are its base-_RADIX digits, one per coordinate; codes
-# start at 1, so the digits count the level.
+# A name's codes are its base-_RADIX digits, one per coordinate, above its
+# side digit; codes start at 1, so the digits count the level.
 _RADIX = 64
 
 # id(generator) -> {id(group): its _Window}; a finalizer on the generator
@@ -89,13 +94,18 @@ def den_choices(comp: ArchComponent) -> tuple[int, ...]:
 
 
 class _Coordinates(NamedTuple):
-    """A component's window: per denominator d, the range of codes of n/d
-    for n from -SPAN d to SPAN d."""
+    """A component's window as picks for `_draw`: a denominator d, then a
+    code of n/d for n from -SPAN d to SPAN d."""
 
     window: tuple
-    members: tuple  # the ranges of the denominators d with 1/d a member
+    members: tuple  # the picks over the denominators d with 1/d a member
     values: tuple  # code -> its coordinate
     zero: int  # the code of 0/1
+
+
+def _pick(options) -> tuple:
+    # A node of a plan: one pick among `options`, which are leaves or nodes.
+    return len(options), len(options).bit_length(), options
 
 
 @functools.cache
@@ -103,35 +113,48 @@ def _coordinates(kind: str, primes: frozenset) -> _Coordinates:
     comp = ArchComponent(kind, primes)
     window, members, values = [], [], [None]
     for d in den_choices(comp):
-        codes = range(len(values), len(values) + 2 * SPAN * d + 1)
+        codes = _pick(range(len(values), len(values) + 2 * SPAN * d + 1))
         window.append(codes)
         if is_member(comp, C.Rat(1, d)):
             members.append(codes)
         values += (C.Rat(n, d) for n in range(-SPAN * d, SPAN * d + 1))
     assert len(values) <= _RADIX
-    return _Coordinates(tuple(window), tuple(members), tuple(values), values.index(0))
+    return _Coordinates(_pick(tuple(window)), _pick(tuple(members)), tuple(values),
+                        values.index(0))
+
+
+# The side digit of a name: closed or open, and a random side normalised.
+_CLOSED, _OPEN, _RANDOM_SIDE = 0, 2, _pick((1, 3))
 
 
 class _Window(dict):
-    """One generator's draws over the group `g`: the coordinate tables per
-    component, and the cut of each name drawn so far, built on a miss."""
+    """One generator's draws over the group `g`: per level, the plans of
+    its ways of drawing, and the cut of each name drawn so far, built on a
+    miss."""
 
-    __slots__ = ("g", "tables", "values")
+    __slots__ = ("g", "values", "levels", "closed", "open", "random", "target")
 
     def __init__(self, g: ValueGroup):
         self.g = g  # held, so no other group takes its id meanwhile
-        self.tables = tuple(_coordinates(c.kind, c.primes) for c in g.components)
-        self.values = tuple(t.values for t in self.tables)
+        tables = tuple(_coordinates(c.kind, c.primes) for c in g.components)
+        self.values = tuple(t.values for t in tables)
+        self.levels = (_pick(range(len(tables))),)
+        below = [tuple(t.members for t in tables[:i]) for i in range(len(tables))]
+        self.closed = tuple(b + (t.members, _CLOSED) for b, t in zip(below, tables))
+        self.open = tuple(b + (t.window, _OPEN) for b, t in zip(below, tables))
+        self.random = tuple(b + (t.window, _RANDOM_SIDE) for b, t in zip(below, tables))
+        self.target = tuple(tuple(t.zero for t in tables[:i]) + (tables[i].window, _OPEN)
+                            for i in range(len(tables)))
 
     def __missing__(self, name: int) -> Cut:
-        normalized, side = name & 1, OPEN if name & 2 else CLOSED
-        codes, rest = [], name >> 2
-        for _ in self.tables:  # at most one digit per component
+        rest, digit = divmod(name, _RADIX)
+        codes = []
+        for _ in self.values:  # at most one digit per component
             if rest:
                 rest, code = divmod(rest, _RADIX)
                 codes.insert(0, code)
-        c = Cut(len(codes), tuple(map(getitem, self.values, codes)), side)
-        c = self[name] = C.normalize(self.g, c) if normalized else c
+        c = Cut(len(codes), tuple(map(getitem, self.values, codes)), OPEN if digit & 2 else CLOSED)
+        c = self[name] = C.normalize(self.g, c) if digit & 1 else c
         return c
 
 
@@ -146,30 +169,27 @@ def _window(rng: random.Random, g: ValueGroup) -> _Window:
         return w
 
 
-def _code(bits, ranges: tuple) -> int:
-    """A denominator's range of codes, then a code in it, as
-    `choice(choice(ranges))` draws them."""
-    codes = ranges[_below(bits, len(ranges))]
-    return codes[_below(bits, len(codes))]
-
-
-def _codes(bits, tables: tuple, level: int, any_top: bool) -> int:
-    """The codes of a draw: members below `level`, then a top from the
-    window (`any_top`) or from the members."""
+def _draw(bits, plan: tuple) -> int:
+    """The name a plan draws: per step, a leaf digit as it is, or a node's
+    picks down to a leaf, each by `_below`'s rule."""
     name = 0
-    for t in tables[: level - 1]:
-        name = name * _RADIX + _code(bits, t.members)
-    top = tables[level - 1]
-    return name * _RADIX + _code(bits, top.window if any_top else top.members)
+    for node in plan:
+        while node.__class__ is tuple:
+            n, k, node = node
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
+            node = node[r]
+        name = name * _RADIX + node
+    return name
 
 
 def random_cut(rng: random.Random, g: ValueGroup) -> Cut:
     """A canonical cut: a level, member coordinates below it, any top of
-    the window and a side (a `_below(bits, 2)` of 1 is open), normalised."""
+    the window and a side (a pick of 1 from two is open), normalised."""
     w = _window(rng, g)
     bits = rng.getrandbits
-    level = 1 + _below(bits, len(w.tables))
-    return w[_codes(bits, w.tables, level, True) * 4 + _below(bits, 2) * 2 + 1]
+    return w[_draw(bits, w.random[_draw(bits, w.levels)])]
 
 
 def group_cut(rng: random.Random, g: ValueGroup, level: int, side: str) -> Cut:
@@ -178,14 +198,11 @@ def group_cut(rng: random.Random, g: ValueGroup, level: int, side: str) -> Cut:
     open.  Callers ask for an open cut at a dense level only, where every
     top is canonical."""
     w = _window(rng, g)
-    return w[_codes(rng.getrandbits, w.tables, level, side == OPEN) * 4 + (side == OPEN) * 2]
+    return w[_draw(rng.getrandbits, (w.open if side == OPEN else w.closed)[level - 1])]
 
 
 def target_cut(rng: random.Random, g: ValueGroup, level: int) -> Cut:
     """The open cut at a dense `level` with zeros below the top and any
     top of the window: a class of the localized group at that level."""
     w = _window(rng, g)
-    name = 0
-    for t in w.tables[: level - 1]:
-        name = name * _RADIX + t.zero
-    return w[(name * _RADIX + _code(rng.getrandbits, w.tables[level - 1].window)) * 4 + 2]
+    return w[_draw(rng.getrandbits, w.target[level - 1])]

@@ -482,6 +482,20 @@ def test_non_utf8_files_are_usage_errors(tmp_path, capsys):
     assert "fixture" in one_error_line(capsys)
 
 
+def test_a_byte_order_mark_is_dropped(tmp_path):
+    # A spec file that starts with a UTF-8 BOM reads as the same spec
+    # without it: the reports are byte-identical.
+    text = json.dumps({"kind": "pruefer_fc", "valuations": [[{"Zloc": [2]}], ["Z", "Q"]]})
+    reports = []
+    for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+        (tmp_path / name).mkdir()
+        spec, out = tmp_path / name / "spec.json", tmp_path / name / "report.json"
+        spec.write_bytes(data)
+        assert main(["decompose", str(spec), "--json", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_path_with_nul_byte_is_usage_error(tmp_path, capsys):
     assert main(["decompose", "spec\0.json"]) == 1
     one_error_line(capsys)

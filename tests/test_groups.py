@@ -42,6 +42,31 @@ def test_component_membership():
     assert G.is_member(Q, F(22, 7))
 
 
+def test_an_int_is_a_member_of_every_component():
+    for comp in (Z, Q, Zloc(2), Zloc(5, 7)):
+        assert all(G.is_member(comp, n) for n in range(-3, 4))
+        assert G.is_member(comp, F(-3)) and G.is_member(comp, C.Rat(4, 2))
+
+
+def test_a_component_is_its_kind_and_primes():
+    # `dense` is stored, not computed, yet cache keys and messages read a
+    # component as its (kind, primes) alone: `==`, `hash` and `repr` see
+    # only those two fields.
+    for kind, primes, dense in ((G.DISCRETE, frozenset(), False),
+                                (G.RATIONALS, frozenset(), True),
+                                (G.LOCALIZED, frozenset({2, 3}), True)):
+        comp = G.ArchComponent(kind, primes)
+        assert comp.dense is dense
+        assert comp == G.ArchComponent(kind, set(primes))
+        assert hash(comp) == hash((kind, primes))
+        assert repr(comp) == f"ArchComponent(kind={kind!r}, primes={primes!r})"
+        twin = G.ArchComponent(kind, primes)
+        object.__setattr__(twin, "dense", not dense)
+        assert twin == comp and hash(twin) == hash(comp) and repr(twin) == repr(comp)
+    assert G.ArchComponent(G.DISCRETE) != G.ArchComponent(G.RATIONALS)
+    assert Zloc(2) != Zloc(3)
+
+
 def test_component_constructors_reject_bad_input():
     with pytest.raises(ValueError):
         Zloc(4)

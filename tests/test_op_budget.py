@@ -10,7 +10,9 @@ re-audits an input it has
 already audited, in how many rational operations (`Fraction`'s and the
 kernel's `Rat`'s) the box oracle runs per cut pair and `verify` runs now
 that integral coordinates are ints, in how many value groups `verify`
-builds (none), or in what a Cayley-table closure of m classes builds
+builds (none), in whether a draw picks outside its one loop or
+`normalize` asks `is_member` of an int, or in what a Cayley-table closure
+of m classes builds
 (no `Cut`, no `class_of` or `_coset_rep` call and no `Fraction`: class
 products work on integer keys; a Pruefer class product builds no
 `IdealTuple`), or in how
@@ -354,19 +356,20 @@ DRAW_CUTS_BEFORE = 727
 
 def test_each_distinct_draw_is_built_once(monkeypatch):
     # Two draws that take the same random numbers draw the same cut, so a
-    # draw is told apart by the `sampling._below` results it consumes: the
-    # (n, r) of each pick, not the raw `getrandbits` results, whose
+    # draw is told apart by what it takes from the generator: the result of
+    # each `sampling._draw` pass it makes (its level, then its name), which
+    # holds the picks it kept, not the raw `getrandbits` results, whose
     # rejected bits would split equal draws.
     consumed, counts = [], Counter()
     where = []  # inside a draw: "draw", then "normalize" while it runs
 
-    below = S._below
+    passes = S._draw
 
-    def recorded(getrandbits, n):
-        r = below(getrandbits, n)
+    def recorded(bits, plan):
+        name = passes(bits, plan)
         if where:
-            consumed[-1].append((n, r))
-        return r
+            consumed[-1].append(name)
+        return name
 
     draw, normalize, post_init = S.random_cut, C.normalize, C.Cut.__post_init__
 
@@ -392,7 +395,7 @@ def test_each_distinct_draw_is_built_once(monkeypatch):
         if where:
             counts["cuts in " + where[-1]] += 1
         post_init(self)
-    monkeypatch.setattr(S, "_below", recorded)
+    monkeypatch.setattr(S, "_draw", recorded)
     monkeypatch.setattr(S, "random_cut", drawn)
     monkeypatch.setattr(C, "normalize", normalized)
     monkeypatch.setattr(C.Cut, "__post_init__", built)
@@ -408,6 +411,45 @@ def test_each_distinct_draw_is_built_once(monkeypatch):
     assert counts["normalize"] <= distinct, counts
     assert counts["cuts in draw"] <= distinct, counts
     assert counts["cuts in draw"] + counts["cuts in normalize"] == 528 < DRAW_CUTS_BEFORE, counts
+
+
+def test_draws_pick_without_below(monkeypatch):
+    # Each draw runs its picks in one `sampling._draw` pass over a plan its
+    # window built, so on this spec `sampling._below` runs only for the
+    # level `overring_transfer` draws after each of its 200 tuples.
+    callers = Counter()
+    below = S._below
+
+    def recorded(bits, n):
+        callers[sys._getframe(1).f_globals["__name__"]] += 1
+        return below(bits, n)
+    monkeypatch.setattr(S, "_below", recorded)
+    kind, model = load_model(json.dumps({"kind": "valuation", "group": ["Q", "Z", {"Zloc": [2]}]}))
+    report = cmd_verify(kind, model, 200, 1, None)
+    monkeypatch.undo()
+
+    assert report["passed"]
+    assert callers == {checks.__name__: 200}, callers
+
+
+def test_normalize_asks_no_membership_of_an_int(monkeypatch):
+    # An int is a member of every component, so `normalize` asks
+    # `is_member` only of the `Rat` coordinates it reads: 739 on this run.
+    # When it asked of every coordinate it read, it also asked of 2540 ints.
+    asked = Counter()
+    member = C.is_member
+
+    def recorded(comp, q):
+        if sys._getframe(1).f_code.co_name == "normalize":
+            asked[type(q).__name__] += 1
+        return member(comp, q)
+    monkeypatch.setattr(C, "is_member", recorded)
+    kind, model = load_model(json.dumps({"kind": "valuation", "group": ["Q", "Z", {"Zloc": [2]}]}))
+    report = cmd_verify(kind, model, 200, 1, None)
+    monkeypatch.undo()
+
+    assert report["passed"]
+    assert asked == {"Rat": 739}, asked
 
 
 def test_each_distinct_sampled_input_is_audited_once(monkeypatch):
@@ -839,6 +881,28 @@ def _no_draw_kept(real):
     return __missing__
 
 
+def _draw_picks_through_below(real):
+    # A draw makes each pick of its plan through `sampling._below`.
+    def _draw(bits, plan):
+        name = 0
+        for node in plan:
+            while node.__class__ is tuple:
+                n, _, node = node
+                node = node[S._below(bits, n)]
+            name = name * S._RADIX + node
+        return name
+    return _draw
+
+
+def _normalize_asks_every_coordinate(real):
+    # `normalize` asks `is_member` of every coordinate, ints too.
+    def normalize(g, a):
+        for comp, x in zip(g.components, a.boundary[:g.rank]):
+            C.is_member(comp, x)
+        return real(g, a)
+    return normalize
+
+
 def _checks_uncached(real):
     # The checks keep no per-input cache.
     return types.SimpleNamespace(cache=lambda f: f)
@@ -905,6 +969,9 @@ REGRESSIONS = {
     test_closure_asks_the_side_rule_once_per_row_side:
         (C, "class_row", _side_rule_per_product),
     test_each_distinct_draw_is_built_once: (S._Window, "__missing__", _no_draw_kept),
+    test_draws_pick_without_below: (S, "_draw", _draw_picks_through_below),
+    test_normalize_asks_no_membership_of_an_int:
+        (C, "normalize", _normalize_asks_every_coordinate),
     test_each_distinct_sampled_input_is_audited_once: (checks, "functools", _checks_uncached),
     test_idempotent_uniqueness_audits_each_component_cut_once:
         (checks, "idempotent_uniqueness", _uniqueness_per_tuple),

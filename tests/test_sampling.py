@@ -221,9 +221,11 @@ GUARD_SPECS = (
 
 @pytest.mark.parametrize("spec", GUARD_SPECS, ids=lambda spec: spec["kind"])
 def test_no_draw_goes_through_random_methods(monkeypatch, spec):
-    # Every draw of `verify` reads `getrandbits` through `sampling._below`;
-    # with `Random`'s Python-level pickers made to raise, a draw that still
-    # went through one would fail its trial and change the report.
+    # Every draw of `verify` reads `getrandbits` itself, by `_randbelow`'s
+    # rule: the cuts through `sampling._draw`'s plans, `overring_transfer`'s
+    # level through `sampling._below`.  With `Random`'s Python-level pickers
+    # made to raise, a draw that still went through one would fail its
+    # trial and change the report.
     kind, model = cli.load_model(json.dumps(spec))
     want = cli.cmd_verify(kind, model, 20, 1, None)
 
