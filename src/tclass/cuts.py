@@ -40,6 +40,14 @@ built on them (`stabilizer`, `idempotent_cut`, `is_idempotent`,
 canonical through `normalize` (any literal, hand-built ones too),
 `cut_from_json`, `ring_cut`, `prime_cut`, the samplers.
 
+A cut has two builders.  `Cut(...)` checks side, level and length; it
+builds every cut of unchecked shape: `cut_from_json`'s, `prime_cut`'s
+literal, a test's and `translate`'s, whose shift is unchecked.
+`_trusted_cut` skips the checks where checked operands fix the shape:
+`mul` (the lower level, `map` cutting both boundaries to it, an
+operand's side), `quotient`, `normalize`'s rewrite, `CutClass.rep`, the
+sampling window and `ring_cut`, which refuses a level below 1 itself.
+
 Classification and group membership are O(1) reads of a canonical cut's
 level and side.  The theory behind those reads is audited where a check
 already visits every cut: `is_regular` rebuilds the witness idempotent
@@ -81,6 +89,7 @@ from .groups import ValueGroup, is_member
 
 CLOSED = "closed"
 OPEN = "open"
+_LEVEL_BELOW_1 = "level must be at least 1 (the zero ideal has no cut)"
 
 
 class MalformedCutError(ValueError):
@@ -213,11 +222,9 @@ class _CutFields(NamedTuple):
 
 
 class Cut(_CutFields):
-    """A prefix cut.  Its boundary is a tuple of rationals, each an `int` or a
-    `Rat`, as the parsers, samplers and kernel build it: only side,
-    level and length are checked, by `__post_init__`, which every `Cut(...)`
-    runs.  (`_make` and `_replace` skip it; nothing in the package calls
-    them.)"""
+    """A prefix cut: its boundary is a tuple of rationals, each an `int` or a
+    `Rat`.  `Cut(...)` checks side, level and length in `__post_init__`;
+    `_trusted_cut` does not, nor `_make` or `_replace` (which no code calls)."""
 
     __slots__ = ()
 
@@ -231,11 +238,15 @@ class Cut(_CutFields):
         if side not in (CLOSED, OPEN):
             raise MalformedCutError(f"side must be {CLOSED!r} or {OPEN!r}, got {side!r}")
         if level < 1:
-            raise MalformedCutError("level must be at least 1 (the zero ideal has no cut)")
+            raise MalformedCutError(_LEVEL_BELOW_1)
         if len(boundary) != level:
             raise MalformedCutError(
                 f"boundary has {len(boundary)} coordinates for level {level}"
             )
+
+
+# A `Cut` without the guards, from its (level, boundary, side) tuple.
+_trusted_cut = functools.partial(tuple.__new__, Cut)
 
 
 def validate_cut(g: ValueGroup, a: Cut) -> None:
@@ -295,7 +306,7 @@ def normalize(g: ValueGroup, a: Cut) -> Cut:
         last, side = math.ceil(last), CLOSED
     if level == a_level and side == a_side and last is boundary[-1]:
         return a
-    return Cut(level, boundary[: level - 1] + (last,), side)
+    return _trusted_cut((level, boundary[: level - 1] + (last,), side))
 
 
 def member(g: ValueGroup, a: Cut, x) -> bool:
@@ -327,7 +338,8 @@ def mul(g: ValueGroup, a: Cut, b: Cut) -> Cut:
         validate_cut(g, b)
     # `map` stops at the shorter boundary: the truncation to the lower level.
     boundary = tuple(map(operator.add, a_boundary, b_boundary))
-    return Cut(min(a_level, b_level), boundary, _product_side(a_level, a_side, b_level, b_side))
+    return _trusted_cut((min(a_level, b_level), boundary,
+                         _product_side(a_level, a_side, b_level, b_side)))
 
 
 def _product_side(a_level: int, a_side: str, b_level: int, b_side: str) -> str:
@@ -363,14 +375,15 @@ def quotient(g: ValueGroup, a: Cut, b: Cut) -> Cut:
         level = b_level
         side = OPEN if b_side == CLOSED else CLOSED
     boundary = tuple(map(operator.sub, a_boundary, b_boundary))
-    return normalize(g, Cut(level, boundary, side))
+    return normalize(g, _trusted_cut((level, boundary, side)))
 
 
 def ring_cut(g: ValueGroup, level: Optional[int] = None) -> Cut:
     """The cut of V (full level) or of the localization at the height-`level` prime."""
-    if level is None:
-        level = g.rank
-    return Cut(level, (0,) * level, CLOSED)
+    level = g.rank if level is None else level
+    if level < 1:
+        raise MalformedCutError(_LEVEL_BELOW_1)
+    return _trusted_cut((level, (0,) * level, CLOSED))
 
 
 def prime_cut(g: ValueGroup, level: int) -> Cut:
@@ -578,7 +591,8 @@ class CutClass(NamedTuple):
 
     @property
     def rep(self) -> Cut:
-        return Cut(self.level, (0,) * (self.level - 1) + (Rat(self.n, self.d),), self.side)
+        return _trusted_cut((self.level, (0,) * (self.level - 1) + (Rat(self.n, self.d),),
+                             self.side))
 
 
 def class_of(g: ValueGroup, a: Cut) -> CutClass:

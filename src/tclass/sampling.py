@@ -153,7 +153,8 @@ class _Window(dict):
             if rest:
                 rest, code = divmod(rest, _RADIX)
                 codes.insert(0, code)
-        c = Cut(len(codes), tuple(map(getitem, self.values, codes)), OPEN if digit & 2 else CLOSED)
+        c = C._trusted_cut((len(codes), tuple(map(getitem, self.values, codes)),
+                            OPEN if digit & 2 else CLOSED))
         c = self[name] = C.normalize(self.g, c) if digit & 1 else c
         return c
 

@@ -34,7 +34,7 @@ from tclass import boxes
 from tclass import cuts as C
 from tclass import pruefer as P
 from tclass.groups import is_member
-from tclass.sampling import random_cut
+from tclass.sampling import group_cut, random_cut, target_cut
 
 ZZ = GROUPS["Z"]
 Z2 = GROUPS["Z2"]
@@ -79,14 +79,61 @@ def test_value_types_are_the_tuples_of_their_fields(monkeypatch):
     assert len(built) == 4
 
 
+# Where a `Cut` may skip its guards: the kernel results whose shape
+# follows from operands already checked, and the one builder's definition.
+# `translate` adds an unchecked shift, and outside literals (`cut_from_json`,
+# `prime_cut`'s) are input, so both stay `Cut(...)`.
+UNGUARDED_BUILDS = {
+    ("cuts.py", "_trusted_cut"),
+    ("cuts.py", "normalize"),
+    ("cuts.py", "mul"),
+    ("cuts.py", "quotient"),
+    ("cuts.py", "ring_cut"),
+    ("cuts.py", "CutClass.rep"),
+    ("sampling.py", "_Window.__missing__"),
+}
+
+
+def scoped_nodes(tree):
+    """Each node of a module's tree with the qualified name of the class or
+    function around it; a module-level assignment's scope is its target."""
+    todo = [(tree, "")]
+    while todo:
+        node, scope = todo.pop()
+        yield scope, node
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.Assign) and not scope:
+            scope = ".".join(t.id for t in node.targets if isinstance(t, ast.Name))
+        todo.extend((child, scope) for child in ast.iter_child_nodes(node))
+
+
+def refers_to(node, name: str) -> bool:
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
+
+
 def test_no_package_code_skips_the_cut_guards():
     # `_make` and `_replace` build a `NamedTuple` without its `__new__`, so
-    # a `Cut` built by either would skip `__post_init__`.
+    # a `Cut` built by either would skip `__post_init__`; nothing calls
+    # them.  `cuts._trusted_cut` and `tuple.__new__(Cut, ...)` skip it too,
+    # and appear exactly where `UNGUARDED_BUILDS` says.
     package = Path(C.__file__).parent
-    skipping = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
-                for node in ast.walk(ast.parse(path.read_text()))
-                if isinstance(node, ast.Attribute) and node.attr in ("_make", "_replace")]
+    skipping, unguarded = [], set()
+    for path in sorted(package.glob("*.py")):
+        for scope, node in scoped_nodes(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("_make", "_replace"):
+                skipping.append(f"{path.name}:{node.lineno}")
+            named = (refers_to(node, "_trusted_cut")
+                     or isinstance(node, ast.alias) and node.name == "_trusted_cut")
+            new_cut = (isinstance(node, ast.Call)
+                       and any(isinstance(a, ast.Attribute) and a.attr == "__new__"
+                               and refers_to(a.value, "tuple") for a in (node.func, *node.args))
+                       and any(refers_to(a, "Cut") for a in node.args))
+            if named or new_cut:
+                unguarded.add((path.name, scope))
     assert skipping == []
+    assert unguarded == UNGUARDED_BUILDS
 
 
 def test_validate_cut_level_range():
@@ -263,6 +310,27 @@ def test_kernel_outputs_are_canonical(name, seed):
     ]
     for out in outs:
         assert C.normalize(g, out) == out, C.format_cut(out)
+
+
+@given(group_names, seeds)
+def test_unvalidated_kernel_results_pass_the_guards(name, seed):
+    # The kernel builds these through `cuts._trusted_cut`, without the
+    # guards, because their shape follows from checked operands: each must
+    # pass them when rebuilt by `Cut(...)`.
+    g = GROUPS[name]
+    r = random.Random(seed)
+    raw = [random_raw_cut(r, g) for _ in range(3)]
+    dense = [i + 1 for i, c in enumerate(g.components) if c.dense]
+    drawn = [random_cut(r, g) for _ in range(3)]
+    drawn += [group_cut(r, g, r.randint(1, g.rank), CLOSED)]
+    for level in dense[:1]:  # open draws exist at dense levels only
+        drawn += [target_cut(r, g, level), group_cut(r, g, level, OPEN)]
+    canonical = [C.normalize(g, a) for a in raw] + drawn
+    outs = [*drawn, *canonical, C.ring_cut(g), *(C.ring_cut(g, i) for i in range(1, g.rank + 1))]
+    outs += [C.class_of(g, a).rep for a in canonical]
+    outs += [f(g, a, b) for a in canonical for b in canonical for f in (C.mul, C.quotient)]
+    for out in outs:
+        assert type(out) is Cut and Cut(*out) == out, out
 
 
 def test_mul_random_against_box(group, rng):

@@ -20,8 +20,10 @@ many tables `cross_check` builds (none: it reads the closure's table) and
 how many `Cut`s (each form's idempotent cut, and no class's rep), or in
 how many `Fraction`s `classify` builds reading plain n/d literals (none),
 how many idempotent cuts it builds (one per regularity audit) or how many
-`Cut`s a passing `classification_consistency` trial builds (none) fails
-here without timing anything.
+`Cut`s a passing `classification_consistency` trial builds (none), or in
+how many of `verify`'s `Cut`s run the guards, fails here without timing
+anything.  A count of `Cut`s counts both builders (`built_cuts`):
+`Cut(...)` and the kernel's `cuts._trusted_cut`.
 
 `REGRESSIONS` pairs each budget test with the regression it guards:
 planted by monkeypatch, it must make the budget fail.  `UNPLANTED` names,
@@ -31,6 +33,7 @@ but the two meta-tests is in exactly one of the two tables.
 
 import functools
 import json
+import operator
 import random
 import re
 import sys
@@ -117,7 +120,7 @@ def test_verify_pruefer_stays_within_operation_budget(monkeypatch):
         closures.append(closure)
         return closure
 
-    monkeypatch.setattr(C.Cut, "__post_init__", counted("cuts", C.Cut.__post_init__))
+    built = built_cuts(monkeypatch)
     monkeypatch.setattr(C, "group_membership", counted("memberships", C.group_membership))
     monkeypatch.setattr(C, "normalize", counted("normalize", C.normalize))
     monkeypatch.setattr(C, "idempotent_cut", counted("idempotent_cuts", C.idempotent_cut))
@@ -128,6 +131,7 @@ def test_verify_pruefer_stays_within_operation_budget(monkeypatch):
     monkeypatch.setattr(S, "group_cut", counted("group_cuts", drawn))
     kind, model = load_model(SPEC)
     report = cmd_verify(kind, model, 3, 1, None)
+    counts["cuts"] = len(built)
 
     assert report["passed"]
     assert [c["instances"] for c in report["checks"]] == [3, 3, 18, 3]
@@ -225,7 +229,7 @@ CROSS_CHECK_CUTS_WITH_REPS = 108
 def test_cross_check_reads_idempotents_off_classification(monkeypatch):
     model = C.ValuationClassModel(value_group_from_json([{"Zloc": [2]}]))
     closure = SG.sample_closure(model, oracle_closure_seeds(model), 256)
-    built = counted_calls(monkeypatch, C.Cut, "__post_init__")
+    built = built_cuts(monkeypatch)
     witnesses = counted_calls(monkeypatch, C, "idempotent_cut")
     assert SG.cross_check(closure, model).passed
     m = len(closure.dictionary)
@@ -255,7 +259,7 @@ def test_closure_keys_classes_by_integers(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(C.Cut, "__post_init__", counted("cuts", C.Cut.__post_init__))
+    built = built_cuts(monkeypatch)
     monkeypatch.setattr(C, "class_of", counted("class_of", C.class_of))
     monkeypatch.setattr(C, "_coset_rep", counted("_coset_rep", C._coset_rep))
     rationals = counted_fraction_calls(monkeypatch, ("__new__",))
@@ -265,7 +269,7 @@ def test_closure_keys_classes_by_integers(monkeypatch):
     assert closure.saturated and len(closure.dictionary) == 106
     # `cuts.class_row` multiplies integer keys: no `Cut`, no rational, and
     # an equal-level sum is reduced by n mod d alone.
-    assert (counts["cuts"], counts["class_of"], counts["_coset_rep"],
+    assert (len(built), counts["class_of"], counts["_coset_rep"],
             rationals["__new__"]) == (0, 0, 0, 0), (counts, rationals)
 
 
@@ -305,6 +309,31 @@ def counted_calls(monkeypatch, owner, name) -> list:
         return real(*args)
     monkeypatch.setattr(owner, name, wrapper)
     return calls
+
+
+def built_cuts(monkeypatch, see=None) -> list:
+    """Record each `Cut` built from now on, by either builder: `Cut(...)`,
+    which runs the guards in `Cut.__post_init__`, and `cuts._trusted_cut`,
+    which builds a kernel result without them.  `see(cut, validated)`, if
+    given, runs on each."""
+    built = []
+    post_init, trusted = C.Cut.__post_init__, C._trusted_cut
+
+    def validated(cut):
+        post_init(cut)
+        built.append(cut)
+        if see:
+            see(cut, True)
+
+    def unvalidated(fields):
+        cut = trusted(fields)
+        built.append(cut)
+        if see:
+            see(cut, False)
+        return cut
+    monkeypatch.setattr(C.Cut, "__post_init__", validated)
+    monkeypatch.setattr(C, "_trusted_cut", unvalidated)
+    return built
 
 
 def replayed_draws(g, seed: int, samples: int) -> tuple[list, list]:
@@ -371,7 +400,7 @@ def test_each_distinct_draw_is_built_once(monkeypatch):
             consumed[-1].append(name)
         return name
 
-    draw, normalize, post_init = S.random_cut, C.normalize, C.Cut.__post_init__
+    draw, normalize = S.random_cut, C.normalize
 
     def drawn(rng, g):
         consumed.append([])
@@ -391,14 +420,13 @@ def test_each_distinct_draw_is_built_once(monkeypatch):
         finally:
             where.pop()
 
-    def built(self):
+    def built(cut, validated):
         if where:
             counts["cuts in " + where[-1]] += 1
-        post_init(self)
     monkeypatch.setattr(S, "_draw", recorded)
     monkeypatch.setattr(S, "random_cut", drawn)
     monkeypatch.setattr(C, "normalize", normalized)
-    monkeypatch.setattr(C.Cut, "__post_init__", built)
+    built_cuts(monkeypatch, built)
     kind, model = load_model(json.dumps({"kind": "valuation", "group": ["Q", "Z", {"Zloc": [2]}]}))
     report = cmd_verify(kind, model, 200, 1, None)
     monkeypatch.undo()
@@ -677,7 +705,7 @@ def test_verify_runs_integral_coordinates_as_ints(monkeypatch):
     kind, model = load_model(spec)
     assert cmd_verify(kind, model, 200, 1, None)["passed"]  # builds the sampling tables
     calls = counted_fraction_calls(monkeypatch, FRACTION_OPERATORS + ("__new__",))
-    cuts = counted_calls(monkeypatch, C.Cut, "__post_init__")
+    cuts = built_cuts(monkeypatch)
     report = cmd_verify(kind, model, 200, 1, None)
     monkeypatch.undo()
     built = calls.pop("__new__")
@@ -690,9 +718,35 @@ def test_verify_runs_integral_coordinates_as_ints(monkeypatch):
     assert calls.total() == VERIFY_FRACTION_CALLS < VERIFY_PLAIN_FRACTION_CALLS_BEFORE, calls
     assert built == VERIFY_FRACTIONS_BUILT < VERIFY_PLAIN_FRACTIONS_BUILT_BEFORE, built
     assert calls["__bool__"] == 0 < VERIFY_FRACTION_BOOLS_UNCACHED, calls
-    # Every cut the run builds holds ints and `Rat`s only.
-    assert len(cuts) > 0
-    assert_coordinate_types(c for c, in cuts)
+    # Every cut the run builds, by either builder, holds ints and `Rat`s only.
+    assert len(cuts) == VERIFY_CUTS, len(cuts)
+    assert_coordinate_types(cuts)
+
+
+# The same run builds 3 481 `Cut`s.  When every one was built by
+# `Cut(...)`, all of them ran the guards.  The kernel results whose shape
+# follows from checked operands (`mul`, `quotient`, `normalize`'s
+# rewrite, `ring_cut`, `CutClass.rep` and the sampling window's draws)
+# build through `cuts._trusted_cut` now; `Cut(...)` still checks
+# `translate`'s shifted cuts and `prime_cut`'s literals.
+VERIFY_CUTS = 3481
+VERIFY_CUTS_VALIDATED_BEFORE = VERIFY_CUTS
+VERIFY_CUTS_VALIDATED = 177
+VERIFY_CUTS_TRUSTED = 3304
+
+
+def test_verify_validates_only_cuts_of_unchecked_shape(monkeypatch):
+    kind, model = load_model(json.dumps({"kind": "valuation", "group": ["Q", "Z", {"Zloc": [2]}]}))
+    checked = []
+    built = built_cuts(monkeypatch, lambda cut, validated: checked.append(validated))
+    report = cmd_verify(kind, model, 200, 1, None)
+    monkeypatch.undo()
+
+    assert report["passed"]
+    validated = sum(checked)
+    assert len(built) == VERIFY_CUTS, len(built)
+    assert validated == VERIFY_CUTS_VALIDATED < VERIFY_CUTS_VALIDATED_BEFORE, validated
+    assert len(built) - validated == VERIFY_CUTS_TRUSTED, validated
 
 
 def test_regularity_audit_of_an_integral_cut_runs_no_fraction_operation(monkeypatch):
@@ -800,7 +854,7 @@ def test_classification_consistency_classifies_keys(monkeypatch):
     check = checks.classification_consistency(spec.as_pruefer(model), spec)
     rng = random.Random(1)
     drawn = [check.draw(rng) for _ in range(200)]
-    built = counted_calls(monkeypatch, C.Cut, "__post_init__")
+    built = built_cuts(monkeypatch)
     failures = [line for a in drawn for line in check.test(a)]
     in_trials = len(built)
     report = cmd_verify(kind, model, 200, 1, None)
@@ -948,6 +1002,14 @@ def _uniqueness_per_tuple(real):
     return idempotent_uniqueness
 
 
+def _mul_validates(real):
+    # `mul` builds its product through `Cut(...)`, guards and all.
+    def mul(g, a, b):
+        return C.Cut(min(a.level, b.level), tuple(map(operator.add, a.boundary, b.boundary)),
+                     C._product_side(a.level, a.side, b.level, b.side))
+    return mul
+
+
 def _every_index_a_generator(real):
     # Light's test runs on every element: the m^3 sweep.
     return lambda table: list(range(len(table)))
@@ -981,6 +1043,7 @@ REGRESSIONS = {
         (checks, "functools", _checks_uncached),
     test_box_checks_compare_integers_not_fractions: (B, "_scaled", _fraction_lattice),
     test_verify_runs_integral_coordinates_as_ints: (C, "_sum", _fraction_sums),
+    test_verify_validates_only_cuts_of_unchecked_shape: (C, "mul", _mul_validates),
     test_regularity_audit_of_an_integral_cut_runs_no_fraction_operation:
         (C, "_coordinate", _integral_literals_as_fractions),
     test_classify_reads_plain_literals_by_integer_arithmetic: (C, "_PLAIN", _plain_never_matches),
