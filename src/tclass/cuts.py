@@ -60,11 +60,13 @@ once for all of them.  A failed audit raises InternalInconsistencyError.
 
 A class modulo principal ideals (`CutClass`) is its integer key: level,
 side, and the numerator and denominator of the top coordinate reduced mod
-its component.  `class_of` builds one from a cut; `class_row`, the one
-class product, multiplies one class by a row of classes on the keys alone
-with `mul`'s own side rule, so the Cayley-table oracle builds no `Cut` or
-`Fraction` and calls no `_coset_rep`.  The class models multiply by whole
-rows; the exact sequence's group law is `class_mul`, a one-element row.
+its component.  `CutClass(...)` checks level and side as `Cut(...)`
+does; `class_of` builds one from a cut without the checks, and
+`class_row`, the one class product, multiplies one class by a row of
+classes on the keys alone with `mul`'s own side rule, so the Cayley-table
+oracle builds no `Cut` or `Fraction` and calls no `_coset_rep`.  The
+class models multiply by whole rows; the exact sequence's group law is
+`class_mul`, a one-element row.
 
 The value types (`Cut`, `OverringSpec`, `IdempotentForm`,
 `RegularityWitness`, `CutClass` and `pruefer.IdealTuple`) are
@@ -118,17 +120,17 @@ class Rat(Fraction):
 
     `Rat(...)` reads what `Fraction(...)` reads and gives the `int` when
     the value is integral, so no integral `Rat` exists.  Against an `int`
-    or a `Rat`, `+`, `-` (both orders), unary `-`, `==` and `<` work on
-    the two slots directly, with no `Fraction.__new__`, and give a result
-    in lowest terms, an `int` when it is integral.  The kernel runs `-` in
-    both orders: in `quotient`, a `Rat` less an int or a `Rat` runs
-    `__sub__`, and an int (the 0 of a ring cut, say) less a `Rat` runs
-    `__rsub__`.  Nothing in the package negates a `Rat`.  Any other
-    operand goes to `Fraction`'s own method, so a mix with a plain
-    `Fraction` stays exact (and gives a plain `Fraction`).  Every other
-    operator (`>` and `bool` among them), `__hash__`, `str`, `numerator`
-    and `denominator` are `Fraction`'s: a `Rat` hashes, compares and
-    prints as the `Fraction` of its value.
+    or a `Rat`, `+`, `-` (both orders), `==` and `<` work on the two slots
+    directly, with no `Fraction.__new__`, and give a result in lowest
+    terms, an `int` when it is integral.  The kernel runs `-` in both
+    orders: in `quotient`, a `Rat` less an int or a `Rat` runs `__sub__`,
+    and an int (the 0 of a ring cut, say) less a `Rat` runs `__rsub__`.
+    Any other operand goes to `Fraction`'s own method, so a mix with a
+    plain `Fraction` stays exact (and gives a plain `Fraction`).  Every
+    other operator (`>`, unary `-` and `bool` among them), `__hash__`,
+    `str`, `numerator` and `denominator` are `Fraction`'s: a `Rat` hashes,
+    compares and prints as the `Fraction` of its value, and its negative
+    is a plain `Fraction`.
     """
 
     __slots__ = ()
@@ -168,9 +170,6 @@ class Rat(Fraction):
         if type(a) is int:
             return _rat(a * b._denominator - b._numerator, b._denominator)
         return _fraction_rsub(b, a)
-
-    def __neg__(a):
-        return _rat(-a._numerator, a._denominator)
 
     def __eq__(a, b):
         if type(b) is Rat:
@@ -576,18 +575,30 @@ def _coset_rep(comp, n: int, d: int) -> tuple[int, int]:
     return n // common, d // common
 
 
-class CutClass(NamedTuple):
-    """A cut modulo principal ideals: its (level, side) and the top
-    coordinate n/d reduced mod its component into [0, 1), in lowest terms.
-
-    `rep` is the class-canonical cut: zero boundary below the top, n/d at
-    the top, built on each read.
-    """
-
+class _CutClassFields(NamedTuple):
     level: int
     side: str
     n: int
     d: int
+
+
+class CutClass(_CutClassFields):
+    """A cut modulo principal ideals: its (level, side) and the top
+    coordinate n/d reduced mod its component into [0, 1), in lowest terms.
+
+    `rep` is the class-canonical cut: zero boundary below the top, n/d at
+    the top, built on each read.  `CutClass(...)` checks side and level as
+    `Cut(...)` does; `class_of` and `class_row` build with `tuple.__new__`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, level: int, side: str, n: int, d: int):
+        if side not in (CLOSED, OPEN):
+            raise MalformedCutError(f"side must be {CLOSED!r} or {OPEN!r}, got {side!r}")
+        if level < 1:
+            raise MalformedCutError(_LEVEL_BELOW_1)
+        return tuple.__new__(cls, (level, side, n, d))
 
     @property
     def rep(self) -> Cut:

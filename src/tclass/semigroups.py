@@ -1,15 +1,15 @@
 """Brute-force finite commutative semigroup analysis.
 
 This is the package's second opinion: Cayley tables built by multiplying
-sampled ideal classes, verified once as commutative and associative when
-built, then analyzed purely by the definitions (idempotents, Clifford
-regularity, constituent groups) with exhaustive search.  Nothing
-here imports the exact models; they are reached only through a duck-typed
-handle of three methods: `row(x, ys)`, the products x * y for every y
-of `ys` in order, from which the table comes;
-`idempotent_of`, the model's own classification and its side of every
-comparison; `describe`, a class's name in a mismatch.  Callers build
-seeds with `class_of`.  The two sides can disagree, and that means a bug.
+sampled ideal classes in one walk over their growing list, verified once
+as commutative and associative when built, then analyzed purely by the
+definitions (idempotents, Clifford regularity, constituent groups) with
+exhaustive search.  Nothing here imports the exact models; they are
+reached only through a duck-typed handle of three methods: `row(x, ys)`,
+the products x * y for every y of `ys` in order, from which the table
+comes; `idempotent_of`, the model's own classification and its side of
+every comparison; `describe`, a class's name in a mismatch.  Callers
+build seeds with `class_of`.  The two sides can disagree, and that means a bug.
 """
 
 from __future__ import annotations
@@ -140,7 +140,8 @@ def constituent_group(s: FiniteCommSemigroup, e: int) -> tuple[int, ...]:
 class SampleClosure:
     """Closure of sampled classes under the model's multiplication.
 
-    `dictionary` maps each class representative to its table index;
+    `dictionary` maps each class representative to its table index, and
+    indices are assigned in insertion order, so `elements` is its key list;
     `semigroup` is the resulting Cayley table, present only when the
     closure saturated within budget.
     """
@@ -151,33 +152,29 @@ class SampleClosure:
 
     @property
     def elements(self) -> list:
-        out = [None] * len(self.dictionary)
-        for rep, i in self.dictionary.items():
-            out[i] = rep
-        return out
+        return list(self.dictionary)
 
 
 def sample_closure(model, seeds, budget: int) -> SampleClosure:
     """Multiply sampled classes pairwise until nothing new appears or the
     budget (maximum element count) is hit.
 
-    Each growth pass multiplies only the pairs i <= j that hold an element
-    new since the last pass, and appends the index of every such product
-    to row i of the upper triangle; the table takes its upper triangle
-    from those rows and computes the lower one afresh, one row at a time,
-    so a saturated closure of m classes costs m^2 products and the
+    One walk over the growing class list: class i is multiplied by itself
+    and by every class before it, and a product not seen yet is appended,
+    so the walk reaches it in turn.  When the walk ends, every pair has
+    been multiplied once with the larger index on the left; the table
+    computes the other half afresh, class i by every class after it, so a
+    saturated closure of m classes costs m^2 products and the
     commutativity check still compares two independent products for every
-    pair.  A lower-triangle product that is no class of the closure fails
+    pair.  A second-half product that is no class of the closure fails
     that check here, with `MalformedTableError`.
 
     The products come one row at a time: `model.row(x, ys)` multiplies x
-    by every class of `ys`, once per (element, pass) while the closure
-    grows and once per element, by the classes before it, for the lower
-    triangle.  Each pair is thus multiplied in two calls with its operands
-    swapped.  Both class handles multiply through `cuts.class_row` on the
-    classes' integer keys alone (the Pruefer one component by component):
-    a closure builds no `Cut`, `Fraction` or ideal tuple, and calls no
-    `cuts._coset_rep`."""
+    by every class of `ys`, twice per class in all, once in the walk and
+    once for the second half.  Both class handles multiply through
+    `cuts.class_row` on the classes' integer keys alone (the Pruefer one
+    component by component): a closure builds no `Cut`, `Fraction` or
+    ideal tuple, and calls no `cuts._coset_rep`."""
     elems: list = []
     index: dict = {}
     for x in seeds:
@@ -187,43 +184,28 @@ def sample_closure(model, seeds, budget: int) -> SampleClosure:
     if len(elems) > budget:
         raise ValueError("budget smaller than the seed set")
     row, find = model.row, index.get
-    upper: list = []  # upper[i][j - i] is the index of elems[i] * elems[j], j >= i
-    saturated = True
-    done = 0  # elems[:done] have all their products with each other recorded
-    # Every pass but the last adds a class, so from one seed on the closure
-    # ends within budget passes; the bound keeps a faulty test from spinning.
-    for _ in range(budget):
-        if not (done < len(elems) and saturated):
-            break
-        snapshot = len(elems)
-        upper.extend([] for _ in range(done, snapshot))
-        for i in range(snapshot):
-            products, indices = row(elems[i], elems[max(i, done):snapshot]), upper[i]
-            # `map` finds each product only when the loop reaches it, so a
-            # class that an earlier product of the row added is found.
-            for p, ip in zip(products, map(find, products)):
-                if ip is None:
-                    if len(elems) >= budget:
-                        saturated = False
-                        break
-                    ip = index[p] = len(elems)
-                    elems.append(p)
-                indices.append(ip)
-            if not saturated:
-                break
-        done = snapshot
-    semigroup = None
-    if saturated:
-        rows = []
-        for i, x in enumerate(elems):
-            lower = list(map(find, row(x, elems[:i])))
-            if None in lower:
-                # elems[j] * elems[i] is in the closure, so a product outside
-                # it can only mean the two orders disagree
-                raise MalformedTableError(f"not commutative at ({lower.index(None)}, {i})")
-            rows.append(lower + upper[i])
-        semigroup = FiniteCommSemigroup(rows)
-    return SampleClosure(index, semigroup, saturated)
+    lower: list = []  # lower[i][j] is the index of elems[i] * elems[j], j <= i
+    for i, x in enumerate(elems):  # the walk reaches every class appended
+        products, indices = row(x, elems[: i + 1]), []
+        # `map` finds each product only when the loop reaches it, so a
+        # class that an earlier product of the row added is found.
+        for p, ip in zip(products, map(find, products)):
+            if ip is None:
+                if len(elems) >= budget:
+                    return SampleClosure(index, None, False)
+                ip = index[p] = len(elems)
+                elems.append(p)
+            indices.append(ip)
+        lower.append(indices)
+    rows = []
+    for i, x in enumerate(elems):
+        upper = list(map(find, row(x, elems[i + 1:])))
+        if None in upper:
+            # elems[j] * elems[i] is in the closure, so a product outside
+            # it can only mean the two orders disagree
+            raise MalformedTableError(f"not commutative at ({i}, {i + 1 + upper.index(None)})")
+        rows.append(lower[i] + upper)
+    return SampleClosure(index, FiniteCommSemigroup(rows), True)
 
 
 @dataclass

@@ -799,6 +799,20 @@ def test_cut_class_repr_and_immutability():
     assert pickle.loads(pickle.dumps(x)) == x == copy.deepcopy(x)
 
 
+def test_cut_class_literal_checks_what_a_cut_literal_checks():
+    # A hand-built class is refused with `Cut`'s messages, instead of a
+    # `rep` of level 0 or of an unknown side.
+    with pytest.raises(C.MalformedCutError, match="^level must be at least 1"):
+        C.CutClass(0, CLOSED, 0, 1)
+    with pytest.raises(C.MalformedCutError, match="^side must be 'closed' or 'open', got 'half'$"):
+        C.CutClass(1, "half", 0, 1)
+    for a in (Cut(1, (F(4, 3),), OPEN), Cut(2, (F(0), F(1, 2)), CLOSED)):
+        x = C.class_of(GROUPS["Z_Q"], a)
+        assert C.CutClass(*x) == x
+        for copied in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert copied == x and type(copied) is C.CutClass
+
+
 # === transfer to overrings ===
 
 

@@ -153,13 +153,14 @@ def test_verify_pruefer_stays_within_operation_budget(monkeypatch):
     # One stabilizer per idempotent, per regularity audit (the 6 sampled
     # cuts are distinct) and per membership audit.
     assert counts["stabilizers"] == idempotents + 2 * samples * k == 17, counts
-    # Each saturated closure of m classes costs exactly m^2 products, summed
-    # over the adapter's rows: the upper triangle once while it grows, the
-    # lower triangle once for the commutativity check.
+    # Each saturated closure of m classes costs exactly m^2 products in 2m
+    # of the adapter's rows: one row per class in the walk that grows the
+    # closure, one per class for the second half of the commutativity check.
     sizes = [len(c.dictionary) for c in closures]
     assert len(closures) == 3 and all(c.saturated for c in closures), sizes
     products = sum(len(ys) for _, _, ys in rows)
     assert products == sum(m * m for m in sizes), (products, sizes)
+    assert len(rows) == 2 * sum(sizes), (len(rows), sizes)
 
 
 def test_pruefer_class_product_builds_no_tuple(monkeypatch):
@@ -281,10 +282,13 @@ SIDE_CALLS_PER_PRODUCT = 11_236
 
 def test_closure_asks_the_side_rule_once_per_row_side(monkeypatch):
     # A closure multiplies one class by a row of classes in one
-    # `cuts.class_row` call.  At equal levels a product's side depends on
-    # the row's class and the other's side alone, so the side rule runs
-    # once per distinct side in a row: 449 times for 345 rows here (every
-    # class of Z[1/2] is at level 1, and the ring class is the one closed).
+    # `cuts.class_row` call, two rows per class: one in the walk over the
+    # growing class list, one for the table's second half.  At equal levels
+    # a product's side depends on the row's class and the other's side
+    # alone, so the side rule runs once per distinct side in a row: 317
+    # times for 212 rows here (every class of Z[1/2] is at level 1, and the
+    # ring class is the one closed).  The closure built in growth passes
+    # made 345 rows and 449 side-rule calls for the same products.
     model = C.ValuationClassModel(value_group_from_json([{"Zloc": [2]}]))
     seeds = oracle_closure_seeds(model)
     rows = counted_calls(monkeypatch, C, "class_row")
@@ -295,8 +299,8 @@ def test_closure_asks_the_side_rule_once_per_row_side(monkeypatch):
     m = len(closure.dictionary)
     assert closure.saturated and m == 106
     assert sum(len(ys) for _, _, ys in rows) == m * m == 11_236
-    assert len(rows) == 345, len(rows)
-    assert len(sides) == 449 < SIDE_CALLS_PER_PRODUCT, len(sides)
+    assert len(rows) == 2 * m == 212, len(rows)
+    assert len(sides) == 317 < SIDE_CALLS_PER_PRODUCT, len(sides)
 
 
 def counted_calls(monkeypatch, owner, name) -> list:

@@ -45,7 +45,8 @@ def test_operators_agree_with_fraction(x, y):
 
 @given(rats)
 def test_unary_operators_hash_and_text_agree_with_fraction(x):
-    assert_built(-x, -F(x), False)
+    # `Rat` has no `__neg__` of its own: `Fraction`'s gives a plain `Fraction`.
+    assert_built(-x, -F(x), True)
     assert bool(x) is bool(F(x)) is True
     assert hash(x) == hash(F(x))
     assert str(x) == str(F(x))

@@ -6,9 +6,11 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from test_op_budget import oracle_closure_seeds
-from tclass import CLOSED, OPEN, Cut, Q, ValueGroup, Zloc
+from tclass import CLOSED, OPEN, Cut, Q, ValueGroup, Z, Zloc
 from tclass import cuts as C
 from tclass import pruefer as P
 from tclass import semigroups
@@ -415,16 +417,18 @@ def test_closure_rejects_budget_below_seed_count():
         sample_closure(m, seeds, 2)
 
 
-class LowerTriangleEscapes:
-    """A stand-in whose y * x, for x < y, is a class outside the closure."""
+class SecondHalfEscapes:
+    """A stand-in whose x * y, for x < y, is a class outside the closure:
+    the walk multiplies only with the larger index on the left, so the
+    closure saturates and only the table's second half sees the escape."""
 
     def row(self, x, ys):
-        return [min(x + y, 4) if x <= y else 99 for y in ys]
+        return [min(x + y, 4) if x >= y else 99 for y in ys]
 
 
-def test_closure_reports_lower_product_outside_it_as_not_commutative():
+def test_closure_reports_second_half_product_outside_it_as_not_commutative():
     with pytest.raises(MalformedTableError, match=r"not commutative at \(0, 1\)"):
-        sample_closure(LowerTriangleEscapes(), [0, 1], 16)
+        sample_closure(SecondHalfEscapes(), [0, 1], 16)
 
 
 def test_closure_deduplicates_seeds():
@@ -497,6 +501,76 @@ def test_valuation_adapter_is_the_one_component_pruefer_adapter():
         assert (vm.idempotent_of(x),) == pm.idempotent_of((x,))
         assert vm.describe(x) == pm.describe((x,))
     assert cross_check(closure, vm).passed and cross_check(tupled, pm).passed
+
+
+def fixpoint_closure(model, seeds) -> set:
+    """The closure by definition: every product of two classes found so
+    far, through the same `row`, added until nothing new appears."""
+    found = set(seeds)
+    while True:
+        grown = found.union(*(model.row(x, list(found)) for x in found))
+        if grown == found:
+            return found
+        found = grown
+
+
+def seed_cut(g, level, n, q, side):
+    """The canonical cut of `g` at level `level` with top n/q and zeros below."""
+    return normalize(g, Cut(level, (F(0),) * (level - 1) + (F(n, q),), side))
+
+
+DYADIC_CLASSES = dyadic_model()
+# Two components, Z[1/2] and [Z, Q]: at most 6 * 8 = 48 classes from tops
+# of denominator 1 or 3, so the fixpoint stays cheap.
+PRUEFER_CLASSES = P.PrueferClassModel(
+    P.PrueferModel((ValueGroup((Zloc(2),)), ValueGroup((Z, Q)))), KINDS["pruefer_fc"].write)
+
+
+def cut_specs(rank, dens):
+    return st.tuples(st.integers(1, rank), st.integers(0, 14), st.sampled_from(dens),
+                     st.sampled_from((OPEN, CLOSED)))
+
+
+def dyadic_seed(spec):
+    return DYADIC_CLASSES.class_of(seed_cut(DYADIC_CLASSES.group, *spec))
+
+
+def pruefer_seed(*specs):
+    gs = PRUEFER_CLASSES.model.valuations
+    return PRUEFER_CLASSES.class_of(P.IdealTuple(tuple(
+        seed_cut(g, *spec) for g, spec in zip(gs, specs))))
+
+
+CLOSURE_SEEDS = {
+    "valuation": (DYADIC_CLASSES, st.builds(dyadic_seed, cut_specs(1, (1, 3, 5)))),
+    "pruefer_fc": (PRUEFER_CLASSES, st.builds(
+        pruefer_seed, cut_specs(1, (1, 3)), cut_specs(2, (1, 3)))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CLOSURE_SEEDS))
+@given(data=st.data())
+def test_closure_matches_the_fixpoint_of_its_row(kind, data):
+    # The contract, whatever order the closure meets its classes in: the
+    # fixpoint's classes and verdict, a table that is `row` entry by entry,
+    # both unchanged under a permutation of the seeds, and a budget below
+    # the size stopping at exactly the budget.
+    model, seed = CLOSURE_SEEDS[kind]
+    seeds = data.draw(st.lists(seed, min_size=1, max_size=4))
+    expected, distinct = fixpoint_closure(model, seeds), len(set(seeds))
+    budget = data.draw(st.integers(len(expected), 2 * len(expected)))
+    for order in (seeds, data.draw(st.permutations(seeds))):
+        closure = sample_closure(model, order, budget)
+        assert closure.saturated and set(closure.dictionary) == expected
+        elems, index = closure.elements, closure.dictionary
+        assert [index[x] for x in elems] == list(range(len(elems)))
+        assert closure.semigroup.table == tuple(
+            tuple(index[model.row(x, [y])[0]] for y in elems) for x in elems)
+    if distinct < len(expected):
+        short = data.draw(st.integers(distinct, len(expected) - 1))
+        closure = sample_closure(model, seeds, short)
+        assert not closure.saturated and closure.semigroup is None
+        assert len(closure.dictionary) == short and set(closure.dictionary) <= expected
 
 
 def test_fixture_round_trip():
