@@ -38,7 +38,7 @@ import math
 from fractions import Fraction
 from operator import add, ge, gt, sub
 
-from .groups import DISCRETE, RATIONALS, ValueGroup
+from .groups import DISCRETE, RATIONALS, ValueGroup, localized_part
 from .cuts import CLOSED, Cut
 from .sampling import _below
 
@@ -47,15 +47,6 @@ MAX_BOUNDARY = 3
 MAX_COORD = 4
 DEN_CAP = 64
 N_RANDOM = 16
-
-
-def _s_part(comp, d: int) -> int:
-    out = 1
-    for p in comp.primes:
-        while d % p == 0:
-            d //= p
-            out *= p
-    return out
 
 
 def _check_den(comp) -> int:
@@ -88,7 +79,7 @@ def lattice_dens(g: ValueGroup, cuts, strict_discrete: bool = True):
             f2 = 2 * f
         else:
             p = min(comp.primes)
-            f = math.lcm(*(_s_part(comp, d) for d in present))
+            f = math.lcm(*(localized_part(comp, d) for d in present))
             while f <= big:
                 f *= p
             f2 = f * p

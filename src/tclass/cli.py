@@ -61,9 +61,17 @@ def _refuse_constant(name: str):
     raise ValueError(f"the JSON constant {name} is not a rational number")
 
 
-# A non-integral JSON number stays text, which `cuts._coordinate` reads as the
-# same spelling quoted, never rounded by a float.  One decoder serves every read.
-_DECODER = json.JSONDecoder(parse_float=str, parse_constant=_refuse_constant)
+class _Number(str):
+    """A non-integral JSON number kept as its text, which `cuts._coordinate`
+    reads as the same spelling quoted, never rounded by a float.  Its repr
+    is that text, so a message quotes it as written, unlike a JSON string."""
+
+    __slots__ = ()
+    __repr__ = str.__str__
+
+
+# One decoder serves every read.
+_DECODER = json.JSONDecoder(parse_float=_Number, parse_constant=_refuse_constant)
 
 
 def _read_json(path_or_inline: str, what: str):

@@ -87,7 +87,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .groups import ValueGroup, is_member
+from .groups import ValueGroup, is_member, localized_part
 
 CLOSED = "closed"
 OPEN = "open"
@@ -557,19 +557,14 @@ def is_regular(g: ValueGroup, a: Cut) -> RegularityWitness:
 
 def _coset_rep(comp, n: int, d: int) -> tuple[int, int]:
     # The representative of n/d + C in Q/C inside [0, 1), in lowest terms.
-    if d < 1:  # the Zloc loop below would never end on d = 0
+    if d < 1:  # `localized_part`'s loop would never end on d = 0
         raise InternalInconsistencyError("coset denominator below 1")
-    kind = comp.kind
-    if kind == "Q":
+    if comp.kind == "Q":
         return 0, 1
-    if kind == "Zloc":  # the p-part of d is a unit: divide it out
-        s_part = 1
-        for p in comp.primes:
-            while d % p == 0:
-                d //= p
-                s_part *= p
-        if s_part != 1:
-            n *= pow(s_part, -1, d)
+    s = localized_part(comp, d)  # a unit of C (1 at Z): divide it out
+    if s != 1:
+        d //= s
+        n *= pow(s, -1, d)
     n %= d
     common = math.gcd(n, d)
     return n // common, d // common

@@ -90,17 +90,25 @@ def Zloc(*primes: int) -> ArchComponent:
     return ArchComponent(LOCALIZED, frozenset(primes))
 
 
+def localized_part(comp: ArchComponent, d: int) -> int:
+    """The largest divisor of the denominator `d` >= 1 whose primes the
+    component localizes (1 at Z and Q): the part of d that is a unit
+    there, so n/d in lowest terms is a member of Z or Z[1/S] exactly when
+    it is all of d."""
+    s = 1
+    for p in comp.primes:
+        while d % p == 0:
+            d //= p
+            s *= p
+    return s
+
+
 def is_member(comp: ArchComponent, q: int | Fraction) -> bool:
     """Membership of a rational in the component (not just its divisible hull)."""
     if q.__class__ is int or comp.kind == RATIONALS:
         return True
-    if comp.kind == DISCRETE:
-        return q.denominator == 1
     d = q.denominator
-    for p in comp.primes:
-        while d % p == 0:
-            d //= p
-    return d == 1
+    return localized_part(comp, d) == d
 
 
 @dataclass(frozen=True)

@@ -34,19 +34,18 @@ generator keeps per group one table from name to cut, which builds the
 boundary, the `Cut` and any `normalize` of a name at its first draw, so
 a repeated draw allocates nothing.  A table is found by its group's `id`
 (a `ValueGroup` hash costs more than a draw) and holds its group, so the
-id is not reused while the table lives.  A generator's tables are found
-by its own `id` in a plain dict, which a `weakref.finalize` on the
-generator empties, so the tables go with their generator: `verify` makes
-one per command, so no command reads a cut that another command built,
-and a fault planted in the kernel between commands is never hidden by an
-earlier result.
+id is not reused while the table lives.  A generator keeps its tables in
+one private attribute of its own, so they live and die with it by plain
+reference; a copy or unpickling of a generator starts with none.
+`verify` makes one generator per command, so no command reads a cut that
+another command built, and a fault planted in the kernel between
+commands is never hidden by an earlier result.
 """
 
 from __future__ import annotations
 
 import functools
 import random
-import weakref
 from operator import getitem
 from typing import NamedTuple
 
@@ -58,10 +57,6 @@ SPAN = 2
 # A name's codes are its base-_RADIX digits, one per coordinate, above its
 # side digit; codes start at 1, so the digits count the level.
 _RADIX = 64
-
-# id(generator) -> {id(group): its _Window}; a finalizer on the generator
-# pops its entry, so the entry goes before the id can be reused.
-_DRAWN: dict = {}
 
 
 def _below(getrandbits, n: int) -> int:
@@ -161,13 +156,13 @@ class _Window(dict):
 
 def _window(rng: random.Random, g: ValueGroup) -> _Window:
     try:
-        return _DRAWN[id(rng)][id(g)]
+        return rng._tclass_windows[id(g)]
+    except AttributeError:
+        rng._tclass_windows = {}  # id(group) -> its _Window
     except KeyError:
-        if id(rng) not in _DRAWN:
-            _DRAWN[id(rng)] = {}
-            weakref.finalize(rng, _DRAWN.pop, id(rng), None)
-        w = _DRAWN[id(rng)][id(g)] = _Window(g)
-        return w
+        pass
+    w = rng._tclass_windows[id(g)] = _Window(g)
+    return w
 
 
 def _draw(bits, plan: tuple) -> int:

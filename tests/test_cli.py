@@ -509,14 +509,24 @@ def test_unwritable_report_path_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("spec, message", [
     ({"kind": "valuation", "group": [{"Zloc": [2], "x": 1}]}, "unknown component descriptor"),
-    ({"kind": "valuation", "group": [{"Zloc": [2.0]}]}, "Zloc wants a list of primes"),
+    # A JSON number is quoted as written, a JSON string as a string.
+    ({"kind": "valuation", "group": [{"Zloc": [2.0]}]}, "Zloc wants a list of primes, got [2.0]"),
+    ({"kind": "valuation", "group": [{"Zloc": ["2"]}]}, "Zloc wants a list of primes, got ['2']"),
     ({"kind": "valuation", "group": [{"Zloc": 2}]}, "Zloc wants a list of primes, got 2"),
     ({"kind": "valuation", "group": "ZQ"}, "a value group descriptor is a non-empty list"),
     ({"group": ["Z"]}, "top level must be an object with a 'kind' field"),
-], ids=["zloc-extra-key", "zloc-float-prime", "zloc-not-a-list", "group-a-string", "no-kind"])
+    ({"kind": 1.5, "group": ["Z"]}, "unknown kind 1.5 (expected"),
+], ids=["zloc-extra-key", "zloc-float-prime", "zloc-string-prime", "zloc-not-a-list",
+        "group-a-string", "no-kind", "float-kind"])
 def test_malformed_spec_is_one_error_line(spec, message, tmp_path, capsys):
     assert main(["decompose", write(tmp_path, "spec.json", spec)]) == 1
     assert message in one_error_line(capsys)
+
+
+def test_a_float_level_is_quoted_as_written(tmp_path, capsys):
+    spec = valuation_spec(tmp_path)
+    assert main(["classify", spec, "--ideal", '{"level": 1.0, "boundary": [1], "side": "closed"}']) == 1
+    assert one_error_line(capsys) == "error: ideal literal: level must be an integer, got 1.0\n"
 
 
 def test_unhashable_kind_is_usage_error(tmp_path, capsys):

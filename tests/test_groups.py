@@ -1,8 +1,11 @@
 """Lex towers of archimedean components: order, arithmetic, convexity."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import GROUPS
 from tclass import Q, Z, ValueGroup, Zloc
@@ -130,3 +133,24 @@ def test_describe_component():
     assert "Z" in G.describe_component(Z)
     text = G.describe_component(Zloc(2, 3))
     assert "2" in text and "3" in text
+
+
+LOCALIZING = sorted({c for g in GROUPS.values() for c in g.components} | {Zloc(2, 3), Zloc(5)},
+                    key=repr)
+
+
+@given(st.sampled_from(LOCALIZING), st.integers(1, 10 ** 6), st.integers(-10 ** 6, 10 ** 6))
+def test_localized_part_is_the_unit_part_of_a_denominator(comp, d, n):
+    s = G.localized_part(comp, d)
+    assert d % s == 0
+    assert all((d // s) % p for p in comp.primes)  # the largest such divisor
+    rest = s
+    for p in comp.primes:
+        while rest % p == 0:
+            rest //= p
+    assert rest == 1  # made of localized primes only
+    if comp.kind != G.LOCALIZED:
+        assert s == 1
+    if math.gcd(n, d) == 1:
+        member = comp.kind == G.RATIONALS or s == d
+        assert G.is_member(comp, F(n, d)) == member

@@ -13,8 +13,10 @@ Each generator keeps the cuts it has drawn; `verify` makes one generator
 per command, so nothing drawn outlives the command.
 """
 
+import copy
 import gc
 import json
+import pickle
 import random
 import weakref
 from fractions import Fraction
@@ -106,6 +108,18 @@ def ref_target(rng, model, form, local) -> tuple:
     return tuple(out)
 
 
+def ref_group_cut(rng, g, level, side) -> Cut:
+    boundary = [ref_member(rng, g.components[k]) for k in range(level - 1)]
+    top = ref_rational if side == OPEN else ref_member
+    boundary.append(top(rng, g.components[level - 1]))
+    return Cut(level, tuple(boundary), side)
+
+
+def ref_target_cut(rng, g, level) -> Cut:
+    top = ref_rational(rng, g.components[level - 1])
+    return Cut(level, (Fraction(0),) * (level - 1) + (top,), OPEN)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(GROUPS))
 def test_random_cut_draws_as_written(name, seed):
@@ -140,6 +154,47 @@ def test_one_generator_draws_as_written_over_groups_dropped_after_use():
         assert got == [ref_random_cut(ref_rng, g) for _ in range(50)], name
         del g
     assert got_rng.getstate() == ref_rng.getstate()
+
+
+# Every way of drawing, over a group with a discrete level and two dense ones.
+DRAWS = ((random_cut, ref_random_cut, ()),
+         (sampling.group_cut, ref_group_cut, (1, CLOSED)),
+         (sampling.group_cut, ref_group_cut, (3, OPEN)),
+         (sampling.target_cut, ref_target_cut, (2,)))
+
+
+def test_two_live_generators_keep_their_own_tables():
+    # Two generators of one seed draw from one group in turn.  Each draws
+    # as the reference does, and neither hands out a cut object the other
+    # built, as tables shared across generators (keyed by group alone) would.
+    g = ValueGroup(GROUPS["Z,Z[1/2],Q"])
+    rngs, refs = [random.Random(4), random.Random(4)], [random.Random(4), random.Random(4)]
+    drawn = ([], [])
+    for _ in range(100):
+        for draw, ref_draw, args in DRAWS:
+            for rng, ref_rng, cuts in zip(rngs, refs, drawn):
+                got = draw(rng, g, *args)
+                assert got == ref_draw(ref_rng, g, *args)
+                cuts.append(got)
+    assert drawn[0] == drawn[1]
+    assert not set(map(id, drawn[0])) & set(map(id, drawn[1]))
+    assert [rng.getstate() for rng in rngs] == [ref_rng.getstate() for ref_rng in refs]
+
+
+@pytest.mark.parametrize("copy_of", [copy.copy, lambda rng: pickle.loads(pickle.dumps(rng))],
+                         ids=["copy", "pickle"])
+def test_a_copied_generator_starts_with_no_tables(copy_of):
+    # A copy holds the generator's state and none of its tables: it draws
+    # the same cuts as the original, each built anew.
+    g = ValueGroup(GROUPS["Z,Z[1/2],Q"])
+    rng = random.Random(6)
+    before = [draw(rng, g, *args) for _ in range(50) for draw, _, args in DRAWS]
+    twin = copy_of(rng)
+    assert vars(twin).keys() == vars(random.Random()).keys()
+    ours = [draw(rng, g, *args) for _ in range(50) for draw, _, args in DRAWS]
+    theirs = [draw(twin, g, *args) for _ in range(50) for draw, _, args in DRAWS]
+    assert ours == theirs
+    assert not set(map(id, before + ours)) & set(map(id, theirs))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -298,5 +353,4 @@ def test_a_second_command_grows_no_module_container():
     cli.cmd_verify(kind, model, 5, 2, None)
     gc.collect()
     assert module_containers() == first
-    assert first["tclass.sampling._DRAWN"] == 0
     assert len(gc.get_objects()) <= alive
